@@ -240,6 +240,12 @@ def _check(name, observed, provenance, target, tolerance, passed):
     }
 
 
+def _law_check(name, observed, target):
+    """An extrapolated law limit judged on its own value, not a shared flag."""
+    return _check(name, observed, PROV_FIT, target, LAW_RTOL,
+                  abs(observed / target - 1.0) <= LAW_RTOL)
+
+
 def _ensure_dir(path):
     os.makedirs(path, exist_ok=True)
     return path
@@ -511,14 +517,14 @@ def cmd_verify_blowup(config, out_dir, stream=None):
                level, ENERGY_RTOL, abs(energy / level - 1.0) <= ENERGY_RTOL),
         _check("final_mass_at_critical_level", mass, PROV_QUADRATURE,
                level, ENERGY_RTOL, abs(mass / level - 1.0) <= ENERGY_RTOL),
-        _check("scale_law_limit_eps_model", verdict.scale_limit_eps,
-               PROV_FIT, verdict.scale_target, LAW_RTOL, verdict.scale_ok),
-        _check("scale_law_limit_epslog_model", verdict.scale_limit_epslog,
-               PROV_FIT, verdict.scale_target, LAW_RTOL, verdict.scale_ok),
-        _check("peak_law_limit_eps_model", verdict.peak_limit_eps,
-               PROV_FIT, verdict.peak_target, LAW_RTOL, verdict.peak_ok),
-        _check("peak_law_limit_epslog_model", verdict.peak_limit_epslog,
-               PROV_FIT, verdict.peak_target, LAW_RTOL, verdict.peak_ok),
+        _law_check("scale_law_limit_eps_model", verdict.scale_limit_eps,
+                   verdict.scale_target),
+        _law_check("scale_law_limit_epslog_model",
+                   verdict.scale_limit_epslog, verdict.scale_target),
+        _law_check("peak_law_limit_eps_model", verdict.peak_limit_eps,
+                   verdict.peak_target),
+        _law_check("peak_law_limit_epslog_model", verdict.peak_limit_epslog,
+                   verdict.peak_target),
     ]
 
     remainder = {"fitted": False}

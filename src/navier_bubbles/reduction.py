@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.linalg import null_space
 from scipy.optimize import brentq
-from scipy.special import jn_zeros, jv
+from scipy.special import j0, j1, jn_zeros, jv
 
 from .bubble import (
     balance_constants,
@@ -69,9 +69,19 @@ __all__ = [
     "supercritical_obstruction",
 ]
 
-# Trial functions for the spectral gap live on this fixed graded grid.
-_GAP_GRID = 30001
-_GAP_GRADING = 6.0
+# Seams of the concentration core, in units of 1/lam. Radial integrals
+# over the ball are split there, so each piece sees one length scale.
+_CORE_SEAMS = (0.5, 3.0, 20.0)
+# Trial integrals of the spectral gap use composite Gauss-Legendre
+# panels of _GAP_ORDER nodes, split at the core seams. Each piece starts
+# with one panel per _GAP_PANEL_PERIODS oscillation periods of the
+# fastest trial-mode product, and the panel count doubles until the gap
+# at P and 2P panels agrees to _GAP_RTOL. A gap still moving at
+# _GAP_MAX_DENSITY times the starting count is an error, never a result.
+_GAP_ORDER = 16
+_GAP_PANEL_PERIODS = 4.0
+_GAP_RTOL = 1e-10
+_GAP_MAX_DENSITY = 16
 # Trial modes scale with lam so the concentration core stays resolved;
 # this cap bounds the dense eigenproblem and the mode-matrix memory.
 _MAX_TRIAL_MODES = 400
@@ -129,6 +139,11 @@ def _translation_radial(n, lam, r, R):
     return core + A + B * r * r
 
 
+def _core_seams(lam, R):
+    """Core seams at scale lam that fall inside the ball of radius R."""
+    return [s / lam for s in _CORE_SEAMS if s / lam < R]
+
+
 def _ball_radial(n, R, lam, f):
     """Integral of f over the centered ball, radial integrand.
 
@@ -136,7 +151,7 @@ def _ball_radial(n, R, lam, f):
     the core. Retries once with a denser subdivision budget before
     giving up.
     """
-    seams = [s for s in (0.5 / lam, 3.0 / lam, 20.0 / lam) if s < R]
+    seams = _core_seams(lam, R)
     integrand = lambda r: f(r) * r ** (n - 1)
     for limit in (300, 900):
         res = quad(integrand, 0.0, R, points=seams or None,
@@ -230,20 +245,10 @@ def _gram_entries(n, lam, R):
         n, R, lam,
         lambda r: p * dpm1(r) * radial_scale_derivative(n, lam, r)
         * _projected_scale(n, lam, r, R))
-    sm = sphere_measure(n)
-    for limit in (300, 900):
-        res = quad(
-            lambda r: (_translation_radial(n, lam, r, R)
-                       * (-_profile_dr(n, lam, r)) * dpm1(r) * r ** n),
-            0.0, R, points=[s for s in (0.5 / lam, 3.0 / lam, 20.0 / lam)
-                            if s < R],
-            epsabs=0.0, epsrel=1e-11, limit=limit, full_output=1)
-        if res[1] <= 1e-9 * max(abs(res[0]), 1e-300):
-            translation_sq = (p / n) * sm * res[0]
-            break
-    else:
-        raise RuntimeError(
-            "radial quadrature failed to converge on the translation norm")
+    translation_sq = (p / n) * _ball_radial(
+        n, R, lam,
+        lambda r: (_translation_radial(n, lam, r, R)
+                   * (-_profile_dr(n, lam, r)) * dpm1(r) * r))
     return bubble_sq, bubble_scale, scale_sq, translation_sq
 
 
@@ -292,9 +297,99 @@ def gram_matrix(params, domain):
 # ---------------------------------------------------------------------------
 # constrained spectral gap
 
-def _graded_radii(R, m):
-    s = np.linspace(0.0, 1.0, m)
-    return R * np.sinh(_GAP_GRADING * s) / np.sinh(_GAP_GRADING)
+def _bessel_over_power(nu, x):
+    """J_nu(x) / x^nu for integer nu >= 1 and x >= 0, elementwise.
+
+    Below x = nu + 2, which sits under the first zero of J_nu, the power
+    series of J_nu(x) / x^nu is summed until its terms drop below
+    round-off of the value at the origin; cancellation there stays within
+    a few units of round-off for the orders the trial basis uses. Above
+    it, J_0 and J_1 from Cephes are carried up to order nu by the
+    three-term recurrence, which is stable while the order stays below x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < nu + 2.0
+    xs = x[small]
+    quarter = -0.25 * xs * xs
+    origin = 1.0 / (2.0 ** nu * math.factorial(nu))
+    term = np.full_like(xs, origin)
+    total = term.copy()
+    k = 0
+    while np.any(np.abs(term) > 1e-17 * origin):
+        k += 1
+        term = term * quarter / (k * (k + nu))
+        total += term
+    out[small] = total
+    xl = x[~small]
+    lower, upper = j0(xl), j1(xl)
+    for k in range(1, nu):
+        lower, upper = upper, (2.0 * k / xl) * upper - lower
+    out[~small] = upper / xl ** nu
+    return out
+
+
+def _gap_panels(R, lam, z_max, density):
+    """Gauss-Legendre nodes and weights on [0, R], split at the core seams.
+
+    Each piece between seams gets density panels per _GAP_PANEL_PERIODS
+    oscillation periods of the fastest trial-mode product (wavenumber
+    2 z_max / R), and at least density panels.
+    """
+    t, w = np.polynomial.legendre.leggauss(_GAP_ORDER)
+    edges = [0.0] + _core_seams(lam, R) + [R]
+    nodes, weights = [], []
+    for a, b in zip(edges, edges[1:]):
+        periods = (b - a) * z_max / (math.pi * R)
+        per_density = max(1, math.ceil(periods / _GAP_PANEL_PERIODS))
+        cuts = np.linspace(a, b, density * per_density + 1)
+        half = np.diff(cuts)[:, None] / 2.0
+        nodes.append((cuts[:-1, None] + half * (1.0 + t)).ravel())
+        weights.append((half * w).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _trial_gap(n, R, lam, z, density):
+    """Constrained gap with the trial integrals on the given panel density."""
+    nu = n // 2 - 1
+    p = critical_exponent(n)
+    sm = sphere_measure(n)
+    r, w = _gap_panels(R, lam, z[-1], density)
+    # r^(1 - n/2) J_nu(z r / R) = (z / R)^nu * J_nu(x) / x^nu, x = z r / R
+    U = _bessel_over_power(nu, z[:, None] * (r / R))
+    mu = (z / R) ** 2
+    energy_diag = mu ** 2 * sm * R * R * jv(nu + 1.0, z) ** 2 / 2.0
+    U *= ((z / R) ** nu / np.sqrt(energy_diag))[:, None]
+
+    wvol = w * r ** (n - 1)
+    dpm1 = radial_profile(n, lam, r) ** (p - 1.0)
+    form = np.eye(len(z)) - p * (sm * (U * (dpm1 * wvol)) @ U.T)
+    against_bubble = sm * U @ (radial_profile(n, lam, r) ** p * wvol)
+    against_scale = sm * U @ (
+        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol)
+    basis = null_space(np.vstack([against_bubble, against_scale]))
+    if basis.shape != (len(z), len(z) - 2):
+        raise RuntimeError(
+            "trial basis degenerate: constraint projection lost rank")
+    return float(np.linalg.eigvalsh(basis.T @ form @ basis)[0])
+
+
+def _converged_gap(n, R, lam, z):
+    """Gap at the first panel density that agrees with its half.
+
+    Returns (gap, density), the gap being the one at the finer density.
+    """
+    density = 1
+    gap = _trial_gap(n, R, lam, z, density)
+    while 2 * density <= _GAP_MAX_DENSITY:
+        density *= 2
+        finer = _trial_gap(n, R, lam, z, density)
+        if abs(finer - gap) <= _GAP_RTOL * abs(finer):
+            return finer, density
+        gap = finer
+    raise RuntimeError(
+        "spectral gap quadrature did not converge to relative %g within "
+        "%d times the starting panel count" % (_GAP_RTOL, _GAP_MAX_DENSITY))
 
 
 def coercivity_check(params, domain, trial_count=40):
@@ -312,6 +407,13 @@ def coercivity_check(params, domain, trial_count=40):
     holds trial_count * ceil(lam R / 10) modes so the oscillation scale
     of the last mode stays below the concentration core width. Doubling
     trial_count is the intended stability check.
+
+    The weighted mass and the two constraint pairings are integrated on
+    composite Gauss-Legendre panels split at the core seams. The panel
+    count doubles until the gap at P and 2P panels agrees to relative
+    _GAP_RTOL, and the gap at 2P is returned; if that does not happen
+    within _GAP_MAX_DENSITY times the starting count, RuntimeError is
+    raised rather than an unconverged gap returned.
     """
     _require_centered(params, domain)
     if trial_count < 5:
@@ -325,39 +427,8 @@ def coercivity_check(params, domain, trial_count=40):
     if modes > _MAX_TRIAL_MODES:
         raise ValueError(
             "trial basis too large: at most %d modes" % _MAX_TRIAL_MODES)
-    nu = n // 2 - 1
-    p = critical_exponent(n)
-    sm = sphere_measure(n)
-
-    z = jn_zeros(nu, modes)
-    r = _graded_radii(R, _GAP_GRID)
-    rs = r.copy()
-    rs[0] = 1.0
-    U = np.empty((modes, _GAP_GRID))
-    for k in range(modes):
-        U[k] = rs ** (1.0 - n / 2.0) * jv(nu, z[k] * r / R)
-        U[k, 0] = (z[k] / (2.0 * R)) ** nu / math.gamma(nu + 1.0)
-    mu = (z / R) ** 2
-    energy_diag = mu ** 2 * sm * R * R * jv(nu + 1.0, z) ** 2 / 2.0
-    U /= np.sqrt(energy_diag)[:, None]
-
-    weights = np.zeros(_GAP_GRID)
-    weights[1:-1] = (r[2:] - r[:-2]) / 2.0
-    weights[0] = (r[1] - r[0]) / 2.0
-    weights[-1] = (r[-1] - r[-2]) / 2.0
-    wvol = weights * r ** (n - 1)
-
-    dpm1 = radial_profile(n, lam, r) ** (p - 1.0)
-    form = np.eye(modes) - p * (sm * (U * (dpm1 * wvol)) @ U.T)
-    against_bubble = sm * U @ (radial_profile(n, lam, r) ** p * wvol)
-    against_scale = sm * U @ (
-        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol)
-    basis = null_space(np.vstack([against_bubble, against_scale]))
-    if basis.shape != (modes, modes - 2):
-        raise RuntimeError(
-            "trial basis degenerate: constraint projection lost rank")
-    vals = np.linalg.eigvalsh(basis.T @ form @ basis)
-    return float(vals[0])
+    z = jn_zeros(n // 2 - 1, modes)
+    return _converged_gap(n, R, lam, z)[0]
 
 
 def bubble_quadratic_form(params, domain):

@@ -9,7 +9,10 @@ Oracles used here and nowhere in the package:
 * A conservative finite-volume discretization of the constrained
   quadratic form on a graded grid. It shares no code with the Bessel
   trial basis in the package and agrees with it to a few parts in 1e5;
-  the tests ask for half a percent.
+  the tests ask for half a percent. At n = 8 it agrees to about 2e-3.
+* scipy's general-order jv (the package uses it only to normalize the
+  trial modes) as the reference for the series and recurrence Bessel
+  values of the trial basis.
 * Closed-form balance laws. The root of the scale balance, the radius
   invariance of eps * root^(n-4) * R^(n-4), the exact identity for the
   residual at a reconstructed scale, and the decay law of the mixed
@@ -28,6 +31,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigh, null_space
 from scipy.optimize import brentq
+from scipy.special import jn_zeros, jv
 
 from navier_bubbles.bubble import (
     BubbleParams,
@@ -38,6 +42,7 @@ from navier_bubbles.bubble import (
     sobolev_energy,
 )
 from navier_bubbles.green_robin import BallDomain, robin
+from navier_bubbles import reduction
 from navier_bubbles.numerics import sphere_measure
 from navier_bubbles.reduction import (
     BlowupVerdict,
@@ -273,6 +278,56 @@ def test_gap_matches_grid_discretization_oracle(unit_ball6, lam):
     spectral = coercivity_check(centered(lam), unit_ball6, 40)
     grid = grid_gap_oracle(lam, unit_ball6)
     assert abs(grid - spectral) <= 5e-3 * abs(spectral)
+
+
+# Gaps at the converged panel quadrature. The fixed 30001-node trapezoid
+# these replaced sat 3.1e-9 to 3.3e-9 relative below them.
+GAP_CONVERGED = {(10.0, 40): 0.684637309175, (20.0, 40): 0.671609342394,
+                 (40.0, 40): 0.668014888842, (40.0, 80): 0.667906320034}
+
+
+@pytest.mark.parametrize("lam,trials", sorted(GAP_CONVERGED))
+def test_gap_converged_value(unit_ball6, lam, trials):
+    q = coercivity_check(centered(lam), unit_ball6, trials)
+    assert q == pytest.approx(GAP_CONVERGED[lam, trials], rel=1e-8)
+
+
+def test_gap_matches_grid_discretization_oracle_n8():
+    ball8 = BallDomain.unit(8)
+    spectral = coercivity_check(centered(10.0, 8), ball8, 40)
+    grid = grid_gap_oracle(10.0, ball8)
+    assert abs(grid - spectral) <= 5e-3 * abs(spectral)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_bessel_over_power_matches_jv(nu):
+    switch = nu + 2.0
+    near = switch + np.concatenate([-np.logspace(-12, 0, 200), [0.0],
+                                    np.logspace(-12, 0, 200)])
+    # The grid's first positive sample is 0.0055: much closer to the
+    # origin, jv(nu, x) / x^nu itself loses digits, so the origin is
+    # checked against its closed value instead.
+    x = np.concatenate([np.linspace(0.0, 1100.0, 200001), near])
+    origin = 1.0 / (2.0 ** nu * math.factorial(nu))
+    got = reduction._bessel_over_power(nu, x)
+    pos = x > 0
+    expected = jv(nu, x[pos]) / x[pos] ** nu
+    assert np.max(np.abs(got[pos] - expected)) <= 1e-14 * origin
+    assert np.all(got[~pos] == pytest.approx(origin, rel=1e-15))
+
+
+def test_gap_returns_the_doubling_checked_value(unit_ball6):
+    z = jn_zeros(2, 80)
+    gap, density = reduction._converged_gap(N6, 1.0, 20.0, z)
+    assert gap == coercivity_check(centered(20.0), unit_ball6, 40)
+    direct = reduction._trial_gap(N6, 1.0, 20.0, z, 2 * density)
+    assert abs(direct - gap) <= reduction._GAP_RTOL * abs(gap)
+
+
+def test_gap_refuses_unconverged_quadrature(unit_ball6, monkeypatch):
+    monkeypatch.setattr(reduction, "_GAP_MAX_DENSITY", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        coercivity_check(centered(10.0), unit_ball6, 40)
 
 
 def test_gap_extrapolates_to_free_profile_constant(unit_ball6):
