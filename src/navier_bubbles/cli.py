@@ -54,9 +54,9 @@ from .bubble import (BubbleParams, balance_constants, sobolev_constant,
 from .green_robin import BallDomain, boundary_blowup_fit, robin
 from .projection import expansion_orders
 from .reduction import blowup_verdict, supercritical_obstruction
-from .solver import (ContinuationError, SolverDivergence, continuation_sweep,
-                     decompose, default_grid, supercritical_probe,
-                     vnorm_diagnostics)
+from .solver import (ContinuationError, SolverDivergence,
+                     concentration_checks, continuation_sweep, decompose,
+                     default_grid, supercritical_probe, vnorm_diagnostics)
 
 SCHEMA_PREFIX = "navier-bubbles"
 SCHEMA_VERSION = 1
@@ -76,9 +76,6 @@ ENERGY_RTOL = 0.05       # final energies vs the critical level
 VNORM_SLOPE_BAND = (0.5, 1.5)   # remainder decay exponent in eps
 ORDER_SLOPE_TOL = 0.3    # deficit exponents vs their targets
 CONTRAST_EPS_CAP = 0.02  # contrast solve runs at or below this offset
-CONTRAST_V_REL = 0.1
-CONTRAST_AMP_TOL = 0.1
-CONTRAST_LAMBDA_D = 20.0
 
 
 class CliError(ValueError):
@@ -623,9 +620,8 @@ def _contrast_section(eps_list, domain, grid, tol):
     d = float(domain.radius - np.linalg.norm(np.asarray(dec.a)
                                              - domain.center))
     lambda_d = float(dec.lam) * d
-    small_remainder = v_rel <= CONTRAST_V_REL
-    amp_near_one = abs(float(dec.alpha) - 1.0) <= CONTRAST_AMP_TOL
-    concentrated = lambda_d >= CONTRAST_LAMBDA_D
+    small_remainder, amp_near_one, concentrated = concentration_checks(
+        v_rel, float(dec.alpha), lambda_d)
     return {
         "eps": _pv(target, PROV_FORMULA),
         "relative_remainder": _pv(v_rel, PROV_SOLVER),

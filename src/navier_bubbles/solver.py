@@ -18,6 +18,13 @@ energy identity sum V w^2 = sum V u^{q+1} to Newton tolerance rather
 than to truncation order. A non-conservative three-point stencil loses
 that identity at the percent level once the profile concentrates.
 
+Newton works on the unknowns interleaved as (u_0, w_0, u_1, w_1, ...).
+The two-field Jacobian is then pentadiagonal, two bands below and two
+above the diagonal, and each step is one LAPACK banded solve (gbsv).
+The band is filled straight from the three diagonals of the flux
+Laplacian, so it carries the same summation-by-parts coefficients as
+the residual; nothing is re-discretized for the linear algebra.
+
 Also here: the decomposition u = alpha * Pdelta_lambda + v of a computed
 solution into its nearest projected bubble and a remainder, diagnostics
 for the remainder norm along a sweep, and a supercritical probe that
@@ -33,9 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize_scalar
-from scipy.sparse.linalg import spsolve
 
 from .bubble import (
     c0,
@@ -55,6 +61,14 @@ _GRID_STRENGTH = 5.0
 # starts lagging the true one by more than a percent. A 4096-node grid
 # buys one more halving.
 _EPS_FLOOR = 0.005
+
+# The concentration triple the nonexistence theory rules out on the
+# supercritical side and the subcritical branch achieves: remainder
+# small relative to the solution's energy norm, fitted amplitude near
+# one, and scale times boundary distance large.
+CONCENTRATION_V_REL = 0.1
+CONCENTRATION_AMP_TOL = 0.1
+CONCENTRATION_LAMBDA_D = 20.0
 
 
 class SolverDivergence(RuntimeError):
@@ -273,8 +287,8 @@ class ProbeEntry:
     Fields from the decomposition of the final iterate (converged or
     not) are nan when the decomposition itself was not admissible. The
     concentrating flag is the conjunction the nonexistence theory rules
-    out: a converged solution with small remainder, amplitude near one,
-    and lam * dist(center, boundary) > 20.
+    out: a converged solution that meets all three parts of
+    concentration_checks.
     """
 
     eps: float
@@ -319,24 +333,39 @@ def _fv_geometry(grid):
 
 
 def _flux_laplacian(grid):
-    """Sparse radial Laplacian in conservative form.
+    """Diagonals (lo, di, up) of the radial Laplacian in conservative form.
 
     Row i is (F_i - F_{i-1}) / V_i with fluxes F_i = area_i * (u_{i+1} -
     u_i) / h_i, which makes diag(V) @ L symmetric on zero-boundary
-    vectors. The last row is left empty; the boundary condition is
-    imposed separately.
+    vectors. Row i has lo[i] in column i - 1, di[i] in column i and
+    up[i] in column i + 1; lo[0] = 0 by the even reflection at the
+    origin. The last row is the Dirichlet row u_{N-1}: di[-1] = 1 with
+    no neighbours.
     """
     N = len(grid)
     _, h, area, vol = _fv_geometry(grid)
     g = area / h
-    rows = [0, 0]
-    cols = [0, 1]
-    vals = [-g[0] / vol[0], g[0] / vol[0]]
-    for i in range(1, N - 1):
-        rows += [i, i, i]
-        cols += [i - 1, i, i + 1]
-        vals += [g[i - 1] / vol[i], -(g[i - 1] + g[i]) / vol[i], g[i] / vol[i]]
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(N, N)), vol
+    lo = np.zeros(N)
+    di = np.zeros(N)
+    up = np.zeros(N)
+    di[0] = -g[0] / vol[0]
+    up[0] = g[0] / vol[0]
+    v = vol[1:-1]
+    lo[1:-1] = g[:-1] / v
+    di[1:-1] = -(g[:-1] + g[1:]) / v
+    up[1:-1] = g[1:] / v
+    di[-1] = 1.0
+    return lo, di, up
+
+
+def _stencil(lo, di, up, x):
+    """Rows 0..N-2 of the tridiagonal product, summed in column order.
+    The last entry is left 0: callers fill the boundary row themselves."""
+    out = np.empty_like(x)
+    out[0] = di[0] * x[0] + up[0] * x[1]
+    out[1:-1] = lo[1:-1] * x[:-2] + di[1:-1] * x[1:-1] + up[1:-1] * x[2:]
+    out[-1] = 0.0
+    return out
 
 
 def _cell_weights(grid):
@@ -349,44 +378,74 @@ def _cell_weights(grid):
 
 
 class _Discretization:
-    """Matrix, equilibration scales and residual for one grid."""
+    """Laplacian diagonals, equilibration scales and residual for one
+    grid."""
 
     def __init__(self, grid):
         self.grid = grid
-        self.L, self.vol = _flux_laplacian(grid)
-        self.absL = abs(self.L)
+        self.lo, self.di, self.up = _flux_laplacian(grid)
+        self.abs_diags = tuple(np.abs(d) for d in (self.lo, self.di, self.up))
         mask = np.ones(len(grid))
         mask[-1] = 0.0
         self.mask = mask
-        e_last = np.zeros(len(grid))
-        e_last[-1] = 1.0
-        self.L_bc = self.L + sparse.diags(e_last)
 
     def residual(self, u, w, q):
-        Fu = self.L @ u - self.mask * w
+        Fu = _stencil(self.lo, self.di, self.up, u) - self.mask * w
         Fu[-1] = u[-1]
-        Fw = self.L @ w - self.mask * np.abs(u) ** q
+        Fw = _stencil(self.lo, self.di, self.up, w) - self.mask * np.abs(u) ** q
         Fw[-1] = w[-1]
         return Fu, Fw
 
     def scales(self, u, w, q):
         """Row equilibration: the natural size of each residual row."""
-        su = self.absL @ np.abs(u) + np.abs(w)
-        sw = self.absL @ np.abs(w) + np.abs(u) ** q
+        su = _stencil(*self.abs_diags, np.abs(u)) + np.abs(w)
+        sw = _stencil(*self.abs_diags, np.abs(w)) + np.abs(u) ** q
         su[-1] = 1.0 + abs(u[-1])
         sw[-1] = 1.0 + abs(w[-1])
         return su, sw
+
+    def jacobian_band(self, u, q, su, sw, cu, cw):
+        """The scaled Newton Jacobian in LAPACK band storage.
+
+        Unknowns are interleaved as (u_0, w_0, u_1, w_1, ...) and scaled
+        by cu, cw; rows are divided by su, sw. Row 2i (the Fu_i row)
+        touches columns 2i-2, 2i, 2i+1, 2i+2 and row 2i+1 (the Fw_i row)
+        columns 2i-1, 2i, 2i+1, 2i+3, so the matrix has two bands below
+        and two above the diagonal. Entry (r, c) sits at ab[2 + r - c, c].
+        """
+        N = len(self.grid)
+        dfdu = self.mask * (q * np.abs(u) ** (q - 1))
+        inv_su = 1.0 / su
+        inv_sw = 1.0 / sw
+        ab = np.zeros((5, 2 * N))
+        ab[0, 2::2] = (self.up[:-1] * cu) * inv_su[:-1]
+        ab[0, 3::2] = (self.up[:-1] * cw) * inv_sw[:-1]
+        ab[1, 1::2] = (-self.mask * cw) * inv_su
+        ab[2, 0::2] = (self.di * cu) * inv_su
+        ab[2, 1::2] = (self.di * cw) * inv_sw
+        ab[3, 0::2] = (-dfdu * cu) * inv_sw
+        ab[4, :-2:2] = (self.lo[1:] * cu) * inv_su[1:]
+        ab[4, 1:-2:2] = (self.lo[1:] * cw) * inv_sw[1:]
+        return ab
 
 
 def _newton(disc, q, u, w, tol, max_iter):
     """Damped Newton on the scaled two-field residual.
 
-    Returns (u, w, iterations, scaled residual, converged). The line
-    search demands interior positivity of u and a fixed-scale Armijo
-    decrease; there is no projection, so a step that cannot keep u
-    positive while decreasing the residual fails the solve honestly.
+    Returns (u, w, iterations, scaled residual, exit) with exit one of
+    "converged", "cap" (max_iter steps taken without reaching tol),
+    "line search" (no damping factor gave a positive iterate with an
+    Armijo decrease) or "singular step" (the banded solve hit a zero
+    pivot or produced a non-finite step). The line search demands
+    interior positivity of u and a fixed-scale Armijo decrease; there is
+    no projection, so a step that cannot keep u positive while
+    decreasing the residual fails the solve honestly.
+
+    Each step solves the interleaved pentadiagonal system of
+    _Discretization.jacobian_band with LAPACK gbsv (partial pivoting).
+    The band holds exactly the flux-form coefficients, so the step is
+    the one the summation-by-parts discretization defines.
     """
-    N = len(disc.grid)
     u = np.array(u, dtype=float)
     w = np.array(w, dtype=float)
     for it in range(max_iter):
@@ -394,22 +453,23 @@ def _newton(disc, q, u, w, tol, max_iter):
         su, sw = disc.scales(u, w, q)
         res = max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
         if res < tol:
-            return u, w, it, res, True
-        dfdu = disc.mask * (q * np.abs(u) ** (q - 1))
+            return u, w, it, res, "converged"
         cu = max(np.abs(u).max(), 1e-30)
         cw = max(np.abs(w).max(), 1e-30)
-        Du = sparse.diags(1.0 / su)
-        Dw = sparse.diags(1.0 / sw)
-        J = sparse.bmat(
-            [
-                [Du @ (disc.L_bc * cu), Du @ sparse.diags(-disc.mask * cw)],
-                [Dw @ sparse.diags(-dfdu * cu), Dw @ (disc.L_bc * cw)],
-            ],
-            format="csc",
-        )
-        y = spsolve(J, -np.concatenate([Fu / su, Fw / sw]))
-        du = cu * y[:N]
-        dw = cw * y[N:]
+        ab = disc.jacobian_band(u, q, su, sw, cu, cw)
+        rhs = np.empty(ab.shape[1])
+        rhs[0::2] = -Fu / su
+        rhs[1::2] = -Fw / sw
+        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+            return u, w, it, res, "singular step"
+        try:
+            y = solve_banded((2, 2), ab, rhs, check_finite=False)
+        except LinAlgError:
+            return u, w, it, res, "singular step"
+        if not np.all(np.isfinite(y)):
+            return u, w, it, res, "singular step"
+        du = cu * y[0::2]
+        dw = cw * y[1::2]
         m0 = np.sum((Fu / su) ** 2) + np.sum((Fw / sw) ** 2)
         t = 1.0
         accepted = False
@@ -424,12 +484,12 @@ def _newton(disc, q, u, w, tol, max_iter):
                     break
             t /= 2
         if not accepted:
-            return u, w, it, res, False
+            return u, w, it, res, "line search"
         u, w = ut, wt
     Fu, Fw = disc.residual(u, w, q)
     su, sw = disc.scales(u, w, q)
     res = max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
-    return u, w, max_iter, res, res < tol
+    return u, w, max_iter, res, "converged" if res < tol else "cap"
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +564,11 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     solution declares tol, so round-off level drift cannot invalidate
     the object later.
 
-    Raises SolverDivergence when damping stalls or the iterates collapse
-    onto the zero branch; the exception carries the last positive
-    iterate, which is what the supercritical probe inspects.
+    Raises SolverDivergence when the iteration cap is reached, the line
+    search stalls, a Newton step is singular or non-finite, or the
+    iterates collapse onto the zero branch; the message names which, and
+    the exception carries the last positive iterate, which is what the
+    supercritical probe inspects.
     """
     n = domain.n
     p = critical_exponent(n)
@@ -537,22 +599,28 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
 
     disc = _Discretization(grid)
     q = p + eps
-    u, w, iters, res, ok = _newton(disc, q, u0, w0, tol / 10.0, max_iter)
+    u, w, iters, res, exit_ = _newton(disc, q, u0, w0, tol / 10.0, max_iter)
     m0 = float(np.max(np.abs(u0)))
     collapsed = float(np.max(np.abs(u))) < 1e-6 * m0
-    if not ok or collapsed:
+    if exit_ != "converged" or collapsed:
         u[-1] = 0.0
         w[-1] = 0.0
         last = RadialSolution(
             grid=grid, u=u, w=w, eps=eps, M=float(u[0]), residual=float(res),
             newton_iters=iters, tolerance=max(float(res), tol),
         )
-        reason = (
-            "iterates collapsed onto the trivial zero branch"
-            if collapsed
-            else "Newton damping stalled at scaled residual %.2e after %d "
-            "iterations" % (res, iters)
-        )
+        if collapsed:
+            reason = "iterates collapsed onto the trivial zero branch"
+        elif exit_ == "cap":
+            reason = ("iteration cap %d reached at scaled residual %.2e"
+                      % (max_iter, res))
+        elif exit_ == "line search":
+            reason = ("line search found no Armijo decrease at iteration "
+                      "%d, scaled residual %.2e" % (iters, res))
+        else:
+            reason = ("banded Newton solve gave a singular or non-finite "
+                      "step at iteration %d, scaled residual %.2e"
+                      % (iters, res))
         raise SolverDivergence(reason, last=last)
     u[-1] = 0.0
     w[-1] = 0.0
@@ -757,6 +825,18 @@ def decompose(sol, domain):
 # sweep diagnostics
 
 
+def concentration_checks(v_rel, alpha, lambda_d):
+    """The three parts of the concentration predicate, in order: relative
+    remainder ||v|| / ||u|| at most CONCENTRATION_V_REL, |alpha - 1| at
+    most CONCENTRATION_AMP_TOL, and lam * d at least
+    CONCENTRATION_LAMBDA_D. A nan input fails its part."""
+    return (
+        v_rel <= CONCENTRATION_V_REL,
+        abs(alpha - 1.0) <= CONCENTRATION_AMP_TOL,
+        lambda_d >= CONCENTRATION_LAMBDA_D,
+    )
+
+
 def vnorm_diagnostics(sweep, eps_list):
     """Slope fits and the uniform bound ratio for remainder norms along
     a subcritical sweep of at least five decompositions."""
@@ -832,10 +912,7 @@ def supercritical_probe(eps_list, domain, grid=None, tol=1e-10):
                 if failure is None:
                     failure = "decomposition inadmissible: %s" % exc
         concentrating = bool(
-            converged
-            and v_norm < 0.1
-            and abs(alpha - 1.0) < 0.1
-            and lambda_d > 20.0
+            converged and all(concentration_checks(v_rel, alpha, lambda_d))
         )
         entries.append(
             ProbeEntry(

@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import fsolve
 
+from navier_bubbles import solver as solver_module
 from navier_bubbles.bubble import (
     c0,
     critical_exponent,
@@ -33,9 +35,14 @@ from navier_bubbles.solver import (
     Decomposition,
     RadialSolution,
     SolverDivergence,
+    _bubble_fields,
     _cell_weights,
+    _cold_lambda,
+    _Discretization,
+    _fv_geometry,
     _projected_profile,
     _projected_profile_laplacian,
+    concentration_checks,
     continuation_sweep,
     decompose,
     default_grid,
@@ -339,6 +346,143 @@ def test_trivial_branch_collapse_detected(unit_ball6):
         solve_radial(-2.0, unit_ball6, sol)
 
 
+def test_line_search_stall_is_named(unit_ball6):
+    # at eps = +0.02 from the cold bubble guess the scaled residual
+    # plateaus near 4.4e-6; with room beyond the default cap of 40 the
+    # line search itself runs out of Armijo decrease before the cap
+    guess = BubbleGuess(lam=_cold_lambda(0.02, unit_ball6.radius))
+    with pytest.raises(SolverDivergence) as err:
+        solve_radial(+0.02, unit_ball6, guess, max_iter=120)
+    message = str(err.value)
+    assert message.startswith("line search found no Armijo decrease at "
+                              "iteration ")
+    assert "iteration cap" not in message
+    last = err.value.last
+    assert 40 < last.newton_iters < 120
+    assert np.all(last.u[:-1] > 0)
+
+
+@pytest.mark.parametrize("broken", ["raise", "nan"])
+def test_singular_banded_step_fails_with_last_iterate(unit_ball6,
+                                                      monkeypatch, broken):
+    def bad_solve(*args, **kwargs):
+        if broken == "raise":
+            raise LinAlgError("singular matrix")
+        return np.full(len(args[2]), np.nan)
+
+    monkeypatch.setattr(solver_module, "solve_banded", bad_solve)
+    grid = default_grid(unit_ball6, nodes=256)
+    u0, w0 = _bubble_fields(grid, math.sqrt(20 / 0.3))
+    with pytest.raises(SolverDivergence, match="singular or non-finite") as err:
+        solve_radial(-0.3, unit_ball6, (u0, w0), grid=grid)
+    last = err.value.last
+    assert last.newton_iters == 0
+    assert np.array_equal(last.u[:-1], u0[:-1])
+    assert np.all(np.isfinite(last.u)) and np.all(last.u[:-1] > 0)
+
+
+# ---------------------------------------------------------------------------
+# banded Newton core
+
+
+@pytest.fixture(scope="module")
+def small_system(unit_ball6):
+    """A 64-node discretization at a bubble iterate, exponent p - 0.3."""
+    grid = default_grid(unit_ball6, nodes=64)
+    disc = _Discretization(grid)
+    q = P6 - 0.3
+    u, w = _bubble_fields(grid, 6.0)
+    su, sw = disc.scales(u, w, q)
+    cu, cw = np.abs(u).max(), np.abs(w).max()
+    return disc, q, u, w, su, sw, cu, cw
+
+
+def band_to_dense(ab):
+    size = ab.shape[1]
+    dense = np.zeros((size, size))
+    for r in range(size):
+        for c in range(max(0, r - 2), min(size, r + 3)):
+            dense[r, c] = ab[2 + r - c, c]
+    return dense
+
+
+def scaled_residual(disc, q, u, w, su, sw, cu, cw, y):
+    """The residual Newton drives to zero, in interleaved scaled
+    unknowns y = (du_0/cu, dw_0/cw, du_1/cu, ...)."""
+    Fu, Fw = disc.residual(u + cu * y[0::2], w + cw * y[1::2], q)
+    out = np.empty(y.size)
+    out[0::2] = Fu / su
+    out[1::2] = Fw / sw
+    return out
+
+
+def test_band_matches_finite_difference_jacobian(small_system):
+    disc, q, u, w, su, sw, cu, cw = small_system
+    dense = band_to_dense(disc.jacobian_band(u, q, su, sw, cu, cw))
+    size = dense.shape[0]
+    h = 1e-5
+    fd = np.empty((size, size))
+    for j in range(size):
+        e = np.zeros(size)
+        e[j] = h
+        fd[:, j] = (scaled_residual(disc, q, u, w, su, sw, cu, cw, e)
+                    - scaled_residual(disc, q, u, w, su, sw, cu, cw, -e)) / (2 * h)
+    # the stencil couples nothing outside the documented pattern, so the
+    # finite differences vanish exactly there
+    for r in range(size):
+        i = r // 2
+        allowed = ({2 * i - 2, 2 * i, 2 * i + 1, 2 * i + 2} if r % 2 == 0
+                   else {2 * i - 1, 2 * i, 2 * i + 1, 2 * i + 3})
+        assert set(np.flatnonzero(fd[r])) <= allowed
+        assert set(np.flatnonzero(dense[r])) <= allowed
+    # measured: 1.5e-11 of the row's largest entry at h = 1e-5
+    row_scale = np.abs(dense).max(axis=1)
+    assert np.all(np.abs(fd - dense).max(axis=1) <= 1e-8 * row_scale)
+
+
+def test_banded_step_matches_dense_solve(small_system):
+    disc, q, u, w, su, sw, cu, cw = small_system
+    ab = disc.jacobian_band(u, q, su, sw, cu, cw)
+    rhs = -scaled_residual(disc, q, u, w, su, sw, cu, cw,
+                           np.zeros(ab.shape[1]))
+    banded = solve_banded((2, 2), ab, rhs)
+    dense = np.linalg.solve(band_to_dense(ab), rhs)
+    assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_flux_diagonals_match_per_entry_loop(small_system):
+    # same per-entry arithmetic as a row-by-row build, so equal exactly
+    disc = small_system[0]
+    _, h, area, vol = _fv_geometry(disc.grid)
+    g = area / h
+    N = len(disc.grid)
+    lo, di, up = np.zeros(N), np.zeros(N), np.zeros(N)
+    di[0], up[0] = -g[0] / vol[0], g[0] / vol[0]
+    for i in range(1, N - 1):
+        lo[i] = g[i - 1] / vol[i]
+        di[i] = -(g[i - 1] + g[i]) / vol[i]
+        up[i] = g[i] / vol[i]
+    di[-1] = 1.0
+    assert np.array_equal(disc.lo, lo)
+    assert np.array_equal(disc.di, di)
+    assert np.array_equal(disc.up, up)
+
+
+def test_residual_matches_loop_stencil(small_system):
+    disc, q, u, w, *_ = small_system
+    rng = np.random.default_rng(7)
+    u = u * (1.0 + 0.1 * rng.random(u.size))
+    w = w * (1.0 + 0.1 * rng.random(w.size))
+    Fu, Fw = disc.residual(u, w, q)
+    apply_lap = loop_flux_laplacian(disc.grid.nodes, N6)
+    lu, lw = apply_lap(u), apply_lap(w)
+    assert np.allclose(Fu[:-1], lu - w[:-1], rtol=0,
+                       atol=1e-12 * np.abs(lu).max())
+    assert np.allclose(Fw[:-1], lw - np.abs(u[:-1]) ** q, rtol=0,
+                       atol=1e-12 * np.abs(lw).max())
+    assert Fu[-1] == u[-1] and Fw[-1] == w[-1]
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -474,6 +618,32 @@ def test_probe_records_failures_per_offset(probe):
         assert entry.residual > 1e-10
         assert math.isfinite(entry.v_norm)
         assert math.isfinite(entry.lambda_d)
+
+
+def test_probe_entries_name_the_iteration_cap(probe):
+    # the default probe stops at its 40-iteration cap with the line
+    # search still finding decrease; the message must say so
+    for entry in probe.entries:
+        assert entry.newton_iters == 40
+        assert entry.failure.startswith("iteration cap 40 reached at "
+                                        "scaled residual ")
+
+
+def test_concentration_checks_on_stalled_probe_iterate(probe):
+    # measured on the eps = 0.02 probe iterate: it meets every part of
+    # the relative triple, and only non-convergence keeps it out
+    assert concentration_checks(0.018, 0.9996, 20.4) == (True, True, True)
+    entry = next(e for e in probe.entries if e.eps == 0.02)
+    assert concentration_checks(entry.v_rel, entry.alpha,
+                                entry.lambda_d) == (True, True, True)
+    assert not entry.converged and not entry.concentrating
+    # the bounds are inclusive
+    assert concentration_checks(0.1, 0.9, 20.0) == (True, True, True)
+    assert concentration_checks(0.11, 0.9996, 20.4) == (False, True, True)
+    assert concentration_checks(0.018, 0.85, 20.4) == (True, False, True)
+    assert concentration_checks(0.018, 0.9996, 19.9) == (True, True, False)
+    assert concentration_checks(math.nan, math.nan, math.nan) == (
+        False, False, False)
 
 
 def test_probe_validation(unit_ball6):
