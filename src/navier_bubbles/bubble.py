@@ -144,6 +144,43 @@ def radial_scale_derivative_laplacian(n, lam, r):
 
 
 # ---------------------------------------------------------------------------
+# the centered profile corrected to Navier conditions on a ball of radius R;
+# for a radial f the Navier extension of its boundary traces is the exact
+# quadratic f(R) + Delta f(R) (r^2 - R^2) / (2n), whose Laplacian is the
+# constant Delta f(R)
+
+
+def _navier_corrected(f, lap_f, n, lam, r, R):
+    """f minus the Navier extension of its traces, for a closed-form
+    (radial function, Laplacian) pair."""
+    corr = f(n, lam, R) + lap_f(n, lam, R) * (r**2 - R**2) / (2.0 * n)
+    return f(n, lam, r) - corr
+
+
+def _projected_profile(n, lam, r, R):
+    """Pdelta for a center bubble: delta minus its Navier extension."""
+    return _navier_corrected(radial_profile, radial_profile_laplacian,
+                             n, lam, r, R)
+
+
+def _projected_profile_laplacian(n, lam, r, R):
+    return (radial_profile_laplacian(n, lam, r)
+            - radial_profile_laplacian(n, lam, R))
+
+
+def _projected_scale_derivative(n, lam, r, R):
+    """lam * d/dlam Pdelta, the same correction of the scale derivative."""
+    return _navier_corrected(radial_scale_derivative,
+                             radial_scale_derivative_laplacian, n, lam, r, R)
+
+
+def _projected_scale_derivative_laplacian(n, lam, r, R):
+    """Laplacian of lam * d/dlam Pdelta."""
+    return (radial_scale_derivative_laplacian(n, lam, r)
+            - radial_scale_derivative_laplacian(n, lam, R))
+
+
+# ---------------------------------------------------------------------------
 # pointwise API
 
 

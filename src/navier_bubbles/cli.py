@@ -323,16 +323,16 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
     axis = np.zeros(n)
     axis[0] = 1.0
 
-    # the profile is even in the signed coordinate; evaluate each
-    # magnitude once so mirrored stations agree to the last bit
-    cache = {}
+    # the profile is even in the signed coordinate; evaluating at the
+    # rounded magnitude gives mirrored stations the same input, so they
+    # agree to the last bit
+    values = []
     rows = []
     for idx, frac in enumerate(fractions):
         key = round(abs(float(frac)), 15)
-        if key not in cache:
-            ev = robin(domain, domain.center + key * radius * axis)
-            cache[key] = (float(ev.phi), float(np.linalg.norm(ev.grad)))
-        phi, grad_norm = cache[key]
+        ev = robin(domain, domain.center + key * radius * axis)
+        phi, grad_norm = float(ev.phi), float(np.linalg.norm(ev.grad))
+        values.append((phi, grad_norm))
         rows.append([
             _cell(idx), PROV_FORMULA,
             _cell(float(frac) * radius), PROV_FORMULA,
@@ -350,7 +350,7 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
                rows)
 
     fits = boundary_blowup_fit(domain)
-    center_phi, center_grad = cache[0.0]
+    center_phi, center_grad = values[stations // 2]
     closed_center = (2.0 * n - 4.0) / n * radius ** (4.0 - n)
     report = {
         "schema": _schema("robin-profile"),

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from .numerics import SlopeFit, fit_loglog, sphere_measure
 
@@ -124,29 +125,21 @@ def laplace_green_ball(domain, x, y):
 # zonal expansion of the regular part
 
 
-def _gegenbauer_sequence(c, nu, J):
-    """C_k^(nu)(c) for k = 0..J-1 by the three-term recurrence."""
-    out = np.empty(J)
-    out[0] = 1.0
-    if J > 1:
-        out[1] = 2.0 * nu * c
-    for k in range(2, J):
-        out[k] = (2 * c * (k + nu - 1) * out[k - 1]
-                  - (k + 2 * nu - 2) * out[k - 2]) / k
-    return out
-
-
-def _terms_needed(tau, n):
-    """Series length so the tail of tau^k k^(n-3) drops below 1e-18."""
-    if tau < 1e-8:
-        return 3
+def _check_series_reach(tau):
+    """Refuse points whose zonal series would converge too slowly."""
     if tau > 0.998:
         raise ValueError("evaluation point too close to the boundary for "
                          "the zonal series (distance under 0.002 radius)")
-    logt = math.log(tau)
+
+
+def _terms_needed(ratio, power):
+    """Series length so the tail of ratio^k k^power drops below 1e-18."""
+    if ratio < 1e-8:
+        return 3
+    logt = math.log(ratio)
     J = max(8.0, math.log(1e-18) / logt)
     for _ in range(3):
-        J = max(8.0, (math.log(1e-18) - (n - 3) * math.log(J)) / logt)
+        J = max(8.0, (math.log(1e-18) - power * math.log(J)) / logt)
     return int(J) + 8
 
 
@@ -161,6 +154,12 @@ def _gegenbauer_matrix(c, nu, J):
         out[k] = (2 * c * (k + nu - 1) * out[k - 1]
                   - (k + 2 * nu - 2) * out[k - 2]) / k
     return out
+
+
+def _gegenbauer_at_one(nu, J):
+    """C_k^(nu)(1) = (2 nu)_k / k! for k = 0..J-1."""
+    k = np.arange(J)
+    return np.exp(gammaln(k + 2 * nu) - gammaln(2 * nu) - gammaln(k + 1.0))
 
 
 class _ZonalNavierBVP:
@@ -242,7 +241,8 @@ def _regular_part_bvp(domain, x):
         raise ValueError("source point must be interior")
     tau = s / R
     axis = xs / s if s > 0 else None
-    J = _terms_needed(tau, n)
+    _check_series_reach(tau)
+    J = _terms_needed(tau, n - 3)
     k = np.arange(J)
     tpow = tau ** k
     num = (n - 4) / 2.0  # nu - 1
@@ -281,15 +281,6 @@ def biharmonic_green(domain, x, y):
 # Robin function
 
 
-def _phi_radial(domain, s):
-    """phi as a function of distance s from the center."""
-    x = domain.center.copy()
-    if s > 0:
-        x = x + s * _first_axis(domain.n)
-    ex = _regular_part_bvp(domain, x)
-    return ex.value(x)
-
-
 def _first_axis(n):
     e = np.zeros(n)
     e[0] = 1.0
@@ -301,26 +292,42 @@ def robin(domain, x):
 
     The radial profile phi~(s) carries everything on a ball: the gradient
     is phi~'(s) times the outward unit vector and the Hessian splits into
-    phi~'' on the radial line and phi~'/s tangentially. Derivatives are
-    symmetric differences with step 1e-4 * min(distance to boundary, R),
-    which balances the spectral solver's smoothness against truncation.
+    phi~'' on the radial line and phi~'/s tangentially. On the diagonal
+    the zonal solve of _regular_part_bvp has q = tau = s/R and c = 1, and
+    its amplitudes h_k, beta_k carry tau^k themselves, so phi~ is a power
+    series in t = tau^2 with closed-form coefficients,
+
+      phi~(s) = R^(4-n) sum_k C_k(1) [(m/(m+k) - b_k) t^k
+                                      + (b_k - m/(m+k+2)) t^(k+1)],
+
+    m = (n-4)/2, b_k = 2(4-n)/(4k+2n). phi~' and phi~'' come from the same
+    pass, differentiated term by term; the length is sized for the tail
+    of phi~'', whose terms carry an extra factor k^2 over those of phi~.
     """
     n, R = domain.n, domain.radius
     xs = np.asarray(x, dtype=float) - domain.center
     s = float(np.linalg.norm(xs))
-    d = R - s
-    if d <= 0:
+    if R - s <= 0:
         raise ValueError("point must be interior")
-    if d <= 1e-8 * R:
-        raise ValueError("too close to the boundary for stable "
-                         "difference steps")
-    h = 1e-4 * min(d, R)
-    phi0 = _phi_radial(domain, s)
-    # even reflection through s = 0 keeps the stencil valid at the center
-    fp = _phi_radial(domain, abs(s + h))
-    fm = _phi_radial(domain, abs(s - h))
-    dphi = (fp - fm) / (2 * h)
-    d2phi = (fp - 2 * phi0 + fm) / (h * h)
+    tau = s / R
+    _check_series_reach(tau)
+    t = tau * tau
+    J = _terms_needed(t, n - 1)
+    k = np.arange(J)
+    m = (n - 4) / 2.0
+    b = 2.0 * (4 - n) / (4 * k + 2 * n)
+    ck = _gegenbauer_at_one((n - 2) / 2.0, J)
+    coeffs = np.zeros(J + 1)
+    coeffs[:J] += ck * (m / (m + k) - b)
+    coeffs[1:] += ck * (b - m / (m + k + 2))
+    j = np.arange(J + 1)
+    tp = t ** j
+    p1 = (j * coeffs)[1:] @ tp[:-1]
+    p2 = (j * (j - 1) * coeffs)[2:] @ tp[:-2]
+    scale = R ** (4 - n)
+    phi0 = float(scale * (coeffs @ tp))
+    dphi = float(scale / R * 2.0 * tau * p1)
+    d2phi = float(scale / (R * R) * (2.0 * p1 + 4.0 * t * p2))
     if s > 0:
         u = xs / s
         grad = dphi * u

@@ -30,8 +30,8 @@ from scipy.special import gammaln, roots_jacobi
 
 from .bubble import BubbleParams, c0, eval_delta, radial_profile, \
     radial_profile_laplacian
-from .green_robin import BallDomain, _gegenbauer_matrix, _regular_part_bvp, \
-    _ZonalNavierBVP
+from .green_robin import BallDomain, _first_axis, _gegenbauer_at_one, \
+    _gegenbauer_matrix, _regular_part_bvp, _ZonalNavierBVP
 from .numerics import SlopeFit, ball_axisymmetric_integral, fit_loglog, \
     sphere_measure
 
@@ -94,11 +94,6 @@ def _gegenbauer_norms(nu, J):
     return np.exp(math.log(math.pi) + (1 - 2 * nu) * math.log(2.0)
                   + gammaln(k + 2 * nu) - gammaln(k + 1.0)
                   - np.log(k + nu) - 2 * gammaln(nu))
-
-
-def _gegenbauer_at_one(nu, J):
-    k = np.arange(J)
-    return np.exp(gammaln(k + 2 * nu) - gammaln(2 * nu) - gammaln(k + 1.0))
 
 
 def _project_zonal_data(n, fn, budget_rel=1e-11):
@@ -187,7 +182,7 @@ def deficit_expansion(params, domain, min_lambda_d=_DEFAULT_MIN_LAMBDA_D,
     a = np.asarray(params.a, dtype=float)
     direction = a - domain.center
     s = np.linalg.norm(direction)
-    direction = direction / s if s > 0 else _axis_vector(n)
+    direction = direction / s if s > 0 else _first_axis(n)
     worst = 0.0
     for t in np.linspace(-0.5 * d, 0.5 * d, core_samples):
         x = a + t * direction
@@ -198,12 +193,6 @@ def deficit_expansion(params, domain, min_lambda_d=_DEFAULT_MIN_LAMBDA_D,
         worst = max(worst, abs(th - leading(x)))
     return DeficitExpansion(params=params, domain=domain, leading=leading,
                             remainder_norm=worst, d=d)
-
-
-def _axis_vector(n):
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
 
 
 def deficit_energy_norm(params, domain, min_lambda_d=_DEFAULT_MIN_LAMBDA_D):

@@ -27,8 +27,6 @@ center offset is locked at the origin. Off-center configurations are
 refused rather than approximated.
 """
 
-import csv
-import json
 import math
 
 import numpy as np
@@ -39,13 +37,13 @@ from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros, jv
 
 from .bubble import (
+    _projected_profile,
+    _projected_scale_derivative,
     balance_constants,
     c0,
     critical_exponent,
     radial_profile,
-    radial_profile_laplacian,
     radial_scale_derivative,
-    radial_scale_derivative_laplacian,
 )
 from .green_robin import boundary_blowup_fit, robin
 from .numerics import SlopeFit, fit_loglog, sphere_measure
@@ -105,21 +103,6 @@ def _laplacian_dr(n, lam, r):
     pref = -(n - 4.0) * c0(n) * lam ** ((n - 4.0) / 2.0 + 2.0)
     return (pref * 2.0 * lam * lam * r * (1.0 + t) ** (-n / 2.0 - 1.0)
             * ((2.0 - n) * t + 2.0 - n * n / 2.0))
-
-
-def _projected(n, lam, r, R):
-    """Boundary-corrected profile at the center of a ball of radius R."""
-    return (radial_profile(n, lam, r)
-            - radial_profile(n, lam, R)
-            - radial_profile_laplacian(n, lam, R) * (r * r - R * R) / (2.0 * n))
-
-
-def _projected_scale(n, lam, r, R):
-    """Scale derivative lam d/dlam of the boundary-corrected profile."""
-    return (radial_scale_derivative(n, lam, r)
-            - radial_scale_derivative(n, lam, R)
-            - radial_scale_derivative_laplacian(n, lam, R)
-            * (r * r - R * R) / (2.0 * n))
 
 
 def _translation_radial(n, lam, r, R):
@@ -237,14 +220,15 @@ def _gram_entries(n, lam, R):
     p = critical_exponent(n)
     dpow = lambda r: radial_profile(n, lam, r) ** p
     dpm1 = lambda r: radial_profile(n, lam, r) ** (p - 1.0)
-    bubble_sq = _ball_radial(n, R, lam,
-                             lambda r: dpow(r) * _projected(n, lam, r, R))
+    bubble_sq = _ball_radial(
+        n, R, lam, lambda r: dpow(r) * _projected_profile(n, lam, r, R))
     bubble_scale = _ball_radial(
-        n, R, lam, lambda r: dpow(r) * _projected_scale(n, lam, r, R))
+        n, R, lam,
+        lambda r: dpow(r) * _projected_scale_derivative(n, lam, r, R))
     scale_sq = _ball_radial(
         n, R, lam,
         lambda r: p * dpm1(r) * radial_scale_derivative(n, lam, r)
-        * _projected_scale(n, lam, r, R))
+        * _projected_scale_derivative(n, lam, r, R))
     translation_sq = (p / n) * _ball_radial(
         n, R, lam,
         lambda r: (_translation_radial(n, lam, r, R)
@@ -443,16 +427,27 @@ def bubble_quadratic_form(params, domain):
     p = critical_exponent(n)
     energy = _ball_radial(
         n, R, lam,
-        lambda r: radial_profile(n, lam, r) ** p * _projected(n, lam, r, R))
+        lambda r: radial_profile(n, lam, r) ** p
+        * _projected_profile(n, lam, r, R))
     weighted = _ball_radial(
         n, R, lam,
         lambda r: radial_profile(n, lam, r) ** (p - 1.0)
-        * _projected(n, lam, r, R) ** 2)
+        * _projected_profile(n, lam, r, R) ** 2)
     return energy - p * weighted
 
 
 # ---------------------------------------------------------------------------
 # algebraic balance
+
+def _constants_for(n, consts):
+    """consts, or the constants of dimension n when none are given; the
+    dimensions must agree."""
+    if consts is None:
+        consts = balance_constants(n)
+    if consts.n != n:
+        raise ValueError("constants and domain dimensions do not match")
+    return consts
+
 
 def balance_residual_scale(eps, a, lam, domain, consts=None):
     """Leading-order balance between exponent offset and domain term.
@@ -464,10 +459,7 @@ def balance_residual_scale(eps, a, lam, domain, consts=None):
     if not lam > 0:
         raise ValueError("lam must be positive")
     n = domain.n
-    if consts is None:
-        consts = balance_constants(n)
-    if consts.n != n:
-        raise ValueError("constants and domain dimensions do not match")
+    consts = _constants_for(n, consts)
     phi = robin(domain, np.asarray(a, dtype=float)).phi
     return consts.c2 * eps - consts.c1 * phi / lam ** (n - 4.0)
 
@@ -477,10 +469,7 @@ def balance_root(eps, a, domain, consts=None):
     if not eps > 0:
         raise ValueError("eps must be positive")
     n = domain.n
-    if consts is None:
-        consts = balance_constants(n)
-    if consts.n != n:
-        raise ValueError("constants and domain dimensions do not match")
+    consts = _constants_for(n, consts)
     phi = robin(domain, np.asarray(a, dtype=float)).phi
     return (consts.c1 * phi / (consts.c2 * eps)) ** (1.0 / (n - 4.0))
 
@@ -556,8 +545,8 @@ def _reduced_integrals(n, R, lam, eps):
     p = critical_exponent(n)
     qt = p + 1.0 - eps
     dpow = lambda r: radial_profile(n, lam, r) ** p
-    pd = lambda r: _projected(n, lam, r, R)
-    pds = lambda r: _projected_scale(n, lam, r, R)
+    pd = lambda r: _projected_profile(n, lam, r, R)
+    pds = lambda r: _projected_scale_derivative(n, lam, r, R)
     pair_bubble = _ball_radial(n, R, lam, lambda r: dpow(r) * pd(r))
     mass = _ball_radial(
         n, R, lam, lambda r: np.abs(pd(r)) ** (qt - 1.0) * pd(r))
@@ -586,10 +575,7 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
     with its history attached.
     """
     n, R = domain.n, domain.radius
-    if consts is None:
-        consts = balance_constants(n)
-    if consts.n != n:
-        raise ValueError("constants and domain dimensions do not match")
+    consts = _constants_for(n, consts)
     if not eps > 0:
         raise ValueError("eps must be positive")
     if eps > 0.1:
@@ -665,7 +651,8 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
     scale_sq = _ball_radial(
         n, R, lam,
         lambda r: p * radial_profile(n, lam, r) ** (p - 1.0)
-        * radial_scale_derivative(n, lam, r) * _projected_scale(n, lam, r, R))
+        * radial_scale_derivative(n, lam, r)
+        * _projected_scale_derivative(n, lam, r, R))
     alpha = alpha0 + beta
     energy = alpha * alpha * pair_b
     mass_full = alpha ** qt * mass
@@ -740,55 +727,6 @@ class BlowupVerdict:
         if self.convention not in ("half", "full"):
             raise ValueError("convention must be 'half' or 'full'")
 
-    def report(self):
-        return {
-            "n": self.n,
-            "points": len(self.entries),
-            "tail": self.tail,
-            "peak_limit_eps": self.peak_limit_eps,
-            "peak_limit_epslog": self.peak_limit_epslog,
-            "scale_limit_eps": self.scale_limit_eps,
-            "scale_limit_epslog": self.scale_limit_epslog,
-            "peak_target": self.peak_target,
-            "scale_target": self.scale_target,
-            "peak_target_alt": self.peak_target_alt,
-            "scale_target_alt": self.scale_target_alt,
-            "convention": self.convention,
-            "peak_ok": self.peak_ok,
-            "scale_ok": self.scale_ok,
-            "verdict": self.verdict,
-            "final_peak_pow": self.entries[-1].peak_pow,
-            "final_peak_scale_ratio": self.entries[-1].peak_scale_ratio,
-        }
-
-    def to_json(self, path):
-        payload = self.report()
-        payload["entries"] = [
-            {
-                "eps": e.eps,
-                "peak": e.peak,
-                "alpha": e.alpha,
-                "scale": e.scale,
-                "eps_peak_sq": e.eps_peak_sq,
-                "eps_scale_pow": e.eps_scale_pow,
-                "peak_pow": e.peak_pow,
-                "peak_scale_ratio": e.peak_scale_ratio,
-            }
-            for e in self.entries
-        ]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["eps", "peak", "scale", "eps_peak_sq", "eps_scale_pow"])
-            for e in self.entries:
-                writer.writerow([repr(float(v)) for v in (
-                    e.eps, e.peak, e.scale, e.eps_peak_sq, e.eps_scale_pow)])
-
 
 def _affine_limit(gvals, yvals):
     """Least-squares intercept of y = L + c * g."""
@@ -807,10 +745,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     15 percent of the law under a single sign convention.
     """
     n, R = domain.n, domain.radius
-    if consts is None:
-        consts = balance_constants(n)
-    if consts.n != n:
-        raise ValueError("constants and domain dimensions do not match")
+    consts = _constants_for(n, consts)
     if len(sweep) < 4:
         raise ValueError("a verdict needs at least four sweep points")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -936,45 +871,6 @@ class ObstructionReport:
         if not (0 < self.lam_lo < self.lam_hi):
             raise ValueError("scan bounds must be ordered and positive")
 
-    def to_json(self, path):
-        payload = {
-            "n": self.n,
-            "radius": self.radius,
-            "lam_lo": self.lam_lo,
-            "lam_hi": self.lam_hi,
-            "stations": self.stations,
-            "lam_samples": self.lam_samples,
-            "boundary_growth_slope": self.boundary_growth.slope,
-            "boundary_growth_rms": self.boundary_growth.rms_residual,
-            "all_positive": self.all_positive,
-            "entries": [
-                {
-                    "eps": e.eps,
-                    "scan_min": e.scan_min,
-                    "floor": e.floor,
-                    "margin": e.margin,
-                    "positive": e.positive,
-                    "subcritical_root": e.subcritical_root,
-                    "subcritical_root_closed": e.subcritical_root_closed,
-                    "sign_change": e.sign_change,
-                }
-                for e in self.entries
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["eps", "scan_min", "floor", "margin", "subcritical_root"])
-            for e in self.entries:
-                writer.writerow([repr(float(v)) for v in (
-                    e.eps, e.scan_min, e.floor, e.margin,
-                    e.subcritical_root)])
-
 
 def supercritical_obstruction(eps_list, domain, consts=None,
                               lam_bounds=(5.0, 1e4), stations=10,
@@ -988,10 +884,7 @@ def supercritical_obstruction(eps_list, domain, consts=None,
     subcritical combination is scanned for its sign change and root.
     """
     n, R = domain.n, domain.radius
-    if consts is None:
-        consts = balance_constants(n)
-    if consts.n != n:
-        raise ValueError("constants and domain dimensions do not match")
+    consts = _constants_for(n, consts)
     eps_arr = [float(e) for e in eps_list]
     if not eps_arr:
         raise ValueError("eps_list must not be empty")

@@ -34,8 +34,6 @@ exponent p + eps.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,11 +42,11 @@ from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import minimize_scalar
 
 from .bubble import (
+    _projected_profile,
+    _projected_profile_laplacian,
+    _projected_scale_derivative_laplacian,
     c0,
     critical_exponent,
-    radial_profile,
-    radial_profile_laplacian,
-    radial_scale_derivative_laplacian,
     sobolev_energy,
 )
 from .green_robin import BallDomain
@@ -112,7 +110,7 @@ class RadialSolution:
     eps is stored with its sign: negative offsets are subcritical.
     residual is the scaled max-norm backward error actually achieved and
     must not exceed the declared tolerance; M duplicates u[0] for
-    serialization and sweep bookkeeping.
+    the sweep tables and bookkeeping.
     """
 
     grid: RadialGrid
@@ -166,59 +164,6 @@ class RadialSolution:
         best constant S along a subcritical sweep."""
         q = critical_exponent(self.grid.n) + self.eps
         return self.energy_norm_sq() / self.nonlinear_mass() ** (2.0 / (q + 1))
-
-    # -- serialization
-
-    def to_csv(self, path):
-        """Write columns r,u,w with full float round-trip precision."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "u", "w"])
-            for r, uu, ww in zip(self.grid.nodes, self.u, self.w):
-                writer.writerow([repr(float(r)), repr(float(uu)), repr(float(ww))])
-
-    def metadata(self):
-        return {
-            "eps": self.eps,
-            "M": self.M,
-            "residual": self.residual,
-            "iterations": self.newton_iters,
-            "tolerance": self.tolerance,
-            "n": self.grid.n,
-            "radius": self.grid.R,
-            "nodes": len(self.grid),
-        }
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=1)
-            fh.write("\n")
-
-
-def read_solution(csv_path, json_path):
-    """Rebuild a RadialSolution from to_csv/to_json output."""
-    with open(json_path) as fh:
-        meta = json.load(fh)
-    rows = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["r", "u", "w"]:
-            raise ValueError("expected columns r,u,w")
-        for row in reader:
-            rows.append([float(x) for x in row])
-    data = np.asarray(rows, dtype=float)
-    grid = RadialGrid(int(meta["n"]), data[:, 0], float(meta["radius"]))
-    return RadialSolution(
-        grid=grid,
-        u=data[:, 1],
-        w=data[:, 2],
-        eps=float(meta["eps"]),
-        M=float(meta["M"]),
-        residual=float(meta["residual"]),
-        newton_iters=int(meta["iterations"]),
-        tolerance=float(meta["tolerance"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -490,31 +435,6 @@ def _newton(disc, q, u, w, tol, max_iter):
     su, sw = disc.scales(u, w, q)
     res = max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
     return u, w, max_iter, res, "converged" if res < tol else "cap"
-
-
-# ---------------------------------------------------------------------------
-# projected bubble profiles (center bubble, closed forms)
-
-
-def _projected_profile(n, lam, r, R):
-    """Pdelta for a center bubble: delta minus its Navier harmonic
-    extension, which for the ball is the exact quadratic
-    delta(R) + Delta delta(R) (r^2 - R^2) / (2n)."""
-    corr = radial_profile(n, lam, R) + radial_profile_laplacian(n, lam, R) * (
-        r**2 - R**2
-    ) / (2.0 * n)
-    return radial_profile(n, lam, r) - corr
-
-
-def _projected_profile_laplacian(n, lam, r, R):
-    return radial_profile_laplacian(n, lam, r) - radial_profile_laplacian(n, lam, R)
-
-
-def _projected_scale_derivative_laplacian(n, lam, r, R):
-    """Laplacian of lam * d/dlam Pdelta, again a closed form."""
-    return radial_scale_derivative_laplacian(
-        n, lam, r
-    ) - radial_scale_derivative_laplacian(n, lam, R)
 
 
 def _bubble_fields(grid, lam, amplitude=1.0):

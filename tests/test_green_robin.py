@@ -17,7 +17,7 @@ from scipy.special import eval_gegenbauer
 from navier_bubbles.green_robin import (
     BallDomain,
     RobinEval,
-    _gegenbauer_sequence,
+    _gegenbauer_matrix,
     biharmonic_green,
     boundary_blowup_fit,
     find_critical_point,
@@ -71,11 +71,13 @@ def test_robin_eval_rejects_nonpositive_phi():
 
 def test_gegenbauer_recurrence_matches_scipy():
     rng = np.random.default_rng(7)
+    c = np.concatenate([rng.uniform(-1, 1, size=5), [-1.0, 0.0, 1.0]])
     for nu in (0.5, 1.5, 2.0, 3.0):
-        for c in rng.uniform(-1, 1, size=5):
-            seq = _gegenbauer_sequence(c, nu, 13)
-            ref = [eval_gegenbauer(k, nu, c) for k in range(13)]
-            assert np.allclose(seq, ref, rtol=1e-12, atol=1e-12)
+        for J in (1, 2, 13):
+            got = _gegenbauer_matrix(c, nu, J)
+            ref = np.array([eval_gegenbauer(k, nu, c) for k in range(J)])
+            assert got.shape == (J, c.size)
+            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +328,55 @@ def test_robin_half_radius_frozen():
 def test_robin_profile_matches_splitting_oracle(n, s):
     ev = robin(BallDomain.unit(n), s * e1(n))
     assert math.isclose(ev.phi, _phi_splitting_oracle(n, s), rel_tol=1e-9)
+
+
+def _five_point(f, s, h):
+    """First and second derivative of f at s by 5-point central
+    differences."""
+    fm2, fm1, f0, fp1, fp2 = (f(s + i * h) for i in (-2, -1, 0, 1, 2))
+    first = (fm2 - 8 * fm1 + 8 * fp1 - fp2) / (12 * h)
+    second = (-fm2 + 16 * fm1 - 30 * f0 + 16 * fp1 - fp2) / (12 * h * h)
+    return first, second
+
+
+def _diagonal_H(dom, n):
+    """phi along the first axis from the general zonal solve H(x, x)."""
+    return lambda s: regular_part_H(dom, s * e1(n), s * e1(n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+@pytest.mark.parametrize("s", [0.3, 0.6])
+def test_robin_derivatives_match_splitting_oracle(n, s):
+    # the radial and tangential Hessian entries are phi~'' and phi~'/s
+    ev = robin(BallDomain.unit(n), s * e1(n))
+    first, second = _five_point(lambda t: _phi_splitting_oracle(n, t), s,
+                                1e-3)
+    assert math.isclose(ev.grad[0], first, rel_tol=1e-7)
+    assert math.isclose(ev.hessian[0, 0], second, rel_tol=1e-7)
+    assert math.isclose(ev.hessian[1, 1], first / s, rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_robin_derivatives_at_window_edge(n):
+    # s = 0.98 is the boundary-fit window's edge, where the series is
+    # longest; the general zonal solve gives an independent route
+    dom = BallDomain.unit(n)
+    ev = robin(dom, 0.98 * e1(n))
+    first, second = _five_point(_diagonal_H(dom, n), 0.98, 3e-5)
+    assert math.isclose(ev.grad[0], first, rel_tol=1e-7)
+    assert math.isclose(ev.hessian[0, 0], second, rel_tol=1e-7)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_robin_center_hessian_is_isotropic(n):
+    dom = BallDomain.unit(n)
+    ev = robin(dom, dom.center)
+    # phi~ is even in s, so the 5-point second difference at the center
+    # needs only s = 0, h, 2h
+    _, second = _five_point(lambda t: _diagonal_H(dom, n)(abs(t)), 0.0,
+                            1e-3)
+    assert math.isclose(ev.hessian[0, 0], second, rel_tol=1e-7)
+    assert np.array_equal(ev.hessian, ev.hessian[0, 0] * np.eye(n))
 
 
 def test_robin_monotone_along_radius():

@@ -22,9 +22,7 @@ Numeric literals below are frozen measurements from this suite's first
 runs; relative bars reflect quadrature determinism, not optimism.
 """
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -582,26 +580,6 @@ def test_verdict_entries_carry_the_laws(reference_verdict,
     assert all(b > a for a, b in zip(laws, laws[1:]))
 
 
-def test_verdict_serialization_roundtrip(reference_verdict, tmp_path):
-    v = reference_verdict
-    jpath = os.path.join(tmp_path, "verdict.json")
-    cpath = os.path.join(tmp_path, "verdict.csv")
-    v.to_json(jpath)
-    v.to_csv(cpath)
-    with open(jpath) as fh:
-        payload = json.load(fh)
-    assert payload["verdict"] is True
-    assert payload["convention"] == "half"
-    assert len(payload["entries"]) == len(v.entries)
-    assert payload["entries"][-1]["peak"] == v.entries[-1].peak
-    with open(cpath) as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "eps,peak,scale,eps_peak_sq,eps_scale_pow"
-    first = lines[1].split(",")
-    assert float(first[0]) == v.entries[0].eps
-    assert float(first[1]) == v.entries[0].peak
-
-
 def test_verdict_validation(unit_ball6, subcritical_sweep,
                             sweep_decompositions):
     sweep = [(s.eps, d, s.M)
@@ -684,22 +662,6 @@ def test_obstruction_runs_in_dimension_five():
     assert report.entries[0].sign_change
     assert report.entries[0].subcritical_root == pytest.approx(
         report.entries[0].subcritical_root_closed, rel=1e-10)
-
-
-def test_obstruction_serialization(obstruction, tmp_path):
-    jpath = os.path.join(tmp_path, "obstruction.json")
-    cpath = os.path.join(tmp_path, "obstruction.csv")
-    obstruction.to_json(jpath)
-    obstruction.to_csv(cpath)
-    with open(jpath) as fh:
-        payload = json.load(fh)
-    assert payload["all_positive"] is True
-    assert len(payload["entries"]) == 3
-    assert payload["entries"][0]["margin"] == obstruction.entries[0].margin
-    with open(cpath) as fh:
-        lines = fh.read().splitlines()
-    assert lines[0] == "eps,scan_min,floor,margin,subcritical_root"
-    assert float(lines[1].split(",")[3]) == obstruction.entries[0].margin
 
 
 def test_obstruction_validation(unit_ball6):

@@ -10,7 +10,6 @@ covariance pin the discretization order and the radius handling.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -21,6 +20,8 @@ from scipy.optimize import fsolve
 
 from navier_bubbles import solver as solver_module
 from navier_bubbles.bubble import (
+    _projected_profile,
+    _projected_profile_laplacian,
     c0,
     critical_exponent,
     radial_profile,
@@ -40,13 +41,10 @@ from navier_bubbles.solver import (
     _cold_lambda,
     _Discretization,
     _fv_geometry,
-    _projected_profile,
-    _projected_profile_laplacian,
     concentration_checks,
     continuation_sweep,
     decompose,
     default_grid,
-    read_solution,
     solve_radial,
     supercritical_probe,
     vnorm_diagnostics,
@@ -666,25 +664,3 @@ def test_subcritical_contrast_achieves_the_triple(subcritical_sweep,
         assert dec.lam * d > 20.0
         hits += 1
     assert hits == 3
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_csv_json_round_trip(tmp_path, subcritical_sweep):
-    sol = subcritical_sweep[2]
-    csv_path = os.path.join(tmp_path, "profile.csv")
-    json_path = os.path.join(tmp_path, "profile.json")
-    sol.to_csv(csv_path)
-    sol.to_json(json_path)
-    with open(csv_path) as fh:
-        assert fh.readline().strip() == "r,u,w"
-    meta = sol.metadata()
-    for key in ("eps", "M", "residual", "iterations"):
-        assert key in meta
-    back = read_solution(csv_path, json_path)
-    assert np.array_equal(back.u, sol.u)
-    assert np.array_equal(back.w, sol.w)
-    assert np.array_equal(back.grid.nodes, sol.grid.nodes)
-    assert back.eps == sol.eps and back.newton_iters == sol.newton_iters
