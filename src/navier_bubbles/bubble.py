@@ -23,7 +23,6 @@ Universal constants live here as well:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,7 +263,7 @@ def balance_constants(n):
 
     def log_kernel(r):
         t = r * r
-        return math.log1p(t) * (1.0 - t) / (1.0 + t) ** (n + 1)
+        return np.log1p(t) * (1.0 - t) / (1.0 + t) ** (n + 1)
 
     base = radial_integral(n, log_kernel)
     full = (n - 4.0) * cp1 * base

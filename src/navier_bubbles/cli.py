@@ -96,7 +96,8 @@ class RunConfig:
 
     eps_schedule holds positive offset magnitudes, strictly decreasing;
     the sweep solves at exponent p - eps for each entry. grid_nodes and
-    quad_tol are handed to the radial solver. seed is recorded for
+    quad_tol go to the radial solver, quad_tol as its Newton scaled-
+    residual tolerance; no quadrature reads it. seed is recorded for
     reproducibility; nothing currently draws from it.
     """
 
@@ -319,18 +320,17 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
         raise CliError("stations must be odd and at least 5 so the "
                        "center row exists")
     domain = BallDomain(n, np.zeros(n), radius)
-    fractions = np.linspace(-0.9, 0.9, stations)
+    # integer multiples: the center is exactly 0, and mirrored stations
+    # are exact negatives, evaluated at the same magnitude (phi is even)
+    half = stations // 2
+    fractions = 0.9 * np.arange(-half, half + 1) / half
     axis = np.zeros(n)
     axis[0] = 1.0
 
-    # the profile is even in the signed coordinate; evaluating at the
-    # rounded magnitude gives mirrored stations the same input, so they
-    # agree to the last bit
     values = []
     rows = []
     for idx, frac in enumerate(fractions):
-        key = round(abs(float(frac)), 15)
-        ev = robin(domain, domain.center + key * radius * axis)
+        ev = robin(domain, domain.center + abs(float(frac)) * radius * axis)
         phi, grad_norm = float(ev.phi), float(np.linalg.norm(ev.grad))
         values.append((phi, grad_norm))
         rows.append([

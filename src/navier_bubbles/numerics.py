@@ -3,8 +3,9 @@
 Everything here works with radial profiles u(r) on [0, R] in dimension n.
 The three workhorses are
 
-  * radial_integral: |S^{n-1}| * int_0^rmax f(r) r^{n-1} dr with adaptive
-    quadrature, mapping (0, inf) to (0, 1) by r = t/(1-t) when needed;
+  * radial_integral: |S^{n-1}| * int_0^rmax f(r) r^{n-1} dr on composite
+    Gauss-Legendre panels doubled to convergence, the package's one
+    quadrature rule, mapping (0, inf) to (0, 1) by r = t/(1-t) if needed;
   * radial_bilaplacian: a discrete Delta^2 for radial samples, with
     Delta = d^2/dr^2 + ((n-1)/r) d/dr and an even extension at r = 0;
   * fit_loglog: least squares slope of log y against log x, used to turn
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 _LD = np.longdouble
 
@@ -128,65 +128,105 @@ def sphere_measure(n):
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def radial_integral(n, f, r_max=math.inf):
-    """|S^{n-1}| * int_0^{r_max} f(r) r^{n-1} dr.
+# Seams of a concentration core at scale lam, in units of 1/lam. Radial
+# integrals over the ball are split there, so each piece sees one length
+# scale.
+_CORE_SEAMS = (0.5, 3.0, 20.0)
+# Every integral in the package uses 16-node Gauss-Legendre panels whose
+# count doubles until successive values agree to QUAD_RTOL, within
+# _MAX_DENSITY times the starting count; an integral still moving there
+# raises. _RADIAL_BLOCK bounds the (radius x cosine) arrays of one
+# axisymmetric integrand call.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+QUAD_RTOL = 1e-10
+_MAX_DENSITY = 512
+_RADIAL_BLOCK = 256
 
-    Adaptive quadrature; an infinite upper limit is mapped to (0, 1) by
-    r = t/(1-t) so the integrand must decay faster than r^{-n} there.
-    Raises RuntimeError when refinement stalls, which in practice means
-    the decay precondition is violated.
+
+def core_seams(lam, R):
+    """Core seams at scale lam that fall inside the ball of radius R."""
+    return [s / lam for s in _CORE_SEAMS if s / lam < R]
+
+
+def gauss_legendre_panels(edges, counts):
+    """Nodes and weights of the composite Gauss-Legendre rule with
+    counts[i] equal panels on [edges[i], edges[i+1]]."""
+    nodes, weights = [], []
+    for a, b, count in zip(edges, edges[1:], counts):
+        cuts = np.linspace(a, b, count + 1)
+        half = np.diff(cuts)[:, None] / 2.0
+        nodes.append((cuts[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
+        weights.append((half * _GL_WEIGHTS).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def converged_quadrature(evaluate, max_density=_MAX_DENSITY):
+    """(value, density) of evaluate(density) at the first doubling of the
+    panel density that agrees with its half; RuntimeError when none does
+    within max_density times the starting density."""
+    density = 1
+    value = evaluate(density)
+    while 2 * density <= max_density:
+        density *= 2
+        finer = evaluate(density)
+        if abs(finer - value) <= QUAD_RTOL * abs(finer):
+            return finer, density
+        value = finer
+    raise RuntimeError(
+        "quadrature did not converge to relative %g within %d times the "
+        "starting panel count" % (QUAD_RTOL, max_density))
+
+
+def _panel_integral(weighted, edges):
+    """Converged integral of the vectorized integrand weighted over the
+    pieces between edges, starting from one panel per piece."""
+    def at_density(density):
+        x, w = gauss_legendre_panels(edges, [density] * (len(edges) - 1))
+        return float(np.dot(w, weighted(x)))
+
+    return converged_quadrature(at_density)[0]
+
+
+def radial_integral(n, f, r_max=math.inf, seams=()):
+    """|S^{n-1}| * int_0^{r_max} f(r) r^{n-1} dr, f vectorized in r.
+
+    The range is split at the given increasing seams. An infinite upper
+    limit is mapped to (0, 1) by r = t/(1-t), so the integrand must decay
+    faster than r^{-n} there. A non-integrable f raises RuntimeError.
     """
+    edges = [0.0] + [s for s in seams if 0.0 < s < r_max] + [r_max]
+    weighted = lambda r: f(r) * r ** (n - 1)
     if math.isinf(r_max):
-
-        def mapped(t):
-            r = t / (1.0 - t)
-            return f(r) * r ** (n - 1) / (1.0 - t) ** 2
-
-        out = integrate.quad(mapped, 0.0, 1.0, epsabs=0.0, epsrel=1e-12,
-                             limit=400, full_output=1)
-    else:
-
-        def weighted(r):
-            return f(r) * r ** (n - 1)
-
-        out = integrate.quad(weighted, 0.0, r_max, epsabs=0.0, epsrel=1e-12,
-                             limit=400, full_output=1)
-    if len(out) > 3:
-        raise RuntimeError(
-            "adaptive refinement did not converge; integrand likely decays "
-            "too slowly against r^{n-1}: " + str(out[3]))
-    val, abserr = out[0], out[1]
-    if val != 0.0 and abserr > 1e-9 * abs(val):
-        raise RuntimeError("quadrature error estimate above the 1e-10 "
-                           "relative target: est %.3e for value %.6e"
-                           % (abserr, val))
-    return sphere_measure(n) * val
+        edges = [r / (1.0 + r) for r in edges[:-1]] + [1.0]
+        radial = weighted
+        weighted = lambda t: radial(t / (1.0 - t)) / (1.0 - t) ** 2
+    return sphere_measure(n) * _panel_integral(weighted, edges)
 
 
 def ball_axisymmetric_integral(n, g, R, nr=80, radial_seams=()):
     """Integral over the n-ball of a function g(r, c) of radius and cosine.
 
     g depends on position only through r = |x| and c = cos(angle to a fixed
-    axis). The angular factor is handled by Gauss-Jacobi quadrature with
-    weight (1 - c^2)^{(n-3)/2}, the radial factor by adaptive quadrature.
-    radial_seams marks radii where g concentrates or kinks, so the
-    adaptive rule starts subdividing there.
+    axis), and is called on a column of radii against a row of cosines.
+    The angular factor is handled by Gauss-Jacobi quadrature with weight
+    (1 - c^2)^{(n-3)/2}, the radial factor as in radial_integral, split at
+    radial_seams where g concentrates or kinks.
     """
     from scipy.special import roots_jacobi
 
     a = 0.5 * (n - 3)
-    c_nodes, c_weights = roots_jacobi(nr, a, a)
-    ang = sphere_measure(n - 1) / sphere_measure(2)  # |S^{n-2}| / (2 pi)
+    c, c_weights = roots_jacobi(nr, a, a)
 
-    def shell(r):
-        return np.dot(c_weights, g(r, c_nodes))
+    def shells(r):
+        out = np.empty_like(r)
+        for lo in range(0, r.size, _RADIAL_BLOCK):
+            rb = r[lo:lo + _RADIAL_BLOCK]
+            out[lo:lo + rb.size] = g(rb[:, None], c[None, :]) @ c_weights
+        return out * r ** (n - 1)
 
-    seams = [r for r in radial_seams if 0.0 < r < R] or None
-    val, abserr = integrate.quad(lambda r: shell(r) * r ** (n - 1), 0.0, R,
-                                 epsabs=0.0, epsrel=1e-11, limit=200,
-                                 points=seams)
-    # 2 pi * |S^{n-2}|/(2 pi) = |S^{n-2}| carries the full angular measure
-    return 2.0 * math.pi * ang * val
+    edges = [0.0] + [s for s in radial_seams if 0.0 < s < R] + [R]
+    # |S^{n-2}| carries the angular measure the Jacobi weight leaves out
+    return sphere_measure(n - 1) * _panel_integral(shells, edges)
 
 
 # ---------------------------------------------------------------------------

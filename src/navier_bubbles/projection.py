@@ -32,8 +32,8 @@ from .bubble import BubbleParams, c0, eval_delta, radial_profile, \
     radial_profile_laplacian
 from .green_robin import BallDomain, _first_axis, _gegenbauer_at_one, \
     _gegenbauer_matrix, _regular_part_bvp, _ZonalNavierBVP
-from .numerics import SlopeFit, ball_axisymmetric_integral, fit_loglog, \
-    sphere_measure
+from .numerics import SlopeFit, ball_axisymmetric_integral, core_seams, \
+    fit_loglog
 
 _DEFAULT_MIN_LAMBDA_D = 5.0
 
@@ -239,7 +239,7 @@ def projected_bubble_energy(params, domain,
         return (lap_bubble - bvp.laplacian_rc(r, c)) ** 2
 
     return ball_axisymmetric_integral(n, integrand, R,
-                                      radial_seams=(1.0 / params.lam,))
+                                      radial_seams=core_seams(params.lam, R))
 
 
 def expansion_orders(params_family, domain,

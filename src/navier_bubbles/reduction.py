@@ -28,10 +28,10 @@ refused rather than approximated.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.integrate import quad
 from scipy.linalg import null_space
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros, jv
@@ -46,7 +46,8 @@ from .bubble import (
     radial_scale_derivative,
 )
 from .green_robin import boundary_blowup_fit, robin
-from .numerics import SlopeFit, fit_loglog, sphere_measure
+from .numerics import (SlopeFit, converged_quadrature, core_seams, fit_loglog,
+                       gauss_legendre_panels, radial_integral, sphere_measure)
 
 __all__ = [
     "NormMatrix",
@@ -67,18 +68,14 @@ __all__ = [
     "supercritical_obstruction",
 ]
 
-# Seams of the concentration core, in units of 1/lam. Radial integrals
-# over the ball are split there, so each piece sees one length scale.
-_CORE_SEAMS = (0.5, 3.0, 20.0)
-# Trial integrals of the spectral gap use composite Gauss-Legendre
-# panels of _GAP_ORDER nodes, split at the core seams. Each piece starts
-# with one panel per _GAP_PANEL_PERIODS oscillation periods of the
-# fastest trial-mode product, and the panel count doubles until the gap
-# at P and 2P panels agrees to _GAP_RTOL. A gap still moving at
+# Trial integrals of the spectral gap use the shared Gauss-Legendre
+# panels, split at the core seams. Each piece starts with one panel per
+# _GAP_PANEL_PERIODS oscillation periods of the fastest trial-mode
+# product, and the panel count doubles until the gap at P and 2P panels
+# agrees to the shared relative tolerance. The cap sits below the shared
+# one because the trial array is modes x nodes; a gap still moving at
 # _GAP_MAX_DENSITY times the starting count is an error, never a result.
-_GAP_ORDER = 16
 _GAP_PANEL_PERIODS = 4.0
-_GAP_RTOL = 1e-10
 _GAP_MAX_DENSITY = 16
 # Trial modes scale with lam so the concentration core stays resolved;
 # this cap bounds the dense eigenproblem and the mode-matrix memory.
@@ -120,30 +117,6 @@ def _translation_radial(n, lam, r, R):
     A = _profile_dr(n, lam, R) / R - B * R * R
     core = -_profile_dr(n, lam, r) / np.maximum(r, 1e-300)
     return core + A + B * r * r
-
-
-def _core_seams(lam, R):
-    """Core seams at scale lam that fall inside the ball of radius R."""
-    return [s / lam for s in _CORE_SEAMS if s / lam < R]
-
-
-def _ball_radial(n, R, lam, f):
-    """Integral of f over the centered ball, radial integrand.
-
-    Seam points at the concentration scale steer the adaptive rule into
-    the core. Retries once with a denser subdivision budget before
-    giving up.
-    """
-    seams = _core_seams(lam, R)
-    integrand = lambda r: f(r) * r ** (n - 1)
-    for limit in (300, 900):
-        res = quad(integrand, 0.0, R, points=seams or None,
-                   epsabs=0.0, epsrel=1e-11, limit=limit, full_output=1)
-        val, err = res[0], res[1]
-        if err <= 1e-9 * max(abs(val), 1e-300):
-            return sphere_measure(n) * val
-    raise RuntimeError(
-        "radial quadrature failed to converge on the ball integral")
 
 
 def _require_centered(params, domain):
@@ -220,17 +193,14 @@ def _gram_entries(n, lam, R):
     p = critical_exponent(n)
     dpow = lambda r: radial_profile(n, lam, r) ** p
     dpm1 = lambda r: radial_profile(n, lam, r) ** (p - 1.0)
-    bubble_sq = _ball_radial(
-        n, R, lam, lambda r: dpow(r) * _projected_profile(n, lam, r, R))
-    bubble_scale = _ball_radial(
-        n, R, lam,
+    ball = partial(radial_integral, n, r_max=R, seams=core_seams(lam, R))
+    bubble_sq = ball(lambda r: dpow(r) * _projected_profile(n, lam, r, R))
+    bubble_scale = ball(
         lambda r: dpow(r) * _projected_scale_derivative(n, lam, r, R))
-    scale_sq = _ball_radial(
-        n, R, lam,
+    scale_sq = ball(
         lambda r: p * dpm1(r) * radial_scale_derivative(n, lam, r)
         * _projected_scale_derivative(n, lam, r, R))
-    translation_sq = (p / n) * _ball_radial(
-        n, R, lam,
+    translation_sq = (p / n) * ball(
         lambda r: (_translation_radial(n, lam, r, R)
                    * (-_profile_dr(n, lam, r)) * dpm1(r) * r))
     return bubble_sq, bubble_scale, scale_sq, translation_sq
@@ -320,17 +290,11 @@ def _gap_panels(R, lam, z_max, density):
     oscillation periods of the fastest trial-mode product (wavenumber
     2 z_max / R), and at least density panels.
     """
-    t, w = np.polynomial.legendre.leggauss(_GAP_ORDER)
-    edges = [0.0] + _core_seams(lam, R) + [R]
-    nodes, weights = [], []
-    for a, b in zip(edges, edges[1:]):
-        periods = (b - a) * z_max / (math.pi * R)
-        per_density = max(1, math.ceil(periods / _GAP_PANEL_PERIODS))
-        cuts = np.linspace(a, b, density * per_density + 1)
-        half = np.diff(cuts)[:, None] / 2.0
-        nodes.append((cuts[:-1, None] + half * (1.0 + t)).ravel())
-        weights.append((half * w).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+    edges = [0.0] + core_seams(lam, R) + [R]
+    counts = [density * max(1, math.ceil((b - a) * z_max / (math.pi * R)
+                                         / _GAP_PANEL_PERIODS))
+              for a, b in zip(edges, edges[1:])]
+    return gauss_legendre_panels(edges, counts)
 
 
 def _trial_gap(n, R, lam, z, density):
@@ -363,17 +327,8 @@ def _converged_gap(n, R, lam, z):
 
     Returns (gap, density), the gap being the one at the finer density.
     """
-    density = 1
-    gap = _trial_gap(n, R, lam, z, density)
-    while 2 * density <= _GAP_MAX_DENSITY:
-        density *= 2
-        finer = _trial_gap(n, R, lam, z, density)
-        if abs(finer - gap) <= _GAP_RTOL * abs(finer):
-            return finer, density
-        gap = finer
-    raise RuntimeError(
-        "spectral gap quadrature did not converge to relative %g within "
-        "%d times the starting panel count" % (_GAP_RTOL, _GAP_MAX_DENSITY))
+    return converged_quadrature(
+        lambda density: _trial_gap(n, R, lam, z, density), _GAP_MAX_DENSITY)
 
 
 def coercivity_check(params, domain, trial_count=40):
@@ -394,10 +349,11 @@ def coercivity_check(params, domain, trial_count=40):
 
     The weighted mass and the two constraint pairings are integrated on
     composite Gauss-Legendre panels split at the core seams. The panel
-    count doubles until the gap at P and 2P panels agrees to relative
-    _GAP_RTOL, and the gap at 2P is returned; if that does not happen
-    within _GAP_MAX_DENSITY times the starting count, RuntimeError is
-    raised rather than an unconverged gap returned.
+    count doubles until the gap at P and 2P panels agrees to the shared
+    relative tolerance numerics.QUAD_RTOL, and the gap at 2P is returned;
+    if that does not happen within _GAP_MAX_DENSITY times the starting
+    count, RuntimeError is raised rather than an unconverged gap
+    returned.
     """
     _require_centered(params, domain)
     if trial_count < 5:
@@ -425,14 +381,11 @@ def bubble_quadratic_form(params, domain):
     _require_centered(params, domain)
     n, R, lam = domain.n, domain.radius, params.lam
     p = critical_exponent(n)
-    energy = _ball_radial(
-        n, R, lam,
-        lambda r: radial_profile(n, lam, r) ** p
-        * _projected_profile(n, lam, r, R))
-    weighted = _ball_radial(
-        n, R, lam,
-        lambda r: radial_profile(n, lam, r) ** (p - 1.0)
-        * _projected_profile(n, lam, r, R) ** 2)
+    ball = partial(radial_integral, n, r_max=R, seams=core_seams(lam, R))
+    energy = ball(lambda r: radial_profile(n, lam, r) ** p
+                  * _projected_profile(n, lam, r, R))
+    weighted = ball(lambda r: radial_profile(n, lam, r) ** (p - 1.0)
+                    * _projected_profile(n, lam, r, R) ** 2)
     return energy - p * weighted
 
 
@@ -547,12 +500,11 @@ def _reduced_integrals(n, R, lam, eps):
     dpow = lambda r: radial_profile(n, lam, r) ** p
     pd = lambda r: _projected_profile(n, lam, r, R)
     pds = lambda r: _projected_scale_derivative(n, lam, r, R)
-    pair_bubble = _ball_radial(n, R, lam, lambda r: dpow(r) * pd(r))
-    mass = _ball_radial(
-        n, R, lam, lambda r: np.abs(pd(r)) ** (qt - 1.0) * pd(r))
-    pair_scale = _ball_radial(n, R, lam, lambda r: dpow(r) * pds(r))
-    mass_scale = _ball_radial(
-        n, R, lam,
+    ball = partial(radial_integral, n, r_max=R, seams=core_seams(lam, R))
+    pair_bubble = ball(lambda r: dpow(r) * pd(r))
+    mass = ball(lambda r: np.abs(pd(r)) ** (qt - 1.0) * pd(r))
+    pair_scale = ball(lambda r: dpow(r) * pds(r))
+    mass_scale = ball(
         lambda r: np.abs(pd(r)) ** (p - 1.0 - eps) * pd(r) * pds(r))
     return pair_bubble, mass, pair_scale, mass_scale
 
@@ -648,11 +600,12 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
     beta, rho = float(z[0]), float(z[1])
     lam = lam_of_rho(rho)
     pair_b, mass, pair_s, mass_s = _reduced_integrals(n, R, lam, eps)
-    scale_sq = _ball_radial(
-        n, R, lam,
+    scale_sq = radial_integral(
+        n,
         lambda r: p * radial_profile(n, lam, r) ** (p - 1.0)
         * radial_scale_derivative(n, lam, r)
-        * _projected_scale_derivative(n, lam, r, R))
+        * _projected_scale_derivative(n, lam, r, R), R,
+        seams=core_seams(lam, R))
     alpha = alpha0 + beta
     energy = alpha * alpha * pair_b
     mass_full = alpha ** qt * mass

@@ -239,6 +239,17 @@ def test_robin_center_row_matches_closed_form(robin_run):
     assert grad <= 1e-6
 
 
+def test_robin_default_stations_are_exactly_symmetric(tmp_path):
+    # the default 21 stations: the center row sits exactly at 0 and the
+    # mirrored coordinates are exact negatives of each other
+    assert cli.main(["robin", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "robin_profile.csv")
+    coords = [float(r[header.index("axis_coordinate")]) for r in rows]
+    assert len(coords) == 21
+    assert coords[10] == 0.0
+    assert coords == [-c for c in coords[::-1]]
+
+
 def test_robin_profile_is_even_in_the_coordinate(robin_run):
     _, out = robin_run
     header, rows = read_csv(out / "robin_profile.csv")

@@ -75,9 +75,20 @@ def test_radial_integral_matches_beta_family(n, b):
     assert math.isclose(val, oracle, rel_tol=1e-9)
 
 
-def test_radial_integral_flags_slow_decay():
+# 1/(1+r^2) against r^5 is not integrable at infinity, r^-6.5 against r^5
+# not at the origin; every quadrature route must refuse instead of
+# returning a number
+@pytest.mark.parametrize("route", [
+    lambda: radial_integral(6, lambda r: 1.0 / (1.0 + r * r)),
+    lambda: radial_integral(6, lambda r: r ** -6.5),
+    lambda: radial_integral(6, lambda r: r ** -6.5, r_max=1.0),
+    lambda: ball_axisymmetric_integral(
+        6, lambda r, c: r ** -6.5 * np.ones_like(c), 1.0),
+], ids=["slow-decay", "origin-infinite", "origin-unit",
+        "origin-axisymmetric"])
+def test_radial_integral_flags_slow_decay(route):
     with pytest.raises(RuntimeError):
-        radial_integral(6, lambda r: 1.0 / (1.0 + r * r))
+        route()
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from navier_bubbles.bubble import (
 )
 from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles import reduction
-from navier_bubbles.numerics import sphere_measure
+from navier_bubbles.numerics import QUAD_RTOL, sphere_measure
 from navier_bubbles.reduction import (
     BlowupVerdict,
     NonContractionError,
@@ -319,7 +319,7 @@ def test_gap_returns_the_doubling_checked_value(unit_ball6):
     gap, density = reduction._converged_gap(N6, 1.0, 20.0, z)
     assert gap == coercivity_check(centered(20.0), unit_ball6, 40)
     direct = reduction._trial_gap(N6, 1.0, 20.0, z, 2 * density)
-    assert abs(direct - gap) <= reduction._GAP_RTOL * abs(gap)
+    assert abs(direct - gap) <= QUAD_RTOL * abs(gap)
 
 
 def test_gap_refuses_unconverged_quadrature(unit_ball6, monkeypatch):
