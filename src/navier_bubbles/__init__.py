@@ -1,10 +1,10 @@
 """Desk-scale numerics for the near-critical Navier biharmonic problem.
 
 Submodules:
-  numerics     radial quadrature, discrete Laplacians, slope fits
+  numerics     radial quadrature, discrete bilaplacian, slope fits
   bubble       the explicit concentrating profile and its calculus
-  green_robin  Green function, regular part and Robin function on balls
-  projection   boundary correction of the bubble and its expansion
+  green_robin  Robin function of the Navier kernel on balls
+  projection   boundary correction of a centered bubble, its expansion
   solver       radial Newton continuation in the exponent offset
   reduction    reduced balance equations, coercivity, blow-up verdicts
   cli          command line entry points

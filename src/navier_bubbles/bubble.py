@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import SlopeFit, fit_loglog, radial_integral
+from .numerics import radial_integral
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,40 @@ def radial_scale_derivative_laplacian(n, lam, r):
 # ---------------------------------------------------------------------------
 # the centered profile corrected to Navier conditions on a ball of radius R;
 # for a radial f the Navier extension of its boundary traces is the exact
-# quadratic f(R) + Delta f(R) (r^2 - R^2) / (2n), whose Laplacian is the
-# constant Delta f(R)
+# biharmonic quadratic f(R) + Delta f(R) (r^2 - R^2) / (2n), whose
+# Laplacian is the constant Delta f(R)
+
+
+def _require_centered(params, domain):
+    """Refuse every configuration but a bubble at the ball center with
+    lam * radius >= 5; the centered closed forms hold only there."""
+    if params.n != domain.n:
+        raise ValueError("profile and domain dimensions do not match")
+    R = domain.radius
+    if not np.allclose(params.a, domain.center, atol=1e-12 * R, rtol=0.0):
+        raise ValueError(
+            "only the centered configuration is supported here; parity "
+            "identities used by this routine fail off center")
+    if params.lam * R < 5.0:
+        raise ValueError(
+            "concentration scale too small: lam * radius must be at least 5")
+
+
+def _navier_extension(f, lap_f, n, lam, r, R):
+    """The Navier extension of the traces of a closed-form (radial
+    function, Laplacian) pair."""
+    return f(n, lam, R) + lap_f(n, lam, R) * (r**2 - R**2) / (2.0 * n)
 
 
 def _navier_corrected(f, lap_f, n, lam, r, R):
-    """f minus the Navier extension of its traces, for a closed-form
-    (radial function, Laplacian) pair."""
-    corr = f(n, lam, R) + lap_f(n, lam, R) * (r**2 - R**2) / (2.0 * n)
-    return f(n, lam, r) - corr
+    """f minus the Navier extension of its traces."""
+    return f(n, lam, r) - _navier_extension(f, lap_f, n, lam, r, R)
+
+
+def _deficit_profile(n, lam, r, R):
+    """theta for a center bubble: the Navier extension of delta."""
+    return _navier_extension(radial_profile, radial_profile_laplacian,
+                             n, lam, r, R)
 
 
 def _projected_profile(n, lam, r, R):
@@ -188,34 +213,6 @@ def eval_delta(params, x):
     x = np.asarray(x, dtype=float)
     s = np.linalg.norm(np.atleast_1d(x) - params.a, axis=-1)
     return radial_profile(params.n, params.lam, s)
-
-
-def eval_delta_laplacian(params, x):
-    """Delta delta at a point; closed form, no discretization."""
-    x = np.asarray(x, dtype=float)
-    s = np.linalg.norm(np.atleast_1d(x) - params.a, axis=-1)
-    return radial_profile_laplacian(params.n, params.lam, s)
-
-
-def dlambda_delta(params, x):
-    """Scale derivative lam * d(delta)/d(lam) at a point."""
-    x = np.asarray(x, dtype=float)
-    s = np.linalg.norm(np.atleast_1d(x) - params.a, axis=-1)
-    return radial_scale_derivative(params.n, params.lam, s)
-
-
-def da_delta(params, x):
-    """Gradient of delta with respect to the center a.
-
-    Closed form (n-4) lam^2 (x - a) delta / (1 + lam^2 |x - a|^2);
-    antisymmetric under reflection of x through a, zero at x = a.
-    """
-    x = np.asarray(x, dtype=float)
-    diff = np.atleast_1d(x) - params.a
-    s = np.linalg.norm(diff, axis=-1)
-    t = (params.lam * s) ** 2
-    w = (params.n - 4) * params.lam ** 2 / (1 + t)
-    return (w * radial_profile(params.n, params.lam, s))[..., None] * diff
 
 
 # ---------------------------------------------------------------------------
@@ -272,45 +269,3 @@ def balance_constants(n):
     return CriticalConstants(n=n, c0=c0n, p=p, S=sobolev_constant(n),
                              c1=c1, c2_variant_full=full,
                              c2_variant_half=half, c2=operative)
-
-
-# ---------------------------------------------------------------------------
-# power expansion of delta^(-eps)
-
-
-def epsilon_power_expansion_check(params, eps, sample_points=None):
-    """Order check for the small-exponent expansion of delta^(-eps).
-
-    The quantity delta^(-eps) - (c0 lam^((n-4)/2))^(-eps) should be of
-    size eps * log(1 + lam^2 |x-a|^2) uniformly. This routine measures
-
-        K(e) = max over samples of |LHS(e)| / log(1 + lam^2 |x-a|^2)
-
-    on a geometric ladder e = eps, eps/2, ..., eps/16 and returns the
-    log-log fit of K against e. A slope near 1 confirms the first-order
-    law; exp(intercept) estimates the uniform constant.
-
-    Default samples: radii log-spaced across [1e-3/lam, 1e3/lam], which
-    covers both the core (log factor small) and the far field (log factor
-    dominated by the power of lam r).
-    """
-    if not 0 < eps <= 0.2:
-        raise ValueError("eps must lie in (0, 0.2]")
-    n, lam = params.n, params.lam
-    if sample_points is None:
-        radii = np.geomspace(1e-3 / lam, 1e3 / lam, 100)
-    else:
-        pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-        radii = np.linalg.norm(pts - params.a, axis=-1)
-        radii = radii[radii > 0]
-    logfac = np.log1p((lam * radii) ** 2)
-    keep = logfac > 1e-12
-    radii, logfac = radii[keep], logfac[keep]
-    center_value = c0(n) * lam ** ((n - 4) / 2.0)
-
-    ladder = eps * 0.5 ** np.arange(5)
-    ks = []
-    for e in ladder:
-        lhs = radial_profile(n, lam, radii) ** (-e) - center_value ** (-e)
-        ks.append(np.max(np.abs(lhs) / logfac))
-    return fit_loglog(ladder, np.asarray(ks))

@@ -29,9 +29,10 @@ naming the stage.
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error, 3 a pipeline stage failed partway.
 
-Dimension policy: the constant table and the potential profile are
-closed-form surfaces and accept any n >= 5. The sweep-based commands
-are calibrated on n = 6; ``supercritical`` additionally accepts n = 5.
+Dimension policy: the constant table, the potential profile and the
+deficit expansion orders are closed-form surfaces and accept any
+n >= 5. The sweep-based commands are calibrated on n = 6;
+``supercritical`` additionally accepts n = 5.
 The seed is recorded in every configuration echo so that future
 stochastic fallbacks stay reproducible; the current pipelines draw no
 random numbers.
@@ -754,8 +755,8 @@ def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
 
 def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
     stream = stream or sys.stdout
-    if n != 6:
-        raise CliError("the deficit ladder is calibrated for dimension 6")
+    if n < 5:
+        raise CliError("dimension must be at least 5")
     if rungs < 4:
         raise CliError("the exponent fits need at least four ladder rungs")
     if not lam_min * radius >= 30.0:
@@ -883,7 +884,7 @@ def _build_parser():
     e = sub.add_parser("expansion-orders",
                        help="fit the deficit decay exponents over a "
                             "scale ladder")
-    e.add_argument("--n", type=int, default=6)
+    e.add_argument("--n", type=int, default=6, help="dimension (>= 5)")
     e.add_argument("--radius", type=float, default=1.0)
     e.add_argument("--rungs", type=int, default=6)
     e.add_argument("--lam-min", type=float, default=60.0)

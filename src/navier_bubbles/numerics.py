@@ -5,7 +5,8 @@ The three workhorses are
 
   * radial_integral: |S^{n-1}| * int_0^rmax f(r) r^{n-1} dr on composite
     Gauss-Legendre panels doubled to convergence, the package's one
-    quadrature rule, mapping (0, inf) to (0, 1) by r = t/(1-t) if needed;
+    quadrature rule, mapping (0, inf) to (0, 1) by r = t/(1-t) if needed
+    (every integral in the package is radial);
   * radial_bilaplacian: a discrete Delta^2 for radial samples, with
     Delta = d^2/dr^2 + ((n-1)/r) d/dr and an even extension at r = 0;
   * fit_loglog: least squares slope of log y against log x, used to turn
@@ -63,15 +64,6 @@ class RadialGrid:
     @classmethod
     def uniform(cls, n, N, R=1.0):
         return cls(n, np.linspace(0.0, R, N), float(R))
-
-    @classmethod
-    def chebyshev(cls, n, N, R=1.0):
-        """Chebyshev extrema mapped to [0, R]; clusters at both ends."""
-        k = np.arange(N)
-        nodes = 0.5 * R * (1.0 - np.cos(np.pi * k / (N - 1)))
-        nodes[0] = 0.0
-        nodes[-1] = R
-        return cls(n, nodes, float(R))
 
     @classmethod
     def sinh_graded(cls, n, N, R=1.0, strength=5.0):
@@ -135,12 +127,10 @@ _CORE_SEAMS = (0.5, 3.0, 20.0)
 # Every integral in the package uses 16-node Gauss-Legendre panels whose
 # count doubles until successive values agree to QUAD_RTOL, within
 # _MAX_DENSITY times the starting count; an integral still moving there
-# raises. _RADIAL_BLOCK bounds the (radius x cosine) arrays of one
-# axisymmetric integrand call.
+# raises.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 QUAD_RTOL = 1e-10
 _MAX_DENSITY = 512
-_RADIAL_BLOCK = 256
 
 
 def core_seams(lam, R):
@@ -203,34 +193,8 @@ def radial_integral(n, f, r_max=math.inf, seams=()):
     return sphere_measure(n) * _panel_integral(weighted, edges)
 
 
-def ball_axisymmetric_integral(n, g, R, nr=80, radial_seams=()):
-    """Integral over the n-ball of a function g(r, c) of radius and cosine.
-
-    g depends on position only through r = |x| and c = cos(angle to a fixed
-    axis), and is called on a column of radii against a row of cosines.
-    The angular factor is handled by Gauss-Jacobi quadrature with weight
-    (1 - c^2)^{(n-3)/2}, the radial factor as in radial_integral, split at
-    radial_seams where g concentrates or kinks.
-    """
-    from scipy.special import roots_jacobi
-
-    a = 0.5 * (n - 3)
-    c, c_weights = roots_jacobi(nr, a, a)
-
-    def shells(r):
-        out = np.empty_like(r)
-        for lo in range(0, r.size, _RADIAL_BLOCK):
-            rb = r[lo:lo + _RADIAL_BLOCK]
-            out[lo:lo + rb.size] = g(rb[:, None], c[None, :]) @ c_weights
-        return out * r ** (n - 1)
-
-    edges = [0.0] + [s for s in radial_seams if 0.0 < s < R] + [R]
-    # |S^{n-2}| carries the angular measure the Jacobi weight leaves out
-    return sphere_measure(n - 1) * _panel_integral(shells, edges)
-
-
 # ---------------------------------------------------------------------------
-# discrete radial Laplacian and bilaplacian
+# discrete radial bilaplacian
 
 
 def _solve_dense(M, rhs):
@@ -387,17 +351,6 @@ def radial_bilaplacian(u, grid):
         out[i] = _sliding_fit_row(u, r, n, i, idx)
 
     return np.asarray(out, dtype=np.float64)
-
-
-def radial_laplacian(u, grid):
-    """Samples of Delta u on the grid; same stencils as one half of
-    radial_bilaplacian, returned in float64."""
-    nodes = np.asarray(grid.nodes)
-    if nodes.size < 3:
-        raise ValueError("radial_laplacian needs at least 3 nodes")
-    r = nodes.astype(_LD)
-    u = np.asarray(u).astype(_LD)
-    return np.asarray(_laplacian_apply(u, r, grid.n), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ projection of the genuine PDE residual of the quotient-normalized
 ansatz: with gamma the normalized amplitude, the residual of
 w = gamma * (boundary-corrected profile) is paired against the profile
 and against its scale derivative. The leading expansion of the scale
-equation is exactly the algebraic balance between the exponent offset
-and the domain term (`balance_residual_scale`); the quadrature form
-keeps every lower-order correction, which is what makes the fitted
-offsets genuine measurements instead of restatements of the leading law.
+equation is exactly the algebraic balance c2 * eps = c1 * phi(a) /
+lam^(n-4) between the exponent offset and the domain term; the
+quadrature form keeps every lower-order correction, which is what makes
+the fitted offsets genuine measurements instead of restatements of the
+leading law.
 
-All center-pinned quantities (the norm matrix, the spectral gap, the
-reduced system itself) exploit the parity of the centered configuration:
+All center-pinned quantities (the spectral gap, the reduced system
+itself) exploit the parity of the centered configuration:
 translation directions pair to exactly zero against radial ones, and the
 center offset is locked at the origin. Off-center configurations are
 refused rather than approximated.
@@ -39,30 +40,25 @@ from scipy.special import j0, j1, jn_zeros, jv
 from .bubble import (
     _projected_profile,
     _projected_scale_derivative,
+    _require_centered,
     balance_constants,
-    c0,
     critical_exponent,
     radial_profile,
     radial_scale_derivative,
 )
 from .green_robin import boundary_blowup_fit, robin
-from .numerics import (SlopeFit, converged_quadrature, core_seams, fit_loglog,
+from .numerics import (SlopeFit, converged_quadrature, core_seams,
                        gauss_legendre_panels, radial_integral, sphere_measure)
 
 __all__ = [
-    "NormMatrix",
     "ReducedState",
     "NonContractionError",
     "BlowupEntry",
     "BlowupVerdict",
     "ObstructionEntry",
     "ObstructionReport",
-    "gram_matrix",
     "coercivity_check",
     "bubble_quadratic_form",
-    "balance_residual_scale",
-    "balance_residual_center",
-    "balance_root",
     "solve_reduced_system",
     "blowup_verdict",
     "supercritical_obstruction",
@@ -83,169 +79,6 @@ _MAX_TRIAL_MODES = 400
 # Contraction ratios are certified only while steps sit clearly above
 # the round-off floor of the fixed-point update.
 _RATIO_FLOOR = 1e-10
-
-
-# ---------------------------------------------------------------------------
-# centered profile calculus
-
-def _profile_dr(n, lam, r):
-    """Radial derivative of the concentrating profile."""
-    t = (lam * r) ** 2
-    return -(n - 4.0) * lam * lam * r * radial_profile(n, lam, r) / (1.0 + t)
-
-
-def _laplacian_dr(n, lam, r):
-    """Radial derivative of the profile Laplacian."""
-    t = (lam * r) ** 2
-    pref = -(n - 4.0) * c0(n) * lam ** ((n - 4.0) / 2.0 + 2.0)
-    return (pref * 2.0 * lam * lam * r * (1.0 + t) ** (-n / 2.0 - 1.0)
-            * ((2.0 - n) * t + 2.0 - n * n / 2.0))
-
-
-def _translation_radial(n, lam, r, R):
-    """Radial factor G of the translation derivative G(r) x_1.
-
-    Differentiating the corrected profile in the center location, at the
-    center of the ball, gives -profile'(r) x_1 / r plus the bilaplacian
-    correction (A + B r^2) x_1 that restores both boundary conditions in
-    the first spherical harmonic sector. The two coefficients come from
-    matching the profile's own boundary values:
-        A + B R^2    = profile'(R) / R
-        (2n + 4) B   = (profile Laplacian)'(R) / R.
-    """
-    B = _laplacian_dr(n, lam, R) / R / (2.0 * n + 4.0)
-    A = _profile_dr(n, lam, R) / R - B * R * R
-    core = -_profile_dr(n, lam, r) / np.maximum(r, 1e-300)
-    return core + A + B * r * r
-
-
-def _require_centered(params, domain):
-    if params.n != domain.n:
-        raise ValueError("profile and domain dimensions do not match")
-    R = domain.radius
-    if not np.allclose(params.a, domain.center, atol=1e-12 * R, rtol=0.0):
-        raise ValueError(
-            "only the centered configuration is supported here; parity "
-            "identities used by this routine fail off center")
-    if params.lam * R < 5.0:
-        raise ValueError(
-            "concentration scale too small: lam * radius must be at least 5")
-
-
-# ---------------------------------------------------------------------------
-# norm matrix of the reduction basis
-
-@dataclass(frozen=True)
-class NormMatrix:
-    """Energy pairings of the reduction basis at a centered profile.
-
-    The basis is {corrected profile, its scale derivative (lam d/dlam),
-    one translation derivative}; pairings are in the Navier energy inner
-    product. Both mixed entries against the translation direction vanish
-    exactly at the center by parity and are stored as literal zeros. The
-    *_limit fields are large-scale extrapolations along a doubling
-    ladder: the profile norm tends to the critical energy level, the
-    other two tend to the scale-free constants of the free profile (the
-    translation one after removal of its lam^2 growth).
-    """
-
-    n: int
-    lam: float
-    rungs: tuple
-    bubble_sq: float
-    scale_sq: float
-    translation_sq: float
-    bubble_scale: float
-    bubble_translation: float
-    scale_translation: float
-    bubble_sq_limit: float
-    scale_sq_limit: float
-    translation_sq_limit: float
-    cross_decay: SlopeFit
-
-    def __post_init__(self):
-        if not (self.bubble_sq > 0 and self.scale_sq > 0
-                and self.translation_sq > 0):
-            raise ValueError("diagonal norm entries must be positive")
-        if self.bubble_scale ** 2 >= self.bubble_sq * self.scale_sq:
-            raise ValueError("mixed entry violates the Cauchy-Schwarz bound")
-        if not (self.bubble_sq_limit > 0 and self.scale_sq_limit > 0
-                and self.translation_sq_limit > 0):
-            raise ValueError("extrapolated limits must be positive")
-        if not self.cross_decay.slope < 0:
-            raise ValueError("mixed profile/scale entry must decay")
-        if len(self.rungs) < 2 or any(
-                b <= a for a, b in zip(self.rungs, self.rungs[1:])):
-            raise ValueError("ladder rungs must increase")
-
-    def matrix(self):
-        """The 3x3 pairing matrix at the base scale."""
-        return np.array([
-            [self.bubble_sq, self.bubble_scale, self.bubble_translation],
-            [self.bubble_scale, self.scale_sq, self.scale_translation],
-            [self.bubble_translation, self.scale_translation,
-             self.translation_sq],
-        ])
-
-
-def _gram_entries(n, lam, R):
-    """Pairings (profile, scale, translation) at one ladder rung."""
-    p = critical_exponent(n)
-    dpow = lambda r: radial_profile(n, lam, r) ** p
-    dpm1 = lambda r: radial_profile(n, lam, r) ** (p - 1.0)
-    ball = partial(radial_integral, n, r_max=R, seams=core_seams(lam, R))
-    bubble_sq = ball(lambda r: dpow(r) * _projected_profile(n, lam, r, R))
-    bubble_scale = ball(
-        lambda r: dpow(r) * _projected_scale_derivative(n, lam, r, R))
-    scale_sq = ball(
-        lambda r: p * dpm1(r) * radial_scale_derivative(n, lam, r)
-        * _projected_scale_derivative(n, lam, r, R))
-    translation_sq = (p / n) * ball(
-        lambda r: (_translation_radial(n, lam, r, R)
-                   * (-_profile_dr(n, lam, r)) * dpm1(r) * r))
-    return bubble_sq, bubble_scale, scale_sq, translation_sq
-
-
-def gram_matrix(params, domain):
-    """Assemble the NormMatrix of the reduction basis at the center.
-
-    Entries at params.lam are exact quadratures; limits come from a
-    four-rung doubling ladder. Extrapolation removes the measured
-    remainder orders: lam^-(n-4) on the profile and scale diagonals and
-    lam^-(n-2) on the lam^-2-normalized translation diagonal (the parity
-    of the centered configuration cancels the odd-order term). The
-    profile/scale mixed entry decays like lam^-(n-4); its fitted rate is
-    returned as cross_decay.
-    """
-    _require_centered(params, domain)
-    n, R = domain.n, domain.radius
-    rungs = tuple(params.lam * 2.0 ** j for j in range(4))
-    rows = [_gram_entries(n, lam, R) for lam in rungs]
-    base = rows[0]
-    pp = [row[0] for row in rows]
-    pl = [abs(row[1]) for row in rows]
-    ll = [row[2] for row in rows]
-    aa = [row[3] / lam ** 2 for row, lam in zip(rows, rungs)]
-
-    def _extrap(seq, rate):
-        w = 2.0 ** rate
-        return (w * seq[-1] - seq[-2]) / (w - 1.0)
-
-    return NormMatrix(
-        n=n,
-        lam=params.lam,
-        rungs=rungs,
-        bubble_sq=base[0],
-        scale_sq=base[2],
-        translation_sq=base[3],
-        bubble_scale=base[1],
-        bubble_translation=0.0,
-        scale_translation=0.0,
-        bubble_sq_limit=_extrap(pp, n - 4.0),
-        scale_sq_limit=_extrap(ll, n - 4.0),
-        translation_sq_limit=_extrap(aa, n - 2.0),
-        cross_decay=fit_loglog(rungs, pl),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +223,7 @@ def bubble_quadratic_form(params, domain):
 
 
 # ---------------------------------------------------------------------------
-# algebraic balance
+# balance constants
 
 def _constants_for(n, consts):
     """consts, or the constants of dimension n when none are given; the
@@ -400,44 +233,6 @@ def _constants_for(n, consts):
     if consts.n != n:
         raise ValueError("constants and domain dimensions do not match")
     return consts
-
-
-def balance_residual_scale(eps, a, lam, domain, consts=None):
-    """Leading-order balance between exponent offset and domain term.
-
-    Returns c2 * eps - c1 * phi(a) / lam^(n-4), the scale equation of the
-    reduction at leading order, with positive eps meaning the subcritical
-    side. Its unique positive root in lam is balance_root.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    n = domain.n
-    consts = _constants_for(n, consts)
-    phi = robin(domain, np.asarray(a, dtype=float)).phi
-    return consts.c2 * eps - consts.c1 * phi / lam ** (n - 4.0)
-
-
-def balance_root(eps, a, domain, consts=None):
-    """Closed-form positive root of balance_residual_scale in lam."""
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    n = domain.n
-    consts = _constants_for(n, consts)
-    phi = robin(domain, np.asarray(a, dtype=float)).phi
-    return (consts.c1 * phi / (consts.c2 * eps)) ** (1.0 / (n - 4.0))
-
-
-def balance_residual_center(a, lam, domain):
-    """Leading-order center equation: damped gradient of the domain term.
-
-    Returns grad phi(a) / lam^(n-3), the total-derivative reading of the
-    center stationarity condition. It vanishes exactly at the center of
-    a ball.
-    """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    ev = robin(domain, np.asarray(a, dtype=float))
-    return ev.grad / lam ** (domain.n - 3.0)
 
 
 # ---------------------------------------------------------------------------

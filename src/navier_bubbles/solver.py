@@ -159,12 +159,6 @@ class RadialSolution:
         q = critical_exponent(self.grid.n) + self.eps
         return float(np.sum(self._weights() * np.abs(self.u) ** (q + 1)))
 
-    def sobolev_quotient(self):
-        """||u||^2 / |u|^2_{q+1}, the quantity that should approach the
-        best constant S along a subcritical sweep."""
-        q = critical_exponent(self.grid.n) + self.eps
-        return self.energy_norm_sq() / self.nonlinear_mass() ** (2.0 / (q + 1))
-
 
 @dataclass(frozen=True)
 class Decomposition:

@@ -18,11 +18,7 @@ from navier_bubbles.bubble import (
     balance_constants,
     c0,
     critical_exponent,
-    da_delta,
-    dlambda_delta,
-    epsilon_power_expansion_check,
     eval_delta,
-    eval_delta_laplacian,
     radial_profile,
     radial_profile_laplacian,
     radial_scale_derivative,
@@ -94,12 +90,10 @@ def test_scale_covariance(lam, s, r):
 
 
 def test_scale_derivative_center_and_zero_sphere():
-    p = params6(lam=3.0)
-    center = float(dlambda_delta(p, p.a))
+    center = float(radial_scale_derivative(6, 3.0, 0.0))
     assert math.isclose(center, (6 - 4) / 2.0 * c0(6) * 3.0, rel_tol=1e-13)
-    x = np.zeros(6)
-    x[1] = 1.0 / 3.0  # on the sphere r = 1/lam
-    assert abs(float(dlambda_delta(p, x))) < 1e-14
+    # on the sphere r = 1/lam
+    assert abs(float(radial_scale_derivative(6, 3.0, 1.0 / 3.0))) < 1e-14
 
 
 def test_scale_derivative_matches_fd():
@@ -112,34 +106,6 @@ def test_scale_derivative_matches_fd():
         errs.append(np.max(np.abs(fd - radial_scale_derivative(n, lam, r))))
     assert errs[0] / errs[1] > 3.6  # O(h^2) oracle convergence
     assert errs[1] < 1e-6
-
-
-def test_center_gradient_matches_fd():
-    p = params6(lam=1.5, a=np.full(6, 0.1))
-    x = np.array([0.4, -0.2, 0.3, 0.0, 0.1, -0.5])
-    grad = da_delta(p, x)
-    h = 1e-5
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = h
-        plus = BubbleParams(a=p.a + e, lam=p.lam, n=6)
-        minus = BubbleParams(a=p.a - e, lam=p.lam, n=6)
-        fd = (float(eval_delta(plus, x)) - float(eval_delta(minus, x))) / (2 * h)
-        assert math.isclose(grad[i], fd, rel_tol=1e-7, abs_tol=1e-10)
-
-
-def test_center_gradient_symmetry():
-    p = params6(lam=2.0)
-    x = np.zeros(6)
-    x[2] = 0.7
-    g = da_delta(p, x)
-    assert g[2] != 0.0
-    others = np.delete(g, 2)
-    assert np.max(np.abs(others)) == 0.0
-    assert np.max(np.abs(da_delta(p, p.a))) == 0.0
-    # reflection through the center flips the gradient
-    g_refl = da_delta(p, -x)
-    assert np.allclose(g_refl, -g, rtol=0, atol=1e-15)
 
 
 def test_profile_laplacian_matches_fd():
@@ -175,15 +141,6 @@ def test_scale_derivative_laplacian_matches_fd():
     # dominates the absolute error at the smallest radii
     rel = np.max(np.abs(upp + (n - 1) / r * up - closed)) / np.max(np.abs(closed))
     assert rel < 1e-4
-
-
-def test_pointwise_laplacian_consistent_with_radial_form():
-    p = params6(lam=2.0, a=np.full(6, -0.3))
-    x = np.array([0.2, 0.1, -0.4, 0.0, 0.25, -0.6])
-    s = np.linalg.norm(x - p.a)
-    assert math.isclose(float(eval_delta_laplacian(p, x)),
-                        float(radial_profile_laplacian(6, 2.0, s)),
-                        rel_tol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +234,3 @@ def test_expansion_vanishes_at_center():
     eps = 0.05
     lhs = float(eval_delta(p, p.a)) ** (-eps) - (c0(6) * 10.0) ** (-eps)
     assert lhs == 0.0
-
-
-def test_expansion_first_order_in_eps():
-    p = params6(lam=10.0)
-    fit = epsilon_power_expansion_check(p, 0.05)
-    assert 0.85 < fit.slope < 1.3
-    # the uniform constant: K(eps)/eps stays within a small multiple of
-    # (n-4)/2, the coefficient of the leading term
-    k_over_eps = math.exp(fit.intercept)
-    assert k_over_eps < 5.0 * (6 - 4) / 2.0
-
-
-def test_expansion_rejects_large_eps():
-    with pytest.raises(ValueError):
-        epsilon_power_expansion_check(params6(), 0.5)

@@ -597,8 +597,26 @@ def test_expansion_orders_table(eo_run):
 def test_expansion_orders_rejects_short_ladder(capsys):
     assert cli.main(["expansion-orders", "--rungs", "3"]) == 2
     assert cli.main(["expansion-orders", "--lam-min", "10"]) == 2
-    assert cli.main(["expansion-orders", "--n", "5"]) == 2
+    assert cli.main(["expansion-orders", "--n", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [5, 7, 8])
+def test_expansion_orders_other_dimensions(tmp_path, capsys, n):
+    # the closed forms carry no dimension-6 calibration: the default
+    # ladder lands on -(n-4)/2 for both norms and -n/2 for the remainder
+    assert cli.main(["expansion-orders", "--n", str(n),
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((tmp_path / "orders.json").read_text())
+    assert report["n"] == n and report["passed"] is True
+    targets = {"energy_norm": -(n - 4) / 2.0,
+               "critical_norm": -(n - 4) / 2.0,
+               "remainder_sup": -n / 2.0}
+    for name, target in targets.items():
+        fit = report["fits"][name]
+        assert fit["within_band"] is True
+        assert abs(fit["slope"]["value"] - target) <= 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Tests for the ball Green machinery and the Robin function.
+"""Tests for the Robin function on balls and for the zonal oracle.
 
-Oracle strategy: closed forms where they exist (center polynomial, dilation,
-image kernels), a Poisson-splitting formula for the radial Robin profile,
-and two independent pins on the fundamental normalization constant (a sharp
-pointwise identity against the second-order kernel, and a coarse iterated-
-kernel quadrature).
+Oracle strategy: a Poisson-splitting formula for the radial Robin profile,
+and the general zonal solve H(x, y) of tests/zonal_oracle.py for its
+derivatives. The zonal oracle is pinned on its own by closed forms where
+they exist (center polynomial, dilation, image kernels) and by two
+independent pins on the fundamental normalization constant (a sharp
+pointwise identity against the second-order kernel, which checks the
+oracle's Laplacian route, and a coarse iterated-kernel quadrature).
 """
 
 import math
@@ -17,17 +19,19 @@ from scipy.special import eval_gegenbauer
 from navier_bubbles.green_robin import (
     BallDomain,
     RobinEval,
-    _gegenbauer_matrix,
-    biharmonic_green,
     boundary_blowup_fit,
-    find_critical_point,
+    robin,
+)
+from navier_bubbles.numerics import sphere_measure
+from zonal_oracle import (
+    _gegenbauer_matrix,
+    ball_axisymmetric_integral,
+    biharmonic_green,
     fundamental_normalization,
     laplace_green_ball,
     regular_part_H,
     regular_part_H_laplacian,
-    robin,
 )
-from navier_bubbles.numerics import ball_axisymmetric_integral, sphere_measure
 
 
 def e1(n):
@@ -427,47 +431,7 @@ def test_robin_near_boundary_rejected():
 
 
 # ---------------------------------------------------------------------------
-# critical point search and boundary rates
-
-
-def test_critical_point_from_generic_seed():
-    dom = BallDomain.unit(6)
-    ev = find_critical_point(dom, 0.5 * e1(6))
-    assert np.linalg.norm(ev.x) <= 1e-5
-    assert np.linalg.norm(ev.grad) < 1e-8
-    assert ev.nondegenerate
-
-
-def test_critical_point_from_near_boundary_seed():
-    # seed at 0.9 radius: walks back to the center, never stalls at a
-    # spurious interior point
-    rng = np.random.default_rng(2)
-    direction = rng.normal(size=6)
-    direction /= np.linalg.norm(direction)
-    dom = BallDomain.unit(6)
-    ev = find_critical_point(dom, 0.9 * direction)
-    assert np.linalg.norm(ev.x) <= 1e-5
-    assert np.linalg.norm(ev.grad) < 1e-8
-
-
-def test_critical_point_shifted_scaled_domain():
-    center = np.full(6, -1.5)
-    dom = BallDomain(n=6, center=center, radius=2.0)
-    ev = find_critical_point(dom, center + np.array([0.9, 0, 0, 0, -0.4, 0]))
-    assert np.linalg.norm(ev.x - center) <= 2e-5
-    assert np.linalg.norm(ev.grad) < 1e-8 * 2.0 ** -3
-
-
-def test_critical_point_seed_clearance():
-    dom = BallDomain.unit(6)
-    with pytest.raises(ValueError):
-        find_critical_point(dom, 0.96 * e1(6))
-
-
-def test_critical_point_iteration_cap():
-    dom = BallDomain.unit(6)
-    with pytest.raises(RuntimeError):
-        find_critical_point(dom, 0.5 * e1(6), max_iter=1)
+# boundary rates
 
 
 def test_boundary_blowup_exponents():

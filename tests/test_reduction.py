@@ -1,11 +1,7 @@
-"""Reduced system, norm matrix, spectral gap, verdicts.
+"""Reduced system, spectral gap, verdicts.
 
 Oracles used here and nowhere in the package:
 
-* Free-profile constants. The large-scale limits of the scale and
-  translation diagonals of the norm matrix are whole-space integrals of
-  closed-form integrands; both are computed below with plain scipy
-  quadrature on [0, inf) and frozen against the ladder extrapolations.
 * A conservative finite-volume discretization of the constrained
   quadratic form on a graded grid. It shares no code with the Bessel
   trial basis in the package and agrees with it to a few parts in 1e5;
@@ -13,10 +9,9 @@ Oracles used here and nowhere in the package:
 * scipy's general-order jv (the package uses it only to normalize the
   trial modes) as the reference for the series and recurrence Bessel
   values of the trial basis.
-* Closed-form balance laws. The root of the scale balance, the radius
-  invariance of eps * root^(n-4) * R^(n-4), the exact identity for the
-  residual at a reconstructed scale, and the decay law of the mixed
-  norm entry are all checked from first principles.
+* Closed-form balance laws. The exact identity for the leading-order
+  scale balance at a reconstructed scale is checked from first
+  principles.
 
 Numeric literals below are frozen measurements from this suite's first
 runs; relative bars reflect quadrature determinism, not optimism.
@@ -26,9 +21,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.linalg import eigh, null_space
-from scipy.optimize import brentq
 from scipy.special import jn_zeros, jv
 
 from navier_bubbles.bubble import (
@@ -45,15 +38,10 @@ from navier_bubbles.numerics import QUAD_RTOL, sphere_measure
 from navier_bubbles.reduction import (
     BlowupVerdict,
     NonContractionError,
-    NormMatrix,
     ReducedState,
-    balance_residual_center,
-    balance_residual_scale,
-    balance_root,
     blowup_verdict,
     bubble_quadratic_form,
     coercivity_check,
-    gram_matrix,
     solve_reduced_system,
     supercritical_obstruction,
 )
@@ -68,37 +56,6 @@ def centered(lam, n=N6):
 
 # ---------------------------------------------------------------------------
 # oracles
-
-def free_scale_constant(n):
-    """Whole-space norm of the scale derivative, closed-form integrand.
-
-    The energy norm of lam d/dlam of the free profile equals p times the
-    mass of profile^(p-1) (scale derivative)^2; scale invariance makes
-    the value lam-free, so it is computed at lam = 1.
-    """
-    p = critical_exponent(n)
-    val, err = quad(
-        lambda r: p * radial_profile(n, 1.0, r) ** (p - 1.0)
-        * radial_scale_derivative(n, 1.0, r) ** 2 * r ** (n - 1),
-        0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    assert err < 1e-9 * abs(val)
-    return sphere_measure(n) * val
-
-
-def free_translation_constant(n):
-    """Whole-space norm of the translation derivative over lam^2."""
-    p = critical_exponent(n)
-
-    def dprime(r):
-        return -(n - 4.0) * r * radial_profile(n, 1.0, r) / (1.0 + r * r)
-
-    val, err = quad(
-        lambda r: radial_profile(n, 1.0, r) ** (p - 1.0)
-        * dprime(r) ** 2 * r ** (n - 1),
-        0.0, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    assert err < 1e-9 * abs(val)
-    return (p / n) * sphere_measure(n) * val
-
 
 def grid_gap_oracle(lam, domain, m=1536, strength=5.0):
     """Constrained gap through a finite-volume grid discretization.
@@ -147,11 +104,6 @@ def grid_gap_oracle(lam, domain, m=1536, strength=5.0):
 # fixtures
 
 @pytest.fixture(scope="module")
-def gram10(unit_ball6):
-    return gram_matrix(centered(10.0), unit_ball6)
-
-
-@pytest.fixture(scope="module")
 def reduced_states(unit_ball6):
     return {
         eps: solve_reduced_system(eps, unit_ball6.center, unit_ball6)
@@ -164,91 +116,6 @@ def reference_verdict(unit_ball6, subcritical_sweep, sweep_decompositions):
     sweep = [(s.eps, d, s.M)
              for s, d in zip(subcritical_sweep, sweep_decompositions)]
     return blowup_verdict(sweep, unit_ball6.center, unit_ball6)
-
-
-# ---------------------------------------------------------------------------
-# norm matrix
-
-def test_gram_bubble_norm_reaches_critical_level(gram10):
-    assert gram10.bubble_sq == pytest.approx(3760.940159, rel=1e-8)
-    assert gram10.bubble_sq_limit == pytest.approx(
-        sobolev_energy(N6), rel=2e-6)
-
-
-def test_gram_scale_limit_matches_free_profile_oracle(gram10):
-    oracle = free_scale_constant(N6)
-    assert oracle == pytest.approx(2777.5837875, rel=1e-9)
-    assert gram10.scale_sq == pytest.approx(2653.7857266, rel=1e-8)
-    assert gram10.scale_sq_limit == pytest.approx(oracle, rel=1e-4)
-
-
-def test_gram_translation_limit_matches_free_profile_oracle(gram10):
-    oracle = free_translation_constant(N6)
-    assert oracle == pytest.approx(2777.5837875, rel=1e-9)
-    assert gram10.translation_sq == pytest.approx(277474.503, rel=1e-8)
-    assert gram10.translation_sq_limit == pytest.approx(oracle, rel=1e-6)
-
-
-def test_gram_cross_entry_follows_decay_law(unit_ball6):
-    gm = gram_matrix(centered(80.0), unit_ball6)
-    consts = balance_constants(N6)
-    h0 = robin(unit_ball6, unit_ball6.center).phi
-    predicted = (N6 - 4.0) / 2.0 * consts.c1 * h0 / 80.0 ** (N6 - 4.0)
-    assert gm.bubble_scale == pytest.approx(predicted, rel=2e-3)
-    assert gm.bubble_sq_limit == pytest.approx(sobolev_energy(N6), rel=1e-8)
-
-
-def test_gram_cross_decay_rate(gram10):
-    assert -2.2 < gram10.cross_decay.slope < -1.8
-
-
-def test_gram_parity_zeros_are_exact(gram10):
-    assert gram10.bubble_translation == 0.0
-    assert gram10.scale_translation == 0.0
-
-
-def test_gram_matrix_symmetric_positive(gram10):
-    m = gram10.matrix()
-    assert np.array_equal(m, m.T)
-    assert np.linalg.eigvalsh(m).min() > 0
-
-
-def test_gram_rejects_off_center(unit_ball6):
-    a = np.zeros(N6)
-    a[0] = 0.2
-    with pytest.raises(ValueError, match="centered"):
-        gram_matrix(BubbleParams(a, 10.0, N6), unit_ball6)
-
-
-def test_gram_rejects_dimension_mismatch(unit_ball6):
-    with pytest.raises(ValueError, match="do not match"):
-        gram_matrix(BubbleParams(np.zeros(5), 10.0, 5), unit_ball6)
-
-
-def test_gram_rejects_small_scale(unit_ball6):
-    with pytest.raises(ValueError, match="at least 5"):
-        gram_matrix(centered(3.0), unit_ball6)
-
-
-def test_norm_matrix_invariants(gram10):
-    fields = {
-        "n": gram10.n, "lam": gram10.lam, "rungs": gram10.rungs,
-        "bubble_sq": gram10.bubble_sq, "scale_sq": gram10.scale_sq,
-        "translation_sq": gram10.translation_sq,
-        "bubble_scale": gram10.bubble_scale,
-        "bubble_translation": 0.0, "scale_translation": 0.0,
-        "bubble_sq_limit": gram10.bubble_sq_limit,
-        "scale_sq_limit": gram10.scale_sq_limit,
-        "translation_sq_limit": gram10.translation_sq_limit,
-        "cross_decay": gram10.cross_decay,
-    }
-    with pytest.raises(ValueError, match="positive"):
-        NormMatrix(**{**fields, "bubble_sq": -1.0})
-    big = math.sqrt(gram10.bubble_sq * gram10.scale_sq) * 1.01
-    with pytest.raises(ValueError, match="Cauchy-Schwarz"):
-        NormMatrix(**{**fields, "bubble_scale": big})
-    with pytest.raises(ValueError, match="increase"):
-        NormMatrix(**{**fields, "rungs": (10.0, 10.0)})
 
 
 # ---------------------------------------------------------------------------
@@ -359,71 +226,6 @@ def test_gap_validation(unit_ball6):
 
 
 # ---------------------------------------------------------------------------
-# algebraic balance
-
-def test_balance_root_matches_bracketing(unit_ball6):
-    consts = balance_constants(N6)
-    for eps in (0.05, 0.01, 0.002):
-        closed = balance_root(eps, unit_ball6.center, unit_ball6)
-        bracketed = brentq(
-            lambda lam: balance_residual_scale(
-                eps, unit_ball6.center, lam, unit_ball6, consts),
-            1.0, 1e4, xtol=1e-13, rtol=1e-15)
-        assert closed == pytest.approx(bracketed, rel=1e-10)
-
-
-def test_balance_root_decreases_with_offset(unit_ball6):
-    roots = [balance_root(eps, unit_ball6.center, unit_ball6)
-             for eps in (0.005, 0.01, 0.02, 0.05, 0.1)]
-    assert all(b < a for a, b in zip(roots, roots[1:]))
-
-
-def test_balance_radius_invariance(unit_ball6):
-    invariants = []
-    for radius in (1.0, 2.0, 3.7):
-        ball = BallDomain(N6, np.zeros(N6), radius)
-        root = balance_root(0.01, ball.center, ball)
-        invariants.append(0.01 * root ** (N6 - 4.0) * radius ** (N6 - 4.0))
-    assert invariants[0] == pytest.approx(invariants[1], rel=1e-8)
-    assert invariants[0] == pytest.approx(invariants[2], rel=1e-8)
-    consts = balance_constants(N6)
-    assert invariants[0] == pytest.approx(
-        consts.c1 / consts.c2 * (2.0 * N6 - 4.0) / N6, rel=1e-10)
-
-
-def test_balance_residual_sign_structure(unit_ball6):
-    root = balance_root(0.01, unit_ball6.center, unit_ball6)
-    below = balance_residual_scale(
-        0.01, unit_ball6.center, 0.5 * root, unit_ball6)
-    above = balance_residual_scale(
-        0.01, unit_ball6.center, 2.0 * root, unit_ball6)
-    assert below < 0 < above
-
-
-def test_balance_center_residual(unit_ball6):
-    at_center = balance_residual_center(
-        unit_ball6.center, 20.0, unit_ball6)
-    assert np.array_equal(at_center, np.zeros(N6))
-    station = np.zeros(N6)
-    station[0] = 0.3
-    value = balance_residual_center(station, 20.0, unit_ball6)
-    expected = robin(unit_ball6, station).grad / 20.0 ** (N6 - 3.0)
-    assert np.allclose(value, expected, rtol=0.0, atol=0.0)
-    assert value[0] > 0
-    assert np.allclose(value[1:], 0.0, atol=1e-12 * abs(value[0]))
-
-
-def test_balance_validation(unit_ball6):
-    with pytest.raises(ValueError, match="positive"):
-        balance_residual_scale(0.01, unit_ball6.center, -2.0, unit_ball6)
-    with pytest.raises(ValueError, match="positive"):
-        balance_root(0.0, unit_ball6.center, unit_ball6)
-    with pytest.raises(ValueError, match="do not match"):
-        balance_root(0.01, unit_ball6.center, unit_ball6,
-                     consts=balance_constants(5))
-
-
-# ---------------------------------------------------------------------------
 # the reduced system
 
 REDUCED_FROZEN = {
@@ -486,8 +288,7 @@ def test_reduced_balance_identity(unit_ball6, reduced_states):
     scaled = []
     for eps in REDUCED_OFFSETS:
         st = reduced_states[eps]
-        residual = balance_residual_scale(
-            eps, unit_ball6.center, st.lam, unit_ball6, consts)
+        residual = consts.c2 * eps - consts.c1 * h0 / st.lam ** (N6 - 4.0)
         identity = -consts.c2 * eps * (
             2.0 * math.sqrt(h0) * st.rho + h0 * st.rho ** 2)
         assert residual == pytest.approx(identity, rel=1e-9)
@@ -644,6 +445,22 @@ def test_obstruction_contrast_roots(obstruction):
 
 def test_obstruction_boundary_growth(obstruction):
     assert -2.15 < obstruction.boundary_growth.slope < -1.85
+
+
+def test_balance_radius_invariance():
+    # the closed-form root of the leading-order scale balance, as the
+    # obstruction scan records it, scales with the radius
+    invariants = []
+    for radius in (1.0, 2.0, 3.7):
+        ball = BallDomain(N6, np.zeros(N6), radius)
+        entry = supercritical_obstruction([0.01], ball).entries[0]
+        root = entry.subcritical_root_closed
+        invariants.append(0.01 * root ** (N6 - 4.0) * radius ** (N6 - 4.0))
+    assert invariants[0] == pytest.approx(invariants[1], rel=1e-8)
+    assert invariants[0] == pytest.approx(invariants[2], rel=1e-8)
+    consts = balance_constants(N6)
+    assert invariants[0] == pytest.approx(
+        consts.c1 / consts.c2 * (2.0 * N6 - 4.0) / N6, rel=1e-10)
 
 
 def test_obstruction_no_sign_change_for_large_offset(unit_ball6):

@@ -278,7 +278,10 @@ def test_sobolev_quotient_reports_hypothesis(subcritical_sweep):
     # the ratio ||u||^2 / |u|^2_{q+1} should drift down toward the best
     # Sobolev constant; a numeric check, not a proof
     S = sobolev_energy(N6) ** (2.0 / 3.0)
-    quotients = [s.sobolev_quotient() for s in subcritical_sweep]
+    p = critical_exponent(N6)
+    quotients = [s.energy_norm_sq()
+                 / s.nonlinear_mass() ** (2.0 / (p + s.eps + 1))
+                 for s in subcritical_sweep]
     assert all(b < a for a, b in zip(quotients, quotients[1:]))
     assert abs(quotients[-1] / S - 1.0) < 0.01
 
