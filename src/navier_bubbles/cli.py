@@ -408,8 +408,43 @@ def _sweep_rows(n, solutions, decomps, consts):
             _cell(ratio), PROV_SOLVER,
             _cell(int(sol.newton_iters)), PROV_SOLVER,
             _cell(float(sol.residual)), PROV_SOLVER,
+            sol.attempts[-1].start,
+            _cell(_bisection_depth(sol)), PROV_SOLVER,
         ])
     return rows
+
+
+def _bisection_depth(sol):
+    return max(a.depth for a in sol.attempts)
+
+
+def _solver_trace(solutions):
+    """Every Newton attempt of the sweep, failed candidates included,
+    with the scaled residual and damping of each iterate. Deterministic:
+    no timings."""
+    offsets = []
+    for sol in solutions:
+        attempts = []
+        for a in sol.attempts:
+            iterations = [{"residual": _pv(res, PROV_SOLVER),
+                           "damping": None if t is None
+                           else _pv(t, PROV_SOLVER)}
+                          for res, t in zip(a.residuals, a.damping + (None,))]
+            attempts.append({"eps": _pv(abs(a.eps), PROV_FORMULA),
+                             "start": a.start, "depth": a.depth,
+                             "exit": a.exit,
+                             "newton_iters": len(a.damping),
+                             "iterations": iterations})
+        offsets.append({"eps": _pv(abs(float(sol.eps)), PROV_FORMULA),
+                        "predictor": sol.attempts[-1].start,
+                        "bisection_depth": _bisection_depth(sol),
+                        "attempts": attempts})
+    return {
+        "newton_iters": sum(a["newton_iters"] for o in offsets
+                            for a in o["attempts"]),
+        "max_bisection_depth": max(o["bisection_depth"] for o in offsets),
+        "offsets": offsets,
+    }
 
 
 _SWEEP_HEADER = [
@@ -423,6 +458,8 @@ _SWEEP_HEADER = [
     "peak_scale_ratio", "peak_scale_ratio_provenance",
     "newton_iters", "newton_iters_provenance",
     "residual", "residual_provenance",
+    "predictor",
+    "bisection_depth", "bisection_depth_provenance",
 ]
 
 
@@ -548,6 +585,7 @@ def cmd_verify_blowup(config, out_dir, stream=None):
         "convention": verdict.convention,
         "checks": checks,
         "remainder": remainder,
+        "solver_trace": _solver_trace(solutions),
         "passed": passed,
     }
     _write_json(os.path.join(out_dir, "report.json"), report)

@@ -9,7 +9,8 @@ for radial profiles u(r), w(r). The exponent is q = p + eps with
 p = (n+4)/(n-4); eps < 0 is the subcritical branch, eps > 0 the
 supercritical one. This module discretizes the radial Laplacian in
 conservative flux form on a graded grid, solves the system by damped
-Newton, and continues solutions in eps with warm starts.
+Newton, and continues solutions in eps from secant-predicted warm
+starts.
 
 The flux discretization is chosen for its summation-by-parts structure:
 the discrete Laplacian is self-adjoint in the cell-volume inner product
@@ -35,7 +36,7 @@ exponent p + eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
@@ -70,7 +71,8 @@ CONCENTRATION_LAMBDA_D = 20.0
 
 
 class SolverDivergence(RuntimeError):
-    """Newton failed; carries the last accepted iterate in .last."""
+    """Newton failed; carries the last accepted iterate in .last, whose
+    attempts record the failed solve."""
 
     def __init__(self, message, last=None):
         super().__init__(message)
@@ -104,13 +106,39 @@ class BubbleGuess:
 
 
 @dataclass(frozen=True)
+class NewtonAttempt:
+    """One damped Newton solve as a run's solver trace records it.
+
+    start names the initial iterate: "cold" (bubble guess at the cold
+    scale), "secant", "law" or "raw" for the continuation predictors
+    (see continuation_sweep), "guess", "solution" or "fields" for the
+    three kinds of init solve_radial accepts. depth is the bisection
+    depth of the continuation step the attempt served. residuals[k] is
+    the scaled residual at iterate k, the last entry at the returned
+    iterate; damping[k] is the factor of the step taken from iterate k,
+    so len(damping) steps were taken. exit is the Newton exit:
+    "converged", "cap", "line search", "singular step" or "collapsed".
+    """
+
+    eps: float
+    start: str
+    depth: int
+    residuals: tuple
+    damping: tuple
+    exit: str
+
+
+@dataclass(frozen=True)
 class RadialSolution:
     """A converged (or declared-as-is) iterate of the two-field system.
 
     eps is stored with its sign: negative offsets are subcritical.
     residual is the scaled max-norm backward error actually achieved and
     must not exceed the declared tolerance; M duplicates u[0] for
-    the sweep tables and bookkeeping.
+    the sweep tables and bookkeeping. attempts holds the Newton solves
+    that produced the solution, failed ones first: one for solve_radial,
+    every candidate of the step (bisection halves included) for a
+    continuation_sweep entry.
     """
 
     grid: RadialGrid
@@ -121,6 +149,7 @@ class RadialSolution:
     residual: float
     newton_iters: int
     tolerance: float = 1e-10
+    attempts: tuple = ()
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -368,17 +397,57 @@ class _Discretization:
         return ab
 
 
+def _scaled_residual(disc, q, u, w):
+    """Residual rows, their equilibration scales and the scaled max-norm."""
+    Fu, Fw = disc.residual(u, w, q)
+    su, sw = disc.scales(u, w, q)
+    return Fu, Fw, su, sw, max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
+
+
+def _newton_step(disc, q, u, w, Fu, Fw, su, sw):
+    """The full Newton step (du, dw) at (u, w), or None when the banded
+    solve hits a zero pivot or the step is not finite."""
+    cu = max(np.abs(u).max(), 1e-30)
+    cw = max(np.abs(w).max(), 1e-30)
+    ab = disc.jacobian_band(u, q, su, sw, cu, cw)
+    rhs = np.empty(ab.shape[1])
+    rhs[0::2] = -Fu / su
+    rhs[1::2] = -Fw / sw
+    if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
+        return None
+    try:
+        y = solve_banded((2, 2), ab, rhs, check_finite=False)
+    except LinAlgError:
+        return None
+    if not np.all(np.isfinite(y)):
+        return None
+    return cu * y[0::2], cw * y[1::2]
+
+
 def _newton(disc, q, u, w, tol, max_iter):
     """Damped Newton on the scaled two-field residual.
 
-    Returns (u, w, iterations, scaled residual, exit) with exit one of
-    "converged", "cap" (max_iter steps taken without reaching tol),
-    "line search" (no damping factor gave a positive iterate with an
-    Armijo decrease) or "singular step" (the banded solve hit a zero
-    pivot or produced a non-finite step). The line search demands
-    interior positivity of u and a fixed-scale Armijo decrease; there is
-    no projection, so a step that cannot keep u positive while
-    decreasing the residual fails the solve honestly.
+    Returns (u, w, history, exit). history holds one (scaled residual,
+    damping) pair per iterate visited, the damping being the factor of
+    the step taken from that iterate and None at the returned one, so
+    len(history) - 1 steps were taken. exit is one of "converged",
+    "cap" (max_iter steps taken without reaching tol), "line search"
+    (no damping factor gave a positive iterate with an Armijo decrease)
+    or "singular step" (the banded solve hit a zero pivot or produced a
+    non-finite step). The line search demands interior positivity of u
+    and a fixed-scale Armijo decrease; there is no projection, so a step
+    that cannot keep u positive while decreasing the residual fails the
+    solve honestly.
+
+    Exit rule: once the scaled residual is below tol, one more full
+    Newton step is taken and the solve returns. The step is kept if u
+    stays positive in the interior and the scaled residual does not
+    rise; otherwise the iterate before it is returned, still converged.
+    A residual below tol alone admits a band of iterates around the
+    discrete solution (in the scale direction, a near-kernel of the
+    linearization as eps -> 0, peak heights up to a few 1e-6 apart);
+    the extra step, quadratically convergent from there, pins the one
+    discrete solution whatever route reached the band.
 
     Each step solves the interleaved pentadiagonal system of
     _Discretization.jacobian_band with LAPACK gbsv (partial pivoting).
@@ -387,28 +456,30 @@ def _newton(disc, q, u, w, tol, max_iter):
     """
     u = np.array(u, dtype=float)
     w = np.array(w, dtype=float)
-    for it in range(max_iter):
-        Fu, Fw = disc.residual(u, w, q)
-        su, sw = disc.scales(u, w, q)
-        res = max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
+    history = []
+    for it in range(max_iter + 1):
+        Fu, Fw, su, sw, res = _scaled_residual(disc, q, u, w)
         if res < tol:
-            return u, w, it, res, "converged"
-        cu = max(np.abs(u).max(), 1e-30)
-        cw = max(np.abs(w).max(), 1e-30)
-        ab = disc.jacobian_band(u, q, su, sw, cu, cw)
-        rhs = np.empty(ab.shape[1])
-        rhs[0::2] = -Fu / su
-        rhs[1::2] = -Fw / sw
-        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
-            return u, w, it, res, "singular step"
-        try:
-            y = solve_banded((2, 2), ab, rhs, check_finite=False)
-        except LinAlgError:
-            return u, w, it, res, "singular step"
-        if not np.all(np.isfinite(y)):
-            return u, w, it, res, "singular step"
-        du = cu * y[0::2]
-        dw = cw * y[1::2]
+            step = _newton_step(disc, q, u, w, Fu, Fw, su, sw)
+            if step is not None:
+                ut = u + step[0]
+                wt = w + step[1]
+                if ut[:-1].min() > 0:
+                    res_t = _scaled_residual(disc, q, ut, wt)[4]
+                    if res_t <= res:
+                        history.append((res, 1.0))
+                        history.append((res_t, None))
+                        return ut, wt, history, "converged"
+            history.append((res, None))
+            return u, w, history, "converged"
+        if it == max_iter:
+            history.append((res, None))
+            return u, w, history, "cap"
+        step = _newton_step(disc, q, u, w, Fu, Fw, su, sw)
+        if step is None:
+            history.append((res, None))
+            return u, w, history, "singular step"
+        du, dw = step
         m0 = np.sum((Fu / su) ** 2) + np.sum((Fw / sw) ** 2)
         t = 1.0
         accepted = False
@@ -423,12 +494,10 @@ def _newton(disc, q, u, w, tol, max_iter):
                     break
             t /= 2
         if not accepted:
-            return u, w, it, res, "line search"
+            history.append((res, None))
+            return u, w, history, "line search"
+        history.append((res, t))
         u, w = ut, wt
-    Fu, Fw = disc.residual(u, w, q)
-    su, sw = disc.scales(u, w, q)
-    res = max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
-    return u, w, max_iter, res, "converged" if res < tol else "cap"
 
 
 def _bubble_fields(grid, lam, amplitude=1.0):
@@ -474,9 +543,11 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     init may be a BubbleGuess (fields built from the projected bubble),
     a RadialSolution (its fields are reused, interpolated if the grid
     differs), or a pair of sample arrays matching the grid. The Newton
-    iteration targets a scaled residual of tol/10 and the returned
-    solution declares tol, so round-off level drift cannot invalidate
-    the object later.
+    iteration targets a scaled residual of tol/10, then takes the one
+    full exit step described in _newton; the returned solution declares
+    tol, so round-off level drift cannot invalidate the object later.
+    Its attempts hold the solve's Newton record, with start "guess",
+    "solution" or "fields" after the kind of init.
 
     Raises SolverDivergence when the iteration cap is reached, the line
     search stalls, a Newton step is singular or non-finite, or the
@@ -495,8 +566,10 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     _check_eps_floor(abs(eps), grid)
 
     if isinstance(init, BubbleGuess):
+        start = "guess"
         u0, w0 = _bubble_fields(grid, init.lam, init.amplitude)
     elif isinstance(init, RadialSolution):
+        start = "solution"
         if init.grid is grid or np.array_equal(init.grid.nodes, grid.nodes):
             u0, w0 = init.u.copy(), init.w.copy()
         else:
@@ -505,6 +578,7 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
             u0[-1] = 0.0
             w0[-1] = 0.0
     else:
+        start = "fields"
         u0, w0 = (np.array(f, dtype=float) for f in init)
         if u0.shape != (len(grid),) or w0.shape != (len(grid),):
             raise ValueError("init samples must match the grid")
@@ -513,17 +587,26 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
 
     disc = _Discretization(grid)
     q = p + eps
-    u, w, iters, res, exit_ = _newton(disc, q, u0, w0, tol / 10.0, max_iter)
+    u, w, history, exit_ = _newton(disc, q, u0, w0, tol / 10.0, max_iter)
+    iters = len(history) - 1
+    res = history[-1][0]
     m0 = float(np.max(np.abs(u0)))
-    collapsed = float(np.max(np.abs(u))) < 1e-6 * m0
-    if exit_ != "converged" or collapsed:
-        u[-1] = 0.0
-        w[-1] = 0.0
+    if float(np.max(np.abs(u))) < 1e-6 * m0:
+        exit_ = "collapsed"
+    attempt = NewtonAttempt(
+        eps=float(eps), start=start, depth=0,
+        residuals=tuple(float(r) for r, _ in history),
+        damping=tuple(float(t) for _, t in history[:-1]), exit=exit_,
+    )
+    u[-1] = 0.0
+    w[-1] = 0.0
+    if exit_ != "converged":
         last = RadialSolution(
             grid=grid, u=u, w=w, eps=eps, M=float(u[0]), residual=float(res),
             newton_iters=iters, tolerance=max(float(res), tol),
+            attempts=(attempt,),
         )
-        if collapsed:
+        if exit_ == "collapsed":
             reason = "iterates collapsed onto the trivial zero branch"
         elif exit_ == "cap":
             reason = ("iteration cap %d reached at scaled residual %.2e"
@@ -536,25 +619,42 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
                       "step at iteration %d, scaled residual %.2e"
                       % (iters, res))
         raise SolverDivergence(reason, last=last)
-    u[-1] = 0.0
-    w[-1] = 0.0
     return RadialSolution(
         grid=grid, u=u, w=w, eps=eps, M=float(u[0]), residual=float(res),
-        newton_iters=iters, tolerance=tol,
+        newton_iters=iters, tolerance=tol, attempts=(attempt,),
     )
 
 
 def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
     """Subcritical continuation: solve at each positive offset in
     eps_list (strictly decreasing, first entry at least 0.3) and warm
-    start each solve from the previous solution.
+    start each solve from the previous solutions.
 
-    Two warm starts are tried per step: the previous fields rebuilt as a
-    bubble guess with the concentration advanced by the blow-up law, and
-    the raw previous fields. If both fail the step is split at the
-    geometric midpoint and retried, recursively. The first offset that
-    cannot be reached aborts the sweep; the exception carries the
+    The first offset is a cold start from a bubble guess. Each later
+    step tries up to three predictors, in order:
+
+      secant  log M extrapolated linearly in log eps from the last two
+              converged points, and the guess rebuilt as the projected
+              bubble at the law's scale lam(M) = c0^{2/(4-n)}
+              M^{(p-1-eps)/4}, scaled so that u(0) is the predicted M;
+      law     the previous peak and scale both advanced by the factor
+              sqrt(eps_prev / eps), the blow-up law's rate at n = 6;
+      raw     the previous fields as they are.
+
+    The first step has only one previous point and starts at the law
+    guess. The secant follows the branch through the scale direction,
+    which becomes a near-kernel of the linearization as eps -> 0 and
+    narrows Newton's basin along it; the law guess lands a percent or
+    two off in M there and damped Newton creeps along the flat valley
+    to its iteration cap. If every predictor fails the step is split at
+    the geometric midpoint and retried, recursively. The first offset
+    that cannot be reached aborts the sweep; the exception carries the
     solutions already obtained.
+
+    Every returned solution carries in .attempts the Newton record of
+    each solve its step made, failed candidates and bisection halves
+    included, with start naming the predictor and depth the bisection
+    depth; the last attempt is the one that produced it.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 1:
@@ -574,44 +674,70 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
 
     n = domain.n
     p = critical_exponent(n)
-    out = []
-    e0 = eps_arr[0]
-    try:
-        sol = solve_radial(-e0, domain, BubbleGuess(lam=_cold_lambda(e0, domain.radius)),
-                           grid=grid, tol=tol)
-    except SolverDivergence as exc:
-        raise ContinuationError(
-            "cold start at offset %g failed: %s" % (e0, exc), partial=[]
-        ) from exc
-    out.append(sol)
 
-    def advance(prev, e_prev, e_tgt, depth):
-        lam_prev = c0(n) ** (2.0 / (4 - n)) * prev.M ** ((p - 1 - e_prev) / 4.0)
-        lam_g = lam_prev * math.sqrt(e_prev / e_tgt)
+    def law_lambda(M, e):
+        return c0(n) ** (2.0 / (4 - n)) * M ** ((p - 1 - e) / 4.0)
+
+    def attempt(e, start, init, depth, log):
+        # one solve at offset e; its Newton record joins log either way
+        try:
+            sol = solve_radial(-e, domain, init, grid=grid, tol=tol)
+        except SolverDivergence as exc:
+            log.append(replace(exc.last.attempts[0], start=start,
+                               depth=depth))
+            raise
+        log.append(replace(sol.attempts[0], start=start, depth=depth))
+        return sol
+
+    def predictors(prev, before, e_tgt):
+        e_prev = abs(prev.eps)
+        if before is not None:
+            slope = (math.log(prev.M / before.M)
+                     / math.log(e_prev / abs(before.eps)))
+            M_pred = prev.M * (e_tgt / e_prev) ** slope
+            ug, wg = _bubble_fields(grid, law_lambda(M_pred, e_tgt))
+            amp = M_pred / ug[0]
+            yield "secant", (amp * ug, amp * wg)
+        lam_g = law_lambda(prev.M, e_prev) * math.sqrt(e_prev / e_tgt)
         ug, wg = _bubble_fields(grid, lam_g)
         amp = prev.M * math.sqrt(e_prev / e_tgt) / ug[0]
-        candidates = [(amp * ug, amp * wg), prev]
-        for cand in candidates:
+        yield "law", (amp * ug, amp * wg)
+        yield "raw", prev
+
+    def advance(prev, before, e_tgt, depth, log):
+        for start, init in predictors(prev, before, e_tgt):
             try:
-                return solve_radial(-e_tgt, domain, cand, grid=grid, tol=tol)
+                return attempt(e_tgt, start, init, depth, log)
             except SolverDivergence:
                 continue
         if depth >= 12:
             raise SolverDivergence(
                 "continuation bisection exhausted at offset %g" % e_tgt
             )
-        mid = math.sqrt(e_prev * e_tgt)
-        half = advance(prev, e_prev, mid, depth + 1)
-        return advance(half, mid, e_tgt, depth + 1)
+        mid = math.sqrt(abs(prev.eps) * e_tgt)
+        half = advance(prev, before, mid, depth + 1, log)
+        return advance(half, prev, e_tgt, depth + 1, log)
 
+    e0 = eps_arr[0]
+    log = []
+    try:
+        sol = attempt(e0, "cold",
+                      BubbleGuess(lam=_cold_lambda(e0, domain.radius)), 0, log)
+    except SolverDivergence as exc:
+        raise ContinuationError(
+            "cold start at offset %g failed: %s" % (e0, exc), partial=[]
+        ) from exc
+    out = [replace(sol, attempts=tuple(log))]
     for e_tgt in eps_arr[1:]:
+        log = []
+        before = out[-2] if len(out) > 1 else None
         try:
-            sol = advance(sol, abs(out[-1].eps), e_tgt, 0)
+            sol = advance(out[-1], before, e_tgt, 0, log)
         except SolverDivergence as exc:
             raise ContinuationError(
                 "sweep aborted at offset %g: %s" % (e_tgt, exc), partial=out
             ) from exc
-        out.append(sol)
+        out.append(replace(sol, attempts=tuple(log)))
     return out
 
 
@@ -650,17 +776,14 @@ def decompose(sol, domain):
     wts = _cell_weights(grid)
     w = sol.w
 
-    def lap_pd(lam):
-        return _projected_profile_laplacian(n, lam, r, R)
-
-    def alpha_at(lam):
-        lp = lap_pd(lam)
-        return float(np.sum(wts * w * lp) / np.sum(wts * lp * lp))
+    def profile(lam):
+        # the profile's Laplacian at lam and the amplitude eliminated
+        # against it
+        lp = _projected_profile_laplacian(n, lam, r, R)
+        return lp, float(np.sum(wts * w * lp) / np.sum(wts * lp * lp))
 
     def objective(loglam):
-        lam = math.exp(loglam)
-        al = alpha_at(lam)
-        lp = lap_pd(lam)
+        lp, al = profile(math.exp(loglam))
         return float(np.sum(wts * (w - al * lp) ** 2))
 
     lam_seed = c0(n) ** (2.0 / (4 - n)) * sol.M ** (
@@ -681,8 +804,7 @@ def decompose(sol, domain):
         # d/d(log lam) of the objective, up to the factor -2 alpha:
         # the inner product of the remainder with the scale direction.
         lam = math.exp(loglam)
-        al = alpha_at(lam)
-        lp = lap_pd(lam)
+        lp, al = profile(lam)
         ds = _projected_scale_derivative_laplacian(n, lam, r, R)
         return float(np.sum(wts * (w - al * lp) * ds))
 
@@ -699,10 +821,9 @@ def decompose(sol, domain):
         g1 = stationarity(x1)
 
     lam = math.exp(x1)
-    alpha = alpha_at(lam)
+    lp, alpha = profile(lam)
     if not alpha > 0:
         raise RuntimeError("minimization returned a nonpositive amplitude")
-    lp = lap_pd(lam)
     v = w - alpha * lp
     v_norm = float(np.sqrt(np.sum(wts * v * v)))
     ds = _projected_scale_derivative_laplacian(n, lam, r, R)

@@ -352,6 +352,34 @@ def test_verify_blowup_sweep_table(vb_run):
             assert tag in PROVENANCE_VOCAB
 
 
+def test_verify_blowup_solver_trace(vb_run):
+    _, out = vb_run
+    header, rows = read_csv(out / "sweep.csv")
+    predictors = [r[header.index("predictor")] for r in rows]
+    assert predictors == ["cold", "law"] + ["secant"] * 5
+    assert all(r[header.index("bisection_depth")] == "0" for r in rows)
+    trace = json.loads((out / "report.json").read_text())["solver_trace"]
+    assert trace["max_bisection_depth"] == 0
+    assert trace["newton_iters"] <= 40
+    assert [o["predictor"] for o in trace["offsets"]] == predictors
+    total = 0
+    for offset, row in zip(trace["offsets"], rows):
+        assert offset["eps"]["value"] == float(row[header.index("eps")])
+        winner = offset["attempts"][-1]
+        assert winner["exit"] == "converged"
+        assert winner["newton_iters"] == int(row[header.index("newton_iters")])
+        for attempt in offset["attempts"]:
+            steps = attempt["iterations"]
+            assert len(steps) == attempt["newton_iters"] + 1
+            assert steps[-1]["damping"] is None
+            for step in steps:
+                assert step["residual"]["provenance"] == "solver"
+            total += attempt["newton_iters"]
+        assert steps[-1]["residual"]["value"] == float(
+            row[header.index("residual")])
+    assert total == trace["newton_iters"]
+
+
 def test_verify_blowup_config_echo(vb_run):
     _, out = vb_run
     config = RunConfig.from_json(out / "config.json")

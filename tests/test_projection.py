@@ -256,10 +256,7 @@ def test_closed_form_deficit_matches_zonal_oracle(n, lam):
     # the closed form against the general zonal solve, which knows
     # nothing of the center: value and Laplacian pointwise on stations
     # across [0, R], and both norms against the oracle's ball integrals.
-    # At n = 7 and 8 the oracle's Gauss-Jacobi projection of the constant
-    # traces leaves round-off in 20 to 40 higher modes (about 5e-13), so
-    # there the bound is the oracle's own truncation budget of 1e-11.
-    tol = 1e-13 if n <= 6 else 1e-11
+    tol = 1e-13
     R = 1.3
     dom = BallDomain(n=n, center=np.zeros(n), radius=R)
     p = centered(n, lam)

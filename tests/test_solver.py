@@ -383,6 +383,115 @@ def test_singular_banded_step_fails_with_last_iterate(unit_ball6,
 
 
 # ---------------------------------------------------------------------------
+# continuation predictors and the pinned Newton exit
+
+FINE_OFFSETS = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.003, 0.002)
+
+
+def total_newton_iters(sweep):
+    """Newton steps over every attempt of a sweep, failed ones included."""
+    return sum(len(a.damping) for sol in sweep for a in sol.attempts)
+
+
+@pytest.fixture(scope="module")
+def forced_jump(unit_ball6):
+    # 0.1 -> 0.005 in one step: no predictor reaches it, so the step
+    # runs through every fallback down to bisection
+    return continuation_sweep([0.3, 0.1, 0.005], unit_ball6)
+
+
+def full_newton_steps(sol, steps):
+    """The peak after undamped Newton steps from a solution, built from
+    the Jacobian band and LAPACK directly rather than the solver loop."""
+    disc = _Discretization(sol.grid)
+    q = P6 + sol.eps
+    u, w = sol.u.copy(), sol.w.copy()
+    for _ in range(steps):
+        Fu, Fw = disc.residual(u, w, q)
+        su, sw = disc.scales(u, w, q)
+        cu, cw = np.abs(u).max(), np.abs(w).max()
+        rhs = np.empty(2 * u.size)
+        rhs[0::2] = -Fu / su
+        rhs[1::2] = -Fw / sw
+        y = solve_banded((2, 2), disc.jacobian_band(u, q, su, sw, cu, cw),
+                         rhs)
+        u = u + cu * y[0::2]
+        w = w + cw * y[1::2]
+    return u[0]
+
+
+def test_default_sweep_predicts_without_bisection(subcritical_sweep):
+    # measured 37 Newton iterations; the law guess alone spent 103, 60
+    # of them in the two warm starts capped at 0.05 -> 0.02
+    assert total_newton_iters(subcritical_sweep) <= 40
+    assert all(a.depth == 0 for sol in subcritical_sweep
+               for a in sol.attempts)
+    starts = [sol.attempts[-1].start for sol in subcritical_sweep]
+    assert starts == ["cold", "law"] + ["secant"] * (len(starts) - 2)
+
+
+def test_fine_schedule_predicts_without_bisection(unit_ball6):
+    sweep = continuation_sweep(list(FINE_OFFSETS), unit_ball6,
+                               grid=default_grid(unit_ball6, nodes=8192))
+    assert total_newton_iters(sweep) <= 45  # measured 43
+    assert all(a.depth == 0 for sol in sweep for a in sol.attempts)
+    assert all(sol.attempts[-1].start == "secant" for sol in sweep[2:])
+
+
+def test_forced_jump_reaches_every_fallback(forced_jump, subcritical_sweep):
+    step = forced_jump[-1].attempts
+    assert [(a.start, a.depth) for a in step] == [
+        ("secant", 0), ("law", 0), ("raw", 0), ("secant", 1), ("secant", 1)]
+    assert [a.exit for a in step[:3]] == ["cap"] * 3
+    assert all(len(a.damping) == 30 for a in step[:3])
+    assert abs(step[3].eps) == pytest.approx(math.sqrt(0.1 * 0.005))
+    assert step[-1].exit == "converged" and step[-1].eps == -0.005
+    # the pinned exit makes the solution independent of its route
+    assert math.isclose(forced_jump[-1].M, subcritical_sweep[-1].M,
+                        rel_tol=1e-9)
+
+
+def test_attempt_record_matches_the_solve(subcritical_sweep):
+    for sol in subcritical_sweep:
+        last = sol.attempts[-1]
+        assert last.eps == sol.eps and last.exit == "converged"
+        assert len(last.damping) == sol.newton_iters
+        assert len(last.residuals) == sol.newton_iters + 1
+        assert last.residuals[-1] == sol.residual
+        assert all(0 < t <= 1 for t in last.damping)
+        # the exit step is a full step from below target
+        assert last.damping[-1] == 1.0
+        assert last.residuals[-2] < sol.tolerance / 10
+
+
+def test_converged_solutions_are_pinned(unit_ball6, subcritical_sweep,
+                                        forced_jump, easy_solution):
+    # a scaled residual below target alone admits peaks up to 1.5e-6
+    # apart on this grid; the exit's extra full step pins the discrete
+    # solution, so further Newton steps only move round-off
+    cold = solve_radial(-0.3, unit_ball6,
+                        BubbleGuess(lam=math.sqrt(20 / 0.3)))
+    for sol in (*subcritical_sweep, *forced_jump, easy_solution, cold):
+        assert abs(full_newton_steps(sol, 3) / sol.M - 1.0) <= 1e-9
+
+
+def test_exit_step_failure_returns_the_converged_iterate(
+        unit_ball6, subcritical_sweep, monkeypatch):
+    # started at a solution the residual is already below target; a
+    # failed exit step must return that iterate, never a failure
+    def bad_solve(*args, **kwargs):
+        raise LinAlgError("singular matrix")
+
+    monkeypatch.setattr(solver_module, "solve_banded", bad_solve)
+    sol = subcritical_sweep[3]
+    again = solve_radial(sol.eps, unit_ball6, sol)
+    assert again.newton_iters == 0
+    assert np.array_equal(again.u, sol.u)
+    assert again.attempts[0].exit == "converged"
+    assert again.attempts[0].start == "solution"
+
+
+# ---------------------------------------------------------------------------
 # banded Newton core
 
 

@@ -157,6 +157,11 @@ def _gegenbauer_norms(nu, J):
                   - np.log(k + nu) - 2 * gammaln(nu))
 
 
+# Gegenbauer amplitudes below this fraction of the data sup are
+# projection round-off, not signal
+ROUNDOFF_FLOOR = 64 * np.finfo(float).eps
+
+
 def _project_zonal_data(n, fn, budget_rel=1e-11):
     """Gegenbauer amplitudes of a smooth zonal function on the sphere.
 
@@ -164,6 +169,11 @@ def _project_zonal_data(n, fn, budget_rel=1e-11):
     doubles the quadrature and mode count until the worst-case truncated
     tail (coefficient times C_k(1)) is below budget_rel of the data sup,
     then drops the trailing negligible modes.
+
+    Coefficients below ROUNDOFF_FLOOR of the data sup are zeroed first:
+    the projection leaves round-off near 3e-16 of the data in every mode
+    (measured at n = 7, 8), and weighted by C_k(1) ~ k^(n-3) that noise
+    would otherwise pass the tail test as 20 to 40 spurious modes.
     """
     nu = (n - 2) / 2.0
     jac = 0.5 * (n - 3)
@@ -173,8 +183,10 @@ def _project_zonal_data(n, fn, budget_rel=1e-11):
         vals = fn(nodes)
         C = _gegenbauer_matrix(nodes, nu, modes)
         coeffs = (C @ (weights * vals)) / _gegenbauer_norms(nu, modes)
+        scale = float(np.max(np.abs(vals)))
+        coeffs[np.abs(coeffs) < ROUNDOFF_FLOOR * scale] = 0.0
         weight = np.abs(coeffs) * _gegenbauer_at_one(nu, modes)
-        budget = budget_rel * float(np.max(np.abs(vals)))
+        budget = budget_rel * scale
         suffix = np.cumsum(weight[::-1])[::-1]
         if suffix[int(0.85 * modes)] > budget:
             continue
