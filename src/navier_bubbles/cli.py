@@ -55,9 +55,9 @@ from .bubble import (BubbleParams, balance_constants, sobolev_constant,
 from .green_robin import BallDomain, boundary_blowup_fit, robin
 from .projection import expansion_orders
 from .reduction import blowup_verdict, supercritical_obstruction
-from .solver import (ContinuationError, SolverDivergence,
-                     concentration_checks, continuation_sweep, decompose,
-                     default_grid, supercritical_probe, vnorm_diagnostics)
+
+# the solver (and with it scipy.linalg) is imported only by the commands
+# that solve, so constants, robin and expansion-orders load no scipy
 
 SCHEMA_PREFIX = "navier-bubbles"
 SCHEMA_VERSION = 1
@@ -418,27 +418,31 @@ def _bisection_depth(sol):
     return max(a.depth for a in sol.attempts)
 
 
+def _trace_offset(eps, attempts):
+    """One offset of a solver trace: its Newton attempts, failed
+    candidates included, with the scaled residual and damping of each
+    iterate. The predictor is the start of the last attempt if it
+    converged, else None. Deterministic: no timings."""
+    records = []
+    for a in attempts:
+        iterations = [{"residual": _pv(res, PROV_SOLVER),
+                       "damping": None if t is None else _pv(t, PROV_SOLVER)}
+                      for res, t in zip(a.residuals, a.damping + (None,))]
+        records.append({"eps": _pv(abs(a.eps), PROV_FORMULA),
+                        "start": a.start, "depth": a.depth, "exit": a.exit,
+                        "newton_iters": len(a.damping),
+                        "iterations": iterations})
+    last = attempts[-1]
+    return {"eps": _pv(eps, PROV_FORMULA),
+            "predictor": last.start if last.exit == "converged" else None,
+            "bisection_depth": max(a.depth for a in attempts),
+            "attempts": records}
+
+
 def _solver_trace(solutions):
-    """Every Newton attempt of the sweep, failed candidates included,
-    with the scaled residual and damping of each iterate. Deterministic:
-    no timings."""
-    offsets = []
-    for sol in solutions:
-        attempts = []
-        for a in sol.attempts:
-            iterations = [{"residual": _pv(res, PROV_SOLVER),
-                           "damping": None if t is None
-                           else _pv(t, PROV_SOLVER)}
-                          for res, t in zip(a.residuals, a.damping + (None,))]
-            attempts.append({"eps": _pv(abs(a.eps), PROV_FORMULA),
-                             "start": a.start, "depth": a.depth,
-                             "exit": a.exit,
-                             "newton_iters": len(a.damping),
-                             "iterations": iterations})
-        offsets.append({"eps": _pv(abs(float(sol.eps)), PROV_FORMULA),
-                        "predictor": sol.attempts[-1].start,
-                        "bisection_depth": _bisection_depth(sol),
-                        "attempts": attempts})
+    """Every Newton attempt of the sweep, offset by offset."""
+    offsets = [_trace_offset(abs(float(sol.eps)), sol.attempts)
+               for sol in solutions]
     return {
         "newton_iters": sum(a["newton_iters"] for o in offsets
                             for a in o["attempts"]),
@@ -463,16 +467,22 @@ _SWEEP_HEADER = [
 ]
 
 
-def _persist_failure(out_dir, stage, error, completed):
+def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
+    """failure.json; failed_offset is the solver-trace record of the
+    offset a sweep could not reach, None when no solve of it ran."""
     _write_json(os.path.join(out_dir, "failure.json"), {
         "schema": _schema("failure"),
         "stage": stage,
         "error": str(error),
         "completed": completed,
+        "failed_offset": failed_offset,
     })
 
 
 def cmd_verify_blowup(config, out_dir, stream=None):
+    from .solver import (ContinuationError, SolverDivergence,
+                         continuation_sweep, decompose, default_grid,
+                         vnorm_diagnostics)
     stream = stream or sys.stdout
     if len(config.eps_schedule) < 4:
         raise CliError("the blow-up verdict extrapolates over a tail of "
@@ -495,7 +505,8 @@ def cmd_verify_blowup(config, out_dir, stream=None):
         decs = [decompose(s, domain) for s in partial]
         _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_HEADER,
                    _sweep_rows(config.n, partial, decs, consts))
-        _persist_failure(out_dir, "sweep", exc, len(partial))
+        _persist_failure(out_dir, "sweep", exc, len(partial), _trace_offset(
+            config.eps_schedule[len(partial)], exc.attempts))
         print("sweep failed after %d offsets: %s" % (len(partial), exc),
               file=sys.stderr)
         return 3
@@ -643,6 +654,8 @@ def _contrast_section(eps_list, domain, grid, tol):
     attempts. Errors are recorded, not raised. The continuation solver
     is calibrated for dimension 6, so other dimensions skip this
     section rather than fail it."""
+    from .solver import (ContinuationError, SolverDivergence,
+                         concentration_checks, continuation_sweep, decompose)
     if domain.n != 6:
         return {"skipped": "the subcritical contrast rides the "
                            "dimension-6 continuation solver"}
@@ -675,6 +688,7 @@ def _contrast_section(eps_list, domain, grid, tol):
 
 def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
                       stream=None):
+    from .solver import default_grid, supercritical_probe
     stream = stream or sys.stdout
     if config.n not in (5, 6):
         raise CliError("the supercritical paths support dimensions 5 "

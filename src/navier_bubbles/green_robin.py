@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .numerics import SlopeFit, fit_loglog
 
@@ -102,9 +101,10 @@ def _terms_needed(ratio, power):
 
 
 def _gegenbauer_at_one(nu, J):
-    """C_k^(nu)(1) = (2 nu)_k / k! for k = 0..J-1."""
-    k = np.arange(J)
-    return np.exp(gammaln(k + 2 * nu) - gammaln(2 * nu) - gammaln(k + 1.0))
+    """C_k^(nu)(1) = (2 nu)_k / k! for k = 0..J-1, as the cumulative
+    product of (2 nu + j) / (j + 1) over j < k."""
+    j = np.arange(J - 1)
+    return np.cumprod(np.r_[1.0, (2 * nu + j) / (j + 1.0)])
 
 
 # ---------------------------------------------------------------------------

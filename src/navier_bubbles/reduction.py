@@ -33,9 +33,6 @@ from functools import partial
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import null_space
-from scipy.optimize import brentq
-from scipy.special import j0, j1, jn_zeros, jv
 
 from .bubble import (
     _projected_profile,
@@ -94,6 +91,7 @@ def _bessel_over_power(nu, x):
     it, J_0 and J_1 from Cephes are carried up to order nu by the
     three-term recurrence, which is stable while the order stays below x.
     """
+    from scipy.special import j0, j1
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < nu + 2.0
@@ -132,6 +130,7 @@ def _gap_panels(R, lam, z_max, density):
 
 def _trial_gap(n, R, lam, z, density):
     """Constrained gap with the trial integrals on the given panel density."""
+    from scipy.special import jv
     nu = n // 2 - 1
     p = critical_exponent(n)
     sm = sphere_measure(n)
@@ -148,7 +147,10 @@ def _trial_gap(n, R, lam, z, density):
     against_bubble = sm * U @ (radial_profile(n, lam, r) ** p * wvol)
     against_scale = sm * U @ (
         p * dpm1 * radial_scale_derivative(n, lam, r) * wvol)
-    basis = null_space(np.vstack([against_bubble, against_scale]))
+    # null space of the constraints, rank cut as in scipy.linalg.null_space
+    _, sv, vh = np.linalg.svd(np.vstack([against_bubble, against_scale]))
+    rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * len(z)))
+    basis = vh[rank:].T
     if basis.shape != (len(z), len(z) - 2):
         raise RuntimeError(
             "trial basis degenerate: constraint projection lost rank")
@@ -200,6 +202,7 @@ def coercivity_check(params, domain, trial_count=40):
     if modes > _MAX_TRIAL_MODES:
         raise ValueError(
             "trial basis too large: at most %d modes" % _MAX_TRIAL_MODES)
+    from scipy.special import jn_zeros
     z = jn_zeros(n // 2 - 1, modes)
     return _converged_gap(n, R, lam, z)[0]
 
@@ -629,7 +632,9 @@ def supercritical_obstruction(eps_list, domain, consts=None,
     scanned over a log grid of scales between lam_bounds and over
     stations along a diameter up to 0.9 radius; the minimum, its floor
     c2 * eps and the margin above the floor are recorded. The matched
-    subcritical combination is scanned for its sign change and root.
+    subcritical combination c2 * eps - c1 * phi(0) / lam^(n-4) is checked
+    for a sign change across the scan bounds; its root, found by bisection
+    in log lam, is recorded beside its closed form as an independent route.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -666,7 +671,13 @@ def supercritical_obstruction(eps_list, domain, consts=None,
         lo_val, hi_val = sub(lo), sub(hi)
         sign_change = bool(lo_val < 0 < hi_val)
         if sign_change:
-            root = float(brentq(sub, lo, hi, xtol=1e-12, rtol=1e-14))
+            # bisection in log lam to 1e-12 + 1e-14 lam, a width that
+            # round-off never blocks
+            a, b = lo, hi
+            while b - a > 1e-12 + 1e-14 * a:
+                mid = math.sqrt(a * b)
+                a, b = (mid, b) if sub(mid) < 0 else (a, mid)
+            root = 0.5 * (a + b)
         else:
             root = float("nan")
         entries.append(ObstructionEntry(

@@ -39,8 +39,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
-from scipy.optimize import minimize_scalar
+from numpy.linalg import LinAlgError
+from scipy.linalg import solve_banded
 
 from .bubble import (
     _projected_profile,
@@ -80,11 +80,14 @@ class SolverDivergence(RuntimeError):
 
 
 class ContinuationError(RuntimeError):
-    """A sweep died partway; .partial holds the solutions obtained."""
+    """A sweep died partway; .partial holds the solutions obtained and
+    .attempts the Newton record of every solve tried for the offset that
+    was not reached, in the form of RadialSolution.attempts."""
 
-    def __init__(self, message, partial=()):
+    def __init__(self, message, partial=(), attempts=()):
         super().__init__(message)
         self.partial = list(partial)
+        self.attempts = tuple(attempts)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +652,8 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
     to its iteration cap. If every predictor fails the step is split at
     the geometric midpoint and retried, recursively. The first offset
     that cannot be reached aborts the sweep; the exception carries the
-    solutions already obtained.
+    solutions already obtained and the Newton record of the offset that
+    was not reached.
 
     Every returned solution carries in .attempts the Newton record of
     each solve its step made, failed candidates and bisection halves
@@ -725,7 +729,8 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
                       BubbleGuess(lam=_cold_lambda(e0, domain.radius)), 0, log)
     except SolverDivergence as exc:
         raise ContinuationError(
-            "cold start at offset %g failed: %s" % (e0, exc), partial=[]
+            "cold start at offset %g failed: %s" % (e0, exc), partial=[],
+            attempts=log,
         ) from exc
     out = [replace(sol, attempts=tuple(log))]
     for e_tgt in eps_arr[1:]:
@@ -735,7 +740,8 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
             sol = advance(out[-1], before, e_tgt, 0, log)
         except SolverDivergence as exc:
             raise ContinuationError(
-                "sweep aborted at offset %g: %s" % (e_tgt, exc), partial=out
+                "sweep aborted at offset %g: %s" % (e_tgt, exc), partial=out,
+                attempts=log,
             ) from exc
         out.append(replace(sol, attempts=tuple(log)))
     return out
@@ -750,12 +756,12 @@ def decompose(sol, domain):
     center, minimizing the energy norm of v over (alpha, lam).
 
     alpha is eliminated in closed form at each lam (the problem is
-    linear in alpha), lam is located by a bracketed scan of the profile
-    objective in log lam followed by Brent and a secant polish of the
-    exact stationarity condition. The polish is what pushes the scale
-    orthogonality defect from the Brent tolerance (around 1e-8) down to
-    rounding; without it the defect fails the contract at fat offsets,
-    where the objective is shallow.
+    linear in alpha). A 33-point scan of the profile objective in log lam
+    brackets lam between the neighbours of its minimum, where the exact
+    stationarity condition (v orthogonal to the scale direction) must
+    change sign. Secant steps on that condition, kept inside the bracket,
+    drive the scale orthogonality defect to rounding; the objective
+    alone is flat to rounding over a few 1e-10 of lam at fat offsets.
     """
     if not isinstance(sol, RadialSolution):
         raise TypeError("decompose expects a RadialSolution")
@@ -793,12 +799,6 @@ def decompose(sol, domain):
     vals = [objective(x) for x in scan]
     k = int(np.argmin(vals))
     k = min(max(k, 1), len(scan) - 2)
-    bracket = (scan[k - 1], scan[k], scan[k + 1])
-    try:
-        opt = minimize_scalar(objective, bracket=bracket, method="brent",
-                              options={"xtol": 1e-12})
-    except ValueError as exc:
-        raise RuntimeError("profile minimization failed to bracket") from exc
 
     def stationarity(loglam):
         # d/d(log lam) of the objective, up to the factor -2 alpha:
@@ -808,17 +808,26 @@ def decompose(sol, domain):
         ds = _projected_scale_derivative_laplacian(n, lam, r, R)
         return float(np.sum(wts * (w - al * lp) * ds))
 
-    x1 = float(opt.x)
-    x0 = x1 * (1 + 1e-7) + 1e-12
-    g1 = stationarity(x1)
-    g0 = stationarity(x0)
-    for _ in range(8):
-        if g1 == g0 or abs(g1) < 1e-300:
+    lo, hi = float(scan[k - 1]), float(scan[k + 1])
+    g_lo, g_hi = stationarity(lo), stationarity(hi)
+    if not g_lo * g_hi < 0:
+        raise RuntimeError("profile minimization failed to bracket")
+    # a secant step that is flat or leaves the bracket is replaced by the
+    # midpoint; secant steps shrink superlinearly, so the first one below
+    # 1e-10 is taken unevaluated and lands at the rounding floor
+    x0, g0, x1, g1 = lo, g_lo, hi, g_hi
+    for _ in range(60):
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+        if abs(x2 - x1) <= 1e-10:
+            x1 = min(max(x2, lo), hi)
             break
-        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
-        x0, g0 = x1, g1
-        x1 = x2
-        g1 = stationarity(x1)
+        if not lo < x2 < hi:
+            x2 = 0.5 * (lo + hi)
+        x0, g0, x1, g1 = x1, g1, x2, stationarity(x2)
+        if (g1 < 0) == (g_lo < 0):
+            lo, g_lo = x1, g1
+        else:
+            hi = x1
 
     lam = math.exp(x1)
     lp, alpha = profile(lam)

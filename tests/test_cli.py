@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -453,8 +454,33 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys):
     assert failure["schema"] == "navier-bubbles/failure/1"
     assert failure["stage"] == "sweep"
     assert failure["completed"] == 0
+    assert failure["failed_offset"] is None  # refused before any solve
     assert (out / "config.json").exists()
     assert not (out / "report.json").exists()
+
+    # a Newton target below round-off: the cold start runs and fails,
+    # and its attempts are written in the solver-trace offset shape
+    rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
+                   "--tol", "1e-16", "--out", str(tmp_path / "aborted")])
+    assert rc == 3
+    assert "cold start at offset 0.3 failed" in capsys.readouterr().err
+    out = tmp_path / "aborted" / "verify-blowup"
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["stage"] == "sweep" and failure["completed"] == 0
+    offset = failure["failed_offset"]
+    assert set(offset) == {"eps", "predictor", "bisection_depth",
+                           "attempts"}
+    assert offset["eps"] == {"value": 0.3, "provenance": "formula"}
+    assert offset["predictor"] is None
+    assert offset["bisection_depth"] == 0
+    assert [a["start"] for a in offset["attempts"]] == ["cold"]
+    for a in offset["attempts"]:
+        assert a["exit"] in {"cap", "line search", "singular step",
+                             "collapsed"}
+        assert len(a["iterations"]) == a["newton_iters"] + 1
+        assert a["iterations"][-1]["damping"] is None
+        assert all(it["residual"]["provenance"] == "solver"
+                   for it in a["iterations"])
 
 
 def test_partial_sweep_rows_serialize_real_solutions(
@@ -649,6 +675,49 @@ def test_expansion_orders_other_dimensions(tmp_path, capsys, n):
 
 # ---------------------------------------------------------------------------
 # process-level entry point
+
+def _fresh_python(code, *args):
+    """Run code in a new interpreter that imports this package; its last
+    stdout line is JSON."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_closed_form_commands_load_no_scipy(tmp_path):
+    code = """
+        import json, os, sys
+        from navier_bubbles.cli import main
+        codes = [main([cmd, "--out", os.path.join(sys.argv[1], cmd)])
+                 for cmd in ("constants", "robin", "expansion-orders")]
+        print(json.dumps([codes, sorted(
+            m for m in sys.modules if m.split(".")[0] == "scipy")]))
+    """
+    codes, loaded = _fresh_python(code, str(tmp_path))
+    assert codes == [0, 0, 0]
+    assert loaded == []
+    assert (tmp_path / "expansion-orders" / "orders.json").exists()
+
+
+def test_solver_imports_no_optimize_or_special():
+    code = """
+        import json, sys
+        import navier_bubbles.cli, navier_bubbles.solver
+        import navier_bubbles.reduction
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")))
+    """
+    loaded = _fresh_python(code)
+    assert "scipy.linalg" in loaded
+    assert not [m for m in loaded
+                if m.startswith(("scipy.optimize", "scipy.special"))]
+
 
 def test_module_invocation_prints_constants():
     proc = subprocess.run(

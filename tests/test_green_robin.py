@@ -10,15 +10,18 @@ oracle's Laplacian route, and a coarse iterated-kernel quadrature).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import eval_gegenbauer
+from scipy.special import eval_gegenbauer, gammaln
 
 from navier_bubbles.green_robin import (
     BallDomain,
     RobinEval,
+    _gegenbauer_at_one,
+    _terms_needed,
     boundary_blowup_fit,
     robin,
 )
@@ -82,6 +85,30 @@ def test_gegenbauer_recurrence_matches_scipy():
             ref = np.array([eval_gegenbauer(k, nu, c) for k in range(J)])
             assert got.shape == (J, c.size)
             assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_gegenbauer_at_one_matches_gamma_and_exact_products(n):
+    # every k the Robin series sums at the 0.9 R station
+    nu = (n - 2) / 2.0
+    J = _terms_needed(0.81, n - 1)
+    got = _gegenbauer_at_one(nu, J)
+    assert got.shape == (J,)
+    # exact rational values of (2 nu)_k / k!
+    exact = []
+    c = Fraction(n - 2)
+    term = Fraction(1)
+    for k in range(J):
+        exact.append(float(term))
+        term = term * (c + k) / (k + 1)
+    assert np.max(np.abs(got / np.array(exact) - 1.0)) <= 1e-14
+    # the gamma-function formula carries its own round-off: log-gamma
+    # values near 2000 at k ~ 400, each good to a few 1e-13 absolute
+    # (measured up to 6.4e-13 off the exact values above)
+    k = np.arange(J)
+    gamma_form = np.exp(gammaln(k + 2 * nu) - gammaln(2 * nu)
+                        - gammaln(k + 1.0))
+    assert np.max(np.abs(got / gamma_form - 1.0)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, solve_banded
-from scipy.optimize import fsolve
+from scipy.optimize import fsolve, minimize_scalar
 
 from navier_bubbles import solver as solver_module
 from navier_bubbles.bubble import (
     _projected_profile,
     _projected_profile_laplacian,
+    _projected_scale_derivative_laplacian,
     c0,
     critical_exponent,
     radial_profile,
@@ -654,6 +655,58 @@ def test_decompose_local_minimality(unit_ball6, subcritical_sweep,
     assert abs(base - dec.v_norm) <= 1e-9 * max(dec.v_norm, 1.0)
     for da, dl in ((1.01, 1.0), (0.99, 1.0), (1.0, 1.01), (1.0, 0.99)):
         assert misfit(dec.alpha * da, dec.lam * dl) > base
+
+
+def test_decompose_matches_brent_oracle(subcritical_sweep,
+                                       sweep_decompositions):
+    # Brent on the profile objective from a bracket around the law's
+    # scale, then secant steps on its exact derivative: the objective is
+    # flat to rounding over a relative width of a few 1e-10 in lam, which
+    # is as far as Brent alone resolves the minimizer
+    for sol, dec in zip(subcritical_sweep, sweep_decompositions):
+        wts = _cell_weights(sol.grid)
+        r = sol.grid.nodes
+
+        def fit(x):
+            lp = _projected_profile_laplacian(N6, math.exp(x), r, 1.0)
+            return lp, np.sum(wts * sol.w * lp) / np.sum(wts * lp * lp)
+
+        def objective(x):
+            lp, alpha = fit(x)
+            return float(np.sum(wts * (sol.w - alpha * lp) ** 2))
+
+        def derivative(x):
+            lp, alpha = fit(x)
+            ds = _projected_scale_derivative_laplacian(N6, math.exp(x), r,
+                                                       1.0)
+            return float(np.sum(wts * (sol.w - alpha * lp) * ds))
+
+        seed = math.log(c0(N6) ** -1.0 * sol.M ** ((P6 - 1 + sol.eps) / 4))
+        opt = minimize_scalar(objective, bracket=(seed - 0.5, seed + 0.5),
+                              method="brent", options={"xtol": 1e-12})
+        assert abs(math.exp(opt.x) / dec.lam - 1.0) <= 1e-9
+        x0, x1 = opt.x, opt.x * (1 + 1e-7)
+        g0, g1 = derivative(x0), derivative(x1)
+        for _ in range(8):
+            if g1 == g0:
+                break
+            x0, g0, x1 = x1, g1, x1 - g1 * (x1 - x0) / (g1 - g0)
+            g1 = derivative(x1)
+        assert abs(math.exp(x1) / dec.lam - 1.0) <= 1e-10
+
+
+def test_decompose_refuses_unbracketed_scale(unit_ball6):
+    # u concentrated at a scale e^3 times that of w: the law's seed puts
+    # the 33-point scan far above the true scale, whose minimum then sits
+    # at the scan's edge with no sign change of the derivative beside it
+    grid = default_grid(unit_ball6)
+    u = _projected_profile(N6, 15.0 * math.exp(3.0), grid.nodes, 1.0)
+    w = _projected_profile_laplacian(N6, 15.0, grid.nodes, 1.0)
+    u[-1] = w[-1] = 0.0
+    sol = RadialSolution(grid=grid, u=u, w=w, eps=-0.05, M=float(u[0]),
+                         residual=0.0, newton_iters=0)
+    with pytest.raises(RuntimeError, match="failed to bracket"):
+        decompose(sol, unit_ball6)
 
 
 def test_decompose_rejects_wrong_energy(unit_ball6):
