@@ -16,7 +16,10 @@ The bilaplacian is built for residual checks of smooth profiles sampled
 analytically, where fourth-order differencing runs into the rounding floor
 of double precision (two compositions divide the input rounding by h^4).
 It therefore evaluates in extended precision internally and uses local
-polynomial models near the origin, where the metric terms are stiffest.
+polynomial models near the origin, where the metric terms are stiffest,
+and in the last rows. Every local model is differentiated by one rule,
+Fornberg's finite-difference weights on arbitrary nodes, so no linear
+system is solved (numpy.linalg has no extended precision).
 Callers that need errors at the 1e-6 level should hand in samples computed
 in np.longdouble; float64 samples are accepted and give float64-limited
 accuracy.
@@ -197,24 +200,38 @@ def radial_integral(n, f, r_max=math.inf, seams=()):
 # discrete radial bilaplacian
 
 
-def _solve_dense(M, rhs):
-    """Pivoted Gaussian elimination; numpy.linalg rejects longdouble."""
-    M = M.copy()
-    rhs = rhs.copy()
-    k = len(rhs)
-    for col in range(k):
-        piv = col + int(np.argmax(np.abs(M[col:, col])))
-        if piv != col:
-            M[[col, piv]] = M[[piv, col]]
-            rhs[[col, piv]] = rhs[[piv, col]]
-        for row in range(col + 1, k):
-            f = M[row, col] / M[col, col]
-            M[row, col:] -= f * M[col, col:]
-            rhs[row] -= f * rhs[col]
-    x = np.zeros(k, dtype=M.dtype)
-    for col in range(k - 1, -1, -1):
-        x[col] = (rhs[col] - M[col, col + 1:] @ x[col + 1:]) / M[col, col]
-    return x
+def _stencil_weights(z, x, m):
+    """Weights w[..., k, j] such that sum_j w[..., k, j] f(x[..., j]) is
+    the k-th derivative at z of the polynomial through f at the nodes x,
+    for k = 0..m (Fornberg's recurrence, Math. Comp. 51, 1988).
+
+    The last axis of x holds one stencil's nodes; its leading axes
+    broadcast against z, one stencil per entry of z. There is no linear
+    solve, and the arithmetic runs in the dtype of x.
+    """
+    z = np.asarray(z, dtype=np.asarray(x).dtype)
+    x = np.broadcast_to(x, z.shape + np.shape(x)[-1:])
+    k = np.arange(m + 1, dtype=x.dtype)
+    # row 0 of w stays zero, so row k + 1 holds derivative k and the
+    # recurrence's k * w[k - 1] term needs no special case at k = 0
+    w = np.zeros(x.shape[:-1] + (m + 2, x.shape[-1]), dtype=x.dtype)
+    w[..., 1, 0] = 1
+    c1 = np.ones_like(z)[..., None]
+    c4 = (x[..., 0] - z)[..., None]
+    for i in range(1, x.shape[-1]):
+        top = min(i, m) + 1
+        d = x[..., i, None] - x[..., :i]
+        c2 = np.prod(d, axis=-1)[..., None]
+        c5, c4 = c4, (x[..., i] - z)[..., None]
+        # node i's column from the old column of node i - 1, then the
+        # update of the columns of nodes 0..i-1
+        w[..., 1:top + 1, i] = c1 / c2 * (k[:top] * w[..., :top, i - 1]
+                                          - c5 * w[..., 1:top + 1, i - 1])
+        w[..., 1:top + 1, :i] = (c4[..., None] * w[..., 1:top + 1, :i]
+                                 - k[:top, None] * w[..., :top, :i]
+                                 ) / d[..., None, :]
+        c1 = c2
+    return w[..., 1:, :]
 
 
 def _laplacian_apply(u, r, n):
@@ -225,8 +242,8 @@ def _laplacian_apply(u, r, n):
     returns 2n b + 2(2n-1) r_1^2 c, which reproduces the truncation
     constant of the interior stencil in the r -> 0 limit; plain even
     extensions leave an O(1) mismatch that the second application would
-    amplify into the core. The outer row differentiates the parabola
-    through the last three nodes.
+    amplify into the core. The outer row differentiates the cubic
+    through the last four nodes.
     """
     out = np.empty_like(u)
     hm = r[1:-1] - r[:-2]
@@ -243,39 +260,23 @@ def _laplacian_apply(u, r, n):
     c = ((u[2] - u[0]) * r1 * r1 - (u[1] - u[0]) * r2 * r2) / det
     out[0] = 2 * n * b + 2 * (2 * n - 1) * r1 * r1 * c
 
-    # outer row: cubic through the last four nodes, differentiated at R
-    x = r[-4:] - r[-1]
-    scale = -x[0]
-    V = np.vander(x / scale, 4, increasing=True).astype(u.dtype)
-    cf = _solve_dense(V, u[-4:] - u[-1])
-    slope = cf[1] / scale
-    curv = 2 * cf[2] / scale ** 2
+    _, slope, curv = _stencil_weights(r[-1], r[-4:], 2) @ (u[-4:] - u[-1])
     out[-1] = curv + (n - 1) / r[-1] * slope
     return out
 
 
-def _sliding_fit_row(u, r, n, i, idx):
-    """Delta^2 at node i from a local polynomial through u[idx].
-
-    Fits u - u[i] so the solve works with the spread of the samples, not
-    their absolute size; this matters when the window is one-sided.
-    """
-    x = r[idx] - r[i]
-    scale = np.abs(x).max()
-    xs = x / scale
-    deg = len(idx) - 1
-    V = np.vander(xs, deg + 1, increasing=True).astype(u.dtype)
-    cf = _solve_dense(V, u[idx] - u[i])
-    if deg < 4:
-        raise ValueError("local fit needs at least 5 nodes")
-    d1 = cf[1] / scale
-    d2 = 2 * cf[2] / scale ** 2
-    d3 = 6 * cf[3] / scale ** 3
-    d4 = 24 * cf[4] / scale ** 4
-    ri = r[i]
-    return (d4 + 2 * (n - 1) / ri * d3
-            + (n - 1) * (n - 3) / ri ** 2 * d2
-            - (n - 1) * (n - 3) / ri ** 3 * d1)
+def _window_bilaplacian(u, r, n, rows, idx):
+    """Delta^2 at r[rows] of the polynomials through u on the windows
+    r[idx] (one row of idx per row, or one window for all); a window
+    sees u - u[row], the spread of its samples rather than their
+    absolute size, which matters when it is one-sided."""
+    rr = r[rows]
+    w = _stencil_weights(rr, r[idx], 4)
+    d1, d2, d3, d4 = np.einsum("ikj,ij->ki", w[:, 1:],
+                               u[idx] - u[rows, None])
+    return (d4 + 2 * (n - 1) / rr * d3
+            + (n - 1) * (n - 3) / rr ** 2 * d2
+            - (n - 1) * (n - 3) / rr ** 3 * d1)
 
 
 def radial_bilaplacian(u, grid):
@@ -284,17 +285,18 @@ def radial_bilaplacian(u, grid):
     Composition of two discrete Laplacians, with three corrections where
     plain composition is either inconsistent or drowned by rounding:
 
-      * head (r < 0.008 R): a global even polynomial in t = r^2 is fitted
-        through nodes spread over [0.008 R, 0.032 R] and differentiated
-        exactly; each monomial r^{2k} has Delta^2 r^{2k} =
-        2k(2k+n-2)(2k-2)(2k-4+n) r^{2k-4};
-      * an inner band (0.008 R <= r < 0.04 R): strided seven-point sliding
-        fits of degree six, which trade a longer stencil for a fourth
+      * head (r < 0.008 R): u = F(t), t = r^2, with F the polynomial
+        through the center and nodes spread over [0.008 R, 0.032 R], and
+        Delta^2 u = 16 t^2 F'''' + 16 (n+2) t F''' + 4 n (n+2) F'';
+      * an inner band (0.008 R <= r < 0.04 R): strided seven-point
+        windows of degree six, which trade a longer stencil for a fourth
         power of the stride in the rounding amplification;
-      * the last two rows: the same sliding fit on the trailing window,
-        since the composed stencil has no room on the right.
+      * the last two rows: the same window on the trailing nodes, since
+        the composed stencil has no room on the right.
 
-    All arithmetic runs in extended precision. Hand in longdouble samples
+    Each local polynomial, like the outer row of the Laplacian, is
+    differentiated by one rule, the weights of _stencil_weights. All
+    arithmetic runs in extended precision. Hand in longdouble samples
     to reach the scheme's own floor; float64 samples are fine for O(h^2)
     verification at coarser tolerances.
     """
@@ -312,43 +314,37 @@ def radial_bilaplacian(u, grid):
     w = _laplacian_apply(u, r, n)
     out = _laplacian_apply(w, r, n)
 
-    # head zone: global even fit in t = r^2
+    # head zone: one polynomial in t = r^2 through the center and the
+    # spread nodes
     r_head = 0.008 * R
     fit_radii = r_head * np.array([1.0, 1.4, 1.8, 2.2, 2.6, 3.0, 3.5, 4.0])
     js = np.unique(np.searchsorted(nodes, fit_radii))
-    js = js[js < N]
+    js = np.concatenate([[0], js[js < N]])
     head = int(np.searchsorted(nodes, r_head))
-    if len(js) >= 4 and head > 0:
-        deg = len(js)
-        t = (r[js] * r[js])[:, None]
-        V = np.hstack([t ** (k + 1) for k in range(deg)])
-        coef = _solve_dense(V, u[js] - u[0])
-        th = r[:head] ** 2
-        acc = np.zeros_like(th)
-        for k in range(2, deg + 1):
-            ck = (2 * k) * (2 * k + n - 2) * (2 * k - 2) * (2 * k - 4 + n)
-            acc += coef[k - 1] * ck * th ** (k - 2)
-        out[:head] = acc
+    if len(js) >= 5 and head > 0:
+        t = r[:head] ** 2
+        F2, F3, F4 = np.einsum("ikj,j->ki",
+                               _stencil_weights(t, r[js] ** 2, 4)[:, 2:],
+                               u[js] - u[0])
+        out[:head] = (16 * t * t * F4 + 16 * (n + 2) * t * F3
+                      + 4 * n * (n + 2) * F2)
 
-    # band zone: strided sliding fits
-    band_hi = int(np.searchsorted(nodes, 0.04 * R))
+    # band zone: strided seven-node windows centered on each row
     stride = 3
-    for i in range(head, band_hi):
-        lo = i - 3 * stride
-        hi = i + 3 * stride
-        if lo < 1 or hi > N - 1:
-            continue
-        idx = np.arange(lo, hi + 1, stride)
-        out[i] = _sliding_fit_row(u, r, n, i, idx)
+    band = np.arange(max(head, 1 + 3 * stride),
+                     min(int(np.searchsorted(nodes, 0.04 * R)),
+                         N - 3 * stride))
+    out[band] = _window_bilaplacian(
+        u, r, n, band, band[:, None] + stride * np.arange(-3, 4))
 
     # trailing rows: the composed stencil is contaminated by the one-sided
-    # outer Laplacian row, so rebuild them from a direct local fit; stride
-    # the window where the grid allows, as in the band, to keep the
+    # outer Laplacian row, so rebuild them from a direct local window;
+    # stride it where the grid allows, as in the band, to keep the
     # rounding amplification of the one-sided fourth derivative down
     stride_t = 3 if N > 6 * 3 + 1 else 1
-    idx = np.arange(N - 1 - 6 * stride_t, N, stride_t)
-    for i in (N - 2, N - 1):
-        out[i] = _sliding_fit_row(u, r, n, i, idx)
+    tail = np.array([N - 2, N - 1])
+    out[tail] = _window_bilaplacian(
+        u, r, n, tail, np.arange(N - 1 - 6 * stride_t, N, stride_t))
 
     return np.asarray(out, dtype=np.float64)
 

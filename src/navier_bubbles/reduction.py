@@ -450,10 +450,10 @@ class BlowupVerdict:
 
     peak refers to eps * max^2, scale to eps * lam^(n-4). Each series is
     extrapolated to eps -> 0 under two error models, linear in eps and
-    linear in eps * log(1/eps), over the sweep tail. Targets follow the
-    two sign conventions of the lower-order constant; `convention` names
-    the one under which both series land within the 15 percent band
-    ("half" is the operative positive convention).
+    linear in eps * log(1/eps), over the sweep tail. Targets use the
+    operative positive convention of the lower-order constant, named by
+    `convention` ("half"); the "full" variant is -2 times it, so its
+    negative targets can never match a positive limit.
     """
 
     n: int
@@ -465,8 +465,6 @@ class BlowupVerdict:
     scale_limit_epslog: float
     peak_target: float
     scale_target: float
-    peak_target_alt: float
-    scale_target_alt: float
     convention: str
     peak_ok: bool
     scale_ok: bool
@@ -493,7 +491,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     decreasing |eps|; at least four are required, and the extrapolation
     tail uses the last four. x0 is the concentration point (the center
     here). Verdict booleans ask both extrapolation models to land within
-    15 percent of the law under a single sign convention.
+    15 percent of the law.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -541,22 +539,8 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     scale_limits = (_affine_limit(glin, scale_tail),
                     _affine_limit(glog, scale_tail))
 
-    phi0 = robin(domain, x0).phi
-    targets = {}
-    for name, c2v in (("half", consts.c2), ("full", consts.c2_variant_full)):
-        t_scale = consts.c1 / c2v * phi0
-        targets[name] = (consts.c0 ** 2 * t_scale, t_scale)
-
-    def _ok(name):
-        t_peak, t_scale = targets[name]
-        checks = [abs(v / t_peak - 1.0) <= 0.15 for v in peak_limits]
-        checks += [abs(v / t_scale - 1.0) <= 0.15 for v in scale_limits]
-        return all(checks)
-
-    convention = "half" if _ok("half") else ("full" if _ok("full") else "half")
-    t_peak, t_scale = targets[convention]
-    t_peak_alt, t_scale_alt = targets["full" if convention == "half"
-                                      else "half"]
+    t_scale = consts.c1 / consts.c2 * robin(domain, x0).phi
+    t_peak = consts.c0 ** 2 * t_scale
     peak_ok = all(abs(v / t_peak - 1.0) <= 0.15 for v in peak_limits)
     scale_ok = all(abs(v / t_scale - 1.0) <= 0.15 for v in scale_limits)
     return BlowupVerdict(
@@ -569,9 +553,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
         scale_limit_epslog=scale_limits[1],
         peak_target=t_peak,
         scale_target=t_scale,
-        peak_target_alt=t_peak_alt,
-        scale_target_alt=t_scale_alt,
-        convention=convention,
+        convention="half",
         peak_ok=peak_ok,
         scale_ok=scale_ok,
         verdict=peak_ok and scale_ok,

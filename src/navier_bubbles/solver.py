@@ -525,6 +525,13 @@ def _cold_lambda(eps_mag, R):
     return math.sqrt(20.0 / eps_mag) / R
 
 
+def _law_lambda(n, M, eps):
+    """The blow-up law's scale for peak M at signed offset eps,
+    lam = c0^{2/(4-n)} M^{(p-1+eps)/4}."""
+    return c0(n) ** (2.0 / (4 - n)) * M ** (
+        (critical_exponent(n) - 1 + eps) / 4.0)
+
+
 # ---------------------------------------------------------------------------
 # public solves
 
@@ -677,10 +684,6 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
     _check_eps_floor(min(eps_arr), grid)
 
     n = domain.n
-    p = critical_exponent(n)
-
-    def law_lambda(M, e):
-        return c0(n) ** (2.0 / (4 - n)) * M ** ((p - 1 - e) / 4.0)
 
     def attempt(e, start, init, depth, log):
         # one solve at offset e; its Newton record joins log either way
@@ -699,10 +702,10 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
             slope = (math.log(prev.M / before.M)
                      / math.log(e_prev / abs(before.eps)))
             M_pred = prev.M * (e_tgt / e_prev) ** slope
-            ug, wg = _bubble_fields(grid, law_lambda(M_pred, e_tgt))
+            ug, wg = _bubble_fields(grid, _law_lambda(n, M_pred, -e_tgt))
             amp = M_pred / ug[0]
             yield "secant", (amp * ug, amp * wg)
-        lam_g = law_lambda(prev.M, e_prev) * math.sqrt(e_prev / e_tgt)
+        lam_g = _law_lambda(n, prev.M, -e_prev) * math.sqrt(e_prev / e_tgt)
         ug, wg = _bubble_fields(grid, lam_g)
         amp = prev.M * math.sqrt(e_prev / e_tgt) / ug[0]
         yield "law", (amp * ug, amp * wg)
@@ -792,10 +795,7 @@ def decompose(sol, domain):
         lp, al = profile(math.exp(loglam))
         return float(np.sum(wts * (w - al * lp) ** 2))
 
-    lam_seed = c0(n) ** (2.0 / (4 - n)) * sol.M ** (
-        (critical_exponent(n) - 1 + sol.eps) / 4.0
-    )
-    scan = np.log(lam_seed) + np.linspace(-1.6, 1.6, 33)
+    scan = np.log(_law_lambda(n, sol.M, sol.eps)) + np.linspace(-1.6, 1.6, 33)
     vals = [objective(x) for x in scan]
     k = int(np.argmin(vals))
     k = min(max(k, 1), len(scan) - 2)
@@ -867,6 +867,17 @@ def decompose(sol, domain):
 
 # ---------------------------------------------------------------------------
 # sweep diagnostics
+
+
+def concentration(sol, dec, domain):
+    """(v_rel, lambda_d, parts) of a decomposed solution: the remainder
+    relative to the energy norm, ||v|| / ||u||, the scale times the
+    bubble's distance to the boundary, and concentration_checks on them
+    with the fitted amplitude."""
+    v_rel = dec.v_norm / math.sqrt(sol.energy_norm_sq())
+    lambda_d = dec.lam * (domain.radius
+                          - float(np.linalg.norm(dec.a - domain.center)))
+    return v_rel, lambda_d, concentration_checks(v_rel, dec.alpha, lambda_d)
 
 
 def concentration_checks(v_rel, alpha, lambda_d):
@@ -941,23 +952,16 @@ def supercritical_probe(eps_list, domain, grid=None, tol=1e-10):
             converged = False
             failure = str(exc)
         alpha = lam = v_norm = v_rel = lambda_d = math.nan
+        concentrating = False
         if sol is not None:
             try:
                 dec = decompose(sol, domain)
-                alpha = dec.alpha
-                lam = dec.lam
-                v_norm = dec.v_norm
-                v_rel = dec.v_norm / math.sqrt(sol.energy_norm_sq())
-                lambda_d = dec.lam * (
-                    domain.radius
-                    - float(np.linalg.norm(dec.a - domain.center))
-                )
+                alpha, lam, v_norm = dec.alpha, dec.lam, dec.v_norm
+                v_rel, lambda_d, parts = concentration(sol, dec, domain)
+                concentrating = converged and all(parts)
             except (ValueError, RuntimeError) as exc:
                 if failure is None:
                     failure = "decomposition inadmissible: %s" % exc
-        concentrating = bool(
-            converged and all(concentration_checks(v_rel, alpha, lambda_d))
-        )
         entries.append(
             ProbeEntry(
                 eps=eps,

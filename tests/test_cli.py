@@ -8,6 +8,7 @@ Byte-identical rerun checks rewrite into the same directory and hash.
 """
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -19,7 +20,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from navier_bubbles import cli
+from navier_bubbles import cli, solver
 from navier_bubbles.bubble import balance_constants
 from navier_bubbles.cli import (CliError, RunConfig, _cell, _pv,
                                 _sweep_rows, _write_csv, _SWEEP_HEADER)
@@ -444,7 +445,8 @@ def test_verify_blowup_runs_from_config_file(tmp_path, capsys):
     assert echoed == config
 
 
-def test_verify_blowup_persists_failure_stage(tmp_path, capsys):
+def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
+                                              monkeypatch):
     rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "1e-7",
                    "--out", str(tmp_path)])
     assert rc == 3
@@ -458,10 +460,12 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys):
     assert (out / "config.json").exists()
     assert not (out / "report.json").exists()
 
-    # a Newton target below round-off: the cold start runs and fails,
-    # and its attempts are written in the solver-trace offset shape
+    # a one-iteration Newton cap: the cold start runs and fails, and its
+    # attempts are written in the solver-trace offset shape
+    monkeypatch.setattr(solver, "solve_radial",
+                        functools.partial(solver.solve_radial, max_iter=1))
     rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
-                   "--tol", "1e-16", "--out", str(tmp_path / "aborted")])
+                   "--out", str(tmp_path / "aborted")])
     assert rc == 3
     assert "cold start at offset 0.3 failed" in capsys.readouterr().err
     out = tmp_path / "aborted" / "verify-blowup"
@@ -481,6 +485,16 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys):
         assert a["iterations"][-1]["damping"] is None
         assert all(it["residual"]["provenance"] == "solver"
                    for it in a["iterations"])
+
+
+def test_verify_blowup_refuses_tolerance_below_round_off(tmp_path, capsys):
+    # Newton aims at tol/10, under the residual's round-off below 1e-14
+    rc = cli.main(["verify-blowup", "--tol", "1e-15",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "at least 1e-14" in capsys.readouterr().err
+    assert not (tmp_path / "verify-blowup").exists()
+    assert RunConfig(quad_tol=cli.MIN_QUAD_TOL).quad_tol == 1e-14
 
 
 def test_partial_sweep_rows_serialize_real_solutions(

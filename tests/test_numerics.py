@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
+from navier_bubbles.bubble import critical_exponent, radial_profile
 from navier_bubbles.numerics import (
     RadialGrid,
     _laplacian_apply,
+    _stencil_weights,
     SlopeFit,
     fit_loglog,
     radial_bilaplacian,
@@ -166,6 +168,44 @@ def test_laplacian_matches_oracle():
     out = np.asarray(_laplacian_apply(u.astype(np.longdouble), r, 6),
                      dtype=float)
     assert np.max(np.abs(out - exact)) < 2e-4
+
+
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(5, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_weights_differentiate_polynomials(J, seed):
+    # random integer polynomials of degree J - 1 have exact derivative
+    # coefficients (polyder); the weights must reproduce derivatives 0-4
+    # at random points to longdouble rounding of the weighted sum
+    P = np.polynomial.polynomial
+    rng = np.random.default_rng(seed)
+    x = -1 + np.cumsum(rng.uniform(0.1, 0.5, (3, J)), axis=1)
+    x = x.astype(np.longdouble)
+    z = rng.uniform(-1.2, 1.5, 3).astype(np.longdouble)
+    coef = rng.integers(-9, 10, J).astype(np.longdouble)
+    w = _stencil_weights(z, x, 4)
+    assert w.dtype == np.longdouble and w.shape == (3, 5, J)
+    f = P.polyval(x, coef)
+    for k in range(5):
+        exact = P.polyval(z, P.polyder(coef, k))
+        terms = w[:, k] * f
+        bound = 64 * np.finfo(np.longdouble).eps * (
+            np.sum(np.abs(terms), axis=-1) + np.abs(exact))
+        assert np.all(np.abs(np.sum(terms, axis=-1) - exact) <= bound)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+@pytest.mark.parametrize("N", [1024, 4096])
+def test_bilaplacian_local_zones_on_bubble(n, N):
+    # the criterion-1 grids, zone by zone: the head interpolant in r^2
+    # (r < 0.008 R) and the strided band windows (0.008 R to 0.04 R)
+    # sit far below the O(h^2) interior error, relative to max u^p
+    grid = RadialGrid.arctan_graded(n, N, R=10.0, stretch=0.8)
+    u = radial_profile(n, 1.0, np.asarray(grid.nodes, dtype=np.longdouble))
+    rhs = u ** np.longdouble(critical_exponent(n))
+    err = np.abs(radial_bilaplacian(u, grid) - rhs) / float(rhs.max())
+    r = grid.nodes / grid.R
+    assert err[r < 0.008].max() <= 2e-9
+    assert err[(r >= 0.008) & (r < 0.04)].max() <= 5e-8
 
 
 def test_bilaplacian_rejects_mismatched_samples():
