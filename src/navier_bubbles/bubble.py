@@ -18,7 +18,9 @@ Universal constants live here as well:
     inequivalent normalizations of c2 (full prefactor with one sign, half
     prefactor with the other); both are computed and exposed, and the
     positive one is the operative value. Their ratio is exactly -2, which
-    callers can re-derive from the reported pair.
+    callers can re-derive from the reported pair;
+  * the blow-up law built from them, in one place: its two limits, the
+    scale it assigns to a peak, and its per-offset quantities.
 """
 
 from __future__ import annotations
@@ -269,3 +271,39 @@ def balance_constants(n):
     return CriticalConstants(n=n, c0=c0n, p=p, S=sobolev_constant(n),
                              c1=c1, c2_variant_full=full,
                              c2_variant_half=half, c2=operative)
+
+
+# ---------------------------------------------------------------------------
+# the blow-up law: eps * lam^(n-4) -> (c1/c2) phi and eps * M^2 ->
+# c0^2 (c1/c2) phi at a concentration point of potential phi
+
+
+def center_potential(n, R=1.0):
+    """phi(0) = (2n-4)/n * R^(4-n) at the center of a ball of radius R."""
+    return (2.0 * n - 4.0) / n * R ** (4.0 - n)
+
+
+def law_limits(consts, phi):
+    """(scale, peak) limits of eps * lam^(n-4) and eps * M^2 at a point
+    of potential phi: (c1/c2) phi and c0^2 (c1/c2) phi."""
+    scale = consts.c1 / consts.c2 * phi
+    return scale, consts.c0 ** 2 * scale
+
+
+def balance_scale(consts, phi, eps):
+    """The root lam of the subcritical balance c2 eps = c1 phi / lam^(n-4)."""
+    return (law_limits(consts, phi)[0] / eps) ** (1.0 / (consts.n - 4.0))
+
+
+def law_scale(n, M, eps):
+    """The scale of a bubble of peak M at signed offset eps,
+    lam = c0^{2/(4-n)} M^{(p-1+eps)/4}."""
+    p = critical_exponent(n)
+    return c0(n) ** (2.0 / (4 - n)) * M ** ((p - 1 + eps) / 4.0)
+
+
+def law_quantities(n, eps, M, lam):
+    """The law's per-offset quantities eps * lam^(n-4), eps * M^2 and the
+    peak-to-scale ratio M / (c0 lam^((n-4)/2)), for offset magnitude eps."""
+    return (eps * lam ** (n - 4.0), eps * M ** 2,
+            M / (c0(n) * lam ** ((n - 4.0) / 2.0)))

@@ -46,15 +46,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .bubble import (BubbleParams, balance_constants, sobolev_constant,
+from .bubble import (BubbleParams, balance_constants, center_potential,
+                     law_limits, law_quantities, sobolev_constant,
                      sobolev_energy)
 from .green_robin import BallDomain, boundary_blowup_fit, robin
 from .projection import expansion_orders
-from .reduction import blowup_verdict, supercritical_obstruction
+from .reduction import LAW_RTOL, blowup_verdict, supercritical_obstruction
 
 # the solver (and with it scipy.linalg) is imported only by the commands
 # that solve, so constants, robin and expansion-orders load no scipy
@@ -69,8 +70,8 @@ PROV_FIT = "fit"
 
 DEFAULT_SCHEDULE = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005)
 
-# check tolerances mirrored by the acceptance tests
-LAW_RTOL = 0.15          # extrapolated law vs closed-form limit
+# check tolerances mirrored by the acceptance tests; the law limits are
+# judged at reduction.LAW_RTOL
 AMP_TOL = 0.05           # |alpha - 1| at the sharpest offset
 RATIO_TOL = 0.10         # |peak/scale ratio - 1| at the sharpest offset
 ENERGY_RTOL = 0.05       # final energies vs the critical level
@@ -149,16 +150,9 @@ class RunConfig:
         object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self):
-        return {
-            "schema": _schema("run-config"),
-            "n": self.n,
-            "radius": self.radius,
-            "eps_schedule": list(self.eps_schedule),
-            "grid_nodes": self.grid_nodes,
-            "quad_tol": self.quad_tol,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-        }
+        data = {"schema": _schema("run-config"), **asdict(self)}
+        data["eps_schedule"] = list(self.eps_schedule)
+        return data
 
     def to_json(self, path):
         _write_json(path, self.to_dict())
@@ -170,20 +164,16 @@ class RunConfig:
         schema = data.get("schema")
         if schema != _schema("run-config"):
             raise CliError("unrecognized run-config schema %r" % (schema,))
-        fields = {"n", "radius", "eps_schedule", "grid_nodes", "quad_tol",
-                  "out_dir", "seed"}
-        extra = set(data) - fields - {"schema"}
+        names = {f.name for f in fields(cls)}
+        extra = set(data) - names - {"schema"}
         if extra:
             raise CliError("unknown run-config fields: %s"
                            % ", ".join(sorted(extra)))
-        missing = fields - set(data)
+        missing = names - set(data)
         if missing:
             raise CliError("missing run-config fields: %s"
                            % ", ".join(sorted(missing)))
-        return cls(n=data["n"], radius=data["radius"],
-                   eps_schedule=tuple(data["eps_schedule"]),
-                   grid_nodes=data["grid_nodes"], quad_tol=data["quad_tol"],
-                   out_dir=data["out_dir"], seed=data["seed"])
+        return cls(**{name: data[name] for name in names})
 
     @classmethod
     def from_json(cls, path):
@@ -264,7 +254,8 @@ def constants_rows(n):
     """The closed-form constant table as (label, value, provenance)
     rows. Everything here is a direct formula evaluation."""
     consts = balance_constants(n)
-    phi0 = (2.0 * n - 4.0) / n  # center potential of the unit ball
+    phi0 = center_potential(n)
+    scale_limit, peak_limit = law_limits(consts, phi0)
     rows = [
         ("dimension", n, PROV_FORMULA),
         ("critical exponent p", consts.p, PROV_FORMULA),
@@ -281,10 +272,9 @@ def constants_rows(n):
         ("operative c2 (positive)", consts.c2, PROV_FORMULA),
         ("ratio c1/c2", consts.c1 / consts.c2, PROV_FORMULA),
         ("unit-ball center potential", phi0, PROV_FORMULA),
-        ("scale law limit eps*lam^(n-4), unit ball",
-         consts.c1 / consts.c2 * phi0, PROV_FORMULA),
-        ("peak law limit eps*M^2, unit ball",
-         consts.c0 ** 2 * consts.c1 / consts.c2 * phi0, PROV_FORMULA),
+        ("scale law limit eps*lam^(n-4), unit ball", scale_limit,
+         PROV_FORMULA),
+        ("peak law limit eps*M^2, unit ball", peak_limit, PROV_FORMULA),
     ]
     return rows
 
@@ -358,7 +348,7 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
 
     fits = boundary_blowup_fit(domain)
     center_phi, center_grad = values[stations // 2]
-    closed_center = (2.0 * n - 4.0) / n * radius ** (4.0 - n)
+    closed_center = center_potential(n, radius)
     report = {
         "schema": _schema("robin-profile"),
         "n": n,
@@ -397,31 +387,27 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
 # verify-blowup
 
 
-def _sweep_rows(n, solutions, decomps, consts):
+def _sweep_rows(n, solutions, decomps):
     rows = []
     for sol, dec in zip(solutions, decomps):
         eps = abs(float(sol.eps))
         lam = float(dec.lam)
-        ratio = float(sol.M) / (consts.c0 * lam ** ((n - 4.0) / 2.0))
+        scale_pow, peak_sq, ratio = law_quantities(n, eps, float(sol.M), lam)
         rows.append([
             _cell(eps), PROV_FORMULA,
             _cell(float(sol.M)), PROV_SOLVER,
             _cell(float(dec.alpha)), PROV_SOLVER,
             _cell(lam), PROV_SOLVER,
             _cell(float(dec.v_norm)), PROV_SOLVER,
-            _cell(eps * lam ** (n - 4.0)), PROV_SOLVER,
-            _cell(eps * float(sol.M) ** 2), PROV_SOLVER,
+            _cell(scale_pow), PROV_SOLVER,
+            _cell(peak_sq), PROV_SOLVER,
             _cell(ratio), PROV_SOLVER,
             _cell(int(sol.newton_iters)), PROV_SOLVER,
             _cell(float(sol.residual)), PROV_SOLVER,
             sol.attempts[-1].start,
-            _cell(_bisection_depth(sol)), PROV_SOLVER,
+            _cell(max(a.depth for a in sol.attempts)), PROV_SOLVER,
         ])
     return rows
-
-
-def _bisection_depth(sol):
-    return max(a.depth for a in sol.attempts)
 
 
 def _trace_offset(eps, attempts):
@@ -486,9 +472,8 @@ def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
 
 
 def cmd_verify_blowup(config, out_dir, stream=None):
-    from .solver import (ContinuationError, SolverDivergence,
-                         continuation_sweep, decompose, default_grid,
-                         vnorm_diagnostics)
+    from .solver import (ContinuationError, continuation_sweep, decompose,
+                         default_grid, vnorm_diagnostics)
     stream = stream or sys.stdout
     if len(config.eps_schedule) < 4:
         raise CliError("the blow-up verdict extrapolates over a tail of "
@@ -500,23 +485,24 @@ def cmd_verify_blowup(config, out_dir, stream=None):
     config.to_json(os.path.join(out_dir, "config.json"))
 
     domain = config.domain()
-    consts = balance_constants(config.n)
     grid = default_grid(domain, config.grid_nodes)
+
+    def write_sweep(sols, decs):
+        _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_HEADER,
+                   _sweep_rows(config.n, sols, decs))
 
     try:
         solutions = continuation_sweep(list(config.eps_schedule), domain,
                                        grid=grid, tol=config.quad_tol)
     except ContinuationError as exc:
         partial = list(exc.partial)
-        decs = [decompose(s, domain) for s in partial]
-        _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_HEADER,
-                   _sweep_rows(config.n, partial, decs, consts))
+        write_sweep(partial, [decompose(s, domain) for s in partial])
         _persist_failure(out_dir, "sweep", exc, len(partial), _trace_offset(
             config.eps_schedule[len(partial)], exc.attempts))
         print("sweep failed after %d offsets: %s" % (len(partial), exc),
               file=sys.stderr)
         return 3
-    except (ValueError, SolverDivergence) as exc:
+    except ValueError as exc:
         _persist_failure(out_dir, "sweep", exc, 0)
         print("sweep failed before the first solve: %s" % exc,
               file=sys.stderr)
@@ -528,20 +514,18 @@ def cmd_verify_blowup(config, out_dir, stream=None):
             decomps.append(decompose(sol, domain))
     except (ValueError, RuntimeError) as exc:
         done = len(decomps)
-        _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_HEADER,
-                   _sweep_rows(config.n, solutions[:done], decomps, consts))
+        write_sweep(solutions[:done], decomps)
         _persist_failure(out_dir, "decompose", exc, done)
         print("decomposition failed at offset index %d: %s" % (done, exc),
               file=sys.stderr)
         return 3
 
-    _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_HEADER,
-               _sweep_rows(config.n, solutions, decomps, consts))
+    write_sweep(solutions, decomps)
 
     try:
         verdict = blowup_verdict(
             [(s.eps, d, s.M) for s, d in zip(solutions, decomps)],
-            domain.center, domain, consts=consts)
+            domain.center, domain)
     except ValueError as exc:
         _persist_failure(out_dir, "verdict", exc, len(decomps))
         print("verdict construction failed: %s" % exc, file=sys.stderr)
@@ -686,7 +670,7 @@ def _contrast_section(eps_list, domain, grid, tol):
 
 def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
                       stream=None):
-    from .solver import default_grid, supercritical_probe
+    from .solver import check_eps_floor, default_grid, supercritical_probe
     stream = stream or sys.stdout
     if config.n not in (5, 6):
         raise CliError("the supercritical paths support dimensions 5 "
@@ -698,12 +682,15 @@ def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
     if lam_samples < 5:
         raise CliError("the obstruction scan needs at least 5 scale "
                        "samples")
-    _ensure_dir(out_dir)
-    config.to_json(os.path.join(out_dir, "config.json"))
-
     domain = config.domain()
     grid = default_grid(domain, config.grid_nodes)
     eps_list = sorted(config.eps_schedule)
+    try:
+        check_eps_floor(eps_list[0], grid)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    _ensure_dir(out_dir)
+    config.to_json(os.path.join(out_dir, "config.json"))
 
     probe = supercritical_probe(eps_list, domain, grid=grid,
                                 tol=config.quad_tol)
@@ -900,36 +887,16 @@ def _build_parser():
     v = sub.add_parser("verify-blowup",
                        help="run the continuation sweep and judge the "
                             "blow-up laws")
-    v.add_argument("--config", default=None,
-                   help="JSON run configuration (excludes other run "
-                        "flags)")
-    v.add_argument("--n", type=int, default=None)
-    v.add_argument("--radius", type=float, default=None)
-    v.add_argument("--eps", type=float, nargs="+", default=None,
-                   help="decreasing positive offsets")
-    v.add_argument("--grid-nodes", type=int, default=None)
-    v.add_argument("--tol", type=float, default=None)
-    v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--out", default=None)
+    _add_run_flags(v, "decreasing positive offsets")
 
     s = sub.add_parser("supercritical",
                        help="obstruction certificate, continuation probe "
                             "and subcritical contrast")
-    s.add_argument("--config", default=None,
-                   help="JSON run configuration (excludes other run "
-                        "flags)")
-    s.add_argument("--n", type=int, default=None, choices=(5, 6))
-    s.add_argument("--radius", type=float, default=None)
-    s.add_argument("--eps", type=float, nargs="+", default=None,
-                   help="positive supercritical offsets")
-    s.add_argument("--grid-nodes", type=int, default=None)
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--seed", type=int, default=None)
+    _add_run_flags(s, "positive supercritical offsets", n_choices=(5, 6))
     s.add_argument("--stations", type=int, default=10)
     s.add_argument("--lam-lo", type=float, default=5.0)
     s.add_argument("--lam-hi", type=float, default=1e4)
     s.add_argument("--lam-samples", type=int, default=25)
-    s.add_argument("--out", default=None)
 
     e = sub.add_parser("expansion-orders",
                        help="fit the deficit decay exponents over a "
@@ -943,28 +910,35 @@ def _build_parser():
     return parser
 
 
+def _add_run_flags(parser, eps_help, n_choices=None):
+    """The run flags verify-blowup and supercritical share. Each but
+    --config stores into the RunConfig field it sets."""
+    parser.add_argument("--config", default=None,
+                        help="JSON run configuration (excludes other run "
+                             "flags)")
+    parser.add_argument("--n", type=int, choices=n_choices)
+    parser.add_argument("--radius", type=float)
+    parser.add_argument("--eps", dest="eps_schedule", type=float, nargs="+",
+                        help=eps_help)
+    parser.add_argument("--grid-nodes", type=int)
+    parser.add_argument("--tol", dest="quad_tol", type=float)
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", dest="out_dir")
+
+
 def _config_from_args(args, default_schedule):
     """Build the run configuration from --config or from flags; mixing
-    the two is rejected so the on-disk file stays authoritative."""
-    flag_values = {
-        "n": args.n,
-        "radius": args.radius,
-        "eps_schedule": tuple(args.eps) if args.eps is not None else None,
-        "grid_nodes": args.grid_nodes,
-        "quad_tol": args.tol,
-        "seed": args.seed,
-    }
-    explicit = {k: v for k, v in flag_values.items() if v is not None}
+    the two is rejected so the on-disk file stays authoritative. Fields
+    no flag sets keep the RunConfig defaults."""
+    explicit = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                if getattr(args, f.name) is not None}
     if args.config is not None:
-        if explicit:
+        flags = sorted(set(explicit) - {"out_dir"})
+        if flags:
             raise CliError("--config excludes the run flags (%s)"
-                           % ", ".join(sorted(explicit)))
+                           % ", ".join(flags))
         return RunConfig.from_json(args.config)
-    defaults = {"n": 6, "radius": 1.0, "eps_schedule": default_schedule,
-                "grid_nodes": 2048, "quad_tol": 1e-10, "seed": 0}
-    defaults.update(explicit)
-    out_dir = args.out if args.out is not None else "runs"
-    return RunConfig(out_dir=out_dir, **defaults)
+    return RunConfig(**{"eps_schedule": default_schedule, **explicit})
 
 
 def main(argv=None):
@@ -980,8 +954,9 @@ def main(argv=None):
             out = os.path.join(config.out_dir, "verify-blowup")
             return cmd_verify_blowup(config, out)
         if args.command == "supercritical":
-            if args.eps is not None:
-                args.eps = sorted(set(args.eps), reverse=True)
+            if args.eps_schedule is not None:
+                args.eps_schedule = sorted(set(args.eps_schedule),
+                                           reverse=True)
             config = _config_from_args(args, (0.09, 0.05, 0.02))
             out = os.path.join(config.out_dir, "supercritical")
             return cmd_supercritical(

@@ -39,7 +39,10 @@ from .bubble import (
     _projected_scale_derivative,
     _require_centered,
     balance_constants,
+    balance_scale,
     critical_exponent,
+    law_limits,
+    law_quantities,
     radial_profile,
     radial_scale_derivative,
 )
@@ -52,6 +55,7 @@ __all__ = [
     "NonContractionError",
     "BlowupEntry",
     "BlowupVerdict",
+    "LAW_RTOL",
     "ObstructionEntry",
     "ObstructionReport",
     "coercivity_check",
@@ -76,6 +80,8 @@ _MAX_TRIAL_MODES = 400
 # Contraction ratios are certified only while steps sit clearly above
 # the round-off floor of the fixed-point update.
 _RATIO_FLOOR = 1e-10
+# relative distance within which an extrapolated law limit passes
+LAW_RTOL = 0.15
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +497,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     decreasing |eps|; at least four are required, and the extrapolation
     tail uses the last four. x0 is the concentration point (the center
     here). Verdict booleans ask both extrapolation models to land within
-    15 percent of the law.
+    LAW_RTOL of the law.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -516,16 +522,17 @@ def blowup_verdict(sweep, x0, domain, consts=None):
             raise ValueError("every decomposition must share the domain")
         if not dec.lam > 0:
             raise ValueError("decomposition scales must be positive")
+        scale_pow, peak_sq, ratio = law_quantities(n, eps, float(peak),
+                                                   float(dec.lam))
         entries.append(BlowupEntry(
             eps=eps,
             peak=float(peak),
             alpha=float(dec.alpha),
             scale=float(dec.lam),
-            eps_peak_sq=eps * float(peak) ** 2,
-            eps_scale_pow=eps * float(dec.lam) ** (n - 4.0),
+            eps_peak_sq=peak_sq,
+            eps_scale_pow=scale_pow,
             peak_pow=float(peak) ** eps,
-            peak_scale_ratio=float(peak) / (
-                consts.c0 * float(dec.lam) ** ((n - 4.0) / 2.0)),
+            peak_scale_ratio=ratio,
         ))
 
     tail = entries[-4:]
@@ -539,10 +546,9 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     scale_limits = (_affine_limit(glin, scale_tail),
                     _affine_limit(glog, scale_tail))
 
-    t_scale = consts.c1 / consts.c2 * robin(domain, x0).phi
-    t_peak = consts.c0 ** 2 * t_scale
-    peak_ok = all(abs(v / t_peak - 1.0) <= 0.15 for v in peak_limits)
-    scale_ok = all(abs(v / t_scale - 1.0) <= 0.15 for v in scale_limits)
+    t_scale, t_peak = law_limits(consts, robin(domain, x0).phi)
+    peak_ok = all(abs(v / t_peak - 1.0) <= LAW_RTOL for v in peak_limits)
+    scale_ok = all(abs(v / t_scale - 1.0) <= LAW_RTOL for v in scale_limits)
     return BlowupVerdict(
         n=n,
         entries=tuple(entries),
@@ -669,8 +675,7 @@ def supercritical_obstruction(eps_list, domain, consts=None,
             margin=scan_min - floor,
             positive=bool(scan_min > floor),
             subcritical_root=root,
-            subcritical_root_closed=float(
-                (consts.c1 * phi0 / (consts.c2 * eps)) ** (1.0 / (n - 4.0))),
+            subcritical_root_closed=float(balance_scale(consts, phi0, eps)),
             sign_change=sign_change,
         ))
 

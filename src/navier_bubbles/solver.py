@@ -46,8 +46,8 @@ from .bubble import (
     _projected_profile,
     _projected_profile_laplacian,
     _projected_scale_derivative_laplacian,
-    c0,
     critical_exponent,
+    law_scale,
     sobolev_energy,
 )
 from .green_robin import BallDomain
@@ -113,9 +113,10 @@ class NewtonAttempt:
     """One damped Newton solve as a run's solver trace records it.
 
     start names the initial iterate: "cold" (bubble guess at the cold
-    scale), "secant", "law" or "raw" for the continuation predictors
-    (see continuation_sweep), "guess", "solution" or "fields" for the
-    three kinds of init solve_radial accepts. depth is the bisection
+    scale), "law" or "secant" for the continuation prediction from one
+    or from two converged points (see continuation_sweep), "guess",
+    "solution" or "fields" for the three kinds of init solve_radial
+    accepts. depth is the bisection
     depth of the continuation step the attempt served. residuals[k] is
     the scaled residual at iterate k, the last entry at the returned
     iterate; damping[k] is the factor of the step taken from iterate k,
@@ -525,18 +526,12 @@ def _cold_lambda(eps_mag, R):
     return math.sqrt(20.0 / eps_mag) / R
 
 
-def _law_lambda(n, M, eps):
-    """The blow-up law's scale for peak M at signed offset eps,
-    lam = c0^{2/(4-n)} M^{(p-1+eps)/4}."""
-    return c0(n) ** (2.0 / (4 - n)) * M ** (
-        (critical_exponent(n) - 1 + eps) / 4.0)
-
-
 # ---------------------------------------------------------------------------
 # public solves
 
 
-def _check_eps_floor(eps_mag, grid):
+def check_eps_floor(eps_mag, grid):
+    """Refuse (ValueError) an offset magnitude the grid cannot resolve."""
     if eps_mag < _EPS_FLOOR - 1e-15 and len(grid) < 2 * _DEFAULT_NODES:
         raise ValueError(
             "offset %g is below the resolution floor %g of a %d-node grid; "
@@ -573,7 +568,7 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
         grid = init.grid if isinstance(init, RadialSolution) else default_grid(domain)
     if grid.n != n or grid.R != domain.radius:
         raise ValueError("grid dimension or radius does not match the domain")
-    _check_eps_floor(abs(eps), grid)
+    check_eps_floor(abs(eps), grid)
 
     if isinstance(init, BubbleGuess):
         start = "guess"
@@ -641,30 +636,21 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
     start each solve from the previous solutions.
 
     The first offset is a cold start from a bubble guess. Each later
-    step tries up to three predictors, in order:
-
-      secant  log M extrapolated linearly in log eps from the last two
-              converged points, and the guess rebuilt as the projected
-              bubble at the law's scale lam(M) = c0^{2/(4-n)}
-              M^{(p-1-eps)/4}, scaled so that u(0) is the predicted M;
-      law     the previous peak and scale both advanced by the factor
-              sqrt(eps_prev / eps), the blow-up law's rate at n = 6;
-      raw     the previous fields as they are.
-
-    The first step has only one previous point and starts at the law
-    guess. The secant follows the branch through the scale direction,
-    which becomes a near-kernel of the linearization as eps -> 0 and
-    narrows Newton's basin along it; the law guess lands a percent or
-    two off in M there and damped Newton creeps along the flat valley
-    to its iteration cap. If every predictor fails the step is split at
-    the geometric midpoint and retried, recursively. The first offset
-    that cannot be reached aborts the sweep; the exception carries the
-    solutions already obtained and the Newton record of the offset that
-    was not reached.
+    step makes one prediction: log M extrapolated linearly in log eps,
+    through the last two converged points ("secant") or, with only one,
+    at the peak law's slope -1/2 ("law"). The guess is the projected
+    bubble at the law's scale for the predicted M (bubble.law_scale),
+    scaled so that u(0) is that M. Predicting M keeps the guess on the
+    branch along the scale direction, a near-kernel of the
+    linearization as eps -> 0 that narrows Newton's basin. If the solve
+    fails the step is split at the geometric midpoint and each half is
+    predicted and solved the same way, recursively. The first offset that cannot be reached aborts the
+    sweep; the exception carries the solutions already obtained and the
+    Newton record of the offset that was not reached.
 
     Every returned solution carries in .attempts the Newton record of
-    each solve its step made, failed candidates and bisection halves
-    included, with start naming the predictor and depth the bisection
+    each solve its step made, failed ones and bisection halves
+    included, with start naming the prediction and depth the bisection
     depth; the last attempt is the one that produced it.
     """
     eps_arr = [float(e) for e in eps_list]
@@ -681,7 +667,7 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
         )
     if grid is None:
         grid = default_grid(domain)
-    _check_eps_floor(min(eps_arr), grid)
+    check_eps_floor(min(eps_arr), grid)
 
     n = domain.n
 
@@ -696,32 +682,25 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
         log.append(replace(sol.attempts[0], start=start, depth=depth))
         return sol
 
-    def predictors(prev, before, e_tgt):
-        e_prev = abs(prev.eps)
-        if before is not None:
-            slope = (math.log(prev.M / before.M)
-                     / math.log(e_prev / abs(before.eps)))
-            M_pred = prev.M * (e_tgt / e_prev) ** slope
-            ug, wg = _bubble_fields(grid, _law_lambda(n, M_pred, -e_tgt))
-            amp = M_pred / ug[0]
-            yield "secant", (amp * ug, amp * wg)
-        lam_g = _law_lambda(n, prev.M, -e_prev) * math.sqrt(e_prev / e_tgt)
-        ug, wg = _bubble_fields(grid, lam_g)
-        amp = prev.M * math.sqrt(e_prev / e_tgt) / ug[0]
-        yield "law", (amp * ug, amp * wg)
-        yield "raw", prev
-
     def advance(prev, before, e_tgt, depth, log):
-        for start, init in predictors(prev, before, e_tgt):
-            try:
-                return attempt(e_tgt, start, init, depth, log)
-            except SolverDivergence:
-                continue
+        e_prev = abs(prev.eps)
+        if before is None:
+            start, slope = "law", -0.5
+        else:
+            start, slope = "secant", (math.log(prev.M / before.M)
+                                      / math.log(e_prev / abs(before.eps)))
+        M_pred = prev.M * (e_tgt / e_prev) ** slope
+        ug, wg = _bubble_fields(grid, law_scale(n, M_pred, -e_tgt))
+        amp = M_pred / ug[0]
+        try:
+            return attempt(e_tgt, start, (amp * ug, amp * wg), depth, log)
+        except SolverDivergence:
+            pass
         if depth >= 12:
             raise SolverDivergence(
                 "continuation bisection exhausted at offset %g" % e_tgt
             )
-        mid = math.sqrt(abs(prev.eps) * e_tgt)
+        mid = math.sqrt(e_prev * e_tgt)
         half = advance(prev, before, mid, depth + 1, log)
         return advance(half, prev, e_tgt, depth + 1, log)
 
@@ -795,7 +774,7 @@ def decompose(sol, domain):
         lp, al = profile(math.exp(loglam))
         return float(np.sum(wts * (w - al * lp) ** 2))
 
-    scan = np.log(_law_lambda(n, sol.M, sol.eps)) + np.linspace(-1.6, 1.6, 33)
+    scan = np.log(law_scale(n, sol.M, sol.eps)) + np.linspace(-1.6, 1.6, 33)
     vals = [objective(x) for x in scan]
     k = int(np.argmin(vals))
     k = min(max(k, 1), len(scan) - 2)
@@ -953,23 +932,22 @@ def supercritical_probe(eps_list, domain, grid=None, tol=1e-10):
             failure = str(exc)
         alpha = lam = v_norm = v_rel = lambda_d = math.nan
         concentrating = False
-        if sol is not None:
-            try:
-                dec = decompose(sol, domain)
-                alpha, lam, v_norm = dec.alpha, dec.lam, dec.v_norm
-                v_rel, lambda_d, parts = concentration(sol, dec, domain)
-                concentrating = converged and all(parts)
-            except (ValueError, RuntimeError) as exc:
-                if failure is None:
-                    failure = "decomposition inadmissible: %s" % exc
+        try:
+            dec = decompose(sol, domain)
+            alpha, lam, v_norm = dec.alpha, dec.lam, dec.v_norm
+            v_rel, lambda_d, parts = concentration(sol, dec, domain)
+            concentrating = converged and all(parts)
+        except (ValueError, RuntimeError) as exc:
+            if failure is None:
+                failure = "decomposition inadmissible: %s" % exc
         entries.append(
             ProbeEntry(
                 eps=eps,
                 converged=converged,
-                newton_iters=sol.newton_iters if sol is not None else 0,
-                residual=sol.residual if sol is not None else math.nan,
-                M=sol.M if sol is not None else math.nan,
-                M_pow_eps=sol.M**eps if sol is not None else math.nan,
+                newton_iters=sol.newton_iters,
+                residual=sol.residual,
+                M=sol.M,
+                M_pow_eps=sol.M**eps,
                 alpha=alpha,
                 lam=lam,
                 v_norm=v_norm,

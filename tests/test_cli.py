@@ -428,6 +428,43 @@ def test_verify_blowup_rejects_config_flag_mix(tmp_path, capsys):
     assert "--config excludes" in capsys.readouterr().err
 
 
+def test_config_flag_mix_names_the_fields(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    RunConfig().to_json(path)
+    for command in ("verify-blowup", "supercritical"):
+        rc = cli.main([command, "--config", str(path), "--eps", "0.1",
+                       "--tol", "1e-9", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: --config excludes the run flags (eps_schedule, "
+            "quad_tol)\n")
+
+
+def test_config_json_lists_every_field_in_order(tmp_path):
+    path = tmp_path / "config.json"
+    RunConfig().to_json(path)
+    assert path.read_text() == textwrap.dedent("""\
+        {
+         "schema": "navier-bubbles/run-config/1",
+         "n": 6,
+         "radius": 1.0,
+         "eps_schedule": [
+          0.3,
+          0.2,
+          0.1,
+          0.05,
+          0.02,
+          0.01,
+          0.005
+         ],
+         "grid_nodes": 2048,
+         "quad_tol": 1e-10,
+         "out_dir": "runs",
+         "seed": 0
+        }
+        """)
+
+
 def test_verify_blowup_rejects_other_dimensions(capsys):
     assert cli.main(["verify-blowup", "--n", "5"]) == 2
     assert "dimension 6" in capsys.readouterr().err
@@ -499,9 +536,7 @@ def test_verify_blowup_refuses_tolerance_below_round_off(tmp_path, capsys):
 
 def test_partial_sweep_rows_serialize_real_solutions(
         tmp_path, subcritical_sweep, sweep_decompositions):
-    consts = balance_constants(6)
-    rows = _sweep_rows(6, subcritical_sweep[:3], sweep_decompositions[:3],
-                       consts)
+    rows = _sweep_rows(6, subcritical_sweep[:3], sweep_decompositions[:3])
     path = tmp_path / "partial.csv"
     _write_csv(path, _SWEEP_HEADER, rows)
     header, data = read_csv(path)
@@ -621,6 +656,19 @@ def test_supercritical_dimension_five_skips_contrast(tmp_path, capsys):
 def test_supercritical_rejects_unsupported_dimension():
     with pytest.raises(SystemExit):
         cli.main(["supercritical", "--n", "7"])
+
+
+def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):
+    # the solver's resolution floor, applied before any artifact exists
+    rc = cli.main(["supercritical", "--eps", "0.02", "0.001",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "below the resolution floor" in capsys.readouterr().err
+    rc = cli.main(["supercritical", "--eps", "0.001", "--grid-nodes", "8192",
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "below any supported resolution" in capsys.readouterr().err
+    assert not (tmp_path / "supercritical").exists()
 
 
 def test_supercritical_rejects_bad_scan(capsys):

@@ -24,10 +24,15 @@ import pytest
 from scipy.linalg import eigh, null_space
 from scipy.special import jn_zeros, jv
 
+from navier_bubbles import cli
 from navier_bubbles.bubble import (
     BubbleParams,
     balance_constants,
+    balance_scale,
+    center_potential,
     critical_exponent,
+    law_limits,
+    law_quantities,
     radial_profile,
     radial_scale_derivative,
     sobolev_energy,
@@ -35,6 +40,7 @@ from navier_bubbles.bubble import (
 from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles import reduction
 from navier_bubbles.numerics import QUAD_RTOL, sphere_measure
+from navier_bubbles.solver import Decomposition
 from navier_bubbles.reduction import (
     BlowupVerdict,
     NonContractionError,
@@ -378,6 +384,44 @@ def test_verdict_entries_carry_the_laws(reference_verdict,
         1.0065158, rel=1e-6)
     laws = [e.eps_scale_pow for e in v.entries]
     assert all(b > a for a, b in zip(laws, laws[1:]))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_every_law_consumer_reads_the_law_home(n):
+    # the constant table, the verdict and the obstruction's closed-form
+    # root agree with bubble's law bit for bit; the verdict and the
+    # obstruction take phi from the Robin series, the table from the
+    # closed form
+    consts = balance_constants(n)
+    ball = BallDomain.unit(n)
+    rows = {label: value for label, value, _ in cli.constants_rows(n)}
+    scale, peak = law_limits(consts, center_potential(n))
+    assert rows["unit-ball center potential"] == center_potential(n)
+    assert rows["scale law limit eps*lam^(n-4), unit ball"] == scale
+    assert rows["peak law limit eps*M^2, unit ball"] == peak
+
+    offsets = (0.05, 0.02, 0.01, 0.005)
+    sweep = []
+    for k, eps in enumerate(offsets):
+        lam = 10.0 * (k + 1)
+        dec = Decomposition(alpha=1.0, a=np.zeros(n), lam=lam, v_norm=0.01,
+                            ortho_residuals=(0.0, 0.0, 0.0), domain=ball,
+                            eps=-eps)
+        sweep.append((-eps, dec, 3.0 * lam))
+    verdict = blowup_verdict(sweep, ball.center, ball, consts=consts)
+    phi = robin(ball, ball.center).phi
+    assert (verdict.scale_target, verdict.peak_target) == law_limits(
+        consts, phi)
+    for entry, (eps, dec, peak_value) in zip(verdict.entries, sweep):
+        assert (entry.eps_scale_pow, entry.eps_peak_sq,
+                entry.peak_scale_ratio) == law_quantities(
+                    n, abs(eps), peak_value, dec.lam)
+
+    report = supercritical_obstruction(offsets, ball, consts=consts,
+                                       stations=3, lam_samples=5)
+    for entry in report.entries:
+        assert entry.subcritical_root_closed == balance_scale(
+            consts, phi, entry.eps)
 
 
 def test_verdict_validation(unit_ball6, subcritical_sweep,

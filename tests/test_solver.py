@@ -396,8 +396,8 @@ def total_newton_iters(sweep):
 
 @pytest.fixture(scope="module")
 def forced_jump(unit_ball6):
-    # 0.1 -> 0.005 in one step: no predictor reaches it, so the step
-    # runs through every fallback down to bisection
+    # 0.1 -> 0.005 in one step: the prediction does not reach it, so the
+    # step is bisected
     return continuation_sweep([0.3, 0.1, 0.005], unit_ball6)
 
 
@@ -422,8 +422,8 @@ def full_newton_steps(sol, steps):
 
 
 def test_default_sweep_predicts_without_bisection(subcritical_sweep):
-    # measured 37 Newton iterations; the law guess alone spent 103, 60
-    # of them in the two warm starts capped at 0.05 -> 0.02
+    # measured 35 Newton iterations; warm starts advanced at the n = 6
+    # law rate alone spent 103, 60 of them capped at 0.05 -> 0.02
     assert total_newton_iters(subcritical_sweep) <= 40
     assert all(a.depth == 0 for sol in subcritical_sweep
                for a in sol.attempts)
@@ -434,18 +434,21 @@ def test_default_sweep_predicts_without_bisection(subcritical_sweep):
 def test_fine_schedule_predicts_without_bisection(unit_ball6):
     sweep = continuation_sweep(list(FINE_OFFSETS), unit_ball6,
                                grid=default_grid(unit_ball6, nodes=8192))
-    assert total_newton_iters(sweep) <= 45  # measured 43
+    assert total_newton_iters(sweep) <= 45  # measured 41
     assert all(a.depth == 0 for sol in sweep for a in sol.attempts)
     assert all(sol.attempts[-1].start == "secant" for sol in sweep[2:])
 
 
-def test_forced_jump_reaches_every_fallback(forced_jump, subcritical_sweep):
+def test_forced_jump_bisects_after_one_prediction(forced_jump,
+                                                  subcritical_sweep):
+    assert [sol.attempts[-1].start for sol in forced_jump] == [
+        "cold", "law", "secant"]
     step = forced_jump[-1].attempts
     assert [(a.start, a.depth) for a in step] == [
-        ("secant", 0), ("law", 0), ("raw", 0), ("secant", 1), ("secant", 1)]
-    assert [a.exit for a in step[:3]] == ["cap"] * 3
-    assert all(len(a.damping) == 30 for a in step[:3])
-    assert abs(step[3].eps) == pytest.approx(math.sqrt(0.1 * 0.005))
+        ("secant", 0), ("secant", 1), ("secant", 1)]
+    assert step[0].exit == "cap" and len(step[0].damping) == 30
+    assert abs(step[1].eps) == pytest.approx(math.sqrt(0.1 * 0.005))
+    assert total_newton_iters(forced_jump) <= 85  # measured 82
     assert step[-1].exit == "converged" and step[-1].eps == -0.005
     # the pinned exit makes the solution independent of its route
     assert math.isclose(forced_jump[-1].M, subcritical_sweep[-1].M,
