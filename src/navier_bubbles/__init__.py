@@ -5,7 +5,7 @@ Submodules:
   bubble       the explicit concentrating profile and its calculus
   green_robin  Robin function of the Navier kernel on balls
   projection   boundary correction of a centered bubble, its expansion
-  solver       radial Newton continuation in the exponent offset
+  solver       radial Newton solves swept in the exponent offset
   reduction    reduced balance equations, coercivity, blow-up verdicts
   cli          command line entry points
 """

@@ -5,7 +5,7 @@ a handful of scalars: an amplitude offset `beta`, a scale offset `rho`
 and a center offset `xi`. This module assembles that finite system,
 solves it by a frozen-Jacobian fixed point that carries a contraction
 certificate, measures the constrained spectral gap that keeps the
-reduction honest, and turns continuation sweeps into pass/fail blow-up
+reduction honest, and turns subcritical sweeps into pass/fail blow-up
 verdicts.
 
 Construction of the reduced system. The energy quotient is invariant
@@ -434,7 +434,7 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
 
 
 # ---------------------------------------------------------------------------
-# blow-up verdicts from continuation sweeps
+# blow-up verdicts from subcritical sweeps
 
 @dataclass(frozen=True)
 class BlowupEntry:
@@ -457,9 +457,9 @@ class BlowupVerdict:
     peak refers to eps * max^2, scale to eps * lam^(n-4). Each series is
     extrapolated to eps -> 0 under two error models, linear in eps and
     linear in eps * log(1/eps), over the sweep tail. Targets use the
-    operative positive convention of the lower-order constant, named by
-    `convention` ("half"); the "full" variant is -2 times it, so its
-    negative targets can never match a positive limit.
+    operative positive c2 (balance_constants); the other printed variant
+    is -2 times it, so its negative targets could never match a positive
+    limit.
     """
 
     n: int
@@ -471,7 +471,6 @@ class BlowupVerdict:
     scale_limit_epslog: float
     peak_target: float
     scale_target: float
-    convention: str
     peak_ok: bool
     scale_ok: bool
     verdict: bool
@@ -479,8 +478,6 @@ class BlowupVerdict:
     def __post_init__(self):
         if len(self.entries) < 4:
             raise ValueError("a verdict needs at least four sweep points")
-        if self.convention not in ("half", "full"):
-            raise ValueError("convention must be 'half' or 'full'")
 
 
 def _affine_limit(gvals, yvals):
@@ -491,7 +488,7 @@ def _affine_limit(gvals, yvals):
 
 
 def blowup_verdict(sweep, x0, domain, consts=None):
-    """Judge a continuation sweep against the blow-up laws.
+    """Judge a subcritical sweep against the blow-up laws.
 
     sweep holds (eps, decomposition, peak) triples with strictly
     decreasing |eps|; at least four are required, and the extrapolation
@@ -559,7 +556,6 @@ def blowup_verdict(sweep, x0, domain, consts=None):
         scale_limit_epslog=scale_limits[1],
         peak_target=t_peak,
         scale_target=t_scale,
-        convention="half",
         peak_ok=peak_ok,
         scale_ok=scale_ok,
         verdict=peak_ok and scale_ok,

@@ -1,4 +1,4 @@
-"""Radial Newton continuation for the two-field Navier system.
+"""Radial Newton solves for the two-field Navier system.
 
 The fourth order problem on a ball, Delta^2 u = u^q with u and Delta u
 vanishing on the boundary, splits into the coupled second order system
@@ -9,8 +9,7 @@ for radial profiles u(r), w(r). The exponent is q = p + eps with
 p = (n+4)/(n-4); eps < 0 is the subcritical branch, eps > 0 the
 supercritical one. This module discretizes the radial Laplacian in
 conservative flux form on a graded grid, solves the system by damped
-Newton, and continues solutions in eps from secant-predicted warm
-starts.
+Newton, and sweeps eps with every solve started from the blow-up law.
 
 The flux discretization is chosen for its summation-by-parts structure:
 the discrete Laplacian is self-adjoint in the cell-volume inner product
@@ -46,7 +45,10 @@ from .bubble import (
     _projected_profile,
     _projected_profile_laplacian,
     _projected_scale_derivative_laplacian,
+    balance_constants,
+    center_potential,
     critical_exponent,
+    law_limits,
     law_scale,
     sobolev_energy,
 )
@@ -81,7 +83,7 @@ class SolverDivergence(RuntimeError):
 
 class ContinuationError(RuntimeError):
     """A sweep died partway; .partial holds the solutions obtained and
-    .attempts the Newton record of every solve tried for the offset that
+    .attempts the Newton record of the failed solve at the offset that
     was not reached, in the form of RadialSolution.attempts."""
 
     def __init__(self, message, partial=(), attempts=()):
@@ -112,12 +114,9 @@ class BubbleGuess:
 class NewtonAttempt:
     """One damped Newton solve as a run's solver trace records it.
 
-    start names the initial iterate: "cold" (bubble guess at the cold
-    scale), "law" or "secant" for the continuation prediction from one
-    or from two converged points (see continuation_sweep), "guess",
-    "solution" or "fields" for the three kinds of init solve_radial
-    accepts. depth is the bisection
-    depth of the continuation step the attempt served. residuals[k] is
+    start names the initial iterate: "law" for the blow-up law's seed
+    (see continuation_sweep), "guess", "solution" or "fields" for the
+    three kinds of init solve_radial accepts. residuals[k] is
     the scaled residual at iterate k, the last entry at the returned
     iterate; damping[k] is the factor of the step taken from iterate k,
     so len(damping) steps were taken. exit is the Newton exit:
@@ -126,7 +125,6 @@ class NewtonAttempt:
 
     eps: float
     start: str
-    depth: int
     residuals: tuple
     damping: tuple
     exit: str
@@ -139,10 +137,8 @@ class RadialSolution:
     eps is stored with its sign: negative offsets are subcritical.
     residual is the scaled max-norm backward error actually achieved and
     must not exceed the declared tolerance; M duplicates u[0] for
-    the sweep tables and bookkeeping. attempts holds the Newton solves
-    that produced the solution, failed ones first: one for solve_radial,
-    every candidate of the step (bisection halves included) for a
-    continuation_sweep entry.
+    the sweep tables and bookkeeping. attempts holds the one Newton
+    solve that produced the solution.
     """
 
     grid: RadialGrid
@@ -599,7 +595,7 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     if float(np.max(np.abs(u))) < 1e-6 * m0:
         exit_ = "collapsed"
     attempt = NewtonAttempt(
-        eps=float(eps), start=start, depth=0,
+        eps=float(eps), start=start,
         residuals=tuple(float(r) for r, _ in history),
         damping=tuple(float(t) for _, t in history[:-1]), exit=exit_,
     )
@@ -630,28 +626,28 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     )
 
 
-def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
-    """Subcritical continuation: solve at each positive offset in
-    eps_list (strictly decreasing, first entry at least 0.3) and warm
-    start each solve from the previous solutions.
+def _law_seed(grid, peak_limit, e):
+    """The initial fields at offset magnitude e: the peak law's
+    M = sqrt(peak_limit / e), the projected bubble at the law's scale for
+    that M (bubble.law_scale), scaled so that u(0) = M. Starting on the
+    branch in the scale direction, a near-kernel of the linearization as
+    e -> 0, is what keeps Newton inside its basin."""
+    M = math.sqrt(peak_limit / e)
+    u, w = _bubble_fields(grid, law_scale(grid.n, M, -e))
+    amp = M / u[0]
+    return amp * u, amp * w
 
-    The first offset is a cold start from a bubble guess. Each later
-    step makes one prediction: log M extrapolated linearly in log eps,
-    through the last two converged points ("secant") or, with only one,
-    at the peak law's slope -1/2 ("law"). The guess is the projected
-    bubble at the law's scale for the predicted M (bubble.law_scale),
-    scaled so that u(0) is that M. Predicting M keeps the guess on the
-    branch along the scale direction, a near-kernel of the
-    linearization as eps -> 0 that narrows Newton's basin. If the solve
-    fails the step is split at the geometric midpoint and each half is
-    predicted and solved the same way, recursively. The first offset that cannot be reached aborts the
-    sweep; the exception carries the solutions already obtained and the
-    Newton record of the offset that was not reached.
+
+def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
+    """Subcritical sweep: solve at each positive offset in eps_list
+    (strictly decreasing), each solve started from the blow-up law's
+    seed (_law_seed) for the ball's center, independently of the others.
 
     Every returned solution carries in .attempts the Newton record of
-    each solve its step made, failed ones and bisection halves
-    included, with start naming the prediction and depth the bisection
-    depth; the last attempt is the one that produced it.
+    its one solve, with start "law". The first offset that cannot be
+    reached aborts the sweep; the exception carries the solutions
+    already obtained and the Newton record of the offset that was not
+    reached.
     """
     eps_arr = [float(e) for e in eps_list]
     if len(eps_arr) < 1:
@@ -660,72 +656,23 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
         raise ValueError("subcritical sweep offsets must be positive")
     if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
         raise ValueError("eps_list must decrease strictly")
-    if eps_arr[0] < 0.3:
-        raise ValueError(
-            "first offset must sit in the easy regime (at least 0.3); "
-            "cold starts closer to critical are not reliable"
-        )
     if grid is None:
         grid = default_grid(domain)
     check_eps_floor(min(eps_arr), grid)
-
-    n = domain.n
-
-    def attempt(e, start, init, depth, log):
-        # one solve at offset e; its Newton record joins log either way
+    peak_limit = law_limits(balance_constants(domain.n),
+                            center_potential(domain.n, domain.radius))[1]
+    out = []
+    for e in eps_arr:
         try:
-            sol = solve_radial(-e, domain, init, grid=grid, tol=tol)
-        except SolverDivergence as exc:
-            log.append(replace(exc.last.attempts[0], start=start,
-                               depth=depth))
-            raise
-        log.append(replace(sol.attempts[0], start=start, depth=depth))
-        return sol
-
-    def advance(prev, before, e_tgt, depth, log):
-        e_prev = abs(prev.eps)
-        if before is None:
-            start, slope = "law", -0.5
-        else:
-            start, slope = "secant", (math.log(prev.M / before.M)
-                                      / math.log(e_prev / abs(before.eps)))
-        M_pred = prev.M * (e_tgt / e_prev) ** slope
-        ug, wg = _bubble_fields(grid, law_scale(n, M_pred, -e_tgt))
-        amp = M_pred / ug[0]
-        try:
-            return attempt(e_tgt, start, (amp * ug, amp * wg), depth, log)
-        except SolverDivergence:
-            pass
-        if depth >= 12:
-            raise SolverDivergence(
-                "continuation bisection exhausted at offset %g" % e_tgt
-            )
-        mid = math.sqrt(e_prev * e_tgt)
-        half = advance(prev, before, mid, depth + 1, log)
-        return advance(half, prev, e_tgt, depth + 1, log)
-
-    e0 = eps_arr[0]
-    log = []
-    try:
-        sol = attempt(e0, "cold",
-                      BubbleGuess(lam=_cold_lambda(e0, domain.radius)), 0, log)
-    except SolverDivergence as exc:
-        raise ContinuationError(
-            "cold start at offset %g failed: %s" % (e0, exc), partial=[],
-            attempts=log,
-        ) from exc
-    out = [replace(sol, attempts=tuple(log))]
-    for e_tgt in eps_arr[1:]:
-        log = []
-        before = out[-2] if len(out) > 1 else None
-        try:
-            sol = advance(out[-1], before, e_tgt, 0, log)
+            sol = solve_radial(-e, domain, _law_seed(grid, peak_limit, e),
+                               grid=grid, tol=tol)
         except SolverDivergence as exc:
             raise ContinuationError(
-                "sweep aborted at offset %g: %s" % (e_tgt, exc), partial=out,
-                attempts=log,
+                "sweep aborted at offset %g: %s" % (e, exc), partial=out,
+                attempts=[replace(exc.last.attempts[0], start="law")],
             ) from exc
-        out.append(replace(sol, attempts=tuple(log)))
+        out.append(replace(sol, attempts=(replace(sol.attempts[0],
+                                                  start="law"),)))
     return out
 
 

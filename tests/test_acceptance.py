@@ -205,9 +205,9 @@ def test_criterion_6_blowup_law(unit_ball6, subcritical_sweep,
     detail = ("energies %.0f/%.0f vs %.0f (5%%); remainder decreasing "
               "with ratio spread %.2f (<= 2); final alpha %.4f "
               "(+-0.05); peak ratio %.4f ([0.9, 1.1]); extrapolated "
-              "laws within 15%% under the %r convention"
+              "laws within 15%% of the positive-c2 targets"
               % (energy, mass, level, max(diag.ratios) / min(diag.ratios),
-                 final_dec.alpha, peak_ratio, verdict.convention))
+                 final_dec.alpha, peak_ratio))
     _report(6, "blow-up law", ok, detail)
 
 

@@ -56,7 +56,7 @@ def provenance_cells(header, row):
 def test_config_round_trip_is_lossless(tmp_path):
     config = RunConfig(n=6, radius=1.25,
                        eps_schedule=(0.3, 0.07000000000000001, 0.0123),
-                       grid_nodes=512, quad_tol=3.33e-9,
+                       grid_nodes=512, quad_tol=3.33e-11,
                        out_dir="somewhere/else", seed=41)
     path = tmp_path / "config.json"
     config.to_json(path)
@@ -110,6 +110,27 @@ def test_config_rejects_coarse_grid():
 def test_config_rejects_negative_seed():
     with pytest.raises(CliError, match="seed"):
         RunConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("radius", "x", "radius must be a number, not 'x'"),
+    ("eps_schedule", 0.1, "eps_schedule must be a list of numbers"),
+    ("eps_schedule", [0.3, "0.1"], "eps_schedule must be a list of numbers"),
+    ("grid_nodes", None, "grid_nodes must be a number"),
+    ("seed", True, "seed must be a number"),
+], ids=["radius-text", "schedule-number", "schedule-text-entry",
+        "grid-null", "seed-bool"])
+def test_config_file_refuses_non_numeric_fields(tmp_path, capsys, field,
+                                                value, message):
+    data = RunConfig(out_dir=str(tmp_path)).to_dict()
+    data[field] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CliError, match=message):
+        RunConfig.from_dict(data)
+    assert cli.main(["verify-blowup", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "verify-blowup").exists()
 
 
 def test_config_rejects_unknown_schema(tmp_path):
@@ -315,7 +336,6 @@ def test_verify_blowup_reference_run_passes(vb_run):
     report = json.loads((out / "report.json").read_text())
     assert report["schema"] == "navier-bubbles/verify-blowup-report/1"
     assert report["passed"] is True
-    assert report["convention"] == "half"
     assert all(c["passed"] for c in report["checks"])
     assert not (out / "failure.json").exists()
 
@@ -357,18 +377,15 @@ def test_verify_blowup_sweep_table(vb_run):
 def test_verify_blowup_solver_trace(vb_run):
     _, out = vb_run
     header, rows = read_csv(out / "sweep.csv")
-    predictors = [r[header.index("predictor")] for r in rows]
-    assert predictors == ["cold", "law"] + ["secant"] * 5
-    assert all(r[header.index("bisection_depth")] == "0" for r in rows)
     trace = json.loads((out / "report.json").read_text())["solver_trace"]
-    assert trace["max_bisection_depth"] == 0
+    assert set(trace) == {"newton_iters", "offsets"}
     assert trace["newton_iters"] <= 40
-    assert [o["predictor"] for o in trace["offsets"]] == predictors
     total = 0
     for offset, row in zip(trace["offsets"], rows):
+        assert set(offset) == {"eps", "attempts"}
         assert offset["eps"]["value"] == float(row[header.index("eps")])
-        winner = offset["attempts"][-1]
-        assert winner["exit"] == "converged"
+        (winner,) = offset["attempts"]
+        assert winner["start"] == "law" and winner["exit"] == "converged"
         assert winner["newton_iters"] == int(row[header.index("newton_iters")])
         for attempt in offset["attempts"]:
             steps = attempt["iterations"]
@@ -497,24 +514,21 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
     assert (out / "config.json").exists()
     assert not (out / "report.json").exists()
 
-    # a one-iteration Newton cap: the cold start runs and fails, and its
-    # attempts are written in the solver-trace offset shape
+    # a one-iteration Newton cap: the first solve runs and fails, and
+    # its attempt is written in the solver-trace offset shape
     monkeypatch.setattr(solver, "solve_radial",
                         functools.partial(solver.solve_radial, max_iter=1))
     rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
                    "--out", str(tmp_path / "aborted")])
     assert rc == 3
-    assert "cold start at offset 0.3 failed" in capsys.readouterr().err
+    assert "sweep aborted at offset 0.3" in capsys.readouterr().err
     out = tmp_path / "aborted" / "verify-blowup"
     failure = json.loads((out / "failure.json").read_text())
     assert failure["stage"] == "sweep" and failure["completed"] == 0
     offset = failure["failed_offset"]
-    assert set(offset) == {"eps", "predictor", "bisection_depth",
-                           "attempts"}
+    assert set(offset) == {"eps", "attempts"}
     assert offset["eps"] == {"value": 0.3, "provenance": "formula"}
-    assert offset["predictor"] is None
-    assert offset["bisection_depth"] == 0
-    assert [a["start"] for a in offset["attempts"]] == ["cold"]
+    assert [a["start"] for a in offset["attempts"]] == ["law"]
     for a in offset["attempts"]:
         assert a["exit"] in {"cap", "line search", "singular step",
                              "collapsed"}
@@ -525,13 +539,17 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
 
 
 def test_verify_blowup_refuses_tolerance_below_round_off(tmp_path, capsys):
-    # Newton aims at tol/10, under the residual's round-off below 1e-14
-    rc = cli.main(["verify-blowup", "--tol", "1e-15",
-                   "--out", str(tmp_path)])
-    assert rc == 2
-    assert "at least 1e-14" in capsys.readouterr().err
-    assert not (tmp_path / "verify-blowup").exists()
+    # Newton aims at tol/10: under the residual's round-off below 1e-14,
+    # and above the law seed's own residual beyond 1e-10
+    for tol, message in (("1e-15", "at least 1e-14"),
+                         ("1e-9", "at most 1e-10")):
+        rc = cli.main(["verify-blowup", "--tol", tol,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "verify-blowup").exists()
     assert RunConfig(quad_tol=cli.MIN_QUAD_TOL).quad_tol == 1e-14
+    assert RunConfig(quad_tol=cli.MAX_QUAD_TOL).quad_tol == 1e-10
 
 
 def test_partial_sweep_rows_serialize_real_solutions(

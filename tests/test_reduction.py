@@ -356,7 +356,6 @@ def test_verdict_passes_on_reference_sweep(reference_verdict):
     v = reference_verdict
     assert v.verdict is True
     assert v.peak_ok and v.scale_ok
-    assert v.convention == "half"
     assert v.peak_limit_eps == pytest.approx(394.1123, rel=1e-6)
     assert v.peak_limit_epslog == pytest.approx(390.3408, rel=1e-6)
     assert v.scale_limit_eps == pytest.approx(20.033619, rel=1e-6)
