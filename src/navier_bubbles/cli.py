@@ -31,10 +31,11 @@ configuration error, 3 a pipeline stage failed partway.
 
 Dimension policy: the constant table, the potential profile and the
 deficit expansion orders are closed-form surfaces and accept any
-n >= 5. The sweep-based commands run at n = 6: at n = 5 the default
-grid does not resolve eps = 0.02 (the law-seeded solve stops at the
-30-step Newton cap, scaled residual 1.0e-5). ``supercritical``
-additionally accepts n = 5 and skips its subcritical contrast there.
+n >= 5. ``verify-blowup`` runs at n = 6: at n = 5 the default grid does
+not resolve eps = 0.02 (the law-seeded solve stops at the 30-step
+Newton cap, scaled residual 1.0e-5). ``supercritical`` accepts any
+n >= 5: its probe and obstruction solve nothing, and its subcritical
+contrast, a sweep solve, runs at n = 6 and is skipped elsewhere.
 The seed is recorded in every configuration echo so that future
 stochastic fallbacks stay reproducible; the current pipelines draw no
 random numbers.
@@ -108,6 +109,15 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _fits_float(value):
+    """False for an integer too large for a double."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run's full parameterization, round-trippable through JSON.
@@ -132,14 +142,20 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name == "out_dir":
+                continue
             if f.name == "eps_schedule":
                 if not (isinstance(value, (list, tuple))
                         and all(map(_is_real, value))):
                     raise CliError("eps_schedule must be a list of numbers, "
                                    "not %r" % (value,))
-            elif f.name != "out_dir" and not _is_real(value):
+            elif not _is_real(value):
                 raise CliError("%s must be a number, not %r"
                                % (f.name, value))
+            entries = value if f.name == "eps_schedule" else (value,)
+            if not all(map(_fits_float, entries)):
+                raise CliError("%s holds a number too large for a float"
+                               % f.name)
         if not (float(self.n).is_integer() and self.n >= 5):
             raise CliError("dimension must be an integer at least 5")
         object.__setattr__(self, "n", int(self.n))
@@ -613,52 +629,40 @@ def cmd_verify_blowup(config, out_dir, stream=None):
 # supercritical
 
 
+# ProbeEntry fields after eps, each numeric one with its provenance
+_PROBE_FIELDS = (("lam", PROV_FORMULA), ("residual", PROV_QUADRATURE),
+                 ("mass", PROV_QUADRATURE), ("u_slope", PROV_QUADRATURE),
+                 ("w_slope", PROV_QUADRATURE), ("defect", PROV_QUADRATURE))
+
+_PROBE_HEADER = ["eps", "eps_provenance"] + [
+    col for name, _ in _PROBE_FIELDS
+    for col in (name, name + "_provenance")] + ["concentrating"]
+
+
 def _probe_rows(probe):
     rows = []
     for e in probe.entries:
-        rows.append([
-            _cell(float(e.eps)), PROV_FORMULA,
-            _cell(bool(e.converged)),
-            _cell(int(e.newton_iters)), PROV_SOLVER,
-            _cell(float(e.residual)), PROV_SOLVER,
-            _cell(float(e.M)), PROV_SOLVER,
-            _cell(float(e.alpha)), PROV_SOLVER,
-            _cell(float(e.lam)), PROV_SOLVER,
-            _cell(float(e.v_norm)), PROV_SOLVER,
-            _cell(float(e.lambda_d)), PROV_SOLVER,
-            _cell(bool(e.concentrating)),
-            e.failure or "",
-        ])
+        row = [_cell(float(e.eps)), PROV_FORMULA]
+        for name, prov in _PROBE_FIELDS:
+            row += [_cell(float(getattr(e, name))), prov]
+        rows.append(row + [_cell(bool(e.concentrating))])
     return rows
-
-
-_PROBE_HEADER = [
-    "eps", "eps_provenance",
-    "converged",
-    "newton_iters", "newton_iters_provenance",
-    "residual", "residual_provenance",
-    "peak", "peak_provenance",
-    "alpha", "alpha_provenance",
-    "lam", "lam_provenance",
-    "v_norm", "v_norm_provenance",
-    "lambda_d", "lambda_d_provenance",
-    "concentrating",
-    "failure",
-]
 
 
 def _contrast_section(eps_list, domain, grid, tol):
     """Solve the matched subcritical problem at the smallest requested
     offset (capped at 0.02, where the concentration test λ·d > 20
     holds) and report the three-part contrast with the supercritical
-    attempts. Errors are recorded, not raised. At n = 5 the default
-    grid does not resolve eps = 0.02, so other dimensions than 6 skip
-    this section rather than fail it."""
+    probe, and the solution's Pohozaev defect, which is reported, not
+    gated. Errors are recorded, not raised. The law-seeded sweep is
+    validated in dimension 6 only (at n = 5 the default grid does not
+    resolve eps = 0.02), so other dimensions skip this section rather
+    than fail it."""
     from .solver import concentration, continuation_sweep, decompose
     if domain.n != 6:
         return {"skipped": "the subcritical contrast runs in dimension 6 "
-                           "only; at n = 5 the default grid does not "
-                           "resolve eps = 0.02"}
+                           "only, the one dimension where the law-seeded "
+                           "sweep is validated"}
     target = min(CONTRAST_EPS_CAP, min(eps_list))
     try:
         (sol,) = continuation_sweep([target], domain, grid=grid, tol=tol)
@@ -676,23 +680,13 @@ def _contrast_section(eps_list, domain, grid, tol):
         "amplitude_near_unity": bool(amp_near_one),
         "concentrated": bool(concentrated),
         "passed": bool(small_remainder and amp_near_one and concentrated),
+        "pohozaev_defect": _pv(sol.pohozaev_defect(), PROV_SOLVER),
     }
 
 
-def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
-                      stream=None):
+def cmd_supercritical(config, out_dir, stream=None):
     from .solver import check_eps_floor, default_grid, supercritical_probe
     stream = stream or sys.stdout
-    if config.n not in (5, 6):
-        raise CliError("the supercritical paths support dimensions 5 "
-                       "and 6 only")
-    if not (0 < lam_bounds[0] < lam_bounds[1]):
-        raise CliError("scale scan bounds must be ordered and positive")
-    if stations < 3:
-        raise CliError("the obstruction scan needs at least 3 stations")
-    if lam_samples < 5:
-        raise CliError("the obstruction scan needs at least 5 scale "
-                       "samples")
     domain = config.domain()
     grid = default_grid(domain, config.grid_nodes)
     eps_list = sorted(config.eps_schedule)
@@ -703,15 +697,11 @@ def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
     _ensure_dir(out_dir)
     config.to_json(os.path.join(out_dir, "config.json"))
 
-    probe = supercritical_probe(eps_list, domain, grid=grid,
-                                tol=config.quad_tol)
+    probe = supercritical_probe(eps_list, domain, grid=grid)
     _write_csv(os.path.join(out_dir, "probe.csv"), _PROBE_HEADER,
                _probe_rows(probe))
 
-    obstruction = supercritical_obstruction(eps_list, domain,
-                                            lam_bounds=lam_bounds,
-                                            stations=stations,
-                                            lam_samples=lam_samples)
+    obstruction = supercritical_obstruction(eps_list, domain)
     _write_csv(os.path.join(out_dir, "obstruction.csv"),
                ["eps", "eps_provenance",
                 "scan_min", "scan_min_provenance",
@@ -741,14 +731,9 @@ def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
             "any_concentrating": bool(probe.any_concentrating),
             "entries": [{
                 "eps": _pv(float(e.eps), PROV_FORMULA),
-                "converged": bool(e.converged),
-                "peak": _pv(float(e.M), PROV_SOLVER),
-                "alpha": _pv(float(e.alpha), PROV_SOLVER),
-                "lam": _pv(float(e.lam), PROV_SOLVER),
-                "relative_remainder": _pv(float(e.v_rel), PROV_SOLVER),
-                "lambda_d": _pv(float(e.lambda_d), PROV_SOLVER),
+                **{name: _pv(float(getattr(e, name)), prov)
+                   for name, prov in _PROBE_FIELDS},
                 "concentrating": bool(e.concentrating),
-                "failure": e.failure,
             } for e in probe.entries],
         },
         "obstruction": {
@@ -777,8 +762,9 @@ def cmd_supercritical(config, lam_bounds, lam_samples, stations, out_dir,
     _write_json(os.path.join(out_dir, "report.json"), report)
 
     print("supercritical probe: %s" % (
-        "a branch concentrated (unexpected)" if probe.any_concentrating
-        else "no attempt concentrated"), file=stream)
+        "Pohozaev sign NOT certified at every offset"
+        if probe.any_concentrating
+        else "Pohozaev sign certified at every offset"), file=stream)
     print("balance obstruction: %s" % (
         "margin positive at every offset" if obstruction.all_positive
         else "margin NOT positive everywhere"), file=stream)
@@ -901,13 +887,9 @@ def _build_parser():
     _add_run_flags(v, "decreasing positive offsets")
 
     s = sub.add_parser("supercritical",
-                       help="obstruction certificate, continuation probe "
+                       help="obstruction certificate, Pohozaev probe "
                             "and subcritical contrast")
-    _add_run_flags(s, "positive supercritical offsets", n_choices=(5, 6))
-    s.add_argument("--stations", type=int, default=10)
-    s.add_argument("--lam-lo", type=float, default=5.0)
-    s.add_argument("--lam-hi", type=float, default=1e4)
-    s.add_argument("--lam-samples", type=int, default=25)
+    _add_run_flags(s, "positive supercritical offsets")
 
     e = sub.add_parser("expansion-orders",
                        help="fit the deficit decay exponents over a "
@@ -921,13 +903,13 @@ def _build_parser():
     return parser
 
 
-def _add_run_flags(parser, eps_help, n_choices=None):
+def _add_run_flags(parser, eps_help):
     """The run flags verify-blowup and supercritical share. Each but
     --config stores into the RunConfig field it sets."""
     parser.add_argument("--config", default=None,
                         help="JSON run configuration (excludes other run "
                              "flags)")
-    parser.add_argument("--n", type=int, choices=n_choices)
+    parser.add_argument("--n", type=int)
     parser.add_argument("--radius", type=float)
     parser.add_argument("--eps", dest="eps_schedule", type=float, nargs="+",
                         help=eps_help)
@@ -970,9 +952,7 @@ def main(argv=None):
                                            reverse=True)
             config = _config_from_args(args, (0.09, 0.05, 0.02))
             out = os.path.join(config.out_dir, "supercritical")
-            return cmd_supercritical(
-                config, (args.lam_lo, args.lam_hi), args.lam_samples,
-                args.stations, out)
+            return cmd_supercritical(config, out)
         if args.command == "expansion-orders":
             return cmd_expansion_orders(args.n, args.radius, args.rungs,
                                         args.lam_min, args.out)

@@ -27,9 +27,9 @@ the residual; nothing is re-discretized for the linear algebra.
 
 Also here: the decomposition u = alpha * Pdelta_lambda + v of a computed
 solution into its nearest projected bubble and a remainder, diagnostics
-for the remainder norm along a sweep, and a supercritical probe that
-looks for (and is expected not to find) a concentrating branch at
-exponent p + eps.
+for the remainder norm along a sweep, the Pohozaev identity on discrete
+fields, and a supercritical probe that certifies by that identity's
+sign that no concentrating branch exists at exponent p + eps.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .bubble import (
     _projected_profile_laplacian,
     _projected_scale_derivative_laplacian,
     balance_constants,
+    balance_scale,
     center_potential,
     critical_exponent,
     law_limits,
@@ -53,7 +54,8 @@ from .bubble import (
     sobolev_energy,
 )
 from .green_robin import BallDomain
-from .numerics import RadialGrid, SlopeFit, fit_loglog, sphere_measure
+from .numerics import (RadialGrid, SlopeFit, _stencil_weights, fit_loglog,
+                       sphere_measure)
 
 _DEFAULT_NODES = 2048
 _GRID_STRENGTH = 5.0
@@ -188,6 +190,13 @@ class RadialSolution:
         q = critical_exponent(self.grid.n) + self.eps
         return float(np.sum(self._weights() * np.abs(self.u) ** (q + 1)))
 
+    def pohozaev_defect(self):
+        """lhs / rhs - 1 of the Pohozaev identity (_pohozaev_sides): a
+        second-order truncation defect on a resolved solution."""
+        q = critical_exponent(self.grid.n) + self.eps
+        _, _, _, lhs, rhs = _pohozaev_sides(self.grid, self.u, self.w, q)
+        return lhs / rhs - 1.0
+
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -250,28 +259,30 @@ class VnormDiagnostics:
 
 @dataclass(frozen=True)
 class ProbeEntry:
-    """Outcome of one supercritical continuation attempt.
+    """The Pohozaev certificate at one supercritical offset.
 
-    Fields from the decomposition of the final iterate (converged or
-    not) are nan when the decomposition itself was not admissible. The
-    concentrating flag is the conjunction the nonexistence theory rules
-    out: a converged solution that meets all three parts of
-    concentration_checks.
+    lam is the seed's scale, the balance scale a continuation would
+    start from, and residual the seed's scaled residual at exponent
+    p + eps. mass, u_slope and w_slope are int u^{q+1}, u'(R) and w'(R)
+    of the seed, and defect is lhs / rhs - 1 of the identity built from
+    them (_pohozaev_sides). concentrating is true exactly when the
+    certificate fails: u not positive in the interior, or the sides not
+    of the signs lhs < 0 < rhs.
     """
 
     eps: float
-    converged: bool
-    newton_iters: int
-    residual: float
-    M: float
-    M_pow_eps: float
-    alpha: float
     lam: float
-    v_norm: float
-    v_rel: float
-    lambda_d: float
+    residual: float
+    mass: float
+    u_slope: float
+    w_slope: float
+    defect: float
     concentrating: bool
-    failure: str | None
+
+    @property
+    def converged(self):
+        """Always False: the probe runs no solve."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -515,11 +526,25 @@ def default_grid(domain, nodes=_DEFAULT_NODES):
                                   strength=_GRID_STRENGTH)
 
 
-def _cold_lambda(eps_mag, R):
-    """Seed concentration for a cold start, calibrated on the n = 6
-    blow-up law eps * lam^2 -> 20. For other dimensions this is only a
-    starting point and the damping has to carry more of the work."""
-    return math.sqrt(20.0 / eps_mag) / R
+def _pohozaev_sides(grid, u, w, q):
+    """(mass, u'(R), w'(R), lhs, rhs) of the Pohozaev identity for
+    Delta^2 u = u^q with Navier data on the ball of radius R,
+
+        (n/(q+1) - (n-4)/2) int u^{q+1} = -|S^{n-1}| R^n u'(R) w'(R)
+
+    (Pucci-Serrin 1986; van der Vorst 1991). The mass uses the cell
+    weights and the slopes the three-point one-sided derivative at r = R.
+    On a discrete solution lhs / rhs - 1 is second order in the grid
+    spacing."""
+    n = grid.n
+    r = grid.nodes
+    d1 = _stencil_weights(r[-1], r[-3:], 1)[1]
+    u_slope = float(d1 @ u[-3:])
+    w_slope = float(d1 @ w[-3:])
+    mass = float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
+    lhs = (n / (q + 1) - (n - 4) / 2) * mass
+    rhs = -sphere_measure(n) * grid.R**n * u_slope * w_slope
+    return mass, u_slope, w_slope, lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +578,7 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     Raises SolverDivergence when the iteration cap is reached, the line
     search stalls, a Newton step is singular or non-finite, or the
     iterates collapse onto the zero branch; the message names which, and
-    the exception carries the last positive iterate, which is what the
-    supercritical probe inspects.
+    the exception carries the last positive iterate.
     """
     n = domain.n
     p = critical_exponent(n)
@@ -849,61 +873,43 @@ def vnorm_diagnostics(sweep, eps_list):
     )
 
 
-def supercritical_probe(eps_list, domain, grid=None, tol=1e-10):
-    """Attempt supercritical continuation at exponent p + eps from a
-    concentrated bubble guess, for each positive eps in eps_list.
+def supercritical_probe(eps_list, domain, grid=None):
+    """Certify by the Pohozaev sign that no concentrating branch exists
+    at exponent p + eps, for each positive eps in eps_list.
 
-    Per-offset failures are recorded, not raised: the expected outcome
-    on a ball is that no attempt converges to a concentrating solution,
-    which is numerical evidence for (not a proof of) nonexistence. The
-    final iterate of each attempt is decomposed when admissible so the
-    report can show how close the stalled branch came to the forbidden
-    regime.
+    For q > p the left side of the identity (_pohozaev_sides) is
+    negative, while a positive field with u'(R) < 0 < w'(R), the sign
+    pattern every positive discrete solution has, makes the right side
+    positive; its defect is then below -1, where a resolved solution's is
+    a small truncation error. The offset is certified on the seed a
+    continuation would start from, the projected bubble at the balance
+    scale: u positive in the interior and lhs < 0 < rhs. No Newton step
+    is taken.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_arr):
         raise ValueError("probe offsets must be positive")
     if grid is None:
         grid = default_grid(domain)
+    if grid.n != domain.n or grid.R != domain.radius:
+        raise ValueError("grid dimension or radius does not match the domain")
+    check_eps_floor(min(eps_arr), grid)
+    disc = _Discretization(grid)
+    consts = balance_constants(domain.n)
+    phi = center_potential(domain.n, domain.radius)
     entries = []
     for eps in eps_arr:
-        guess = BubbleGuess(lam=_cold_lambda(eps, domain.radius))
-        failure = None
-        try:
-            sol = solve_radial(+eps, domain, guess, grid=grid, tol=tol,
-                               max_iter=40)
-            converged = True
-        except SolverDivergence as exc:
-            sol = exc.last
-            converged = False
-            failure = str(exc)
-        alpha = lam = v_norm = v_rel = lambda_d = math.nan
-        concentrating = False
-        try:
-            dec = decompose(sol, domain)
-            alpha, lam, v_norm = dec.alpha, dec.lam, dec.v_norm
-            v_rel, lambda_d, parts = concentration(sol, dec, domain)
-            concentrating = converged and all(parts)
-        except (ValueError, RuntimeError) as exc:
-            if failure is None:
-                failure = "decomposition inadmissible: %s" % exc
-        entries.append(
-            ProbeEntry(
-                eps=eps,
-                converged=converged,
-                newton_iters=sol.newton_iters,
-                residual=sol.residual,
-                M=sol.M,
-                M_pow_eps=sol.M**eps,
-                alpha=alpha,
-                lam=lam,
-                v_norm=v_norm,
-                v_rel=v_rel,
-                lambda_d=lambda_d,
-                concentrating=concentrating,
-                failure=failure,
-            )
-        )
+        q = critical_exponent(domain.n) + eps
+        lam = balance_scale(consts, phi, eps)
+        u, w = _bubble_fields(grid, lam)
+        mass, u_slope, w_slope, lhs, rhs = _pohozaev_sides(grid, u, w, q)
+        entries.append(ProbeEntry(
+            eps=eps, lam=lam,
+            residual=float(_scaled_residual(disc, q, u, w)[4]),
+            mass=mass, u_slope=u_slope, w_slope=w_slope,
+            defect=lhs / rhs - 1.0,
+            concentrating=not (u[:-1].min() > 0 and lhs < 0 < rhs),
+        ))
     return SupercriticalProbe(
         entries=tuple(entries),
         any_concentrating=any(e.concentrating for e in entries),

@@ -118,8 +118,17 @@ def test_config_rejects_negative_seed():
     ("eps_schedule", [0.3, "0.1"], "eps_schedule must be a list of numbers"),
     ("grid_nodes", None, "grid_nodes must be a number"),
     ("seed", True, "seed must be a number"),
+    ("n", 10**400, "n holds a number too large for a float"),
+    ("radius", 10**400, "radius holds a number too large for a float"),
+    ("grid_nodes", 10**400,
+     "grid_nodes holds a number too large for a float"),
+    ("quad_tol", 10**400, "quad_tol holds a number too large for a float"),
+    ("seed", 10**400, "seed holds a number too large for a float"),
+    ("eps_schedule", [0.3, 10**400],
+     "eps_schedule holds a number too large for a float"),
 ], ids=["radius-text", "schedule-number", "schedule-text-entry",
-        "grid-null", "seed-bool"])
+        "grid-null", "seed-bool", "n-huge", "radius-huge", "grid-huge",
+        "tol-huge", "seed-huge", "schedule-huge-entry"])
 def test_config_file_refuses_non_numeric_fields(tmp_path, capsys, field,
                                                 value, message):
     data = RunConfig(out_dir=str(tmp_path)).to_dict()
@@ -584,8 +593,12 @@ def test_supercritical_certificate_passes(sc_run):
     assert report["schema"] == "navier-bubbles/supercritical-report/1"
     assert report["passed"] is True
     assert report["probe"]["any_concentrating"] is False
-    assert all(not e["concentrating"]
-               for e in report["probe"]["entries"])
+    for e in report["probe"]["entries"]:
+        assert not e["concentrating"]
+        # the certificate re-checked from the artifact: lhs < 0 < rhs
+        assert e["u_slope"]["value"] < 0 < e["w_slope"]["value"]
+        assert e["mass"]["value"] > 0
+        assert e["defect"]["value"] < -1.0
     assert report["obstruction"]["all_positive"] is True
 
 
@@ -626,15 +639,23 @@ def test_supercritical_contrast_triple(sc_run):
     assert contrast["concentrated"] is True
     assert contrast["lambda_d"]["value"] > 20.0
     assert contrast["passed"] is True
+    # reported, not gated: near zero on a genuine solution
+    assert 0 < contrast["pohozaev_defect"]["value"] < 1e-3
 
 
 def test_supercritical_probe_table(sc_run):
     _, out = sc_run
     header, rows = read_csv(out / "probe.csv")
     assert len(rows) == 2
+    assert header == [
+        "eps", "eps_provenance", "lam", "lam_provenance",
+        "residual", "residual_provenance", "mass", "mass_provenance",
+        "u_slope", "u_slope_provenance", "w_slope", "w_slope_provenance",
+        "defect", "defect_provenance", "concentrating"]
     assert [float(r[header.index("eps")]) for r in rows] == [0.02, 0.05]
     for row in rows:
         assert row[header.index("concentrating")] == "false"
+        assert float(row[header.index("defect")]) < -1.0
         for tag in provenance_cells(header, row):
             assert tag in PROVENANCE_VOCAB
 
@@ -671,9 +692,21 @@ def test_supercritical_dimension_five_skips_contrast(tmp_path, capsys):
     assert report["passed"] is True
 
 
-def test_supercritical_rejects_unsupported_dimension():
-    with pytest.raises(SystemExit):
-        cli.main(["supercritical", "--n", "7"])
+@pytest.mark.parametrize("n", ["7", "8"])
+def test_supercritical_higher_dimension_certifies(tmp_path, capsys, n):
+    rc = cli.main(["supercritical", "--n", n, "--out", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith(
+        "supercritical probe: Pohozaev sign certified at every offset\n")
+    report = json.loads(
+        (tmp_path / "supercritical" / "report.json").read_text())
+    assert report["n"] == int(n)
+    assert "skipped" in report["subcritical_contrast"]
+    assert report["probe"]["any_concentrating"] is False
+    assert len(report["probe"]["entries"]) == 3
+    for e in report["probe"]["entries"]:
+        assert not e["concentrating"] and e["defect"]["value"] < -1.0
+    assert report["passed"] is True
 
 
 def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):
@@ -687,13 +720,6 @@ def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):
     assert rc == 2
     assert "below any supported resolution" in capsys.readouterr().err
     assert not (tmp_path / "supercritical").exists()
-
-
-def test_supercritical_rejects_bad_scan(capsys):
-    assert cli.main(["supercritical", "--stations", "2"]) == 2
-    assert cli.main(["supercritical", "--lam-lo", "100", "--lam-hi",
-                     "10"]) == 2
-    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ from navier_bubbles.bubble import (
     _projected_profile,
     _projected_profile_laplacian,
     _projected_scale_derivative_laplacian,
+    balance_constants,
+    balance_scale,
     c0,
+    center_potential,
     critical_exponent,
     radial_profile,
     radial_profile_laplacian,
@@ -39,9 +42,9 @@ from navier_bubbles.solver import (
     SolverDivergence,
     _bubble_fields,
     _cell_weights,
-    _cold_lambda,
     _Discretization,
     _fv_geometry,
+    _pohozaev_sides,
     concentration_checks,
     continuation_sweep,
     decompose,
@@ -347,10 +350,11 @@ def test_trivial_branch_collapse_detected(unit_ball6):
 
 
 def test_line_search_stall_is_named(unit_ball6):
-    # at eps = +0.02 from the cold bubble guess the scaled residual
-    # plateaus near 4.4e-6; with room beyond the default cap of 40 the
-    # line search itself runs out of Armijo decrease before the cap
-    guess = BubbleGuess(lam=_cold_lambda(0.02, unit_ball6.radius))
+    # at eps = +0.02 from the bubble at the balance scale the scaled
+    # residual plateaus near 4.4e-6; given room, the line search itself
+    # runs out of Armijo decrease before the cap
+    guess = BubbleGuess(lam=balance_scale(balance_constants(6),
+                                          center_potential(6), 0.02))
     with pytest.raises(SolverDivergence) as err:
         solve_radial(+0.02, unit_ball6, guess, max_iter=120)
     message = str(err.value)
@@ -776,40 +780,73 @@ def test_probe_finds_no_concentrating_branch(probe):
     assert not probe.any_concentrating
     for entry in probe.entries:
         assert not entry.concentrating
-        assert not entry.converged
-        assert entry.failure is not None
+        assert not entry.converged  # the probe runs no solve
 
 
-def test_probe_amplitude_power_stays_order_one(probe):
+def test_probe_records_certificate_per_offset(probe):
+    # every entry carries the seed at the balance scale and the sides
+    # of the identity, from which the sign can be re-checked
+    n = 6
+    consts = balance_constants(n)
     for entry in probe.entries:
-        assert 0.5 <= entry.M_pow_eps <= 2.0
+        assert entry.lam == balance_scale(consts, center_potential(n),
+                                          entry.eps)
+        assert 0 < entry.residual < 1e-4
+        assert entry.mass > 0
+        q = P6 + entry.eps
+        lhs = (n / (q + 1) - (n - 4) / 2) * entry.mass
+        rhs = -(math.pi**3) * entry.u_slope * entry.w_slope  # |S^5| = pi^3
+        assert entry.defect == pytest.approx(lhs / rhs - 1.0, rel=1e-12)
 
 
-def test_probe_records_failures_per_offset(probe):
-    # every stalled attempt still carries its last iterate's diagnostics
+@pytest.mark.parametrize("radius", [1.0, 1.7])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_probe_sides_have_opposite_signs(n, radius):
+    # the seed is a near-solution in max norm (scaled residual 1e-6 to
+    # 3e-4) yet every defect sits below -1: the sides have opposite signs
+    domain = BallDomain(n, np.zeros(n), radius)
+    probe = supercritical_probe([0.02, 0.05, 0.09], domain)
+    assert not probe.any_concentrating
     for entry in probe.entries:
-        assert entry.residual > 1e-10
-        assert math.isfinite(entry.v_norm)
-        assert math.isfinite(entry.lambda_d)
+        assert entry.u_slope < 0 < entry.w_slope
+        assert entry.defect < -1.0
+        assert not entry.concentrating
 
 
-def test_probe_entries_name_the_iteration_cap(probe):
-    # the default probe stops at its 40-iteration cap with the line
-    # search still finding decrease; the message must say so
-    for entry in probe.entries:
-        assert entry.newton_iters == 40
-        assert entry.failure.startswith("iteration cap 40 reached at "
-                                        "scaled residual ")
+def test_probe_records_failures_per_offset(unit_ball6, monkeypatch):
+    # a failed certificate is recorded at its own offset, not raised:
+    # sides of equal sign are not certified, whatever else holds
+    sides = solver_module._pohozaev_sides
+
+    def equal_signs_at_005(grid, u, w, q):
+        if q == P6 + 0.05:
+            return 1.0, -1.0, -1.0, -1.0, -1.0
+        return sides(grid, u, w, q)
+
+    monkeypatch.setattr(solver_module, "_pohozaev_sides", equal_signs_at_005)
+    probe = supercritical_probe([0.05, 0.02], unit_ball6)
+    assert probe.any_concentrating
+    assert [e.concentrating for e in probe.entries] == [True, False]
+    assert probe.entries[0].defect == 0.0
 
 
-def test_concentration_checks_on_stalled_probe_iterate(probe):
-    # measured on the eps = 0.02 probe iterate: it meets every part of
-    # the relative triple, and only non-convergence keeps it out
+def test_pohozaev_defect_is_second_order(subcritical_sweep, unit_ball6):
+    # a genuine solution closes the identity up to truncation: the defect
+    # falls by four per doubling of the grid, and it stays far from the
+    # probe's -1 along the default sweep (largest 3.8e-3 at eps = 0.005)
+    coarse = next(s for s in subcritical_sweep if s.eps == -0.05)
+    (fine,) = continuation_sweep([0.05], unit_ball6,
+                                 grid=default_grid(unit_ball6, nodes=4096))
+    assert 3.5 <= coarse.pohozaev_defect() / fine.pohozaev_defect() <= 4.5
+    for sol in subcritical_sweep:
+        assert abs(sol.pohozaev_defect()) <= 1e-2
+        _, u_slope, w_slope, _, _ = _pohozaev_sides(
+            sol.grid, sol.u, sol.w, P6 + sol.eps)
+        assert u_slope < 0 < w_slope
+
+
+def test_concentration_checks_bounds():
     assert concentration_checks(0.018, 0.9996, 20.4) == (True, True, True)
-    entry = next(e for e in probe.entries if e.eps == 0.02)
-    assert concentration_checks(entry.v_rel, entry.alpha,
-                                entry.lambda_d) == (True, True, True)
-    assert not entry.converged and not entry.concentrating
     # the bounds are inclusive
     assert concentration_checks(0.1, 0.9, 20.0) == (True, True, True)
     assert concentration_checks(0.11, 0.9996, 20.4) == (False, True, True)
@@ -822,6 +859,11 @@ def test_concentration_checks_on_stalled_probe_iterate(probe):
 def test_probe_validation(unit_ball6):
     with pytest.raises(ValueError, match="positive"):
         supercritical_probe([0.05, -0.01], unit_ball6)
+    with pytest.raises(ValueError, match="resolution floor"):
+        supercritical_probe([0.05, 0.001], unit_ball6)
+    with pytest.raises(ValueError, match="does not match the domain"):
+        supercritical_probe([0.05], unit_ball6,
+                            grid=default_grid(BallDomain.unit(5)))
 
 
 def test_subcritical_contrast_achieves_the_triple(subcritical_sweep,
