@@ -36,9 +36,6 @@ not resolve eps = 0.02 (the law-seeded solve stops at the 30-step
 Newton cap, scaled residual 1.0e-5). ``supercritical`` accepts any
 n >= 5: its probe and obstruction solve nothing, and its subcritical
 contrast, a sweep solve, runs at n = 6 and is skipped elsewhere.
-The seed is recorded in every configuration echo so that future
-stochastic fallbacks stay reproducible; the current pipelines draw no
-random numbers.
 """
 
 from __future__ import annotations
@@ -127,8 +124,6 @@ class RunConfig:
     quad_tol go to the radial solver, quad_tol as its Newton scaled-
     residual tolerance, in [MIN_QUAD_TOL, MAX_QUAD_TOL]; no quadrature
     reads it.
-    seed is recorded for reproducibility; nothing currently draws from
-    it.
     """
 
     n: int = 6
@@ -137,7 +132,6 @@ class RunConfig:
     grid_nodes: int = 2048
     quad_tol: float = 1e-10
     out_dir: str = "runs"
-    seed: int = 0
 
     def __post_init__(self):
         for f in fields(self):
@@ -188,9 +182,6 @@ class RunConfig:
         object.__setattr__(self, "quad_tol", float(self.quad_tol))
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise CliError("out_dir must be a nonempty path string")
-        if not (float(self.seed).is_integer() and self.seed >= 0):
-            raise CliError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self):
         data = {"schema": _schema("run-config"), **asdict(self)}
@@ -629,24 +620,43 @@ def cmd_verify_blowup(config, out_dir, stream=None):
 # supercritical
 
 
-# ProbeEntry fields after eps, each numeric one with its provenance
+# Entry fields after eps, each numeric one with its provenance; None
+# marks a flag. The CSV rows and the report entries take these names.
 _PROBE_FIELDS = (("lam", PROV_FORMULA), ("residual", PROV_QUADRATURE),
                  ("mass", PROV_QUADRATURE), ("u_slope", PROV_QUADRATURE),
-                 ("w_slope", PROV_QUADRATURE), ("defect", PROV_QUADRATURE))
+                 ("w_slope", PROV_QUADRATURE), ("defect", PROV_QUADRATURE),
+                 ("concentrating", None))
+_OBSTRUCTION_FIELDS = (("scan_min", PROV_FORMULA), ("floor", PROV_FORMULA),
+                       ("margin", PROV_FORMULA), ("positive", None),
+                       ("subcritical_root", PROV_SOLVER),
+                       ("subcritical_root_closed", PROV_FORMULA),
+                       ("sign_change", None))
 
-_PROBE_HEADER = ["eps", "eps_provenance"] + [
-    col for name, _ in _PROBE_FIELDS
-    for col in (name, name + "_provenance")] + ["concentrating"]
 
-
-def _probe_rows(probe):
+def _write_entries(path, entries, field_table):
+    """One CSV row per entry: eps, then each field of the table, a
+    numeric one followed by its provenance column."""
+    header = ["eps", "eps_provenance"]
+    for name, prov in field_table:
+        header += [name] if prov is None else [name, name + "_provenance"]
     rows = []
-    for e in probe.entries:
-        row = [_cell(float(e.eps)), PROV_FORMULA]
-        for name, prov in _PROBE_FIELDS:
-            row += [_cell(float(getattr(e, name))), prov]
-        rows.append(row + [_cell(bool(e.concentrating))])
-    return rows
+    for entry in entries:
+        row = [_cell(float(entry.eps)), PROV_FORMULA]
+        for name, prov in field_table:
+            value = getattr(entry, name)
+            row += ([_cell(bool(value))] if prov is None
+                    else [_cell(float(value)), prov])
+        rows.append(row)
+    _write_csv(path, header, rows)
+
+
+def _entry_json(entry, field_table):
+    """The report form of one entry, under the CSV's names."""
+    out = {"eps": _pv(float(entry.eps), PROV_FORMULA)}
+    for name, prov in field_table:
+        value = getattr(entry, name)
+        out[name] = bool(value) if prov is None else _pv(float(value), prov)
+    return out
 
 
 def _contrast_section(eps_list, domain, grid, tol):
@@ -698,26 +708,12 @@ def cmd_supercritical(config, out_dir, stream=None):
     config.to_json(os.path.join(out_dir, "config.json"))
 
     probe = supercritical_probe(eps_list, domain, grid=grid)
-    _write_csv(os.path.join(out_dir, "probe.csv"), _PROBE_HEADER,
-               _probe_rows(probe))
+    _write_entries(os.path.join(out_dir, "probe.csv"), probe.entries,
+                   _PROBE_FIELDS)
 
     obstruction = supercritical_obstruction(eps_list, domain)
-    _write_csv(os.path.join(out_dir, "obstruction.csv"),
-               ["eps", "eps_provenance",
-                "scan_min", "scan_min_provenance",
-                "floor", "floor_provenance",
-                "margin", "margin_provenance",
-                "positive",
-                "subcritical_root", "subcritical_root_provenance",
-                "subcritical_root_closed", "subcritical_root_closed_provenance"],
-               [[_cell(float(e.eps)), PROV_FORMULA,
-                 _cell(float(e.scan_min)), PROV_SOLVER,
-                 _cell(float(e.floor)), PROV_FORMULA,
-                 _cell(float(e.margin)), PROV_SOLVER,
-                 _cell(bool(e.positive)),
-                 _cell(float(e.subcritical_root)), PROV_SOLVER,
-                 _cell(float(e.subcritical_root_closed)), PROV_FORMULA]
-                for e in obstruction.entries])
+    _write_entries(os.path.join(out_dir, "obstruction.csv"),
+                   obstruction.entries, _OBSTRUCTION_FIELDS)
 
     contrast = _contrast_section(eps_list, domain, grid, config.quad_tol)
     contrast_ok = bool(contrast.get("passed", "skipped" in contrast))
@@ -729,31 +725,13 @@ def cmd_supercritical(config, out_dir, stream=None):
         "eps_list": [_pv(e, PROV_FORMULA) for e in eps_list],
         "probe": {
             "any_concentrating": bool(probe.any_concentrating),
-            "entries": [{
-                "eps": _pv(float(e.eps), PROV_FORMULA),
-                **{name: _pv(float(getattr(e, name)), prov)
-                   for name, prov in _PROBE_FIELDS},
-                "concentrating": bool(e.concentrating),
-            } for e in probe.entries],
+            "entries": [_entry_json(e, _PROBE_FIELDS)
+                        for e in probe.entries],
         },
         "obstruction": {
             "all_positive": bool(obstruction.all_positive),
-            "boundary_exponent": {
-                "value": obstruction.boundary_growth.slope,
-                "expected": 4.0 - config.n,
-                "provenance": PROV_FIT,
-            },
-            "entries": [{
-                "eps": _pv(float(e.eps), PROV_FORMULA),
-                "scan_min": _pv(float(e.scan_min), PROV_SOLVER),
-                "floor": _pv(float(e.floor), PROV_FORMULA),
-                "margin": _pv(float(e.margin), PROV_SOLVER),
-                "positive": bool(e.positive),
-                "subcritical_sign_change": bool(e.sign_change),
-                "subcritical_root": _pv(e.subcritical_root, PROV_SOLVER),
-                "subcritical_root_closed_form": _pv(
-                    e.subcritical_root_closed, PROV_FORMULA),
-            } for e in obstruction.entries],
+            "entries": [_entry_json(e, _OBSTRUCTION_FIELDS)
+                        for e in obstruction.entries],
         },
         "subcritical_contrast": contrast,
         "passed": bool((not probe.any_concentrating)
@@ -915,7 +893,6 @@ def _add_run_flags(parser, eps_help):
                         help=eps_help)
     parser.add_argument("--grid-nodes", type=int)
     parser.add_argument("--tol", dest="quad_tol", type=float)
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="out_dir")
 
 

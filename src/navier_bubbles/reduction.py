@@ -46,9 +46,9 @@ from .bubble import (
     radial_profile,
     radial_scale_derivative,
 )
-from .green_robin import boundary_blowup_fit, robin
-from .numerics import (SlopeFit, converged_quadrature, core_seams,
-                       gauss_legendre_panels, radial_integral, sphere_measure)
+from .green_robin import robin
+from .numerics import (converged_quadrature, core_seams, gauss_legendre_panels,
+                       radial_integral, sphere_measure)
 
 __all__ = [
     "ReducedState",
@@ -565,9 +565,22 @@ def blowup_verdict(sweep, x0, domain, consts=None):
 # ---------------------------------------------------------------------------
 # supercritical obstruction
 
+# The obstruction's scale range: the subcritical root is sought in it,
+# and its top end sets the smallest domain term.
+_OBSTRUCTION_LAM_LO = 5.0
+_OBSTRUCTION_LAM_HI = 1e4
+# stations along a diameter, as fractions of the radius
+_OBSTRUCTION_STATIONS = np.linspace(0.0, 0.9, 10)
+
+
 @dataclass(frozen=True)
 class ObstructionEntry:
-    """Obstruction scan result at one exponent offset."""
+    """The two terms of the supercritical balance at one exponent offset.
+
+    floor is the exponent term c2 * eps and margin the smallest domain
+    term c1 * min(phi) / lam_hi^(n-4) over the stations and scales;
+    scan_min is their sum, the least value of the balance there.
+    """
 
     eps: float
     scan_min: float
@@ -581,44 +594,36 @@ class ObstructionEntry:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Scan of the supercritical balance over scales and stations.
+    """Sign certificate of the supercritical balance at each offset.
 
-    On the supercritical side the two balance terms share a sign, so the
-    scanned combination stays bounded away from zero by at least the
-    exponent-offset floor; the matched subcritical combination changes
-    sign and its root is recorded for contrast. boundary_growth is the
-    fitted blow-up rate of the domain term toward the boundary.
+    On the supercritical side both balance terms are positive, so the
+    balance has no root at any scale; the matched subcritical balance
+    changes sign and its root is recorded for contrast.
     """
 
     n: int
     radius: float
-    lam_lo: float
-    lam_hi: float
-    stations: int
-    lam_samples: int
     entries: tuple
-    boundary_growth: SlopeFit
     all_positive: bool
 
     def __post_init__(self):
         if not self.entries:
             raise ValueError("report needs at least one entry")
-        if not (0 < self.lam_lo < self.lam_hi):
-            raise ValueError("scan bounds must be ordered and positive")
 
 
-def supercritical_obstruction(eps_list, domain, consts=None,
-                              lam_bounds=(5.0, 1e4), stations=10,
-                              lam_samples=25):
-    """Scan the supercritical balance for a sign obstruction.
+def supercritical_obstruction(eps_list, domain, consts=None):
+    """Certify the supercritical balance by the signs of its two terms.
 
-    For each eps the combination c2 * eps + c1 * phi(a) / lam^(n-4) is
-    scanned over a log grid of scales between lam_bounds and over
-    stations along a diameter up to 0.9 radius; the minimum, its floor
-    c2 * eps and the margin above the floor are recorded. The matched
+    For each eps the balance c2 * eps + c1 * phi(a) / lam^(n-4) is the
+    exponent term c2 * eps (floor) plus a domain term. Over scales up to
+    lam_hi = 1e4 and stations along a diameter up to 0.9 radius, the
+    domain term is least at the station of least phi and at lam_hi; that
+    product is the margin. Each is computed as a product of positive
+    constants, never as a difference, and the entry is positive when
+    both terms are: then the balance has no root. The matched
     subcritical combination c2 * eps - c1 * phi(0) / lam^(n-4) is checked
-    for a sign change across the scan bounds; its root, found by bisection
-    in log lam, is recorded beside its closed form as an independent route.
+    for a sign change across [5, lam_hi]; its root, found by bisection in
+    log lam, is recorded beside its closed form as an independent route.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -627,33 +632,20 @@ def supercritical_obstruction(eps_list, domain, consts=None,
         raise ValueError("eps_list must not be empty")
     if any(not e > 0 for e in eps_arr):
         raise ValueError("every eps must be positive")
-    lo, hi = float(lam_bounds[0]), float(lam_bounds[1])
-    if not (0 < lo < hi):
-        raise ValueError("scan bounds must be ordered and positive")
-    if stations < 3:
-        raise ValueError("at least three stations are required")
-    if lam_samples < 5:
-        raise ValueError("at least five scale samples are required")
 
     direction = np.zeros(n)
     direction[0] = 1.0
-    fractions = np.linspace(0.0, 0.9, stations)
-    phis = np.array([
-        robin(domain, domain.center + f * R * direction).phi
-        for f in fractions
-    ])
-    lams = np.logspace(math.log10(lo), math.log10(hi), lam_samples)
-    domain_term = consts.c1 * phis[:, None] / lams[None, :] ** (n - 4.0)
+    phis = [robin(domain, domain.center + f * R * direction).phi
+            for f in _OBSTRUCTION_STATIONS]
     phi0 = phis[0]
+    lo, hi = _OBSTRUCTION_LAM_LO, _OBSTRUCTION_LAM_HI
+    margin = float(consts.c1 * min(phis) / hi ** (n - 4.0))
 
     entries = []
     for eps in eps_arr:
-        grid = consts.c2 * eps + domain_term
-        scan_min = float(grid.min())
         floor = consts.c2 * eps
         sub = lambda lam: consts.c2 * eps - consts.c1 * phi0 / lam ** (n - 4.0)
-        lo_val, hi_val = sub(lo), sub(hi)
-        sign_change = bool(lo_val < 0 < hi_val)
+        sign_change = bool(sub(lo) < 0 < sub(hi))
         if sign_change:
             # bisection in log lam to 1e-12 + 1e-14 lam, a width that
             # round-off never blocks
@@ -666,10 +658,10 @@ def supercritical_obstruction(eps_list, domain, consts=None,
             root = float("nan")
         entries.append(ObstructionEntry(
             eps=eps,
-            scan_min=scan_min,
+            scan_min=floor + margin,
             floor=floor,
-            margin=scan_min - floor,
-            positive=bool(scan_min > floor),
+            margin=margin,
+            positive=bool(floor > 0 and margin > 0),
             subcritical_root=root,
             subcritical_root_closed=float(balance_scale(consts, phi0, eps)),
             sign_change=sign_change,
@@ -678,11 +670,6 @@ def supercritical_obstruction(eps_list, domain, consts=None,
     return ObstructionReport(
         n=n,
         radius=R,
-        lam_lo=lo,
-        lam_hi=hi,
-        stations=stations,
-        lam_samples=lam_samples,
         entries=tuple(entries),
-        boundary_growth=boundary_blowup_fit(domain).phi,
         all_positive=all(e.positive for e in entries),
     )

@@ -34,6 +34,7 @@ sign that no concentrating branch exists at exponent p + eps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -709,12 +710,15 @@ def decompose(sol, domain):
     center, minimizing the energy norm of v over (alpha, lam).
 
     alpha is eliminated in closed form at each lam (the problem is
-    linear in alpha). A 33-point scan of the profile objective in log lam
-    brackets lam between the neighbours of its minimum, where the exact
+    linear in alpha). The profile objective is walked downhill on a
+    lattice in log lam, the law seed's log lam plus 0.1 j for |j| <= 16:
+    from j = 0, step to the lower neighbour while one is lower. The
+    neighbours of the stopping point bracket lam, and the exact
     stationarity condition (v orthogonal to the scale direction) must
-    change sign. Secant steps on that condition, kept inside the bracket,
-    drive the scale orthogonality defect to rounding; the objective
-    alone is flat to rounding over a few 1e-10 of lam at fat offsets.
+    change sign across them. Secant steps on that condition, kept inside
+    the bracket, drive the scale orthogonality defect to rounding; the
+    objective alone is flat to rounding over a few 1e-10 of lam at fat
+    offsets.
     """
     if not isinstance(sol, RadialSolution):
         raise TypeError("decompose expects a RadialSolution")
@@ -745,10 +749,16 @@ def decompose(sol, domain):
         lp, al = profile(math.exp(loglam))
         return float(np.sum(wts * (w - al * lp) ** 2))
 
-    scan = np.log(law_scale(n, sol.M, sol.eps)) + np.linspace(-1.6, 1.6, 33)
-    vals = [objective(x) for x in scan]
-    k = int(np.argmin(vals))
-    k = min(max(k, 1), len(scan) - 2)
+    seed = np.log(law_scale(n, sol.M, sol.eps))
+    lattice = seed + np.linspace(-1.6, 1.6, 33)
+    at = functools.cache(lambda j: objective(lattice[j]))
+    k = len(lattice) // 2
+    while 0 < k < len(lattice) - 1:
+        step = min(k - 1, k + 1, key=at)
+        if not at(step) < at(k):
+            break
+        k = step
+    k = min(max(k, 1), len(lattice) - 2)
 
     def stationarity(loglam):
         # d/d(log lam) of the objective, up to the factor -2 alpha:
@@ -758,7 +768,7 @@ def decompose(sol, domain):
         ds = _projected_scale_derivative_laplacian(n, lam, r, R)
         return float(np.sum(wts * (w - al * lp) * ds))
 
-    lo, hi = float(scan[k - 1]), float(scan[k + 1])
+    lo, hi = float(lattice[k - 1]), float(lattice[k + 1])
     g_lo, g_hi = stationarity(lo), stationarity(hi)
     if not g_lo * g_hi < 0:
         raise RuntimeError("profile minimization failed to bracket")

@@ -57,7 +57,7 @@ def test_config_round_trip_is_lossless(tmp_path):
     config = RunConfig(n=6, radius=1.25,
                        eps_schedule=(0.3, 0.07000000000000001, 0.0123),
                        grid_nodes=512, quad_tol=3.33e-11,
-                       out_dir="somewhere/else", seed=41)
+                       out_dir="somewhere/else")
     path = tmp_path / "config.json"
     config.to_json(path)
     assert RunConfig.from_json(path) == config
@@ -107,28 +107,22 @@ def test_config_rejects_coarse_grid():
         RunConfig(grid_nodes=255)
 
 
-def test_config_rejects_negative_seed():
-    with pytest.raises(CliError, match="seed"):
-        RunConfig(seed=-1)
-
-
 @pytest.mark.parametrize("field, value, message", [
     ("radius", "x", "radius must be a number, not 'x'"),
     ("eps_schedule", 0.1, "eps_schedule must be a list of numbers"),
     ("eps_schedule", [0.3, "0.1"], "eps_schedule must be a list of numbers"),
     ("grid_nodes", None, "grid_nodes must be a number"),
-    ("seed", True, "seed must be a number"),
+    ("grid_nodes", True, "grid_nodes must be a number"),
     ("n", 10**400, "n holds a number too large for a float"),
     ("radius", 10**400, "radius holds a number too large for a float"),
     ("grid_nodes", 10**400,
      "grid_nodes holds a number too large for a float"),
     ("quad_tol", 10**400, "quad_tol holds a number too large for a float"),
-    ("seed", 10**400, "seed holds a number too large for a float"),
     ("eps_schedule", [0.3, 10**400],
      "eps_schedule holds a number too large for a float"),
 ], ids=["radius-text", "schedule-number", "schedule-text-entry",
-        "grid-null", "seed-bool", "n-huge", "radius-huge", "grid-huge",
-        "tol-huge", "seed-huge", "schedule-huge-entry"])
+        "grid-null", "grid-bool", "n-huge", "radius-huge", "grid-huge",
+        "tol-huge", "schedule-huge-entry"])
 def test_config_file_refuses_non_numeric_fields(tmp_path, capsys, field,
                                                 value, message):
     data = RunConfig(out_dir=str(tmp_path)).to_dict()
@@ -149,11 +143,17 @@ def test_config_rejects_unknown_schema(tmp_path):
         RunConfig.from_json(path)
 
 
-def test_config_rejects_unknown_fields():
-    data = RunConfig().to_dict()
-    data["extra_knob"] = 1
-    with pytest.raises(CliError, match="unknown run-config fields"):
-        RunConfig.from_dict(data)
+def test_config_rejects_unknown_fields(tmp_path, capsys):
+    for name, value in (("extra_knob", 1), ("seed", 0)):
+        data = RunConfig(out_dir=str(tmp_path)).to_dict()
+        data[name] = value
+        with pytest.raises(CliError, match="unknown run-config fields: "
+                                           + name):
+            RunConfig.from_dict(data)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify-blowup", "--config", str(path)]) == 2
+        assert "unknown run-config fields: " + name in capsys.readouterr().err
 
 
 def test_config_rejects_missing_fields():
@@ -485,8 +485,7 @@ def test_config_json_lists_every_field_in_order(tmp_path):
          ],
          "grid_nodes": 2048,
          "quad_tol": 1e-10,
-         "out_dir": "runs",
-         "seed": 0
+         "out_dir": "runs"
         }
         """)
 
@@ -621,8 +620,8 @@ def test_supercritical_roots_match_closed_form(sc_run):
     for entry in report["obstruction"]["entries"]:
         eps = entry["eps"]["value"]
         root = entry["subcritical_root"]["value"]
-        closed = entry["subcritical_root_closed_form"]["value"]
-        assert entry["subcritical_sign_change"] is True
+        closed = entry["subcritical_root_closed"]["value"]
+        assert entry["sign_change"] is True
         assert root == pytest.approx(closed, rel=1e-9)
         assert closed == pytest.approx(
             math.sqrt(consts.c1 * (4.0 / 3.0) / (consts.c2 * eps)),
@@ -664,9 +663,30 @@ def test_supercritical_obstruction_table(sc_run):
     _, out = sc_run
     header, rows = read_csv(out / "obstruction.csv")
     assert len(rows) == 2
+    assert header == [
+        "eps", "eps_provenance", "scan_min", "scan_min_provenance",
+        "floor", "floor_provenance", "margin", "margin_provenance",
+        "positive", "subcritical_root", "subcritical_root_provenance",
+        "subcritical_root_closed", "subcritical_root_closed_provenance",
+        "sign_change"]
     for row in rows:
         assert float(row[header.index("margin")]) > 0
         assert row[header.index("positive")] == "true"
+        assert row[header.index("sign_change")] == "true"
+    # the report's entries carry the table's names and values
+    report = json.loads((out / "report.json").read_text())
+    entries = report["obstruction"]["entries"]
+    assert len(entries) == len(rows)
+    for row, entry in zip(rows, entries):
+        cells = dict(zip(header, row))
+        assert [k for k in header if not k.endswith("_provenance")] == list(
+            entry)
+        for name, value in entry.items():
+            if isinstance(value, bool):
+                assert cells[name] == ("true" if value else "false")
+            else:
+                assert _pv(float(cells[name]),
+                           cells[name + "_provenance"]) == value
 
 
 def test_supercritical_rerun_is_byte_identical(sc_run):
@@ -692,7 +712,7 @@ def test_supercritical_dimension_five_skips_contrast(tmp_path, capsys):
     assert report["passed"] is True
 
 
-@pytest.mark.parametrize("n", ["7", "8"])
+@pytest.mark.parametrize("n", ["7", "8", "9", "12"])
 def test_supercritical_higher_dimension_certifies(tmp_path, capsys, n):
     rc = cli.main(["supercritical", "--n", n, "--out", str(tmp_path)])
     assert rc == 0
@@ -706,6 +726,9 @@ def test_supercritical_higher_dimension_certifies(tmp_path, capsys, n):
     assert len(report["probe"]["entries"]) == 3
     for e in report["probe"]["entries"]:
         assert not e["concentrating"] and e["defect"]["value"] < -1.0
+    assert report["obstruction"]["all_positive"] is True
+    for e in report["obstruction"]["entries"]:
+        assert e["positive"] and e["margin"]["value"] > 0
     assert report["passed"] is True
 
 

@@ -28,6 +28,7 @@ from navier_bubbles.bubble import (
     c0,
     center_potential,
     critical_exponent,
+    law_scale,
     radial_profile,
     radial_profile_laplacian,
     sobolev_energy,
@@ -709,10 +710,55 @@ def test_decompose_matches_brent_oracle(subcritical_sweep,
         assert abs(math.exp(x1) / dec.lam - 1.0) <= 1e-10
 
 
+def test_decompose_walk_finds_the_lattice_argmin(subcritical_sweep,
+                                                monkeypatch):
+    # the downhill walk from the law seed stops at the argmin of the full
+    # 33-point lattice, after one objective evaluation per step plus the
+    # start and its two neighbours; the secant bracket is its neighbours
+    events = []
+    profile, scale = (solver_module._projected_profile_laplacian,
+                      solver_module._projected_scale_derivative_laplacian)
+
+    def spy(tag, fn):
+        def wrapped(n, lam, r, R):
+            events.append((tag, lam))
+            return fn(n, lam, r, R)
+        return wrapped
+
+    monkeypatch.setattr(solver_module, "_projected_profile_laplacian",
+                        spy("profile", profile))
+    monkeypatch.setattr(solver_module,
+                        "_projected_scale_derivative_laplacian",
+                        spy("stationarity", scale))
+    ball = BallDomain.unit(N6)
+    for sol in subcritical_sweep:
+        wts = _cell_weights(sol.grid)
+        lattice = (np.log(law_scale(N6, sol.M, sol.eps))
+                   + np.linspace(-1.6, 1.6, 33))
+        values = []
+        for x in lattice:
+            lp = profile(N6, math.exp(x), sol.grid.nodes, 1.0)
+            alpha = np.sum(wts * sol.w * lp) / np.sum(wts * lp * lp)
+            values.append(float(np.sum(wts * (sol.w - alpha * lp) ** 2)))
+        k = int(np.argmin(values))
+        assert 0 < k < 32
+
+        events.clear()
+        decompose(sol, ball)
+        first = next(i for i, (tag, _) in enumerate(events)
+                     if tag == "stationarity")
+        # the first stationarity call builds its profile before the scale
+        # derivative
+        assert first - 1 == 3 + abs(k - 16)
+        bracket = [lam for tag, lam in events if tag == "stationarity"][:2]
+        assert bracket == [math.exp(float(lattice[k - 1])),
+                           math.exp(float(lattice[k + 1]))]
+
+
 def test_decompose_refuses_unbracketed_scale(unit_ball6):
     # u concentrated at a scale e^3 times that of w: the law's seed puts
-    # the 33-point scan far above the true scale, whose minimum then sits
-    # at the scan's edge with no sign change of the derivative beside it
+    # the lattice far above the true scale, so the downhill walk stops at
+    # the lattice's edge with no sign change of the derivative beside it
     grid = default_grid(unit_ball6)
     u = _projected_profile(N6, 15.0 * math.exp(3.0), grid.nodes, 1.0)
     w = _projected_profile_laplacian(N6, 15.0, grid.nodes, 1.0)
