@@ -27,6 +27,7 @@ accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,28 +142,44 @@ def core_seams(lam, R):
     return [s / lam for s in _CORE_SEAMS if s / lam < R]
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_panels(count):
+    """Read-only nodes and weights of count equal 16-node Gauss-Legendre
+    panels on [0, 1]."""
+    left = np.arange(count)[:, None] / count
+    nodes = (left + (1.0 + _GL_NODES) / (2.0 * count)).ravel()
+    weights = np.tile(_GL_WEIGHTS / (2.0 * count), count)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def gauss_legendre_panels(edges, counts):
     """Nodes and weights of the composite Gauss-Legendre rule with
-    counts[i] equal panels on [edges[i], edges[i+1]]."""
+    counts[i] equal panels on [edges[i], edges[i+1]], each piece the
+    cached rule on [0, 1] mapped onto it."""
     nodes, weights = [], []
     for a, b, count in zip(edges, edges[1:], counts):
-        cuts = np.linspace(a, b, count + 1)
-        half = np.diff(cuts)[:, None] / 2.0
-        nodes.append((cuts[:-1, None] + half * (1.0 + _GL_NODES)).ravel())
-        weights.append((half * _GL_WEIGHTS).ravel())
+        unit_nodes, unit_weights = _unit_panels(count)
+        nodes.append(a + (b - a) * unit_nodes)
+        weights.append((b - a) * unit_weights)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
 def converged_quadrature(evaluate, max_density=_MAX_DENSITY):
     """(value, density) of evaluate(density) at the first doubling of the
     panel density that agrees with its half; RuntimeError when none does
-    within max_density times the starting density."""
+    within max_density times the starting density.
+
+    An array value converges only when every component agrees with its
+    half.
+    """
     density = 1
     value = evaluate(density)
     while 2 * density <= max_density:
         density *= 2
         finer = evaluate(density)
-        if abs(finer - value) <= QUAD_RTOL * abs(finer):
+        if np.all(np.abs(finer - value) <= QUAD_RTOL * np.abs(finer)):
             return finer, density
         value = finer
     raise RuntimeError(
@@ -172,12 +189,14 @@ def converged_quadrature(evaluate, max_density=_MAX_DENSITY):
 
 def _panel_integral(weighted, edges):
     """Converged integral of the vectorized integrand weighted over the
-    pieces between edges, starting from one panel per piece."""
+    pieces between edges, starting from one panel per piece; an integrand
+    with k rows gives its k integrals from the same panels."""
     def at_density(density):
         x, w = gauss_legendre_panels(edges, [density] * (len(edges) - 1))
-        return float(np.dot(w, weighted(x)))
+        return weighted(x) @ w
 
-    return converged_quadrature(at_density)[0]
+    value = converged_quadrature(at_density)[0]
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def radial_integral(n, f, r_max=math.inf, seams=()):
@@ -186,6 +205,8 @@ def radial_integral(n, f, r_max=math.inf, seams=()):
     The range is split at the given increasing seams. An infinite upper
     limit is mapped to (0, 1) by r = t/(1-t), so the integrand must decay
     faster than r^{-n} there. A non-integrable f raises RuntimeError.
+    An f that returns k rows, one integrand each, gives the array of its
+    k integrals; they share every panel set and converge together.
     """
     edges = [0.0] + [s for s in seams if 0.0 < s < r_max] + [r_max]
     weighted = lambda r: f(r) * r ** (n - 1)

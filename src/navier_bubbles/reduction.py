@@ -29,7 +29,6 @@ refused rather than approximated.
 """
 
 import math
-from functools import partial
 
 import numpy as np
 from dataclasses import dataclass
@@ -66,13 +65,14 @@ __all__ = [
 ]
 
 # Trial integrals of the spectral gap use the shared Gauss-Legendre
-# panels, split at the core seams. Each piece starts with one panel per
-# _GAP_PANEL_PERIODS oscillation periods of the fastest trial-mode
-# product, and the panel count doubles until the gap at P and 2P panels
-# agrees to the shared relative tolerance. The cap sits below the shared
-# one because the trial array is modes x nodes; a gap still moving at
+# panels, split at the core seams. Each piece starts with one 16-node
+# panel per _GAP_PANEL_PERIODS oscillation periods of the fastest
+# trial-mode product, two nodes per period (its Nyquist density), and the
+# panel count doubles until the gap at P and 2P panels agrees to the
+# shared relative tolerance. The cap sits below the shared one because
+# the trial array is modes x nodes; a gap still moving at
 # _GAP_MAX_DENSITY times the starting count is an error, never a result.
-_GAP_PANEL_PERIODS = 4.0
+_GAP_PANEL_PERIODS = 8.0
 _GAP_MAX_DENSITY = 16
 # Trial modes scale with lam so the concentration core stays resolved;
 # this cap bounds the dense eigenproblem and the mode-matrix memory.
@@ -95,13 +95,20 @@ def _bessel_over_power(nu, x):
     round-off of the value at the origin; cancellation there stays within
     a few units of round-off for the orders the trial basis uses. Above
     it, J_0 and J_1 from Cephes are carried up to order nu by the
-    three-term recurrence, which is stable while the order stays below x.
+    three-term recurrence, which is stable while the order stays below x,
+    in the form a_(k+1) = (2k a_k - a_(k-1)) / x^2 for a_k = J_k(x) / x^k.
+    The recurrence runs over every x and the series then overwrites the
+    few values below the switch.
     """
     from scipy.special import j0, j1
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < nu + 2.0
-    xs = x[small]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sq = 1.0 / (x * x)
+        lower, out = j0(x), j1(x) / x
+        for k in range(1, nu):
+            lower, out = out, (2.0 * k * out - lower) * inv_sq
+    small = np.flatnonzero(x < nu + 2.0)
+    xs = np.take(x, small)
     quarter = -0.25 * xs * xs
     origin = 1.0 / (2.0 ** nu * math.factorial(nu))
     term = np.full_like(xs, origin)
@@ -111,12 +118,7 @@ def _bessel_over_power(nu, x):
         k += 1
         term = term * quarter / (k * (k + nu))
         total += term
-    out[small] = total
-    xl = x[~small]
-    lower, upper = j0(xl), j1(xl)
-    for k in range(1, nu):
-        lower, upper = upper, (2.0 * k / xl) * upper - lower
-    out[~small] = upper / xl ** nu
+    np.put(out, small, total)
     return out
 
 
@@ -125,7 +127,8 @@ def _gap_panels(R, lam, z_max, density):
 
     Each piece between seams gets density panels per _GAP_PANEL_PERIODS
     oscillation periods of the fastest trial-mode product (wavenumber
-    2 z_max / R), and at least density panels.
+    2 z_max / R), and at least density panels. Density 1 puts two nodes
+    on each period, the product's Nyquist density.
     """
     edges = [0.0] + core_seams(lam, R) + [R]
     counts = [density * max(1, math.ceil((b - a) * z_max / (math.pi * R)
@@ -189,12 +192,13 @@ def coercivity_check(params, domain, trial_count=40):
     trial_count is the intended stability check.
 
     The weighted mass and the two constraint pairings are integrated on
-    composite Gauss-Legendre panels split at the core seams. The panel
-    count doubles until the gap at P and 2P panels agrees to the shared
-    relative tolerance numerics.QUAD_RTOL, and the gap at 2P is returned;
-    if that does not happen within _GAP_MAX_DENSITY times the starting
-    count, RuntimeError is raised rather than an unconverged gap
-    returned.
+    composite Gauss-Legendre panels split at the core seams, starting at
+    two nodes per period of the fastest trial-mode product, its Nyquist
+    density. The panel count doubles until the gap at P and 2P panels
+    agrees to the shared relative tolerance numerics.QUAD_RTOL, and the
+    gap at 2P is returned; if that does not happen within
+    _GAP_MAX_DENSITY times the starting count, RuntimeError is raised
+    rather than an unconverged gap returned.
     """
     _require_centered(params, domain)
     if trial_count < 5:
@@ -223,12 +227,16 @@ def bubble_quadratic_form(params, domain):
     _require_centered(params, domain)
     n, R, lam = domain.n, domain.radius, params.lam
     p = critical_exponent(n)
-    ball = partial(radial_integral, n, r_max=R, seams=core_seams(lam, R))
-    energy = ball(lambda r: radial_profile(n, lam, r) ** p
-                  * _projected_profile(n, lam, r, R))
-    weighted = ball(lambda r: radial_profile(n, lam, r) ** (p - 1.0)
-                    * _projected_profile(n, lam, r, R) ** 2)
-    return energy - p * weighted
+
+    def pairings(r):
+        profile = radial_profile(n, lam, r)
+        projected = _projected_profile(n, lam, r, R)
+        return np.array([profile ** p * projected,
+                         profile ** (p - 1.0) * projected ** 2])
+
+    energy, weighted = radial_integral(n, pairings, R,
+                                       seams=core_seams(lam, R))
+    return float(energy - p * weighted)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +306,28 @@ class ReducedState:
 
 
 def _reduced_integrals(n, R, lam, eps):
-    """The four quadratures behind the reduced right sides."""
+    """The four quadratures behind the reduced right sides.
+
+    The critical power of the profile and the subcritical mass, each
+    paired with the corrected profile and with its scale derivative. One
+    radial_integral carries all four, so each panel density builds its
+    panels and evaluates the profile and its projections once, and the
+    four converge together to the shared relative tolerance.
+    """
     p = critical_exponent(n)
     qt = p + 1.0 - eps
-    dpow = lambda r: radial_profile(n, lam, r) ** p
-    pd = lambda r: _projected_profile(n, lam, r, R)
-    pds = lambda r: _projected_scale_derivative(n, lam, r, R)
-    ball = partial(radial_integral, n, r_max=R, seams=core_seams(lam, R))
-    pair_bubble = ball(lambda r: dpow(r) * pd(r))
-    mass = ball(lambda r: np.abs(pd(r)) ** (qt - 1.0) * pd(r))
-    pair_scale = ball(lambda r: dpow(r) * pds(r))
-    mass_scale = ball(
-        lambda r: np.abs(pd(r)) ** (p - 1.0 - eps) * pd(r) * pds(r))
-    return pair_bubble, mass, pair_scale, mass_scale
+
+    def pairings(r):
+        dpow = radial_profile(n, lam, r) ** p
+        pd = _projected_profile(n, lam, r, R)
+        pds = _projected_scale_derivative(n, lam, r, R)
+        return np.array([dpow * pd,
+                         np.abs(pd) ** (qt - 1.0) * pd,
+                         dpow * pds,
+                         np.abs(pd) ** (p - 1.0 - eps) * pd * pds])
+
+    integrals = radial_integral(n, pairings, R, seams=core_seams(lam, R))
+    return tuple(float(v) for v in integrals)
 
 
 def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
@@ -565,8 +582,9 @@ def blowup_verdict(sweep, x0, domain, consts=None):
 # ---------------------------------------------------------------------------
 # supercritical obstruction
 
-# The obstruction's scale range: the subcritical root is sought in it,
-# and its top end sets the smallest domain term.
+# The obstruction's scale range: its top end sets the smallest domain
+# term, and the subcritical root is sought in it, widened to half and
+# twice the closed-form root when that root falls near or outside it.
 _OBSTRUCTION_LAM_LO = 5.0
 _OBSTRUCTION_LAM_HI = 1e4
 # stations along a diameter, as fractions of the radius
@@ -622,8 +640,9 @@ def supercritical_obstruction(eps_list, domain, consts=None):
     constants, never as a difference, and the entry is positive when
     both terms are: then the balance has no root. The matched
     subcritical combination c2 * eps - c1 * phi(0) / lam^(n-4) is checked
-    for a sign change across [5, lam_hi]; its root, found by bisection in
-    log lam, is recorded beside its closed form as an independent route.
+    for a sign change across [min(5, closed / 2), max(lam_hi, 2 closed)],
+    closed being its closed-form root; its root, found by bisection in
+    log lam, is recorded beside the closed form as an independent route.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -638,13 +657,15 @@ def supercritical_obstruction(eps_list, domain, consts=None):
     phis = [robin(domain, domain.center + f * R * direction).phi
             for f in _OBSTRUCTION_STATIONS]
     phi0 = phis[0]
-    lo, hi = _OBSTRUCTION_LAM_LO, _OBSTRUCTION_LAM_HI
-    margin = float(consts.c1 * min(phis) / hi ** (n - 4.0))
+    margin = float(consts.c1 * min(phis) / _OBSTRUCTION_LAM_HI ** (n - 4.0))
 
     entries = []
     for eps in eps_arr:
         floor = consts.c2 * eps
+        closed = float(balance_scale(consts, phi0, eps))
         sub = lambda lam: consts.c2 * eps - consts.c1 * phi0 / lam ** (n - 4.0)
+        lo = min(_OBSTRUCTION_LAM_LO, closed / 2.0)
+        hi = max(_OBSTRUCTION_LAM_HI, 2.0 * closed)
         sign_change = bool(sub(lo) < 0 < sub(hi))
         if sign_change:
             # bisection in log lam to 1e-12 + 1e-14 lam, a width that
@@ -663,7 +684,7 @@ def supercritical_obstruction(eps_list, domain, consts=None):
             margin=margin,
             positive=bool(floor > 0 and margin > 0),
             subcritical_root=root,
-            subcritical_root_closed=float(balance_scale(consts, phi0, eps)),
+            subcritical_root_closed=closed,
             sign_change=sign_change,
         ))
 

@@ -15,7 +15,11 @@ from scipy.special import beta as beta_fn
 
 from navier_bubbles.bubble import critical_exponent, radial_profile
 from navier_bubbles.numerics import (
+    QUAD_RTOL,
     RadialGrid,
+    _unit_panels,
+    converged_quadrature,
+    gauss_legendre_panels,
     _laplacian_apply,
     _stencil_weights,
     SlopeFit,
@@ -91,6 +95,85 @@ def test_radial_integral_matches_beta_family(n, b):
 def test_radial_integral_flags_slow_decay(route):
     with pytest.raises(RuntimeError):
         route()
+
+
+def direct_panels(edges, counts):
+    # the composite rule built piece by piece from its panel cuts
+    gl_x, gl_w = np.polynomial.legendre.leggauss(16)
+    nodes, weights = [], []
+    for a, b, count in zip(edges, edges[1:], counts):
+        cuts = np.linspace(a, b, count + 1)
+        half = np.diff(cuts)[:, None] / 2.0
+        nodes.append((cuts[:-1, None] + half * (1.0 + gl_x)).ravel())
+        weights.append((half * gl_w).ravel())
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+PANEL_LAYOUTS = [([0.0, 1.0], [1]), ([0.0, 0.05, 0.3, 1.0], [3, 7, 16]),
+                 ([-2.0, 0.5, 7.0], [64, 5])]
+
+
+@pytest.mark.parametrize("edges,counts", PANEL_LAYOUTS)
+def test_gauss_legendre_panels_match_direct_construction(edges, counts):
+    x, w = gauss_legendre_panels(edges, counts)
+    x_direct, w_direct = direct_panels(edges, counts)
+    scale = max(abs(e) for e in edges)
+    assert np.max(np.abs(x - x_direct)) <= 4e-16 * scale
+    assert np.max(np.abs(w - w_direct) / w_direct) <= 1e-14
+
+
+@pytest.mark.parametrize("edges,counts", PANEL_LAYOUTS)
+def test_gauss_legendre_panels_exact_to_degree_31(edges, counts):
+    rng = np.random.default_rng(31)
+    x, w = gauss_legendre_panels(edges, counts)
+    for _ in range(4):
+        poly = np.polynomial.Polynomial(rng.standard_normal(32))
+        antiderivative = poly.integ()
+        exact = antiderivative(edges[-1]) - antiderivative(edges[0])
+        size = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(
+            max(abs(e) for e in edges)) * 2.0
+        assert abs(w @ poly(x) - exact) <= 1e-14 * size
+
+
+def test_gauss_legendre_panels_cache_is_read_only():
+    x, w = gauss_legendre_panels([0.0, 1.0], [4])
+    unit_x, unit_w = _unit_panels(4)
+    for cached in (unit_x, unit_w):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.5
+    # the returned arrays are the caller's own
+    x[:] = 0.0
+    w[:] = 0.0
+    again_x, again_w = gauss_legendre_panels([0.0, 1.0], [4])
+    assert np.array_equal(again_x, unit_x)
+    assert np.array_equal(again_w, unit_w)
+
+
+def test_converged_quadrature_waits_for_every_component():
+    # the first component is settled from the start, the second moves
+    # until density 64; the pair converges only where both agree
+    def evaluate(density):
+        return np.array([1.0, 1.0 + (1e-3 / density if density < 64 else 0)])
+
+    value, density = converged_quadrature(evaluate)
+    assert density == 128
+    assert np.array_equal(value, [1.0, 1.0])
+    assert converged_quadrature(lambda d: evaluate(d)[0])[1] == 2
+    with pytest.raises(RuntimeError, match="did not converge"):
+        converged_quadrature(lambda d: np.array([1.0, 1.0 + 1e-3 / d]))
+
+
+@pytest.mark.parametrize("r_max", [1.0, math.inf])
+def test_radial_integral_rows_match_separate_integrals(r_max):
+    powers = (4.0, 5.0, 6.5)
+    rows = radial_integral(
+        6, lambda r: np.array([(1 + r * r) ** -b for b in powers]), r_max,
+        seams=(0.5, 3.0))
+    assert rows.shape == (3,)
+    for got, b in zip(rows, powers):
+        alone = radial_integral(6, lambda r: (1 + r * r) ** -b, r_max,
+                                seams=(0.5, 3.0))
+        assert abs(got - alone) <= QUAD_RTOL * abs(alone)
 
 
 # ---------------------------------------------------------------------------

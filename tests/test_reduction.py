@@ -21,12 +21,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh
+from scipy.sparse import diags
 from scipy.special import jn_zeros, jv
 
 from navier_bubbles import cli
 from navier_bubbles.bubble import (
     BubbleParams,
+    _projected_profile,
+    _projected_scale_derivative,
     balance_constants,
     balance_scale,
     center_potential,
@@ -39,7 +42,8 @@ from navier_bubbles.bubble import (
 )
 from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles import reduction
-from navier_bubbles.numerics import QUAD_RTOL, sphere_measure
+from navier_bubbles.numerics import (QUAD_RTOL, core_seams, radial_integral,
+                                     sphere_measure)
 from navier_bubbles.solver import Decomposition
 from navier_bubbles.reduction import (
     BlowupVerdict,
@@ -63,14 +67,36 @@ def centered(lam, n=N6):
 # ---------------------------------------------------------------------------
 # oracles
 
+def _householder(x):
+    """v of the reflector I - 2 v v^T / (v.v) that maps x onto a
+    multiple of the first coordinate vector."""
+    v = x.copy()
+    v[0] += math.copysign(np.linalg.norm(x), x[0])
+    return v
+
+
+def _reflected(v, mat):
+    """H mat H for the reflector H of v and a symmetric mat, as the
+    rank-two update mat - v w^T - w v^T, in O(m^2)."""
+    tau = 2.0 / (v @ v)
+    w = tau * (mat @ v)
+    w -= 0.5 * tau * (v @ w) * v
+    mat = mat - np.outer(v, w)
+    mat -= np.outer(w, v)
+    return mat
+
+
 def grid_gap_oracle(lam, domain, m=1536, strength=5.0):
     """Constrained gap through a finite-volume grid discretization.
 
     Builds the conservative three-point radial Laplacian on a graded
     grid (conductances on face midpoints, exact shell volumes), forms
-    energy and weighted-mass matrices, projects out the two constraint
-    directions and solves the generalized eigenproblem after a diagonal
-    rescaling that keeps the Cholesky factorization well posed.
+    energy and weighted-mass matrices and rescales them diagonally, which
+    keeps the Cholesky factorization well posed. Two Householder
+    reflectors map the span of the two constraint directions onto the
+    first two coordinates; the generalized eigenproblem on the remaining
+    coordinates is the constrained one, whichever null-space basis is
+    used.
     """
     n, R = domain.n, domain.radius
     p = critical_exponent(n)
@@ -81,28 +107,30 @@ def grid_gap_oracle(lam, domain, m=1536, strength=5.0):
     faces = (nodes[1:] + nodes[:-1]) / 2.0
     inner_faces = np.concatenate([[0.0], faces[:-1]])
     volumes = sm * (faces ** n - inner_faces ** n) / n
-    lap = np.zeros((m, m))
-    for i in range(m):
-        right_node = r[i + 1] if i < m - 1 else nodes[m]
-        right = sm * faces[i] ** (n - 1) / (right_node - r[i])
-        left = sm * faces[i - 1] ** (n - 1) / (r[i] - r[i - 1]) if i else 0.0
-        lap[i, i] = -(right + left) / volumes[i]
-        if i < m - 1:
-            lap[i, i + 1] = right / volumes[i]
-        if i:
-            lap[i, i - 1] = left / volumes[i]
-    energy = lap.T @ (volumes[:, None] * lap)
+    # conductance of the face right of each node; the last face leads to
+    # the boundary node, where the trial functions vanish
+    right = sm * faces ** (n - 1) / np.diff(nodes)
+    left = np.concatenate([[0.0], right[:-1]])
+    lap = diags([left[1:] / volumes[1:], -(right + left) / volumes,
+                 right[:-1] / volumes[:-1]], [-1, 0, 1])
     weight = radial_profile(n, lam, r) ** (p - 1.0)
-    form = energy - p * np.diag(volumes * weight)
-    against_bubble = volumes * radial_profile(n, lam, r) ** p
-    against_scale = volumes * p * weight * radial_scale_derivative(n, lam, r)
-    rescale = 1.0 / np.sqrt(np.diag(energy))
-    form_r = rescale[:, None] * form * rescale
-    energy_r = rescale[:, None] * energy * rescale
-    basis = null_space(np.vstack([against_bubble * rescale,
-                                  against_scale * rescale]))
-    vals = eigh(basis.T @ form_r @ basis, basis.T @ energy_r @ basis,
-                eigvals_only=True, subset_by_index=[0, 0])
+    energy = lap.T @ diags(volumes) @ lap
+    rescale = 1.0 / np.sqrt(energy.diagonal())
+    energy_r = (diags(rescale) @ energy @ diags(rescale)).toarray()
+    form_r = energy_r.copy()
+    form_r.flat[::m + 1] -= p * volumes * weight * rescale ** 2
+    against_bubble = volumes * radial_profile(n, lam, r) ** p * rescale
+    against_scale = (volumes * p * weight * radial_scale_derivative(n, lam, r)
+                     * rescale)
+    first = _householder(against_bubble)
+    reflected_scale = against_scale - (
+        2.0 * (first @ against_scale) / (first @ first)) * first
+    second = np.concatenate([[0.0], _householder(reflected_scale[1:])])
+    for v in (first, second):
+        form_r = _reflected(v, form_r)
+        energy_r = _reflected(v, energy_r)
+    vals = eigh(form_r[2:, 2:], energy_r[2:, 2:], eigvals_only=True,
+                subset_by_index=[0, 0])
     return float(vals[0])
 
 
@@ -193,6 +221,30 @@ def test_gap_returns_the_doubling_checked_value(unit_ball6):
     assert gap == coercivity_check(centered(20.0), unit_ball6, 40)
     direct = reduction._trial_gap(N6, 1.0, 20.0, z, 2 * density)
     assert abs(direct - gap) <= QUAD_RTOL * abs(gap)
+
+
+# the four gaps of acceptance criterion 9, as (lam, trials per band)
+CRITERION_9_GAPS = ((10.0, 40), (20.0, 40), (40.0, 40), (40.0, 80))
+
+
+@pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
+def test_gap_converges_at_first_doubling(lam, trials):
+    # the doubling starts at the Nyquist density of the fastest trial-mode
+    # product, where the gap already agrees with its first doubling
+    z = jn_zeros(2, trials * math.ceil(lam / 10.0))
+    assert reduction._converged_gap(N6, 1.0, lam, z)[1] == 2
+
+
+@pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
+def test_gap_starts_at_two_nodes_per_period(lam, trials):
+    z_max = jn_zeros(2, trials * math.ceil(lam / 10.0))[-1]
+    r, _ = reduction._gap_panels(1.0, lam, z_max, 1)
+    edges = [0.0] + core_seams(lam, 1.0) + [1.0]
+    for a, b in zip(edges, edges[1:]):
+        # periods of the product, wavenumber 2 z_max, on the piece
+        periods = (b - a) * z_max / math.pi
+        nodes = np.count_nonzero((r > a) & (r < b))
+        assert 2.0 * periods <= nodes < 2.0 * periods + 16
 
 
 def test_gap_refuses_unconverged_quadrature(unit_ball6, monkeypatch):
@@ -312,6 +364,28 @@ def test_reduced_multipliers_vanish(reduced_states):
 def test_reduced_center_offset_pinned(reduced_states):
     for st in reduced_states.values():
         assert np.array_equal(st.xi, np.zeros(N6))
+
+
+@pytest.mark.parametrize("n,eps", [(6, 0.05), (6, 0.02), (6, 0.002),
+                                   (8, 0.05), (8, 0.01)])
+def test_reduced_integrals_match_separate_integrals(n, eps):
+    # the four pairings share one panel set per density; each agrees with
+    # its own converged radial_integral
+    p = critical_exponent(n)
+    lam = balance_scale(balance_constants(n), center_potential(n), eps)
+    ball = lambda f: radial_integral(n, f, 1.0, seams=core_seams(lam, 1.0))
+    dpow = lambda r: radial_profile(n, lam, r) ** p
+    pd = lambda r: _projected_profile(n, lam, r, 1.0)
+    pds = lambda r: _projected_scale_derivative(n, lam, r, 1.0)
+    separate = (
+        ball(lambda r: dpow(r) * pd(r)),
+        ball(lambda r: np.abs(pd(r)) ** (p - eps) * pd(r)),
+        ball(lambda r: dpow(r) * pds(r)),
+        ball(lambda r: np.abs(pd(r)) ** (p - 1.0 - eps) * pd(r) * pds(r)),
+    )
+    shared = reduction._reduced_integrals(n, 1.0, lam, eps)
+    for got, want in zip(shared, separate):
+        assert abs(got - want) <= QUAD_RTOL * abs(want)
 
 
 def test_reduced_validation(unit_ball6):
@@ -509,11 +583,16 @@ def test_balance_radius_invariance():
         consts.c1 / consts.c2 * (2.0 * N6 - 4.0) / N6, rel=1e-10)
 
 
-def test_obstruction_no_sign_change_for_large_offset(unit_ball6):
-    report = supercritical_obstruction([0.9], unit_ball6)
-    entry = report.entries[0]
-    assert entry.sign_change is False
-    assert math.isnan(entry.subcritical_root)
+@pytest.mark.parametrize("n,eps", [(6, 0.9)] + [
+    (n, eps) for n in (8, 9, 12) for eps in (0.02, 0.05, 0.09)])
+def test_obstruction_root_bracket_from_closed_form(n, eps):
+    # the bisection bracket reaches half and twice the closed-form root,
+    # which falls below lam = 5 at n = 6, eps = 0.9, at n = 8, eps = 0.09,
+    # at n = 9, eps >= 0.05 and at n = 12 at every offset here
+    entry = supercritical_obstruction([eps], BallDomain.unit(n)).entries[0]
+    assert entry.sign_change
+    assert entry.subcritical_root == pytest.approx(
+        entry.subcritical_root_closed, rel=1e-10)
     assert entry.positive
 
 
