@@ -22,8 +22,9 @@ Newton works on the unknowns interleaved as (u_0, w_0, u_1, w_1, ...).
 The two-field Jacobian is then pentadiagonal, two bands below and two
 above the diagonal, and each step is one LAPACK banded solve (gbsv).
 The band is filled straight from the three diagonals of the flux
-Laplacian, so it carries the same summation-by-parts coefficients as
-the residual; nothing is re-discretized for the linear algebra.
+Laplacian into the storage gbsv factors in place, so it carries the
+same summation-by-parts coefficients as the residual; nothing is
+re-discretized or copied for the linear algebra.
 
 Also here: the decomposition u = alpha * Pdelta_lambda + v of a computed
 solution into its nearest projected bubble and a remainder, diagnostics
@@ -39,8 +40,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.linalg import LinAlgError
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .bubble import (
     _projected_profile,
@@ -385,27 +385,32 @@ class _Discretization:
         return su, sw
 
     def jacobian_band(self, u, q, su, sw, cu, cw):
-        """The scaled Newton Jacobian in LAPACK band storage.
+        """The scaled Newton Jacobian in LAPACK band storage, ready for gbsv.
 
         Unknowns are interleaved as (u_0, w_0, u_1, w_1, ...) and scaled
         by cu, cw; rows are divided by su, sw. Row 2i (the Fu_i row)
         touches columns 2i-2, 2i, 2i+1, 2i+2 and row 2i+1 (the Fw_i row)
         columns 2i-1, 2i, 2i+1, 2i+3, so the matrix has two bands below
-        and two above the diagonal. Entry (r, c) sits at ab[2 + r - c, c].
+        and two above the diagonal. The array is the (7, 2N) Fortran-
+        ordered one gbsv factors in place (Anderson et al., LAPACK Users'
+        Guide, 3rd ed., sec. 5.3.3): entry (r, c) sits at ab[4 + r - c, c],
+        and rows 0 and 1 are zero, the workspace for the fill-in that
+        partial pivoting brings above the band. Each call returns a fresh
+        array, since the factorization overwrites it.
         """
         N = len(self.grid)
         dfdu = self.mask * (q * np.abs(u) ** (q - 1))
         inv_su = 1.0 / su
         inv_sw = 1.0 / sw
-        ab = np.zeros((5, 2 * N))
-        ab[0, 2::2] = (self.up[:-1] * cu) * inv_su[:-1]
-        ab[0, 3::2] = (self.up[:-1] * cw) * inv_sw[:-1]
-        ab[1, 1::2] = (-self.mask * cw) * inv_su
-        ab[2, 0::2] = (self.di * cu) * inv_su
-        ab[2, 1::2] = (self.di * cw) * inv_sw
-        ab[3, 0::2] = (-dfdu * cu) * inv_sw
-        ab[4, :-2:2] = (self.lo[1:] * cu) * inv_su[1:]
-        ab[4, 1:-2:2] = (self.lo[1:] * cw) * inv_sw[1:]
+        ab = np.zeros((7, 2 * N), order="F")
+        ab[2, 2::2] = (self.up[:-1] * cu) * inv_su[:-1]
+        ab[2, 3::2] = (self.up[:-1] * cw) * inv_sw[:-1]
+        ab[3, 1::2] = (-self.mask * cw) * inv_su
+        ab[4, 0::2] = (self.di * cu) * inv_su
+        ab[4, 1::2] = (self.di * cw) * inv_sw
+        ab[5, 0::2] = (-dfdu * cu) * inv_sw
+        ab[6, :-2:2] = (self.lo[1:] * cu) * inv_su[1:]
+        ab[6, 1:-2:2] = (self.lo[1:] * cw) * inv_sw[1:]
         return ab
 
 
@@ -418,7 +423,8 @@ def _scaled_residual(disc, q, u, w):
 
 def _newton_step(disc, q, u, w, Fu, Fw, su, sw):
     """The full Newton step (du, dw) at (u, w), or None when the banded
-    solve hits a zero pivot or the step is not finite."""
+    solve hits a zero pivot or the step is not finite. The band and the
+    right side are factored and solved in place by LAPACK gbsv."""
     cu = max(np.abs(u).max(), 1e-30)
     cw = max(np.abs(w).max(), 1e-30)
     ab = disc.jacobian_band(u, q, su, sw, cu, cw)
@@ -427,11 +433,10 @@ def _newton_step(disc, q, u, w, Fu, Fw, su, sw):
     rhs[1::2] = -Fw / sw
     if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
         return None
-    try:
-        y = solve_banded((2, 2), ab, rhs, check_finite=False)
-    except LinAlgError:
-        return None
-    if not np.all(np.isfinite(y)):
+    _, _, y, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info < 0:
+        raise ValueError("illegal value in argument %d of gbsv" % -info)
+    if info > 0 or not np.all(np.isfinite(y)):
         return None
     return cu * y[0::2], cw * y[1::2]
 
@@ -462,9 +467,11 @@ def _newton(disc, q, u, w, tol, max_iter):
     discrete solution whatever route reached the band.
 
     Each step solves the interleaved pentadiagonal system of
-    _Discretization.jacobian_band with LAPACK gbsv (partial pivoting).
-    The band holds exactly the flux-form coefficients, so the step is
-    the one the summation-by-parts discretization defines.
+    _Discretization.jacobian_band with LAPACK gbsv (partial pivoting),
+    which factors the band in place in its two fill rows: every step
+    assembles a fresh band and the factorization consumes it. The band
+    holds exactly the flux-form coefficients, so the step is the one the
+    summation-by-parts discretization defines.
     """
     u = np.array(u, dtype=float)
     w = np.array(w, dtype=float)

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 from scipy.optimize import fsolve, minimize_scalar
 
 from navier_bubbles import solver as solver_module
@@ -28,6 +29,7 @@ from navier_bubbles.bubble import (
     c0,
     center_potential,
     critical_exponent,
+    law_limits,
     law_scale,
     radial_profile,
     radial_profile_laplacian,
@@ -45,6 +47,8 @@ from navier_bubbles.solver import (
     _cell_weights,
     _Discretization,
     _fv_geometry,
+    _law_seed,
+    _newton_step,
     _pohozaev_sides,
     concentration_checks,
     continuation_sweep,
@@ -367,15 +371,21 @@ def test_line_search_stall_is_named(unit_ball6):
     assert np.all(last.u[:-1] > 0)
 
 
+def failing_gbsv(info, fill=0.0):
+    """A stand-in for LAPACK gbsv that reports info and returns a solution
+    of fill values."""
+    def gbsv(kl, ku, ab, b, **kwargs):
+        return ab, np.zeros(b.size, dtype=np.int32), np.full(b.size, fill), info
+    return gbsv
+
+
 @pytest.mark.parametrize("broken", ["raise", "nan"])
 def test_singular_banded_step_fails_with_last_iterate(unit_ball6,
                                                       monkeypatch, broken):
-    def bad_solve(*args, **kwargs):
-        if broken == "raise":
-            raise LinAlgError("singular matrix")
-        return np.full(len(args[2]), np.nan)
-
-    monkeypatch.setattr(solver_module, "solve_banded", bad_solve)
+    # "raise": gbsv reports a zero pivot (info > 0), the case a banded
+    # solver raises on; "nan": it returns a non-finite solution
+    bad = failing_gbsv(1) if broken == "raise" else failing_gbsv(0, np.nan)
+    monkeypatch.setattr(solver_module, "dgbsv", bad)
     grid = default_grid(unit_ball6, nodes=256)
     u0, w0 = _bubble_fields(grid, math.sqrt(20 / 0.3))
     with pytest.raises(SolverDivergence, match="singular or non-finite") as err:
@@ -410,23 +420,30 @@ def assert_one_law_solve_each(sweep):
         assert attempt.start == "law" and attempt.exit == "converged"
 
 
+def step_system(disc, q, u, w):
+    """_newton_step's arguments at (u, w), and the band and right side
+    the step solves, built without it."""
+    Fu, Fw = disc.residual(u, w, q)
+    su, sw = disc.scales(u, w, q)
+    rhs = np.empty(2 * u.size)
+    rhs[0::2] = -Fu / su
+    rhs[1::2] = -Fw / sw
+    ab = disc.jacobian_band(u, q, su, sw, np.abs(u).max(), np.abs(w).max())
+    return (disc, q, u, w, Fu, Fw, su, sw), ab, rhs
+
+
 def full_newton_steps(sol, steps):
     """The peak after undamped Newton steps from a solution, built from
-    the Jacobian band and LAPACK directly rather than the solver loop."""
+    the Jacobian band and scipy's solve_banded rather than the solver
+    loop."""
     disc = _Discretization(sol.grid)
     q = P6 + sol.eps
-    u, w = sol.u.copy(), sol.w.copy()
+    u, w = sol.u, sol.w
     for _ in range(steps):
-        Fu, Fw = disc.residual(u, w, q)
-        su, sw = disc.scales(u, w, q)
-        cu, cw = np.abs(u).max(), np.abs(w).max()
-        rhs = np.empty(2 * u.size)
-        rhs[0::2] = -Fu / su
-        rhs[1::2] = -Fw / sw
-        y = solve_banded((2, 2), disc.jacobian_band(u, q, su, sw, cu, cw),
-                         rhs)
-        u = u + cu * y[0::2]
-        w = w + cw * y[1::2]
+        _, ab, rhs = step_system(disc, q, u, w)
+        y = solve_banded((2, 2), ab[2:], rhs)
+        u = u + np.abs(u).max() * y[0::2]
+        w = w + np.abs(w).max() * y[1::2]
     return u[0]
 
 
@@ -495,10 +512,7 @@ def test_exit_step_failure_returns_the_converged_iterate(
         unit_ball6, subcritical_sweep, monkeypatch):
     # started at a solution the residual is already below target; a
     # failed exit step must return that iterate, never a failure
-    def bad_solve(*args, **kwargs):
-        raise LinAlgError("singular matrix")
-
-    monkeypatch.setattr(solver_module, "solve_banded", bad_solve)
+    monkeypatch.setattr(solver_module, "dgbsv", failing_gbsv(1))
     sol = subcritical_sweep[3]
     again = solve_radial(sol.eps, unit_ball6, sol)
     assert again.newton_iters == 0
@@ -524,6 +538,8 @@ def small_system(unit_ball6):
 
 
 def band_to_dense(ab):
+    """The dense matrix of a 5-row band, entry (r, c) at ab[2 + r - c, c]:
+    the jacobian_band array without its two fill rows."""
     size = ab.shape[1]
     dense = np.zeros((size, size))
     for r in range(size):
@@ -544,7 +560,7 @@ def scaled_residual(disc, q, u, w, su, sw, cu, cw, y):
 
 def test_band_matches_finite_difference_jacobian(small_system):
     disc, q, u, w, su, sw, cu, cw = small_system
-    dense = band_to_dense(disc.jacobian_band(u, q, su, sw, cu, cw))
+    dense = band_to_dense(disc.jacobian_band(u, q, su, sw, cu, cw)[2:])
     size = dense.shape[0]
     h = 1e-5
     fd = np.empty((size, size))
@@ -568,12 +584,75 @@ def test_band_matches_finite_difference_jacobian(small_system):
 
 def test_banded_step_matches_dense_solve(small_system):
     disc, q, u, w, su, sw, cu, cw = small_system
-    ab = disc.jacobian_band(u, q, su, sw, cu, cw)
+    ab = disc.jacobian_band(u, q, su, sw, cu, cw)[2:]
     rhs = -scaled_residual(disc, q, u, w, su, sw, cu, cw,
                            np.zeros(ab.shape[1]))
     banded = solve_banded((2, 2), ab, rhs)
     dense = np.linalg.solve(band_to_dense(ab), rhs)
     assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_band_is_fresh_fortran_storage_with_zero_fill_rows(small_system):
+    disc, q, u, w, su, sw, cu, cw = small_system
+    ab = disc.jacobian_band(u, q, su, sw, cu, cw)
+    assert ab.shape == (7, 2 * len(disc.grid))
+    assert ab.flags["F_CONTIGUOUS"]
+    assert not np.any(ab[:2])
+    # gbsv overwrites the band, so no two calls may share one
+    again = disc.jacobian_band(u, q, su, sw, cu, cw)
+    assert not np.shares_memory(ab, again)
+    assert np.array_equal(ab, again)
+
+
+def law_seed_system(ball, nodes, e):
+    grid = default_grid(ball, nodes=nodes)
+    peak_limit = law_limits(balance_constants(ball.n),
+                            center_potential(ball.n, ball.radius))[1]
+    u, w = _law_seed(grid, peak_limit, e)
+    return _Discretization(grid), P6 - e, u, w
+
+
+def test_newton_step_matches_solve_banded_bit_for_bit(small_system,
+                                                      unit_ball6):
+    # the step factors the same band with the same LAPACK routine that
+    # scipy's solve_banded calls on the 5-row view, so it is equal exactly
+    for disc, q, u, w in (small_system[:4],
+                          law_seed_system(unit_ball6, 8192, 0.002)):
+        args, ab, rhs = step_system(disc, q, u, w)
+        y = solve_banded((2, 2), ab[2:], rhs)
+        du, dw = _newton_step(*args)
+        assert np.array_equal(du, np.abs(u).max() * y[0::2])
+        assert np.array_equal(dw, np.abs(w).max() * y[1::2])
+
+
+def test_zero_column_is_a_singular_step(small_system, monkeypatch):
+    # no stand-in for LAPACK: a zero column makes gbsv itself report the
+    # zero pivot there (info = 11 for column 10, counted from one)
+    disc = small_system[0]
+    args, ab, rhs = step_system(*small_system[:4])
+    assert _newton_step(*args) is not None
+    ab[:, 10] = 0.0
+    assert dgbsv(2, 2, ab, rhs)[3] == 11
+    band = disc.jacobian_band
+
+    def zero_column(*band_args):
+        out = band(*band_args)
+        out[:, 10] = 0.0
+        return out
+
+    monkeypatch.setattr(disc, "jacobian_band", zero_column)
+    assert _newton_step(*args) is None
+
+
+def test_illegal_gbsv_argument_raises(unit_ball6, monkeypatch):
+    # info < 0 is a malformed call, not a singular step: it must surface
+    # as an error, never as a Newton exit
+    monkeypatch.setattr(solver_module, "dgbsv", failing_gbsv(-3))
+    grid = default_grid(unit_ball6, nodes=256)
+    u0, w0 = _bubble_fields(grid, math.sqrt(20 / 0.3))
+    with pytest.raises(ValueError, match="argument 3 of gbsv") as err:
+        solve_radial(-0.3, unit_ball6, (u0, w0), grid=grid)
+    assert "singular" not in str(err.value)
 
 
 def test_flux_diagonals_match_per_entry_loop(small_system):
