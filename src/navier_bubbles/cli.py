@@ -791,19 +791,19 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
         ("remainder_sup", fits.remainder_sup),
     ]
 
+    within_band = {name: bool(abs(fit.slope - expected[name])
+                              <= ORDER_SLOPE_TOL)
+                   for name, fit in quantities}
+    all_ok = all(within_band.values())
+
     _ensure_dir(out_dir)
-    rows = []
-    all_ok = True
-    for name, fit in quantities:
-        ok = abs(fit.slope - expected[name]) <= ORDER_SLOPE_TOL
-        all_ok = all_ok and ok
-        rows.append([
-            name,
-            _cell(fit.slope), PROV_FIT,
-            _cell(expected[name]), PROV_FORMULA,
-            _cell(fit.rms_residual), PROV_FIT,
-            _cell(bool(ok)),
-        ])
+    rows = [[
+        name,
+        _cell(fit.slope), PROV_FIT,
+        _cell(expected[name]), PROV_FORMULA,
+        _cell(fit.rms_residual), PROV_FIT,
+        _cell(within_band[name]),
+    ] for name, fit in quantities]
     _write_csv(os.path.join(out_dir, "orders.csv"),
                ["quantity", "slope", "slope_provenance",
                 "expected", "expected_provenance",
@@ -819,11 +819,10 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
             "slope": _pv(fit.slope, PROV_FIT),
             "expected": _pv(expected[name], PROV_FORMULA),
             "rms_residual": _pv(fit.rms_residual, PROV_FIT),
-            "within_band": bool(abs(fit.slope - expected[name])
-                                <= ORDER_SLOPE_TOL),
+            "within_band": within_band[name],
         } for name, fit in quantities},
         "band": ORDER_SLOPE_TOL,
-        "passed": bool(all_ok),
+        "passed": all_ok,
     })
 
     for name, fit in quantities:

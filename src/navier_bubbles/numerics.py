@@ -66,10 +66,6 @@ class RadialGrid:
         return self.nodes.size
 
     @classmethod
-    def uniform(cls, n, N, R=1.0):
-        return cls(n, np.linspace(0.0, R, N), float(R))
-
-    @classmethod
     def sinh_graded(cls, n, N, R=1.0, strength=5.0):
         """Cluster nodes near r = 0; spacing grows like sinh.
 

@@ -77,6 +77,9 @@ _GAP_MAX_DENSITY = 16
 # Trial modes scale with lam so the concentration core stays resolved;
 # this cap bounds the dense eigenproblem and the mode-matrix memory.
 _MAX_TRIAL_MODES = 400
+# Newton steps allowed for the Bessel zeros of the trial modes; at 400
+# zeros, 4 to 6 were measured for the orders 2 to 10 and 15 at order 18.
+_ZERO_MAX_STEPS = 20
 # Contraction ratios are certified only while steps sit clearly above
 # the round-off floor of the fixed-point update.
 _RATIO_FLOOR = 1e-10
@@ -98,7 +101,9 @@ def _bessel_over_power(nu, x):
     three-term recurrence, which is stable while the order stays below x,
     in the form a_(k+1) = (2k a_k - a_(k-1)) / x^2 for a_k = J_k(x) / x^k.
     The recurrence runs over every x and the series then overwrites the
-    few values below the switch.
+    few values below the switch. This is the package's only Bessel
+    routine: the trial modes, their zeros and their norms all come from
+    it, so scipy.special is reached only for j0 and j1.
     """
     from scipy.special import j0, j1
     x = np.asarray(x, dtype=float)
@@ -122,6 +127,37 @@ def _bessel_over_power(nu, x):
     return out
 
 
+def _bessel_zeros(nu, count):
+    """The first count positive zeros of J_nu, integer nu >= 1.
+
+    Each zero starts from McMahon's expansion (DLMF 10.21.19, three
+    terms) and takes Newton steps x <- x + f_nu(x) / (x f_(nu+1)(x)) on
+    f_nu = J_nu / x^nu, whose derivative is -J_(nu+1) / x^nu, until every
+    relative step is at most 4 eps. RuntimeError is raised rather than a
+    zero returned when that takes more than _ZERO_MAX_STEPS steps, or
+    when the zeros do not increase strictly, which is how a seed that
+    converged to another zero shows.
+    """
+    beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * math.pi
+    mu = 4.0 * nu * nu
+    x = (beta - (mu - 1.0) / (8.0 * beta)
+         - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * beta) ** 3))
+    for _ in range(_ZERO_MAX_STEPS):
+        step = (_bessel_over_power(nu, x)
+                / (x * _bessel_over_power(nu + 1, x)))
+        x = x + step
+        if np.all(np.abs(step) <= 4.0 * np.finfo(float).eps * x):
+            break
+    else:
+        raise RuntimeError(
+            "Bessel zeros did not converge within %d Newton steps"
+            % _ZERO_MAX_STEPS)
+    if not np.all(np.diff(x) > 0.0):
+        raise RuntimeError(
+            "Bessel zeros out of order: a seed converged to another zero")
+    return x
+
+
 def _gap_panels(R, lam, z_max, density):
     """Gauss-Legendre nodes and weights on [0, R], split at the core seams.
 
@@ -138,8 +174,20 @@ def _gap_panels(R, lam, z_max, density):
 
 
 def _trial_gap(n, R, lam, z, density):
-    """Constrained gap with the trial integrals on the given panel density."""
-    from scipy.special import jv
+    """Constrained gap with the trial integrals on the given panel density.
+
+    The modes are sampled through _bessel_over_power and normalized in
+    energy by J_(nu+1)(z) = z^(nu+1) f_(nu+1)(z) from the same routine.
+    The two constraint pairings come from one product with the modes;
+    the modes are then scaled in place by the square root of the positive
+    mass weight, so the weighted mass is the symmetric product U U^T
+    (BLAS syrk). With Q the constraints' two right singular vectors and
+    P = I - Q Q^T, the form F is replaced by P F P + Q Q^T, three rank-2
+    updates: the constrained spectrum plus eigenvalue 1 on the two
+    constraint directions. F is the identity minus a positive
+    semidefinite mass, so every constrained eigenvalue is at most 1 and
+    the smallest eigenvalue is the constrained gap.
+    """
     nu = n // 2 - 1
     p = critical_exponent(n)
     sm = sphere_measure(n)
@@ -147,23 +195,29 @@ def _trial_gap(n, R, lam, z, density):
     # r^(1 - n/2) J_nu(z r / R) = (z / R)^nu * J_nu(x) / x^nu, x = z r / R
     U = _bessel_over_power(nu, z[:, None] * (r / R))
     mu = (z / R) ** 2
-    energy_diag = mu ** 2 * sm * R * R * jv(nu + 1.0, z) ** 2 / 2.0
+    j_next = z ** (nu + 1) * _bessel_over_power(nu + 1, z)
+    energy_diag = mu ** 2 * sm * R * R * j_next ** 2 / 2.0
     U *= ((z / R) ** nu / np.sqrt(energy_diag))[:, None]
 
     wvol = w * r ** (n - 1)
-    dpm1 = radial_profile(n, lam, r) ** (p - 1.0)
-    form = np.eye(len(z)) - p * (sm * (U * (dpm1 * wvol)) @ U.T)
-    against_bubble = sm * U @ (radial_profile(n, lam, r) ** p * wvol)
-    against_scale = sm * U @ (
-        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol)
-    # null space of the constraints, rank cut as in scipy.linalg.null_space
-    _, sv, vh = np.linalg.svd(np.vstack([against_bubble, against_scale]))
-    rank = int(np.sum(sv > sv.max() * np.finfo(float).eps * len(z)))
-    basis = vh[rank:].T
-    if basis.shape != (len(z), len(z) - 2):
+    profile = radial_profile(n, lam, r)
+    dpm1 = profile ** (p - 1.0)
+    constraints = sm * (np.array([
+        profile ** p * wvol,
+        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol]) @ U.T)
+    U *= np.sqrt(p * sm * dpm1 * wvol)
+    form = np.eye(len(z)) - U @ U.T
+    # rank cut as in scipy.linalg.null_space
+    _, sv, vh = np.linalg.svd(constraints, full_matrices=False)
+    if np.sum(sv > sv.max() * np.finfo(float).eps * len(z)) != 2:
         raise RuntimeError(
             "trial basis degenerate: constraint projection lost rank")
-    return float(np.linalg.eigvalsh(basis.T @ form @ basis)[0])
+    Q = vh.T
+    FQ = form @ Q
+    form -= FQ @ Q.T
+    form -= Q @ FQ.T
+    form += Q @ (Q.T @ FQ + np.eye(2)) @ Q.T
+    return float(np.linalg.eigvalsh(form)[0])
 
 
 def _converged_gap(n, R, lam, z):
@@ -184,7 +238,11 @@ def coercivity_check(params, domain, trial_count=40):
     its scale derivative. Trial functions are eigenmodes of the Dirichlet
     Laplacian on the ball (integer-order Bessel profiles), which makes
     their energy pairing exactly diagonal. Radial modes are orthogonal to
-    the translation directions for free.
+    the translation directions for free. The modes' zeros and energy
+    norms come from the same J_nu / x^nu routine as their samples
+    (_bessel_zeros, _trial_gap); orders above 18 (n above 38) are
+    refused there, because McMahon's seeds for the first zeros lie too
+    far out.
 
     The mode count is trial_count per core-resolution band: the basis
     holds trial_count * ceil(lam R / 10) modes so the oscillation scale
@@ -198,7 +256,10 @@ def coercivity_check(params, domain, trial_count=40):
     agrees to the shared relative tolerance numerics.QUAD_RTOL, and the
     gap at 2P is returned; if that does not happen within
     _GAP_MAX_DENSITY times the starting count, RuntimeError is raised
-    rather than an unconverged gap returned.
+    rather than an unconverged gap returned. Each density's weighted mass
+    is one symmetric product of the weight-scaled modes, and the two
+    constraints enter as a rank-2 shift of the form rather than a
+    null-space basis (see _trial_gap).
     """
     _require_centered(params, domain)
     if trial_count < 5:
@@ -212,8 +273,7 @@ def coercivity_check(params, domain, trial_count=40):
     if modes > _MAX_TRIAL_MODES:
         raise ValueError(
             "trial basis too large: at most %d modes" % _MAX_TRIAL_MODES)
-    from scipy.special import jn_zeros
-    z = jn_zeros(n // 2 - 1, modes)
+    z = _bessel_zeros(n // 2 - 1, modes)
     return _converged_gap(n, R, lam, z)[0]
 
 

@@ -6,9 +6,12 @@ Oracles used here and nowhere in the package:
   quadratic form on a graded grid. It shares no code with the Bessel
   trial basis in the package and agrees with it to a few parts in 1e5;
   the tests ask for half a percent. At n = 8 it agrees to about 2e-3.
-* scipy's general-order jv (the package uses it only to normalize the
-  trial modes) as the reference for the series and recurrence Bessel
-  values of the trial basis.
+* scipy's general-order jv and its jn_zeros (the package uses
+  neither) as the references for the series and recurrence Bessel
+  values, the Newton zeros and the mode norms of the trial basis.
+* The null-space route to the constrained gap: an orthonormal basis of
+  the constraints' null space and the projected form basis^T F basis,
+  with the mass weight applied by a general product.
 * Closed-form balance laws. The exact identity for the leading-order
   scale balance at a reconstructed scale is checked from first
   principles.
@@ -215,8 +218,82 @@ def test_bessel_over_power_matches_jv(nu):
     assert np.all(got[~pos] == pytest.approx(origin, rel=1e-15))
 
 
+@pytest.mark.parametrize("nu", [2, 3, 4, 5, 6])
+def test_bessel_zeros_match_jn_zeros(nu):
+    got = reduction._bessel_zeros(nu, 400)
+    expected = jn_zeros(nu, 400)
+    assert np.all(np.abs(got - expected) <= np.spacing(expected))
+    assert np.all(np.diff(got) > 0.0)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 4])
+def test_mode_norms_match_jv(nu):
+    # _trial_gap normalizes mode k by J_(nu+1)(z_k), taken from the
+    # package's own J_nu / x^nu
+    z = reduction._bessel_zeros(nu, 400)
+    got = z ** (nu + 1) * reduction._bessel_over_power(nu + 1, z)
+    expected = jv(nu + 1.0, z)
+    assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
+def test_bessel_zeros_refuse_step_cap(monkeypatch):
+    monkeypatch.setattr(reduction, "_ZERO_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        reduction._bessel_zeros(2, 40)
+
+
+def test_bessel_zeros_refuse_missed_zero():
+    # at order 19 McMahon's seed for the first zero lies too far out,
+    # and Newton carries it to a later zero (47.17 instead of 24.34)
+    with pytest.raises(RuntimeError, match="out of order"):
+        reduction._bessel_zeros(19, 40)
+
+
+def null_space_gap(n, R, lam, z, density):
+    # the constrained gap through a dense null-space basis of the two
+    # constraints, with the norms from jv and the weighted mass by a
+    # general product
+    nu = n // 2 - 1
+    p = critical_exponent(n)
+    sm = sphere_measure(n)
+    r, w = reduction._gap_panels(R, lam, z[-1], density)
+    U = reduction._bessel_over_power(nu, z[:, None] * (r / R))
+    energy_diag = ((z / R) ** 4 * sm * R * R * jv(nu + 1.0, z) ** 2 / 2.0)
+    U *= ((z / R) ** nu / np.sqrt(energy_diag))[:, None]
+    wvol = w * r ** (n - 1)
+    dpm1 = radial_profile(n, lam, r) ** (p - 1.0)
+    form = np.eye(len(z)) - p * (sm * (U * (dpm1 * wvol)) @ U.T)
+    against_bubble = sm * U @ (radial_profile(n, lam, r) ** p * wvol)
+    against_scale = sm * U @ (
+        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol)
+    _, sv, vh = np.linalg.svd(np.vstack([against_bubble, against_scale]))
+    assert np.all(sv > sv.max() * np.finfo(float).eps * len(z))
+    basis = vh[2:].T
+    return float(np.linalg.eigvalsh(basis.T @ form @ basis)[0])
+
+
+@pytest.mark.parametrize("n,lam,trials", [(6, 10.0, 40), (6, 20.0, 40),
+                                          (6, 40.0, 40), (6, 40.0, 80),
+                                          (8, 10.0, 40)])
+def test_trial_gap_matches_null_space_route(n, lam, trials):
+    z = reduction._bessel_zeros(n // 2 - 1, trials * math.ceil(lam / 10.0))
+    got = reduction._trial_gap(n, 1.0, lam, z, 2)
+    expected = null_space_gap(n, 1.0, lam, z, 2)
+    assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+def test_trial_gap_refuses_parallel_constraints(monkeypatch):
+    # p f^(p-1) (f / p) = f^p: the scale pairing becomes the bubble's
+    monkeypatch.setattr(
+        reduction, "radial_scale_derivative",
+        lambda n, lam, r: radial_profile(n, lam, r) / critical_exponent(n))
+    z = reduction._bessel_zeros(2, 40)
+    with pytest.raises(RuntimeError, match="trial basis degenerate"):
+        reduction._trial_gap(N6, 1.0, 10.0, z, 1)
+
+
 def test_gap_returns_the_doubling_checked_value(unit_ball6):
-    z = jn_zeros(2, 80)
+    z = reduction._bessel_zeros(2, 80)
     gap, density = reduction._converged_gap(N6, 1.0, 20.0, z)
     assert gap == coercivity_check(centered(20.0), unit_ball6, 40)
     direct = reduction._trial_gap(N6, 1.0, 20.0, z, 2 * density)
@@ -231,13 +308,13 @@ CRITERION_9_GAPS = ((10.0, 40), (20.0, 40), (40.0, 40), (40.0, 80))
 def test_gap_converges_at_first_doubling(lam, trials):
     # the doubling starts at the Nyquist density of the fastest trial-mode
     # product, where the gap already agrees with its first doubling
-    z = jn_zeros(2, trials * math.ceil(lam / 10.0))
+    z = reduction._bessel_zeros(2, trials * math.ceil(lam / 10.0))
     assert reduction._converged_gap(N6, 1.0, lam, z)[1] == 2
 
 
 @pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
 def test_gap_starts_at_two_nodes_per_period(lam, trials):
-    z_max = jn_zeros(2, trials * math.ceil(lam / 10.0))[-1]
+    z_max = reduction._bessel_zeros(2, trials * math.ceil(lam / 10.0))[-1]
     r, _ = reduction._gap_panels(1.0, lam, z_max, 1)
     edges = [0.0] + core_seams(lam, 1.0) + [1.0]
     for a, b in zip(edges, edges[1:]):
