@@ -19,12 +19,22 @@ carries a provenance tag, one of
               finite differences of solved fields)
   fit         least-squares fit over other outputs
 
+Every CSV column and every table-shaped report entry comes from one
+field table, a tuple of (name, provenance) pairs: _SWEEP_FIELDS
+(sweep.csv), _ROBIN_FIELDS (robin_profile.csv), _CONSTANTS_FIELDS
+(constants.csv and the printed table), _ORDERS_FIELDS (orders.csv and
+the orders.json fits), _PROBE_FIELDS and _OBSTRUCTION_FIELDS
+(probe.csv, obstruction.csv and their report.json entries).
+_write_table writes the CSV and _record_json the report entry, so the
+two always agree. A provenance of None marks a label or a flag,
+written bare; every other column is followed by its
+``<name>_provenance`` column.
+
 JSON artifacts are pretty printed and carry a ``schema`` string; CSV
-artifacts are RFC 4180 (CRLF rows, UTF-8) and pair every numeric column
-with a ``<name>_provenance`` column. Column meanings are documented in
-the repository README. When a pipeline stage fails, everything computed
-before the failure is still written, along with a ``failure.json``
-naming the stage.
+artifacts are RFC 4180 (CRLF rows, UTF-8). Column meanings are
+documented in the repository README. When a pipeline stage fails,
+everything computed before the failure is still written, along with a
+``failure.json`` naming the stage.
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error, 3 a pipeline stage failed partway.
@@ -153,8 +163,7 @@ class RunConfig:
         if not (float(self.n).is_integer() and self.n >= 5):
             raise CliError("dimension must be an integer at least 5")
         object.__setattr__(self, "n", int(self.n))
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise CliError("radius must be positive and finite")
+        _require_positive("radius", self.radius)
         object.__setattr__(self, "radius", float(self.radius))
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched:
@@ -255,6 +264,32 @@ def _cell(value):
     return str(value)
 
 
+def _write_table(path, records, table):
+    """One CSV row per record, a plain dict keyed by the table's names:
+    a label or flag (provenance None) is written bare, every other
+    field is followed by its provenance column."""
+    header = []
+    for name, prov in table:
+        header += [name] if prov is None else [name, name + "_provenance"]
+    rows = [[cell for name, prov in table
+             for cell in ([_cell(record[name])] if prov is None
+                          else [_cell(record[name]), prov])]
+            for record in records]
+    _write_csv(path, header, rows)
+
+
+def _record_json(record, table):
+    """The report form of one record, under the CSV's names: a flag
+    bare, every other field as its value with its provenance."""
+    return {name: bool(record[name]) if prov is None
+            else _pv(record[name], prov) for name, prov in table}
+
+
+def _require_positive(name, value):
+    if not (math.isfinite(value) and value > 0):
+        raise CliError("%s must be positive and finite" % name)
+
+
 def _pv(value, provenance):
     """A numeric with its provenance tag; non-finite values serialize
     as null so the JSON stays standard."""
@@ -284,33 +319,32 @@ def _ensure_dir(path):
 # constants
 
 
+# every constant is a direct formula evaluation
+_CONSTANTS_FIELDS = (("name", None), ("value", PROV_FORMULA))
+
+
 def constants_rows(n):
-    """The closed-form constant table as (label, value, provenance)
-    rows. Everything here is a direct formula evaluation."""
+    """The closed-form constant table as (label, value) pairs."""
     consts = balance_constants(n)
     phi0 = center_potential(n)
     scale_limit, peak_limit = law_limits(consts, phi0)
-    rows = [
-        ("dimension", n, PROV_FORMULA),
-        ("critical exponent p", consts.p, PROV_FORMULA),
-        ("bubble amplitude c0", consts.c0, PROV_FORMULA),
-        ("best quotient level S", sobolev_constant(n), PROV_FORMULA),
-        ("free bubble energy S^(n/4)", sobolev_energy(n), PROV_FORMULA),
-        ("interaction constant c1", consts.c1, PROV_FORMULA),
-        ("exponent response c2, full variant", consts.c2_variant_full,
-         PROV_FORMULA),
-        ("exponent response c2, half variant", consts.c2_variant_half,
-         PROV_FORMULA),
-        ("variant ratio full/half", consts.c2_variant_full
-         / consts.c2_variant_half, PROV_FORMULA),
-        ("operative c2 (positive)", consts.c2, PROV_FORMULA),
-        ("ratio c1/c2", consts.c1 / consts.c2, PROV_FORMULA),
-        ("unit-ball center potential", phi0, PROV_FORMULA),
-        ("scale law limit eps*lam^(n-4), unit ball", scale_limit,
-         PROV_FORMULA),
-        ("peak law limit eps*M^2, unit ball", peak_limit, PROV_FORMULA),
+    return [
+        ("dimension", n),
+        ("critical exponent p", consts.p),
+        ("bubble amplitude c0", consts.c0),
+        ("best quotient level S", sobolev_constant(n)),
+        ("free bubble energy S^(n/4)", sobolev_energy(n)),
+        ("interaction constant c1", consts.c1),
+        ("exponent response c2, full variant", consts.c2_variant_full),
+        ("exponent response c2, half variant", consts.c2_variant_half),
+        ("variant ratio full/half",
+         consts.c2_variant_full / consts.c2_variant_half),
+        ("operative c2 (positive)", consts.c2),
+        ("ratio c1/c2", consts.c1 / consts.c2),
+        ("unit-ball center potential", phi0),
+        ("scale law limit eps*lam^(n-4), unit ball", scale_limit),
+        ("peak law limit eps*M^2, unit ball", peak_limit),
     ]
-    return rows
 
 
 def cmd_constants(n, out_dir=None, stream=None):
@@ -318,20 +352,18 @@ def cmd_constants(n, out_dir=None, stream=None):
     if n < 5:
         raise CliError("dimension must be at least 5")
     rows = constants_rows(n)
+    prov = dict(_CONSTANTS_FIELDS)["value"]
     print("constant table for dimension n = %d" % n, file=stream)
     print("%-44s %-22s %s" % ("name", "value", "provenance"), file=stream)
-    for label, value, prov in rows:
-        if isinstance(value, int):
-            text = str(value)
-        else:
-            text = "%.10g" % value
+    for label, value in rows:
+        text = str(value) if isinstance(value, int) else "%.10g" % value
         print("%-44s %-22s %s" % (label, text, prov), file=stream)
     if out_dir is not None:
         _ensure_dir(out_dir)
-        _write_csv(os.path.join(out_dir, "constants.csv"),
-                   ["name", "value", "value_provenance"],
-                   [[label, _cell(value), prov] for label, value, prov
-                    in rows])
+        _write_table(os.path.join(out_dir, "constants.csv"),
+                     [{"name": label, "value": value}
+                      for label, value in rows],
+                     _CONSTANTS_FIELDS)
         print("wrote %s" % os.path.join(out_dir, "constants.csv"),
               file=stream)
     return 0
@@ -341,12 +373,15 @@ def cmd_constants(n, out_dir=None, stream=None):
 # robin profile
 
 
+_ROBIN_FIELDS = (("station", PROV_FORMULA), ("axis_coordinate", PROV_FORMULA),
+                 ("phi", PROV_SOLVER), ("grad_norm", PROV_SOLVER))
+
+
 def cmd_robin(n, radius, stations, out_dir, stream=None):
     stream = stream or sys.stdout
     if n < 5:
         raise CliError("dimension must be at least 5")
-    if not (math.isfinite(radius) and radius > 0):
-        raise CliError("radius must be positive and finite")
+    _require_positive("radius", radius)
     if stations < 5 or stations % 2 == 0:
         raise CliError("stations must be odd and at least 5 so the "
                        "center row exists")
@@ -358,30 +393,21 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
     axis = np.zeros(n)
     axis[0] = 1.0
 
-    values = []
-    rows = []
+    records = []
     for idx, frac in enumerate(fractions):
         ev = robin(domain, domain.center + abs(float(frac)) * radius * axis)
-        phi, grad_norm = float(ev.phi), float(np.linalg.norm(ev.grad))
-        values.append((phi, grad_norm))
-        rows.append([
-            _cell(idx), PROV_FORMULA,
-            _cell(float(frac) * radius), PROV_FORMULA,
-            _cell(phi), PROV_SOLVER,
-            _cell(grad_norm), PROV_SOLVER,
-        ])
+        records.append({"station": idx,
+                        "axis_coordinate": float(frac) * radius,
+                        "phi": float(ev.phi),
+                        "grad_norm": float(np.linalg.norm(ev.grad))})
 
     _ensure_dir(out_dir)
     profile_path = os.path.join(out_dir, "robin_profile.csv")
-    _write_csv(profile_path,
-               ["station", "station_provenance",
-                "axis_coordinate", "axis_coordinate_provenance",
-                "phi", "phi_provenance",
-                "grad_norm", "grad_norm_provenance"],
-               rows)
+    _write_table(profile_path, records, _ROBIN_FIELDS)
 
     fits = boundary_blowup_fit(domain)
-    center_phi, center_grad = values[stations // 2]
+    center_phi = records[half]["phi"]
+    center_grad = records[half]["grad_norm"]
     closed_center = center_potential(n, radius)
     report = {
         "schema": _schema("robin-profile"),
@@ -421,25 +447,27 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
 # verify-blowup
 
 
-def _sweep_rows(n, solutions, decomps):
-    rows = []
+_SWEEP_FIELDS = (("eps", PROV_FORMULA), ("peak", PROV_SOLVER),
+                 ("alpha", PROV_SOLVER), ("lam", PROV_SOLVER),
+                 ("v_norm", PROV_SOLVER), ("eps_lam_pow", PROV_SOLVER),
+                 ("eps_peak_sq", PROV_SOLVER),
+                 ("peak_scale_ratio", PROV_SOLVER),
+                 ("newton_iters", PROV_SOLVER), ("residual", PROV_SOLVER))
+
+
+def _sweep_records(n, solutions, decomps):
+    records = []
     for sol, dec in zip(solutions, decomps):
-        eps = abs(float(sol.eps))
-        lam = float(dec.lam)
-        scale_pow, peak_sq, ratio = law_quantities(n, eps, float(sol.M), lam)
-        rows.append([
-            _cell(eps), PROV_FORMULA,
-            _cell(float(sol.M)), PROV_SOLVER,
-            _cell(float(dec.alpha)), PROV_SOLVER,
-            _cell(lam), PROV_SOLVER,
-            _cell(float(dec.v_norm)), PROV_SOLVER,
-            _cell(scale_pow), PROV_SOLVER,
-            _cell(peak_sq), PROV_SOLVER,
-            _cell(ratio), PROV_SOLVER,
-            _cell(int(sol.newton_iters)), PROV_SOLVER,
-            _cell(float(sol.residual)), PROV_SOLVER,
-        ])
-    return rows
+        eps, peak, lam = abs(float(sol.eps)), float(sol.M), float(dec.lam)
+        scale_pow, peak_sq, ratio = law_quantities(n, eps, peak, lam)
+        records.append({"eps": eps, "peak": peak,
+                        "alpha": float(dec.alpha), "lam": lam,
+                        "v_norm": float(dec.v_norm),
+                        "eps_lam_pow": scale_pow, "eps_peak_sq": peak_sq,
+                        "peak_scale_ratio": ratio,
+                        "newton_iters": int(sol.newton_iters),
+                        "residual": float(sol.residual)})
+    return records
 
 
 def _trace_offset(eps, attempts):
@@ -466,20 +494,6 @@ def _solver_trace(solutions):
                             for a in o["attempts"]),
         "offsets": offsets,
     }
-
-
-_SWEEP_HEADER = [
-    "eps", "eps_provenance",
-    "peak", "peak_provenance",
-    "alpha", "alpha_provenance",
-    "lam", "lam_provenance",
-    "v_norm", "v_norm_provenance",
-    "eps_lam_pow", "eps_lam_pow_provenance",
-    "eps_peak_sq", "eps_peak_sq_provenance",
-    "peak_scale_ratio", "peak_scale_ratio_provenance",
-    "newton_iters", "newton_iters_provenance",
-    "residual", "residual_provenance",
-]
 
 
 def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
@@ -511,8 +525,8 @@ def cmd_verify_blowup(config, out_dir, stream=None):
     grid = default_grid(domain, config.grid_nodes)
 
     def write_sweep(sols, decs):
-        _write_csv(os.path.join(out_dir, "sweep.csv"), _SWEEP_HEADER,
-                   _sweep_rows(config.n, sols, decs))
+        _write_table(os.path.join(out_dir, "sweep.csv"),
+                     _sweep_records(config.n, sols, decs), _SWEEP_FIELDS)
 
     try:
         solutions = continuation_sweep(list(config.eps_schedule), domain,
@@ -620,43 +634,15 @@ def cmd_verify_blowup(config, out_dir, stream=None):
 # supercritical
 
 
-# Entry fields after eps, each numeric one with its provenance; None
-# marks a flag. The CSV rows and the report entries take these names.
-_PROBE_FIELDS = (("lam", PROV_FORMULA), ("residual", PROV_QUADRATURE),
-                 ("mass", PROV_QUADRATURE), ("u_slope", PROV_QUADRATURE),
-                 ("w_slope", PROV_QUADRATURE), ("defect", PROV_QUADRATURE),
-                 ("concentrating", None))
-_OBSTRUCTION_FIELDS = (("scan_min", PROV_FORMULA), ("floor", PROV_FORMULA),
-                       ("margin", PROV_FORMULA), ("positive", None),
-                       ("subcritical_root", PROV_SOLVER),
+_PROBE_FIELDS = (("eps", PROV_FORMULA), ("lam", PROV_FORMULA),
+                 ("residual", PROV_QUADRATURE), ("mass", PROV_QUADRATURE),
+                 ("u_slope", PROV_QUADRATURE), ("w_slope", PROV_QUADRATURE),
+                 ("defect", PROV_QUADRATURE), ("concentrating", None))
+_OBSTRUCTION_FIELDS = (("eps", PROV_FORMULA), ("scan_min", PROV_FORMULA),
+                       ("floor", PROV_FORMULA), ("margin", PROV_FORMULA),
+                       ("positive", None), ("subcritical_root", PROV_SOLVER),
                        ("subcritical_root_closed", PROV_FORMULA),
                        ("sign_change", None))
-
-
-def _write_entries(path, entries, field_table):
-    """One CSV row per entry: eps, then each field of the table, a
-    numeric one followed by its provenance column."""
-    header = ["eps", "eps_provenance"]
-    for name, prov in field_table:
-        header += [name] if prov is None else [name, name + "_provenance"]
-    rows = []
-    for entry in entries:
-        row = [_cell(float(entry.eps)), PROV_FORMULA]
-        for name, prov in field_table:
-            value = getattr(entry, name)
-            row += ([_cell(bool(value))] if prov is None
-                    else [_cell(float(value)), prov])
-        rows.append(row)
-    _write_csv(path, header, rows)
-
-
-def _entry_json(entry, field_table):
-    """The report form of one entry, under the CSV's names."""
-    out = {"eps": _pv(float(entry.eps), PROV_FORMULA)}
-    for name, prov in field_table:
-        value = getattr(entry, name)
-        out[name] = bool(value) if prov is None else _pv(float(value), prov)
-    return out
 
 
 def _contrast_section(eps_list, domain, grid, tol):
@@ -708,12 +694,14 @@ def cmd_supercritical(config, out_dir, stream=None):
     config.to_json(os.path.join(out_dir, "config.json"))
 
     probe = supercritical_probe(eps_list, domain, grid=grid)
-    _write_entries(os.path.join(out_dir, "probe.csv"), probe.entries,
-                   _PROBE_FIELDS)
+    probe_records = [asdict(e) for e in probe.entries]
+    _write_table(os.path.join(out_dir, "probe.csv"), probe_records,
+                 _PROBE_FIELDS)
 
     obstruction = supercritical_obstruction(eps_list, domain)
-    _write_entries(os.path.join(out_dir, "obstruction.csv"),
-                   obstruction.entries, _OBSTRUCTION_FIELDS)
+    obstruction_records = [asdict(e) for e in obstruction.entries]
+    _write_table(os.path.join(out_dir, "obstruction.csv"),
+                 obstruction_records, _OBSTRUCTION_FIELDS)
 
     contrast = _contrast_section(eps_list, domain, grid, config.quad_tol)
     contrast_ok = bool(contrast.get("passed", "skipped" in contrast))
@@ -725,13 +713,13 @@ def cmd_supercritical(config, out_dir, stream=None):
         "eps_list": [_pv(e, PROV_FORMULA) for e in eps_list],
         "probe": {
             "any_concentrating": bool(probe.any_concentrating),
-            "entries": [_entry_json(e, _PROBE_FIELDS)
-                        for e in probe.entries],
+            "entries": [_record_json(r, _PROBE_FIELDS)
+                        for r in probe_records],
         },
         "obstruction": {
             "all_positive": bool(obstruction.all_positive),
-            "entries": [_entry_json(e, _OBSTRUCTION_FIELDS)
-                        for e in obstruction.entries],
+            "entries": [_record_json(r, _OBSTRUCTION_FIELDS)
+                        for r in obstruction_records],
         },
         "subcritical_contrast": contrast,
         "passed": bool((not probe.any_concentrating)
@@ -765,12 +753,21 @@ def cmd_supercritical(config, out_dir, stream=None):
 # expansion orders
 
 
+# within_band judges |slope - expected| <= ORDER_SLOPE_TOL, an absolute
+# band on the exponent
+_ORDERS_FIELDS = (("quantity", None), ("slope", PROV_FIT),
+                  ("expected", PROV_FORMULA), ("rms_residual", PROV_FIT),
+                  ("within_band", None))
+
+
 def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
     stream = stream or sys.stdout
     if n < 5:
         raise CliError("dimension must be at least 5")
     if rungs < 4:
         raise CliError("the exponent fits need at least four ladder rungs")
+    _require_positive("radius", radius)
+    _require_positive("lam_min", lam_min)
     if not lam_min * radius >= 30.0:
         raise CliError("lam_min * radius must be at least 30 so every "
                        "rung is sharply concentrated")
@@ -780,54 +777,34 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
               for l in lams]
     fits = expansion_orders(family, domain)
 
-    expected = {
-        "energy_norm": -(n - 4.0) / 2.0,
-        "critical_norm": -(n - 4.0) / 2.0,
-        "remainder_sup": -n / 2.0,
-    }
-    quantities = [
-        ("energy_norm", fits.energy_norm),
-        ("critical_norm", fits.critical_norm),
-        ("remainder_sup", fits.remainder_sup),
-    ]
-
-    within_band = {name: bool(abs(fit.slope - expected[name])
-                              <= ORDER_SLOPE_TOL)
-                   for name, fit in quantities}
-    all_ok = all(within_band.values())
+    norm_order = -(n - 4.0) / 2.0
+    rows = [{"quantity": name, "slope": fit.slope, "expected": expected,
+             "rms_residual": fit.rms_residual,
+             "within_band": bool(abs(fit.slope - expected)
+                                 <= ORDER_SLOPE_TOL)}
+            for name, fit, expected in (
+                ("energy_norm", fits.energy_norm, norm_order),
+                ("critical_norm", fits.critical_norm, norm_order),
+                ("remainder_sup", fits.remainder_sup, -n / 2.0))]
+    all_ok = all(row["within_band"] for row in rows)
 
     _ensure_dir(out_dir)
-    rows = [[
-        name,
-        _cell(fit.slope), PROV_FIT,
-        _cell(expected[name]), PROV_FORMULA,
-        _cell(fit.rms_residual), PROV_FIT,
-        _cell(within_band[name]),
-    ] for name, fit in quantities]
-    _write_csv(os.path.join(out_dir, "orders.csv"),
-               ["quantity", "slope", "slope_provenance",
-                "expected", "expected_provenance",
-                "rms_residual", "rms_residual_provenance",
-                "within_band"],
-               rows)
+    _write_table(os.path.join(out_dir, "orders.csv"), rows, _ORDERS_FIELDS)
     _write_json(os.path.join(out_dir, "orders.json"), {
         "schema": _schema("expansion-orders"),
         "n": n,
         "radius": _pv(radius, PROV_FORMULA),
         "ladder": [_pv(float(l), PROV_FORMULA) for l in lams],
-        "fits": {name: {
-            "slope": _pv(fit.slope, PROV_FIT),
-            "expected": _pv(expected[name], PROV_FORMULA),
-            "rms_residual": _pv(fit.rms_residual, PROV_FIT),
-            "within_band": within_band[name],
-        } for name, fit in quantities},
+        "fits": {row["quantity"]: _record_json(row, _ORDERS_FIELDS[1:])
+                 for row in rows},
         "band": ORDER_SLOPE_TOL,
         "passed": all_ok,
     })
 
-    for name, fit in quantities:
+    for row in rows:
         print("%-15s slope %+.4f (expect %+.1f)"
-              % (name, fit.slope, expected[name]), file=stream)
+              % (row["quantity"], row["slope"], row["expected"]),
+              file=stream)
     print("overall: %s" % ("pass" if all_ok else "FAIL"), file=stream)
     return 0 if all_ok else 1
 

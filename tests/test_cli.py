@@ -23,7 +23,7 @@ import pytest
 from navier_bubbles import cli, solver
 from navier_bubbles.bubble import balance_constants
 from navier_bubbles.cli import (CliError, RunConfig, _cell, _pv,
-                                _sweep_rows, _write_csv, _SWEEP_HEADER)
+                                _sweep_records, _write_table, _SWEEP_FIELDS)
 
 PROVENANCE_VOCAB = {"formula", "quadrature", "solver", "fit"}
 
@@ -48,6 +48,23 @@ def provenance_cells(header, row):
         if name.endswith("_provenance"):
             cells.append(value)
     return cells
+
+
+def assert_table_matches_entries(header, rows, entries):
+    """The CSV rows and the report entries of one artifact agree: the
+    same names in order, each numeric entry the tagged value of its cell
+    and provenance cell, each flag the cell's true or false."""
+    assert len(entries) == len(rows)
+    names = [k for k in header if not k.endswith("_provenance")]
+    for row, entry in zip(rows, entries):
+        cells = dict(zip(header, row))
+        assert names == list(entry)
+        for name, value in entry.items():
+            if isinstance(value, bool):
+                assert cells[name] == ("true" if value else "false")
+            else:
+                assert _pv(float(cells[name]),
+                           cells[name + "_provenance"]) == value
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +210,7 @@ def test_pv_wraps_value_with_tag_and_nulls_nonfinite():
 # constants
 
 def test_constants_rows_match_library_formulas():
-    rows = {label: value for label, value, _ in cli.constants_rows(6)}
+    rows = dict(cli.constants_rows(6))
     consts = balance_constants(6)
     assert rows["bubble amplitude c0"] == consts.c0
     assert rows["interaction constant c1"] == consts.c1
@@ -208,9 +225,16 @@ def test_constants_rows_match_library_formulas():
         pytest.approx(consts.c0 ** 2 * 20.0, rel=1e-12))
 
 
-def test_constants_every_row_is_formula_provenance():
-    for _, _, provenance in cli.constants_rows(6):
-        assert provenance == "formula"
+def test_constants_every_row_is_formula_provenance(tmp_path, capsys):
+    # the field table carries the one provenance; the printed table and
+    # the CSV both take it from there
+    assert cli._CONSTANTS_FIELDS == (("name", None), ("value", "formula"))
+    assert cli.main(["constants", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()[2:-1]
+    assert len(printed) == len(cli.constants_rows(6))
+    assert all(line.split()[-1] == "formula" for line in printed)
+    _, rows = read_csv(tmp_path / "constants.csv")
+    assert [r[2] for r in rows] == ["formula"] * len(printed)
 
 
 def test_constants_stdout_is_deterministic(capsys):
@@ -292,7 +316,10 @@ def test_robin_profile_is_even_in_the_coordinate(robin_run):
 def test_robin_rows_carry_known_provenance(robin_run):
     _, out = robin_run
     header, rows = read_csv(out / "robin_profile.csv")
-    assert header.count("phi_provenance") == 1
+    assert header == ["station", "station_provenance",
+                      "axis_coordinate", "axis_coordinate_provenance",
+                      "phi", "phi_provenance",
+                      "grad_norm", "grad_norm_provenance"]
     for row in rows:
         for tag in provenance_cells(header, row):
             assert tag in PROVENANCE_VOCAB
@@ -370,7 +397,14 @@ def test_verify_blowup_report_checks_carry_provenance(vb_run):
 def test_verify_blowup_sweep_table(vb_run):
     _, out = vb_run
     header, rows = read_csv(out / "sweep.csv")
-    assert header == _SWEEP_HEADER
+    assert header == [
+        "eps", "eps_provenance", "peak", "peak_provenance",
+        "alpha", "alpha_provenance", "lam", "lam_provenance",
+        "v_norm", "v_norm_provenance", "eps_lam_pow", "eps_lam_pow_provenance",
+        "eps_peak_sq", "eps_peak_sq_provenance",
+        "peak_scale_ratio", "peak_scale_ratio_provenance",
+        "newton_iters", "newton_iters_provenance",
+        "residual", "residual_provenance"]
     assert len(rows) == 7
     eps = [float(r[header.index("eps")]) for r in rows]
     assert eps == [0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005]
@@ -562,9 +596,10 @@ def test_verify_blowup_refuses_tolerance_below_round_off(tmp_path, capsys):
 
 def test_partial_sweep_rows_serialize_real_solutions(
         tmp_path, subcritical_sweep, sweep_decompositions):
-    rows = _sweep_rows(6, subcritical_sweep[:3], sweep_decompositions[:3])
+    records = _sweep_records(6, subcritical_sweep[:3],
+                             sweep_decompositions[:3])
     path = tmp_path / "partial.csv"
-    _write_csv(path, _SWEEP_HEADER, rows)
+    _write_table(path, records, _SWEEP_FIELDS)
     header, data = read_csv(path)
     assert len(data) == 3
     for row, sol, dec in zip(data, subcritical_sweep,
@@ -657,6 +692,8 @@ def test_supercritical_probe_table(sc_run):
         assert float(row[header.index("defect")]) < -1.0
         for tag in provenance_cells(header, row):
             assert tag in PROVENANCE_VOCAB
+    report = json.loads((out / "report.json").read_text())
+    assert_table_matches_entries(header, rows, report["probe"]["entries"])
 
 
 def test_supercritical_obstruction_table(sc_run):
@@ -675,18 +712,8 @@ def test_supercritical_obstruction_table(sc_run):
         assert row[header.index("sign_change")] == "true"
     # the report's entries carry the table's names and values
     report = json.loads((out / "report.json").read_text())
-    entries = report["obstruction"]["entries"]
-    assert len(entries) == len(rows)
-    for row, entry in zip(rows, entries):
-        cells = dict(zip(header, row))
-        assert [k for k in header if not k.endswith("_provenance")] == list(
-            entry)
-        for name, value in entry.items():
-            if isinstance(value, bool):
-                assert cells[name] == ("true" if value else "false")
-            else:
-                assert _pv(float(cells[name]),
-                           cells[name + "_provenance"]) == value
+    assert_table_matches_entries(header, rows,
+                                 report["obstruction"]["entries"])
 
 
 def test_supercritical_rerun_is_byte_identical(sc_run):
@@ -770,18 +797,35 @@ def test_expansion_orders_slopes_within_bands(eo_run):
 def test_expansion_orders_table(eo_run):
     _, out = eo_run
     header, rows = read_csv(out / "orders.csv")
+    assert header == ["quantity", "slope", "slope_provenance",
+                      "expected", "expected_provenance",
+                      "rms_residual", "rms_residual_provenance",
+                      "within_band"]
     assert [r[0] for r in rows] == ["energy_norm", "critical_norm",
                                     "remainder_sup"]
     for row in rows:
         assert row[header.index("slope_provenance")] == "fit"
         assert row[header.index("within_band")] == "true"
+    # orders.json keys its fits by quantity, under the CSV's other names
+    fits = json.loads((out / "orders.json").read_text())["fits"]
+    assert list(fits) == [r[0] for r in rows]
+    assert_table_matches_entries(header[1:], [r[1:] for r in rows],
+                                 list(fits.values()))
 
 
-def test_expansion_orders_rejects_short_ladder(capsys):
+def test_expansion_orders_rejects_short_ladder(tmp_path, capsys):
     assert cli.main(["expansion-orders", "--rungs", "3"]) == 2
     assert cli.main(["expansion-orders", "--lam-min", "10"]) == 2
     assert cli.main(["expansion-orders", "--n", "4"]) == 2
     capsys.readouterr()
+    # a negative radius and scale pass lam_min * radius >= 30, and an
+    # infinite radius passes it too; both are refused before any build
+    out = tmp_path / "eo"
+    for flags in (["--radius", "-1", "--lam-min", "-60"],
+                  ["--radius", "inf"]):
+        assert cli.main(["expansion-orders", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [5, 7, 8])

@@ -544,7 +544,7 @@ def test_every_law_consumer_reads_the_law_home(n):
     # closed form
     consts = balance_constants(n)
     ball = BallDomain.unit(n)
-    rows = {label: value for label, value, _ in cli.constants_rows(n)}
+    rows = dict(cli.constants_rows(n))
     scale, peak = law_limits(consts, center_potential(n))
     assert rows["unit-ball center potential"] == center_potential(n)
     assert rows["scale law limit eps*lam^(n-4), unit ball"] == scale
