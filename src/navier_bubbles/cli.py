@@ -88,6 +88,8 @@ RATIO_TOL = 0.10         # |peak/scale ratio - 1| at the sharpest offset
 ENERGY_RTOL = 0.05       # final energies vs the critical level
 VNORM_SLOPE_TOL = 0.5    # remainder decay exponent in eps vs 1
 ORDER_SLOPE_TOL = 0.3    # deficit exponents vs their targets
+LADDER_DECADES = 1.6     # the expansion-orders ladder spans lam_min to
+                         # lam_min * 10^LADDER_DECADES
 CONTRAST_EPS_CAP = 0.02  # contrast solve runs at or below this offset
 # smallest Newton tolerance a run accepts: the solve targets a scaled
 # residual of tol/10, and 1e-15 is about 4.5 machine epsilons, just above
@@ -760,6 +762,17 @@ _ORDERS_FIELDS = (("quantity", None), ("slope", PROV_FIT),
                   ("within_band", None))
 
 
+def _lam_min_ceiling(n, radius):
+    """The largest lam_min whose top rung, lam_min * 10^LADDER_DECADES,
+    keeps every power the fits raise finite. The largest is
+    (1 + (lam R)^2)^(n/2), in the curvature energy Delta delta(R), so
+    the top rung times R must stay below the n-th root of the largest
+    double; a relative 1e-12 is kept back for the rounding of the
+    power."""
+    top = sys.float_info.max ** (1.0 / n) * (1.0 - 1e-12) / radius
+    return top / 10.0 ** LADDER_DECADES
+
+
 def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
     stream = stream or sys.stdout
     if n < 5:
@@ -771,8 +784,13 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
     if not lam_min * radius >= 30.0:
         raise CliError("lam_min * radius must be at least 30 so every "
                        "rung is sharply concentrated")
+    ceiling = _lam_min_ceiling(n, radius)
+    if not lam_min <= ceiling:
+        raise CliError("lam_min must be at most %.6g at n = %d and radius "
+                       "%g, so the top rung's powers stay finite"
+                       % (ceiling, n, radius))
     domain = BallDomain(n, np.zeros(n), radius)
-    lams = lam_min * 10.0 ** np.linspace(0.0, 1.6, rungs)
+    lams = lam_min * 10.0 ** np.linspace(0.0, LADDER_DECADES, rungs)
     family = [BubbleParams(a=domain.center, lam=float(l), n=n)
               for l in lams]
     fits = expansion_orders(family, domain)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,18 @@ _LD = np.longdouble
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Radii 0 = r_0 < r_1 < ... < r_{N-1} = R for dimension n."""
+    """Radii 0 = r_0 < r_1 < ... < r_{N-1} = R for dimension n.
+
+    _derived holds arrays built from the nodes once per grid by the module
+    that owns them, keyed by its name; they are read-only and never refer
+    back to the grid, so they die with it.
+    """
 
     n: int
     nodes: np.ndarray
     R: float
+    _derived: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
@@ -312,8 +313,9 @@ def _fv_geometry(grid):
     return faces, h, area, vol
 
 
-def _flux_laplacian(grid):
-    """Diagonals (lo, di, up) of the radial Laplacian in conservative form.
+def _flux_laplacian(h, area, vol):
+    """Diagonals (lo, di, up) of the radial Laplacian in conservative form,
+    from the spacings h, face areas and cell volumes of _fv_geometry.
 
     Row i is (F_i - F_{i-1}) / V_i with fluxes F_i = area_i * (u_{i+1} -
     u_i) / h_i, which makes diag(V) @ L symmetric on zero-boundary
@@ -322,8 +324,7 @@ def _flux_laplacian(grid):
     origin. The last row is the Dirichlet row u_{N-1}: di[-1] = 1 with
     no neighbours.
     """
-    N = len(grid)
-    _, h, area, vol = _fv_geometry(grid)
+    N = vol.size
     g = area / h
     lo = np.zeros(N)
     di = np.zeros(N)
@@ -338,54 +339,104 @@ def _flux_laplacian(grid):
     return lo, di, up
 
 
+class _GridArrays(NamedTuple):
+    """What the discretization needs of a grid: the flux Laplacian's
+    diagonals (_flux_laplacian), their absolute values for the row
+    scales, the band's mask, 1 except 0 at the boundary row, and the
+    quadrature weights V_i * |S^{n-1}| (_cell_weights)."""
+
+    lo: np.ndarray
+    di: np.ndarray
+    up: np.ndarray
+    abs_diags: tuple
+    mask: np.ndarray
+    wts: np.ndarray
+
+
+def _grid_arrays(grid):
+    """The grid's _GridArrays, built on first use and then held, read-only,
+    by the grid itself (RadialGrid._derived), so every solve, integral
+    and decomposition on one grid shares one copy and it dies with the
+    grid."""
+    arrays = grid._derived.get("solver")
+    if arrays is None:
+        _, h, area, vol = _fv_geometry(grid)
+        lo, di, up = _flux_laplacian(h, area, vol)
+        mask = np.ones(vol.size)
+        mask[-1] = 0.0
+        # the boundary cell gets weight zero because both fields vanish
+        # there
+        wts = vol * sphere_measure(grid.n)
+        wts[-1] = 0.0
+        abs_diags = tuple(np.abs(d) for d in (lo, di, up))
+        arrays = _GridArrays(lo, di, up, abs_diags, mask, wts)
+        for a in (lo, di, up, *abs_diags, mask, wts):
+            a.flags.writeable = False
+        grid._derived["solver"] = arrays
+    return arrays
+
+
 def _stencil(lo, di, up, x):
     """Rows 0..N-2 of the tridiagonal product, summed in column order.
     The last entry is left 0: callers fill the boundary row themselves."""
     out = np.empty_like(x)
     out[0] = di[0] * x[0] + up[0] * x[1]
-    out[1:-1] = lo[1:-1] * x[:-2] + di[1:-1] * x[1:-1] + up[1:-1] * x[2:]
+    mid = out[1:-1]
+    np.multiply(lo[1:-1], x[:-2], out=mid)
+    mid += di[1:-1] * x[1:-1]
+    mid += up[1:-1] * x[2:]
     out[-1] = 0.0
     return out
 
 
 def _cell_weights(grid):
-    """Quadrature weights V_i * |S^{n-1}| matching the discretization;
-    the boundary cell gets weight zero because both fields vanish there."""
-    _, _, _, vol = _fv_geometry(grid)
-    wts = vol * sphere_measure(grid.n)
-    wts[-1] = 0.0
-    return wts
+    """Quadrature weights V_i * |S^{n-1}| matching the discretization,
+    with weight zero on the boundary cell: the grid's read-only copy."""
+    return _grid_arrays(grid).wts
 
 
 class _Discretization:
-    """Laplacian diagonals, equilibration scales and residual for one
-    grid."""
+    """Laplacian diagonals, equilibration scales, residual and Newton
+    band for one grid.
+
+    The diagonals, their absolute values and the boundary mask are the
+    grid's own arrays (_grid_arrays), computed once per grid and shared
+    by every solve on it. The per-point methods take |u|, |w| and
+    |u|^q from the caller, which forms each once per point (_point,
+    _scaled_rows).
+    """
 
     def __init__(self, grid):
         self.grid = grid
-        self.lo, self.di, self.up = _flux_laplacian(grid)
-        self.abs_diags = tuple(np.abs(d) for d in (self.lo, self.di, self.up))
-        mask = np.ones(len(grid))
-        mask[-1] = 0.0
-        self.mask = mask
+        arrays = _grid_arrays(grid)
+        self.lo, self.di, self.up = arrays.lo, arrays.di, arrays.up
+        self.abs_diags = arrays.abs_diags
+        self.mask = arrays.mask
 
-    def residual(self, u, w, q):
-        Fu = _stencil(self.lo, self.di, self.up, u) - self.mask * w
+    def residual(self, u, w, uq):
+        """Residual rows (Fu, Fw) at (u, w), given uq = |u|^q."""
+        Fu = _stencil(self.lo, self.di, self.up, u)
+        Fu[:-1] -= w[:-1]
         Fu[-1] = u[-1]
-        Fw = _stencil(self.lo, self.di, self.up, w) - self.mask * np.abs(u) ** q
+        Fw = _stencil(self.lo, self.di, self.up, w)
+        Fw[:-1] -= uq[:-1]
         Fw[-1] = w[-1]
         return Fu, Fw
 
-    def scales(self, u, w, q):
-        """Row equilibration: the natural size of each residual row."""
-        su = _stencil(*self.abs_diags, np.abs(u)) + np.abs(w)
-        sw = _stencil(*self.abs_diags, np.abs(w)) + np.abs(u) ** q
-        su[-1] = 1.0 + abs(u[-1])
-        sw[-1] = 1.0 + abs(w[-1])
+    def scales(self, au, aw, uq):
+        """Row equilibration, the natural size of each residual row, from
+        au = |u|, aw = |w| and uq = |u|^q."""
+        su = _stencil(*self.abs_diags, au)
+        su += aw
+        sw = _stencil(*self.abs_diags, aw)
+        sw += uq
+        su[-1] = 1.0 + au[-1]
+        sw[-1] = 1.0 + aw[-1]
         return su, sw
 
-    def jacobian_band(self, u, q, su, sw, cu, cw):
-        """The scaled Newton Jacobian in LAPACK band storage, ready for gbsv.
+    def jacobian_band(self, au, q, su, sw, cu, cw):
+        """The scaled Newton Jacobian at |u| = au in LAPACK band storage,
+        ready for gbsv.
 
         Unknowns are interleaved as (u_0, w_0, u_1, w_1, ...) and scaled
         by cu, cw; rows are divided by su, sw. Row 2i (the Fu_i row)
@@ -395,42 +446,68 @@ class _Discretization:
         ordered one gbsv factors in place (Anderson et al., LAPACK Users'
         Guide, 3rd ed., sec. 5.3.3): entry (r, c) sits at ab[4 + r - c, c],
         and rows 0 and 1 are zero, the workspace for the fill-in that
-        partial pivoting brings above the band. Each call returns a fresh
-        array, since the factorization overwrites it.
+        partial pivoting brings above the band. Every entry is multiplied
+        straight into its slot. Each call returns a fresh array, since
+        the factorization overwrites it.
         """
-        N = len(self.grid)
-        dfdu = self.mask * (q * np.abs(u) ** (q - 1))
+        N = self.di.size
         inv_su = 1.0 / su
         inv_sw = 1.0 / sw
         ab = np.zeros((7, 2 * N), order="F")
-        ab[2, 2::2] = (self.up[:-1] * cu) * inv_su[:-1]
-        ab[2, 3::2] = (self.up[:-1] * cw) * inv_sw[:-1]
-        ab[3, 1::2] = (-self.mask * cw) * inv_su
-        ab[4, 0::2] = (self.di * cu) * inv_su
-        ab[4, 1::2] = (self.di * cw) * inv_sw
-        ab[5, 0::2] = (-dfdu * cu) * inv_sw
-        ab[6, :-2:2] = (self.lo[1:] * cu) * inv_su[1:]
-        ab[6, 1:-2:2] = (self.lo[1:] * cw) * inv_sw[1:]
+
+        def put(dst, coef, scale, inv):
+            # dst = (coef * scale) * inv; the product lands in the band
+            np.multiply(coef * scale, inv, out=dst)
+
+        put(ab[2, 2::2], self.up[:-1], cu, inv_su[:-1])
+        put(ab[2, 3::2], self.up[:-1], cw, inv_sw[:-1])
+        put(ab[3, 1::2], self.mask, -cw, inv_su)
+        put(ab[4, 0::2], self.di, cu, inv_su)
+        put(ab[4, 1::2], self.di, cw, inv_sw)
+        # d(Fw)/du = -mask * q |u|^(q-1)
+        put(ab[5, 0::2], self.mask * (q * au ** (q - 1)), -cu, inv_sw)
+        put(ab[6, :-2:2], self.lo[1:], cu, inv_su[1:])
+        put(ab[6, 1:-2:2], self.lo[1:], cw, inv_sw[1:])
         return ab
 
 
+def _point(disc, q, u, w):
+    """(|u|, |u|^q, Fu, Fw) at (u, w): |u| is formed and raised to q once,
+    and the power serves both the residual and the row scales."""
+    au = np.abs(u)
+    uq = au ** q
+    return (au, uq, *disc.residual(u, w, uq))
+
+
+def _scaled_rows(disc, w, au, uq, Fu, Fw):
+    """(|w|, su, sw, Fu / su, Fw / sw, scaled max-norm) at a point whose
+    _point quantities are given. The scaled rows are formed once and
+    feed the max-norm, the Newton right side and the Armijo merit."""
+    aw = np.abs(w)
+    su, sw = disc.scales(au, aw, uq)
+    xu = Fu / su
+    xw = Fw / sw
+    return aw, su, sw, xu, xw, max(np.abs(xu).max(), np.abs(xw).max())
+
+
 def _scaled_residual(disc, q, u, w):
-    """Residual rows, their equilibration scales and the scaled max-norm."""
-    Fu, Fw = disc.residual(u, w, q)
-    su, sw = disc.scales(u, w, q)
-    return Fu, Fw, su, sw, max(np.abs(Fu / su).max(), np.abs(Fw / sw).max())
+    """The scaled max-norm residual at (u, w)."""
+    au, uq, Fu, Fw = _point(disc, q, u, w)
+    return _scaled_rows(disc, w, au, uq, Fu, Fw)[5]
 
 
-def _newton_step(disc, q, u, w, Fu, Fw, su, sw):
-    """The full Newton step (du, dw) at (u, w), or None when the banded
-    solve hits a zero pivot or the step is not finite. The band and the
-    right side are factored and solved in place by LAPACK gbsv."""
-    cu = max(np.abs(u).max(), 1e-30)
-    cw = max(np.abs(w).max(), 1e-30)
-    ab = disc.jacobian_band(u, q, su, sw, cu, cw)
+def _newton_step(disc, q, au, aw, xu, xw, su, sw):
+    """The full Newton step (du, dw) at a point with |u| = au, |w| = aw
+    and scaled residual rows xu = Fu / su, xw = Fw / sw, or None when
+    the banded solve hits a zero pivot or the step is not finite. The
+    band and the right side are factored and solved in place by LAPACK
+    gbsv."""
+    cu = max(au.max(), 1e-30)
+    cw = max(aw.max(), 1e-30)
+    ab = disc.jacobian_band(au, q, su, sw, cu, cw)
     rhs = np.empty(ab.shape[1])
-    rhs[0::2] = -Fu / su
-    rhs[1::2] = -Fw / sw
+    np.negative(xu, out=rhs[0::2])
+    np.negative(xw, out=rhs[1::2])
     if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
         return None
     _, _, y, info = dgbsv(2, 2, ab, rhs, overwrite_ab=True, overwrite_b=True)
@@ -472,19 +549,26 @@ def _newton(disc, q, u, w, tol, max_iter):
     assembles a fresh band and the factorization consumes it. The band
     holds exactly the flux-form coefficients, so the step is the one the
     summation-by-parts discretization defines.
+
+    Each point is evaluated once: |u|, |u|^q and the residual rows at
+    the accepted line-search trial (_point) become the next iterate's,
+    and per iterate |w|, the row scales and the scaled rows are formed
+    once (_scaled_rows) and shared by the max-norm, the band's right
+    side and the Armijo merit m0.
     """
     u = np.array(u, dtype=float)
     w = np.array(w, dtype=float)
     history = []
+    au, uq, Fu, Fw = _point(disc, q, u, w)
     for it in range(max_iter + 1):
-        Fu, Fw, su, sw, res = _scaled_residual(disc, q, u, w)
+        aw, su, sw, xu, xw, res = _scaled_rows(disc, w, au, uq, Fu, Fw)
         if res < tol:
-            step = _newton_step(disc, q, u, w, Fu, Fw, su, sw)
+            step = _newton_step(disc, q, au, aw, xu, xw, su, sw)
             if step is not None:
                 ut = u + step[0]
                 wt = w + step[1]
                 if ut[:-1].min() > 0:
-                    res_t = _scaled_residual(disc, q, ut, wt)[4]
+                    res_t = _scaled_residual(disc, q, ut, wt)
                     if res_t <= res:
                         history.append((res, 1.0))
                         history.append((res_t, None))
@@ -494,20 +578,21 @@ def _newton(disc, q, u, w, tol, max_iter):
         if it == max_iter:
             history.append((res, None))
             return u, w, history, "cap"
-        step = _newton_step(disc, q, u, w, Fu, Fw, su, sw)
+        step = _newton_step(disc, q, au, aw, xu, xw, su, sw)
         if step is None:
             history.append((res, None))
             return u, w, history, "singular step"
         du, dw = step
-        m0 = np.sum((Fu / su) ** 2) + np.sum((Fw / sw) ** 2)
+        m0 = np.sum(xu ** 2) + np.sum(xw ** 2)
         t = 1.0
         accepted = False
         for _ in range(60):
             ut = u + t * du
             wt = w + t * dw
             if ut[:-1].min() > 0:
-                Fu2, Fw2 = disc.residual(ut, wt, q)
-                m2 = np.sum((Fu2 / su) ** 2) + np.sum((Fw2 / sw) ** 2)
+                trial = _point(disc, q, ut, wt)
+                _, _, Fut, Fwt = trial
+                m2 = np.sum((Fut / su) ** 2) + np.sum((Fwt / sw) ** 2)
                 if m2 < (1.0 - 1e-4 * t) * m0:
                     accepted = True
                     break
@@ -517,6 +602,7 @@ def _newton(disc, q, u, w, tol, max_iter):
             return u, w, history, "line search"
         history.append((res, t))
         u, w = ut, wt
+        au, uq, Fu, Fw = trial
 
 
 def _bubble_fields(grid, lam, amplitude=1.0):
@@ -726,6 +812,11 @@ def decompose(sol, domain):
     the bracket, drive the scale orthogonality defect to rounding; the
     objective alone is flat to rounding over a few 1e-10 of lam at fat
     offsets.
+
+    Within one call the profile's Laplacian (with its eliminated
+    amplitude) and the scale derivative are evaluated at most once per
+    scale, and wts * w is formed once; the cell weights are the grid's
+    own (_cell_weights).
     """
     if not isinstance(sol, RadialSolution):
         raise TypeError("decompose expects a RadialSolution")
@@ -745,12 +836,18 @@ def decompose(sol, domain):
     R = grid.R
     wts = _cell_weights(grid)
     w = sol.w
+    wts_w = wts * w
 
+    @functools.cache
     def profile(lam):
         # the profile's Laplacian at lam and the amplitude eliminated
         # against it
         lp = _projected_profile_laplacian(n, lam, r, R)
-        return lp, float(np.sum(wts * w * lp) / np.sum(wts * lp * lp))
+        return lp, float(np.sum(wts_w * lp) / np.sum(wts * lp * lp))
+
+    @functools.cache
+    def scale_derivative(lam):
+        return _projected_scale_derivative_laplacian(n, lam, r, R)
 
     def objective(loglam):
         lp, al = profile(math.exp(loglam))
@@ -772,8 +869,7 @@ def decompose(sol, domain):
         # the inner product of the remainder with the scale direction.
         lam = math.exp(loglam)
         lp, al = profile(lam)
-        ds = _projected_scale_derivative_laplacian(n, lam, r, R)
-        return float(np.sum(wts * (w - al * lp) * ds))
+        return float(np.sum(wts * (w - al * lp) * scale_derivative(lam)))
 
     lo, hi = float(lattice[k - 1]), float(lattice[k + 1])
     g_lo, g_hi = stationarity(lo), stationarity(hi)
@@ -802,7 +898,7 @@ def decompose(sol, domain):
         raise RuntimeError("minimization returned a nonpositive amplitude")
     v = w - alpha * lp
     v_norm = float(np.sqrt(np.sum(wts * v * v)))
-    ds = _projected_scale_derivative_laplacian(n, lam, r, R)
+    ds = scale_derivative(lam)
     pn = float(np.sqrt(np.sum(wts * lp * lp)))
     dn = float(np.sqrt(np.sum(wts * ds * ds)))
     floor = max(v_norm, 1e-14 * float(np.sqrt(energy)))
@@ -922,7 +1018,7 @@ def supercritical_probe(eps_list, domain, grid=None):
         mass, u_slope, w_slope, lhs, rhs = _pohozaev_sides(grid, u, w, q)
         entries.append(ProbeEntry(
             eps=eps, lam=lam,
-            residual=float(_scaled_residual(disc, q, u, w)[4]),
+            residual=float(_scaled_residual(disc, q, u, w)),
             mass=mass, u_slope=u_slope, w_slope=w_slope,
             defect=lhs / rhs - 1.0,
             concentrating=not (u[:-1].min() > 0 and lhs < 0 < rhs),

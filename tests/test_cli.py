@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -811,6 +812,27 @@ def test_expansion_orders_table(eo_run):
     assert list(fits) == [r[0] for r in rows]
     assert_table_matches_entries(header[1:], [r[1:] for r in rows],
                                  list(fits.values()))
+
+
+def test_expansion_orders_refuses_an_overflowing_ladder(tmp_path, capsys):
+    # above the ceiling the top rung's (1 + (lam R)^2)^(n/2) overflows
+    # (1e307 ended in an OverflowError traceback); just below it every
+    # power stays finite and the fits run to a verdict
+    ceiling = cli._lam_min_ceiling(6, 1.0)
+    assert 5.9e49 < ceiling < 6.0e49
+    out = tmp_path / "eo"
+    for lam_min in ("1e307", repr(ceiling * (1 + 1e-9))):
+        assert cli.main(["expansion-orders", "--lam-min", lam_min,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: lam_min must be "
+                                                  "at most")
+    assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["expansion-orders", "--lam-min",
+                       repr(ceiling * (1 - 1e-9)), "--out", str(out)])
+    assert rc in (0, 1)
+    assert (out / "orders.json").exists()
 
 
 def test_expansion_orders_rejects_short_ladder(tmp_path, capsys):

@@ -9,7 +9,10 @@ loop-built flux stencil, and the grid convergence and exact scaling
 covariance pin the discretization order and the radius handling.
 """
 
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -423,13 +426,14 @@ def assert_one_law_solve_each(sweep):
 def step_system(disc, q, u, w):
     """_newton_step's arguments at (u, w), and the band and right side
     the step solves, built without it."""
-    Fu, Fw = disc.residual(u, w, q)
-    su, sw = disc.scales(u, w, q)
+    au, aw, uq = np.abs(u), np.abs(w), np.abs(u) ** q
+    Fu, Fw = disc.residual(u, w, uq)
+    su, sw = disc.scales(au, aw, uq)
     rhs = np.empty(2 * u.size)
     rhs[0::2] = -Fu / su
     rhs[1::2] = -Fw / sw
-    ab = disc.jacobian_band(u, q, su, sw, np.abs(u).max(), np.abs(w).max())
-    return (disc, q, u, w, Fu, Fw, su, sw), ab, rhs
+    ab = disc.jacobian_band(au, q, su, sw, au.max(), aw.max())
+    return (disc, q, au, aw, Fu / su, Fw / sw, su, sw), ab, rhs
 
 
 def full_newton_steps(sol, steps):
@@ -532,7 +536,7 @@ def small_system(unit_ball6):
     disc = _Discretization(grid)
     q = P6 - 0.3
     u, w = _bubble_fields(grid, 6.0)
-    su, sw = disc.scales(u, w, q)
+    su, sw = disc.scales(np.abs(u), np.abs(w), np.abs(u) ** q)
     cu, cw = np.abs(u).max(), np.abs(w).max()
     return disc, q, u, w, su, sw, cu, cw
 
@@ -551,7 +555,8 @@ def band_to_dense(ab):
 def scaled_residual(disc, q, u, w, su, sw, cu, cw, y):
     """The residual Newton drives to zero, in interleaved scaled
     unknowns y = (du_0/cu, dw_0/cw, du_1/cu, ...)."""
-    Fu, Fw = disc.residual(u + cu * y[0::2], w + cw * y[1::2], q)
+    ut = u + cu * y[0::2]
+    Fu, Fw = disc.residual(ut, w + cw * y[1::2], np.abs(ut) ** q)
     out = np.empty(y.size)
     out[0::2] = Fu / su
     out[1::2] = Fw / sw
@@ -678,7 +683,7 @@ def test_residual_matches_loop_stencil(small_system):
     rng = np.random.default_rng(7)
     u = u * (1.0 + 0.1 * rng.random(u.size))
     w = w * (1.0 + 0.1 * rng.random(w.size))
-    Fu, Fw = disc.residual(u, w, q)
+    Fu, Fw = disc.residual(u, w, np.abs(u) ** q)
     apply_lap = loop_flux_laplacian(disc.grid.nodes, N6)
     lu, lw = apply_lap(u), apply_lap(w)
     assert np.allclose(Fu[:-1], lu - w[:-1], rtol=0,
@@ -826,9 +831,9 @@ def test_decompose_walk_finds_the_lattice_argmin(subcritical_sweep,
         decompose(sol, ball)
         first = next(i for i, (tag, _) in enumerate(events)
                      if tag == "stationarity")
-        # the first stationarity call builds its profile before the scale
-        # derivative
-        assert first - 1 == 3 + abs(k - 16)
+        # the bracket ends are lattice points the walk visited, so the
+        # first stationarity call reuses their profiles
+        assert first == 3 + abs(k - 16)
         bracket = [lam for tag, lam in events if tag == "stationarity"][:2]
         assert bracket == [math.exp(float(lattice[k - 1])),
                            math.exp(float(lattice[k + 1]))]
@@ -864,6 +869,91 @@ def test_decompose_input_checks(unit_ball6):
     other = BallDomain(6, np.zeros(6), 2.0)
     with pytest.raises(ValueError, match="does not match"):
         decompose(sol, other)
+
+
+# ---------------------------------------------------------------------------
+# each quantity once: per Newton point, per grid, per decomposition scale
+
+
+def test_sweep_evaluates_each_residual_once(unit_ball6, subcritical_sweep,
+                                            monkeypatch):
+    # the accepted line-search trial's residual is the next iterate's, so
+    # no (u, w) point of the reference sweep is evaluated twice
+    seen = []
+    residual = _Discretization.residual
+
+    def spy(self, u, w, *rest):
+        seen.append((u.tobytes(), w.tobytes()))
+        return residual(self, u, w, *rest)
+
+    monkeypatch.setattr(_Discretization, "residual", spy)
+    sweep = continuation_sweep([-sol.eps for sol in subcritical_sweep],
+                               unit_ball6)
+    assert total_newton_iters(sweep) == 35
+    assert len(seen) >= 35 + len(sweep)
+    assert len(set(seen)) == len(seen)
+
+
+def test_geometry_is_built_once_per_grid(unit_ball6, monkeypatch):
+    # the solves of a sweep, their solutions' integrals and decompositions
+    # all read the grid's one set of flux diagonals and cell weights
+    grids = []
+    geometry = solver_module._fv_geometry
+
+    def spy(grid):
+        grids.append(grid)
+        return geometry(grid)
+
+    monkeypatch.setattr(solver_module, "_fv_geometry", spy)
+    grid = default_grid(unit_ball6)
+    sweep = continuation_sweep([0.3, 0.1, 0.02], unit_ball6, grid=grid)
+    for sol in sweep:
+        decompose(sol, unit_ball6)
+        sol.nonlinear_mass()
+        sol.pohozaev_defect()
+    assert len(grids) == 1 and grids[0] is grid
+
+
+def test_grid_arrays_are_read_only(small_system):
+    disc = small_system[0]
+    wts = _cell_weights(disc.grid)
+    assert wts is _cell_weights(disc.grid)
+    for a in (disc.lo, disc.di, disc.up, *disc.abs_diags, disc.mask, wts):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        wts[0] = 0.0
+
+
+def test_grid_arrays_die_with_the_grid(unit_ball6):
+    # the arrays hang off the grid and never point back to it, so the grid
+    # is freed by reference counting alone, with the cycle collector off
+    grid = default_grid(unit_ball6)
+    ref = weakref.ref(grid)
+    gc.disable()
+    try:
+        sweep = continuation_sweep([0.3, 0.1], unit_ball6, grid=grid)
+        decs = [decompose(sol, unit_ball6) for sol in sweep]
+        assert grid._derived
+        del grid, sweep, decs
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_decompose_evaluates_each_scale_once(subcritical_sweep,
+                                             monkeypatch):
+    calls = Counter()
+    for name in ("_projected_profile_laplacian",
+                 "_projected_scale_derivative_laplacian"):
+        def spy(n, lam, r, R, name=name, fn=getattr(solver_module, name)):
+            calls[name, lam] += 1
+            return fn(n, lam, r, R)
+        monkeypatch.setattr(solver_module, name, spy)
+    ball = BallDomain.unit(N6)
+    for sol in subcritical_sweep:
+        calls.clear()
+        decompose(sol, ball)
+        assert calls and max(calls.values()) == 1
 
 
 # ---------------------------------------------------------------------------
