@@ -25,6 +25,7 @@ Universal constants live here as well:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,8 +222,10 @@ def eval_delta(params, x):
 # universal constants
 
 
+@functools.cache
 def sobolev_energy(n, lam=1.0):
-    """int_{R^n} |Delta delta|^2 dx, which also equals S^{n/4}."""
+    """int_{R^n} |Delta delta|^2 dx, which also equals S^{n/4}. A
+    converged quadrature, computed once per (n, lam)."""
     return radial_integral(
         n, lambda r: radial_profile_laplacian(n, lam, r) ** 2)
 

@@ -40,12 +40,25 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage or
 configuration error, 3 a pipeline stage failed partway.
 
 Dimension policy: the constant table, the potential profile and the
-deficit expansion orders are closed-form surfaces and accept any
-n >= 5. ``verify-blowup`` runs at n = 6: at n = 5 the default grid does
-not resolve eps = 0.02 (the law-seeded solve stops at the 30-step
-Newton cap, scaled residual 1.0e-5). ``supercritical`` accepts any
-n >= 5: its probe and obstruction solve nothing, and its subcritical
+deficit expansion orders are closed-form surfaces. ``constants``
+accepts 5 <= n <= 89 and ``robin`` 5 <= n <= 108, both upper ends
+measured (CONSTANTS_N_MAX, ROBIN_N_MAX); ``expansion-orders`` accepts
+any n >= 5 under its lam_min ceiling. ``verify-blowup`` runs at n = 6:
+at n = 5 the default grid does not resolve eps = 0.02 (the law-seeded
+solve stops at the 30-step Newton cap, scaled residual 1.0e-5).
+``supercritical`` accepts n >= 5 wherever its radius window is not
+empty: its probe and obstruction solve nothing, and its subcritical
 contrast, a sweep solve, runs at n = 6 and is skipped elsewhere.
+
+Radius windows: a radius at which a number a command forms would leave
+the normal doubles is refused before anything is written, each bound
+derived from the power that leaves first. ``robin`` keeps its boundary
+fit's squared gradient normal (_robin_radius_window);
+``verify-blowup`` and ``supercritical`` keep every cell volume of
+their grid normal (_grid_radius_window), and ``supercritical`` also
+the obstruction's margin (_supercritical_radius_window). On the
+default grid at unit radius that admits ``supercritical`` up to
+n = 63; from n = 72 no radius is left.
 """
 
 from __future__ import annotations
@@ -64,9 +77,12 @@ import numpy as np
 from .bubble import (BubbleParams, balance_constants, center_potential,
                      law_limits, law_quantities, sobolev_constant,
                      sobolev_energy)
-from .green_robin import BallDomain, boundary_blowup_fit, robin
+from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain,
+                          boundary_blowup_fit, robin)
+from .numerics import sphere_measure
 from .projection import expansion_orders
-from .reduction import LAW_RTOL, blowup_verdict, supercritical_obstruction
+from .reduction import (_OBSTRUCTION_LAM_HI, LAW_RTOL, blowup_verdict,
+                        supercritical_obstruction)
 
 # the solver (and with it scipy.linalg) is imported only by the commands
 # that solve, so constants, robin and expansion-orders load no scipy
@@ -99,6 +115,13 @@ MIN_QUAD_TOL = 1e-14
 # largest: a target tol/10 above the law seed's own scaled residual (as
 # low as 9.6e-10 at 8192 nodes, eps = 0.002) accepts the unsolved seed
 MAX_QUAD_TOL = 1e-10
+# Largest dimensions, measured (every n from 5 up runs): from n = 90 the
+# log-kernel quadrature of balance_constants meets 0 * inf at its
+# outermost nodes, where r^(n-1) overflows and the kernel underflows, and
+# does not converge; from n = 109 the Robin series' second-derivative
+# terms j (j - 1) C_j(1) overflow at the boundary fit's nearest station.
+CONSTANTS_N_MAX = 89
+ROBIN_N_MAX = 108
 
 
 class CliError(ValueError):
@@ -317,6 +340,22 @@ def _ensure_dir(path):
     return path
 
 
+def _require_dimension(n, n_max):
+    if not 5 <= n <= n_max:
+        raise CliError("dimension must be between 5 and %d" % n_max)
+
+
+def _require_radius(radius, window, kept):
+    """Refuse a radius outside window = (lo, hi), the radii that keep
+    the numbers named by kept in the double range."""
+    lo, hi = window
+    if lo > hi:
+        raise CliError("no radius at this dimension keeps %s" % kept)
+    if not lo <= radius <= hi:
+        raise CliError("radius must lie in [%.6g, %.6g] at this dimension, "
+                       "which keeps %s" % (lo, hi, kept))
+
+
 # ---------------------------------------------------------------------------
 # constants
 
@@ -351,8 +390,7 @@ def constants_rows(n):
 
 def cmd_constants(n, out_dir=None, stream=None):
     stream = stream or sys.stdout
-    if n < 5:
-        raise CliError("dimension must be at least 5")
+    _require_dimension(n, CONSTANTS_N_MAX)
     rows = constants_rows(n)
     prov = dict(_CONSTANTS_FIELDS)["value"]
     print("constant table for dimension n = %d" % n, file=stream)
@@ -379,11 +417,29 @@ _ROBIN_FIELDS = (("station", PROV_FORMULA), ("axis_coordinate", PROV_FORMULA),
                  ("phi", PROV_SOLVER), ("grad_norm", PROV_SOLVER))
 
 
+def _robin_radius_window(n):
+    """The radii whose boundary fit keeps |grad phi|^2, formed by the
+    gradient's norm, a normal double. At tau = 1 - d / R the gradient is
+    about 2 (n - 4) tau (1 - tau^2)^(3-n) R^(3-n), the ball's image term
+    (within 2 % at the fit's nearest station, an underestimate at its
+    farthest): the square at the nearest station must stay below half
+    the largest double, the one at the farthest above the smallest."""
+    def unit_square(d):
+        tau = 1.0 - d
+        return (2.0 * (n - 4) * tau * (1.0 - tau * tau) ** (3 - n)) ** 2
+
+    near, far = BOUNDARY_FIT_WINDOW
+    power = 1.0 / (2 * n - 6)
+    return ((2.0 * unit_square(near) / sys.float_info.max) ** power,
+            unit_square(far) ** power / sys.float_info.min ** power)
+
+
 def cmd_robin(n, radius, stations, out_dir, stream=None):
     stream = stream or sys.stdout
-    if n < 5:
-        raise CliError("dimension must be at least 5")
+    _require_dimension(n, ROBIN_N_MAX)
     _require_positive("radius", radius)
+    _require_radius(radius, _robin_radius_window(n),
+                    "the boundary fit's squared gradient a normal double")
     if stations < 5 or stations % 2 == 0:
         raise CliError("stations must be odd and at least 5 so the "
                        "center row exists")
@@ -472,30 +528,42 @@ def _sweep_records(n, solutions, decomps):
     return records
 
 
-def _trace_offset(eps, attempts):
-    """One offset of a solver trace: its Newton attempt, with the scaled
+def _trace_offset(eps, attempt):
+    """One offset of a solver trace: its one Newton attempt, started from
+    the blow-up law's seed like every sweep solve, with the scaled
     residual and damping of each iterate. Deterministic: no timings."""
-    records = []
-    for a in attempts:
-        iterations = [{"residual": _pv(res, PROV_SOLVER),
-                       "damping": None if t is None else _pv(t, PROV_SOLVER)}
-                      for res, t in zip(a.residuals, a.damping + (None,))]
-        records.append({"eps": _pv(abs(a.eps), PROV_FORMULA),
-                        "start": a.start, "exit": a.exit,
-                        "newton_iters": len(a.damping),
-                        "iterations": iterations})
-    return {"eps": _pv(eps, PROV_FORMULA), "attempts": records}
+    iterations = [{"residual": _pv(res, PROV_SOLVER),
+                   "damping": None if t is None else _pv(t, PROV_SOLVER)}
+                  for res, t in attempt.iterations]
+    return {"eps": _pv(eps, PROV_FORMULA),
+            "attempts": [{"eps": _pv(eps, PROV_FORMULA), "start": "law",
+                          "exit": attempt.exit,
+                          "newton_iters": len(iterations) - 1,
+                          "iterations": iterations}]}
 
 
 def _solver_trace(solutions):
-    """Every Newton attempt of the sweep, offset by offset."""
-    offsets = [_trace_offset(abs(float(sol.eps)), sol.attempts)
-               for sol in solutions]
+    """The Newton attempt of every sweep offset, offset by offset."""
     return {
-        "newton_iters": sum(a["newton_iters"] for o in offsets
-                            for a in o["attempts"]),
-        "offsets": offsets,
+        "newton_iters": sum(sol.newton_iters for sol in solutions),
+        "offsets": [_trace_offset(abs(float(sol.eps)), sol.attempt)
+                    for sol in solutions],
     }
+
+
+def _grid_radius_window(grid):
+    """The radii at which a grid of this shape keeps every cell volume of
+    the flux discretization a normal double. The smallest number is the
+    first cell's volume (r_1 / 2)^n / n, which must not underflow (the
+    origin row of the Laplacian is then 0 / 0); the largest is the
+    ball's measure |S^{n-1}| R^n, or R^n itself where |S^{n-1}| < 1,
+    which must not overflow. A relative 1e-12 is kept back for the
+    rounding of the powers."""
+    n = grid.n
+    first = 0.5 * float(grid.nodes[1]) / grid.R
+    lo = (n * sys.float_info.min) ** (1.0 / n) / first
+    hi = (sys.float_info.max / max(1.0, sphere_measure(n))) ** (1.0 / n)
+    return lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)
 
 
 def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
@@ -520,24 +588,38 @@ def cmd_verify_blowup(config, out_dir, stream=None):
     if config.n != 6:
         raise CliError("verify-blowup runs in dimension 6 only; at n = 5 "
                        "the default grid does not resolve eps = 0.02")
-    _ensure_dir(out_dir)
-    config.to_json(os.path.join(out_dir, "config.json"))
-
     domain = config.domain()
     grid = default_grid(domain, config.grid_nodes)
+    _require_radius(config.radius, _grid_radius_window(grid),
+                    "every cell volume of the %d-node grid a normal double"
+                    % len(grid))
+    _ensure_dir(out_dir)
+    config.to_json(os.path.join(out_dir, "config.json"))
 
     def write_sweep(sols, decs):
         _write_table(os.path.join(out_dir, "sweep.csv"),
                      _sweep_records(config.n, sols, decs), _SWEEP_FIELDS)
+
+    def decompose_each(sols):
+        """Decompositions of sols up to the first that fails, with that
+        failure, or None."""
+        decs = []
+        try:
+            for sol in sols:
+                decs.append(decompose(sol, domain))
+        except (ValueError, RuntimeError) as exc:
+            return decs, exc
+        return decs, None
 
     try:
         solutions = continuation_sweep(list(config.eps_schedule), domain,
                                        grid=grid, tol=config.quad_tol)
     except ContinuationError as exc:
         partial = list(exc.partial)
-        write_sweep(partial, [decompose(s, domain) for s in partial])
+        decs, _ = decompose_each(partial)
+        write_sweep(partial[:len(decs)], decs)
         _persist_failure(out_dir, "sweep", exc, len(partial), _trace_offset(
-            config.eps_schedule[len(partial)], exc.attempts))
+            config.eps_schedule[len(partial)], exc.attempt))
         print("sweep failed after %d offsets: %s" % (len(partial), exc),
               file=sys.stderr)
         return 3
@@ -547,11 +629,8 @@ def cmd_verify_blowup(config, out_dir, stream=None):
               file=sys.stderr)
         return 3
 
-    decomps = []
-    try:
-        for sol in solutions:
-            decomps.append(decompose(sol, domain))
-    except (ValueError, RuntimeError) as exc:
+    decomps, exc = decompose_each(solutions)
+    if exc is not None:
         done = len(decomps)
         write_sweep(solutions[:done], decomps)
         _persist_failure(out_dir, "decompose", exc, done)
@@ -682,6 +761,17 @@ def _contrast_section(eps_list, domain, grid, tol):
     }
 
 
+def _supercritical_radius_window(grid):
+    """The grid's radius window (_grid_radius_window), capped where the
+    obstruction's margin c1 phi / lam_hi^(n-4) would leave the normal
+    doubles: with phi ~ R^(4-n) it is about c1 (lam_hi R)^(4-n), and
+    c1 >= 505 for n >= 5, so it stays normal while (lam_hi R)^(n-4)
+    stays finite."""
+    lo, hi = _grid_radius_window(grid)
+    margin = sys.float_info.max ** (1.0 / (grid.n - 4)) / _OBSTRUCTION_LAM_HI
+    return lo, min(hi, margin * (1.0 - 1e-12))
+
+
 def cmd_supercritical(config, out_dir, stream=None):
     from .solver import check_eps_floor, default_grid, supercritical_probe
     stream = stream or sys.stdout
@@ -692,6 +782,10 @@ def cmd_supercritical(config, out_dir, stream=None):
         check_eps_floor(eps_list[0], grid)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    _require_radius(config.radius, _supercritical_radius_window(grid),
+                    "every cell volume of the %d-node grid and the "
+                    "obstruction's margin, about c1 (1e4 R)^(4-n), normal "
+                    "doubles" % len(grid))
     _ensure_dir(out_dir)
     config.to_json(os.path.join(out_dir, "config.json"))
 

@@ -174,6 +174,15 @@ def robin(domain, x):
                      tolerance=tol)
 
 
+# The boundary fit's stations: twelve distances over [0.02, 0.1] R. The
+# exponents are asymptotic as d -> 0 while the local slope still drifts
+# visibly at the shallow end (for phi on the unit 6-ball it moves from
+# -1.97 at d = 0.02 to -1.53 at d = 0.3, a subleading boundary term), so
+# the window stops at 0.1 R.
+BOUNDARY_FIT_STATIONS = 12
+BOUNDARY_FIT_WINDOW = (0.02, 0.1)
+
+
 @dataclass(frozen=True)
 class BoundaryBlowupFits:
     """Fitted boundary rates of phi and of its gradient norm."""
@@ -182,21 +191,18 @@ class BoundaryBlowupFits:
     grad_norm: SlopeFit
 
 
-def boundary_blowup_fit(domain, stations=12, window=(0.02, 0.1)):
+def boundary_blowup_fit(domain):
     """Measure the boundary blow-up exponents of the Robin function.
 
-    Evaluates phi and |grad phi| at distances d in [0.02, 0.3] R from the
-    boundary along a diameter and fits both against d on log-log axes.
-    Expected slopes: 4 - n for phi and 3 - n for the gradient norm.
-
-    Stations may occupy [0.02, 0.3] R. The exponents are asymptotic as
-    d -> 0 while the local slope still drifts visibly at the shallow end
-    (for phi on the unit 6-ball it moves from -1.97 at d = 0.02 to -1.53
-    at d = 0.3, a subleading boundary term). The default window therefore
-    stops at 0.1 R; pass a wider `window` to see the drift itself.
+    Evaluates phi and |grad phi| at BOUNDARY_FIT_STATIONS distances d
+    from the boundary along a diameter, geometrically spaced over
+    BOUNDARY_FIT_WINDOW (in units of R), and fits both against d on
+    log-log axes. Expected slopes: 4 - n for phi and 3 - n for the
+    gradient norm.
     """
     n, R = domain.n, domain.radius
-    ds = np.geomspace(window[0] * R, window[1] * R, stations)
+    near, far = BOUNDARY_FIT_WINDOW
+    ds = np.geomspace(near * R, far * R, BOUNDARY_FIT_STATIONS)
     phis, grads = [], []
     for d in ds:
         ev = robin(domain, domain.center + (R - d) * _first_axis(n))

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +78,7 @@ CONCENTRATION_LAMBDA_D = 20.0
 
 class SolverDivergence(RuntimeError):
     """Newton failed; carries the last accepted iterate in .last, whose
-    attempts record the failed solve."""
+    attempt records the failed solve."""
 
     def __init__(self, message, last=None):
         super().__init__(message)
@@ -87,13 +87,13 @@ class SolverDivergence(RuntimeError):
 
 class ContinuationError(RuntimeError):
     """A sweep died partway; .partial holds the solutions obtained and
-    .attempts the Newton record of the failed solve at the offset that
-    was not reached, in the form of RadialSolution.attempts."""
+    .attempt the NewtonAttempt of the failed solve at the offset that
+    was not reached."""
 
-    def __init__(self, message, partial=(), attempts=()):
+    def __init__(self, message, partial=(), attempt=None):
         super().__init__(message)
         self.partial = list(partial)
-        self.attempts = tuple(attempts)
+        self.attempt = attempt
 
 
 # ---------------------------------------------------------------------------
@@ -114,23 +114,17 @@ class BubbleGuess:
             raise ValueError("amplitude must be positive")
 
 
-@dataclass(frozen=True)
-class NewtonAttempt:
+class NewtonAttempt(NamedTuple):
     """One damped Newton solve as a run's solver trace records it.
 
-    start names the initial iterate: "law" for the blow-up law's seed
-    (see continuation_sweep), "guess", "solution" or "fields" for the
-    three kinds of init solve_radial accepts. residuals[k] is
-    the scaled residual at iterate k, the last entry at the returned
-    iterate; damping[k] is the factor of the step taken from iterate k,
-    so len(damping) steps were taken. exit is the Newton exit:
+    iterations holds one (scaled residual, damping) pair per iterate
+    visited, as _newton builds them: the damping is the factor of the
+    step taken from that iterate and None at the returned one, so
+    len(iterations) - 1 steps were taken. exit is the Newton exit:
     "converged", "cap", "line search", "singular step" or "collapsed".
     """
 
-    eps: float
-    start: str
-    residuals: tuple
-    damping: tuple
+    iterations: tuple
     exit: str
 
 
@@ -139,21 +133,19 @@ class RadialSolution:
     """A converged (or declared-as-is) iterate of the two-field system.
 
     eps is stored with its sign: negative offsets are subcritical.
-    residual is the scaled max-norm backward error actually achieved and
-    must not exceed the declared tolerance; M duplicates u[0] for
-    the sweep tables and bookkeeping. attempts holds the one Newton
-    solve that produced the solution.
+    attempt is the one Newton solve that produced the solution; the
+    residual, the step count and the peak M = u(0) are read from it and
+    from u, never stored beside them. The residual, the scaled max-norm
+    backward error actually achieved, must not exceed the declared
+    tolerance.
     """
 
     grid: RadialGrid
     u: np.ndarray
     w: np.ndarray
     eps: float
-    M: float
-    residual: float
-    newton_iters: int
+    attempt: NewtonAttempt
     tolerance: float = 1e-10
-    attempts: tuple = ()
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -170,13 +162,26 @@ class RadialSolution:
             float(np.max(np.abs(w))), 1e-300
         ):
             raise ValueError("u and w must vanish at r = R")
-        if self.M != u[0]:
-            raise ValueError("M must equal the center value u(0)")
         if not self.residual <= self.tolerance:
             raise ValueError("residual exceeds the declared tolerance")
         # u'(0) = w'(0) = 0 is not checked pointwise; the origin row of
         # the discrete Laplacian encodes the even reflection, so it holds
         # by construction for anything the solver returns.
+
+    @property
+    def residual(self):
+        """The scaled max-norm residual at the returned iterate."""
+        return self.attempt.iterations[-1][0]
+
+    @property
+    def newton_iters(self):
+        """Newton steps taken."""
+        return len(self.attempt.iterations) - 1
+
+    @property
+    def M(self):
+        """The peak, u at the center."""
+        return float(self.u[0])
 
     # -- integrals in the cell-volume quadrature the solver itself uses
 
@@ -221,7 +226,6 @@ class Decomposition:
     v_norm: float
     ortho_residuals: tuple
     domain: BallDomain
-    eps: float
 
     def __post_init__(self):
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
@@ -339,43 +343,6 @@ def _flux_laplacian(h, area, vol):
     return lo, di, up
 
 
-class _GridArrays(NamedTuple):
-    """What the discretization needs of a grid: the flux Laplacian's
-    diagonals (_flux_laplacian), their absolute values for the row
-    scales, the band's mask, 1 except 0 at the boundary row, and the
-    quadrature weights V_i * |S^{n-1}| (_cell_weights)."""
-
-    lo: np.ndarray
-    di: np.ndarray
-    up: np.ndarray
-    abs_diags: tuple
-    mask: np.ndarray
-    wts: np.ndarray
-
-
-def _grid_arrays(grid):
-    """The grid's _GridArrays, built on first use and then held, read-only,
-    by the grid itself (RadialGrid._derived), so every solve, integral
-    and decomposition on one grid shares one copy and it dies with the
-    grid."""
-    arrays = grid._derived.get("solver")
-    if arrays is None:
-        _, h, area, vol = _fv_geometry(grid)
-        lo, di, up = _flux_laplacian(h, area, vol)
-        mask = np.ones(vol.size)
-        mask[-1] = 0.0
-        # the boundary cell gets weight zero because both fields vanish
-        # there
-        wts = vol * sphere_measure(grid.n)
-        wts[-1] = 0.0
-        abs_diags = tuple(np.abs(d) for d in (lo, di, up))
-        arrays = _GridArrays(lo, di, up, abs_diags, mask, wts)
-        for a in (lo, di, up, *abs_diags, mask, wts):
-            a.flags.writeable = False
-        grid._derived["solver"] = arrays
-    return arrays
-
-
 def _stencil(lo, di, up, x):
     """Rows 0..N-2 of the tridiagonal product, summed in column order.
     The last entry is left 0: callers fill the boundary row themselves."""
@@ -389,29 +356,22 @@ def _stencil(lo, di, up, x):
     return out
 
 
-def _cell_weights(grid):
-    """Quadrature weights V_i * |S^{n-1}| matching the discretization,
-    with weight zero on the boundary cell: the grid's read-only copy."""
-    return _grid_arrays(grid).wts
-
-
-class _Discretization:
-    """Laplacian diagonals, equilibration scales, residual and Newton
-    band for one grid.
-
-    The diagonals, their absolute values and the boundary mask are the
-    grid's own arrays (_grid_arrays), computed once per grid and shared
-    by every solve on it. The per-point methods take |u|, |w| and
-    |u|^q from the caller, which forms each once per point (_point,
-    _scaled_rows).
+class _Discretization(NamedTuple):
+    """Everything the solver needs of one grid, built once per grid by
+    _grid_arrays: the flux Laplacian's diagonals (_flux_laplacian),
+    their absolute values for the row scales, the band's mask, 1 except
+    0 at the boundary row, and the quadrature weights V_i * |S^{n-1}|
+    (_cell_weights). The methods form the residual, the row scales and
+    the Newton band; the per-point ones take |u|, |w| and |u|^q from the
+    caller, which forms each once per point (_point, _scaled_rows).
     """
 
-    def __init__(self, grid):
-        self.grid = grid
-        arrays = _grid_arrays(grid)
-        self.lo, self.di, self.up = arrays.lo, arrays.di, arrays.up
-        self.abs_diags = arrays.abs_diags
-        self.mask = arrays.mask
+    lo: np.ndarray
+    di: np.ndarray
+    up: np.ndarray
+    abs_diags: tuple
+    mask: np.ndarray
+    wts: np.ndarray
 
     def residual(self, u, w, uq):
         """Residual rows (Fu, Fw) at (u, w), given uq = |u|^q."""
@@ -471,6 +431,35 @@ class _Discretization:
         return ab
 
 
+def _grid_arrays(grid):
+    """The grid's _Discretization, built on first use and then held,
+    read-only, by the grid itself (RadialGrid._derived), so every solve,
+    integral and decomposition on one grid shares one copy and it dies
+    with the grid."""
+    disc = grid._derived.get("solver")
+    if disc is None:
+        _, h, area, vol = _fv_geometry(grid)
+        lo, di, up = _flux_laplacian(h, area, vol)
+        mask = np.ones(vol.size)
+        mask[-1] = 0.0
+        # the boundary cell gets weight zero because both fields vanish
+        # there
+        wts = vol * sphere_measure(grid.n)
+        wts[-1] = 0.0
+        abs_diags = tuple(np.abs(d) for d in (lo, di, up))
+        disc = _Discretization(lo, di, up, abs_diags, mask, wts)
+        for a in (lo, di, up, *abs_diags, mask, wts):
+            a.flags.writeable = False
+        grid._derived["solver"] = disc
+    return disc
+
+
+def _cell_weights(grid):
+    """Quadrature weights V_i * |S^{n-1}| matching the discretization,
+    with weight zero on the boundary cell: the grid's read-only copy."""
+    return _grid_arrays(grid).wts
+
+
 def _point(disc, q, u, w):
     """(|u|, |u|^q, Fu, Fw) at (u, w): |u| is formed and raised to q once,
     and the power serves both the residual and the row scales."""
@@ -487,7 +476,7 @@ def _scaled_rows(disc, w, au, uq, Fu, Fw):
     su, sw = disc.scales(au, aw, uq)
     xu = Fu / su
     xw = Fw / sw
-    return aw, su, sw, xu, xw, max(np.abs(xu).max(), np.abs(xw).max())
+    return aw, su, sw, xu, xw, float(max(np.abs(xu).max(), np.abs(xw).max()))
 
 
 def _scaled_residual(disc, q, u, w):
@@ -660,14 +649,13 @@ def check_eps_floor(eps_mag, grid):
 def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     """Solve the two-field system at signed offset eps on a ball.
 
-    init may be a BubbleGuess (fields built from the projected bubble),
-    a RadialSolution (its fields are reused, interpolated if the grid
-    differs), or a pair of sample arrays matching the grid. The Newton
-    iteration targets a scaled residual of tol/10, then takes the one
-    full exit step described in _newton; the returned solution declares
-    tol, so round-off level drift cannot invalidate the object later.
-    Its attempts hold the solve's Newton record, with start "guess",
-    "solution" or "fields" after the kind of init.
+    init is a BubbleGuess (fields built from the projected bubble) or a
+    pair (u, w) of sample arrays on the grid; to continue from a solution
+    pass (sol.u, sol.w) with grid=sol.grid. The Newton iteration targets
+    a scaled residual of tol/10, then takes the one full exit step
+    described in _newton; the returned solution declares tol, so
+    round-off level drift cannot invalidate the object later. Its
+    attempt is the solve's Newton record.
 
     Raises SolverDivergence when the iteration cap is reached, the line
     search stalls, a Newton step is singular or non-finite, or the
@@ -679,69 +667,47 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
     if not abs(eps) < p - 1:
         raise ValueError("offset magnitude must stay below p - 1 = %g" % (p - 1))
     if grid is None:
-        grid = init.grid if isinstance(init, RadialSolution) else default_grid(domain)
+        grid = default_grid(domain)
     if grid.n != n or grid.R != domain.radius:
         raise ValueError("grid dimension or radius does not match the domain")
     check_eps_floor(abs(eps), grid)
 
     if isinstance(init, BubbleGuess):
-        start = "guess"
         u0, w0 = _bubble_fields(grid, init.lam, init.amplitude)
-    elif isinstance(init, RadialSolution):
-        start = "solution"
-        if init.grid is grid or np.array_equal(init.grid.nodes, grid.nodes):
-            u0, w0 = init.u.copy(), init.w.copy()
-        else:
-            u0 = np.interp(grid.nodes, init.grid.nodes, init.u)
-            w0 = np.interp(grid.nodes, init.grid.nodes, init.w)
-            u0[-1] = 0.0
-            w0[-1] = 0.0
     else:
-        start = "fields"
         u0, w0 = (np.array(f, dtype=float) for f in init)
         if u0.shape != (len(grid),) or w0.shape != (len(grid),):
             raise ValueError("init samples must match the grid")
     if not np.all(u0[:-1] > 0):
         raise ValueError("initial iterate must be positive in the interior")
 
-    disc = _Discretization(grid)
     q = p + eps
-    u, w, history, exit_ = _newton(disc, q, u0, w0, tol / 10.0, max_iter)
-    iters = len(history) - 1
-    res = history[-1][0]
-    m0 = float(np.max(np.abs(u0)))
-    if float(np.max(np.abs(u))) < 1e-6 * m0:
+    u, w, history, exit_ = _newton(_grid_arrays(grid), q, u0, w0, tol / 10.0,
+                                   max_iter)
+    if float(np.max(np.abs(u))) < 1e-6 * float(np.max(np.abs(u0))):
         exit_ = "collapsed"
-    attempt = NewtonAttempt(
-        eps=float(eps), start=start,
-        residuals=tuple(float(r) for r, _ in history),
-        damping=tuple(float(t) for _, t in history[:-1]), exit=exit_,
-    )
+    attempt = NewtonAttempt(tuple(history), exit_)
     u[-1] = 0.0
     w[-1] = 0.0
-    if exit_ != "converged":
-        last = RadialSolution(
-            grid=grid, u=u, w=w, eps=eps, M=float(u[0]), residual=float(res),
-            newton_iters=iters, tolerance=max(float(res), tol),
-            attempts=(attempt,),
-        )
-        if exit_ == "collapsed":
-            reason = "iterates collapsed onto the trivial zero branch"
-        elif exit_ == "cap":
-            reason = ("iteration cap %d reached at scaled residual %.2e"
-                      % (max_iter, res))
-        elif exit_ == "line search":
-            reason = ("line search found no Armijo decrease at iteration "
-                      "%d, scaled residual %.2e" % (iters, res))
-        else:
-            reason = ("banded Newton solve gave a singular or non-finite "
-                      "step at iteration %d, scaled residual %.2e"
-                      % (iters, res))
-        raise SolverDivergence(reason, last=last)
-    return RadialSolution(
-        grid=grid, u=u, w=w, eps=eps, M=float(u[0]), residual=float(res),
-        newton_iters=iters, tolerance=tol, attempts=(attempt,),
-    )
+    if exit_ == "converged":
+        return RadialSolution(grid=grid, u=u, w=w, eps=eps, attempt=attempt,
+                              tolerance=tol)
+    iters, res = len(history) - 1, history[-1][0]
+    if exit_ == "collapsed":
+        reason = "iterates collapsed onto the trivial zero branch"
+    elif exit_ == "cap":
+        reason = ("iteration cap %d reached at scaled residual %.2e"
+                  % (max_iter, res))
+    elif exit_ == "line search":
+        reason = ("line search found no Armijo decrease at iteration "
+                  "%d, scaled residual %.2e" % (iters, res))
+    else:
+        reason = ("banded Newton solve gave a singular or non-finite "
+                  "step at iteration %d, scaled residual %.2e"
+                  % (iters, res))
+    raise SolverDivergence(reason, last=RadialSolution(
+        grid=grid, u=u, w=w, eps=eps, attempt=attempt,
+        tolerance=max(res, tol)))
 
 
 def _law_seed(grid, peak_limit, e):
@@ -761,10 +727,10 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
     (strictly decreasing), each solve started from the blow-up law's
     seed (_law_seed) for the ball's center, independently of the others.
 
-    Every returned solution carries in .attempts the Newton record of
-    its one solve, with start "law". The first offset that cannot be
+    Returns the solutions solve_radial gives, one per offset, each with
+    the Newton record of its one solve. The first offset that cannot be
     reached aborts the sweep; the exception carries the solutions
-    already obtained and the Newton record of the offset that was not
+    already obtained and the NewtonAttempt of the offset that was not
     reached.
     """
     eps_arr = [float(e) for e in eps_list]
@@ -782,15 +748,14 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
     out = []
     for e in eps_arr:
         try:
-            sol = solve_radial(-e, domain, _law_seed(grid, peak_limit, e),
-                               grid=grid, tol=tol)
+            out.append(solve_radial(-e, domain,
+                                    _law_seed(grid, peak_limit, e),
+                                    grid=grid, tol=tol))
         except SolverDivergence as exc:
             raise ContinuationError(
                 "sweep aborted at offset %g: %s" % (e, exc), partial=out,
-                attempts=[replace(exc.last.attempts[0], start="law")],
+                attempt=exc.last.attempt,
             ) from exc
-        out.append(replace(sol, attempts=(replace(sol.attempts[0],
-                                                  start="law"),)))
     return out
 
 
@@ -924,7 +889,6 @@ def decompose(sol, domain):
         v_norm=v_norm,
         ortho_residuals=(amp_defect, scale_defect, 0.0),
         domain=domain,
-        eps=sol.eps,
     )
 
 
@@ -1007,7 +971,7 @@ def supercritical_probe(eps_list, domain, grid=None):
     if grid.n != domain.n or grid.R != domain.radius:
         raise ValueError("grid dimension or radius does not match the domain")
     check_eps_floor(min(eps_arr), grid)
-    disc = _Discretization(grid)
+    disc = _grid_arrays(grid)
     consts = balance_constants(domain.n)
     phi = center_potential(domain.n, domain.radius)
     entries = []
@@ -1018,7 +982,7 @@ def supercritical_probe(eps_list, domain, grid=None):
         mass, u_slope, w_slope, lhs, rhs = _pohozaev_sides(grid, u, w, q)
         entries.append(ProbeEntry(
             eps=eps, lam=lam,
-            residual=float(_scaled_residual(disc, q, u, w)),
+            residual=_scaled_residual(disc, q, u, w),
             mass=mass, u_slope=u_slope, w_slope=w_slope,
             defect=lhs / rhs - 1.0,
             concentrating=not (u[:-1].min() > 0 and lhs < 0 < rhs),

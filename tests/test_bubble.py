@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from navier_bubbles import bubble as bubble_module
 from navier_bubbles.bubble import (
     BubbleParams,
     CriticalConstants,
@@ -26,7 +27,8 @@ from navier_bubbles.bubble import (
     sobolev_constant,
     sobolev_energy,
 )
-from navier_bubbles.numerics import RadialGrid, radial_bilaplacian
+from navier_bubbles.numerics import (RadialGrid, radial_bilaplacian,
+                                   radial_integral)
 
 PI = math.pi
 
@@ -190,6 +192,23 @@ def test_sobolev_scale_invariance():
     ref = sobolev_constant(6, lam=1.0)
     for lam in (0.5, 4.0):
         assert math.isclose(sobolev_constant(6, lam=lam), ref, rel_tol=1e-9)
+
+
+def test_sobolev_energy_is_integrated_once_per_argument(monkeypatch):
+    # decompose checks every solution's energy against this level; the
+    # quadrature runs once per (n, lam) and later calls return its value
+    calls = []
+
+    def counted(n, f, *args, **kwargs):
+        calls.append(n)
+        return radial_integral(n, f, *args, **kwargs)
+
+    monkeypatch.setattr(bubble_module, "radial_integral", counted)
+    sobolev_energy.cache_clear()
+    first = sobolev_energy(7)
+    assert sobolev_energy(7) == first and calls == [7]
+    assert sobolev_energy(7, 2.0) != first and calls == [7, 7]
+    sobolev_energy.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 
 from navier_bubbles import cli, solver
 from navier_bubbles.bubble import balance_constants
+from navier_bubbles.green_robin import BallDomain
 from navier_bubbles.cli import (CliError, RunConfig, _cell, _pv,
                                 _sweep_records, _write_table, _SWEEP_FIELDS)
 
@@ -270,6 +271,42 @@ def test_constants_rejects_low_dimension(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_constants_refuses_dimensions_past_the_measured_limit(tmp_path,
+                                                              capsys):
+    # n = 90 ended in a RuntimeError traceback: the log-kernel quadrature
+    # no longer converges; n = 89, the last dimension that runs, does
+    assert cli.CONSTANTS_N_MAX == 89
+    assert cli.main(["constants", "--n", "90", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dimension must be between 5 and 89\n")
+    assert not (tmp_path / "constants.csv").exists()
+    with warnings.catch_warnings():
+        # the kernels' powers overflow only where the integrands are
+        # negligible, so those nodes add zero
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["constants", "--n", "89",
+                         "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    _, rows = read_csv(tmp_path / "constants.csv")
+    assert all(math.isfinite(float(row[1])) for row in rows)
+
+
+def run_quietly(argv, capsys):
+    """Exit code of a run that must raise no numpy warning (overflow,
+    invalid value or division by zero)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv)
+    capsys.readouterr()
+    return rc
+
+
+def assert_refused(argv, out, capsys, message="error: radius must lie in"):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # robin profile
 
@@ -355,6 +392,45 @@ def test_robin_rejects_even_station_count(capsys):
 def test_robin_rejects_low_dimension(capsys):
     assert cli.main(["robin", "--n", "4"]) == 2
     capsys.readouterr()
+
+
+def test_robin_refuses_dimensions_past_the_measured_limit(tmp_path, capsys):
+    # n = 109 ended in a LinAlgError traceback: the series' second
+    # derivative terms overflow at the boundary fit's nearest station
+    assert cli.ROBIN_N_MAX == 108
+    out = tmp_path / "robin"
+    assert_refused(["robin", "--n", "109", "--out", str(out)], out, capsys,
+                   "error: dimension must be between 5 and 108")
+    assert run_quietly(["robin", "--n", "108", "--out", str(out)],
+                       capsys) == 0
+
+
+def boundary_slopes(out):
+    fits = json.loads((out / "robin_fits.json").read_text())
+    return (fits["phi_boundary_exponent"]["value"],
+            fits["grad_boundary_exponent"]["value"])
+
+
+@pytest.mark.parametrize("n", [6, 40])
+def test_robin_refuses_radii_past_the_squared_gradient(n, tmp_path, capsys):
+    # 1e-160 overflowed R ** (4 - n) and 1e200 overflowed the station's
+    # norm; inside the window the boundary fit is scale invariant, so its
+    # slopes at either end equal those of the unit ball
+    lo, hi = cli._robin_radius_window(n)
+    out = tmp_path / "robin"
+    for radius in ("1e-160", "1e200", repr(lo * (1 - 1e-9)),
+                   repr(hi * (1 + 1e-9))):
+        assert_refused(["robin", "--n", str(n), "--radius", radius,
+                        "--out", str(out)], out, capsys)
+    assert run_quietly(["robin", "--n", str(n), "--out", str(out)],
+                       capsys) == 0
+    unit = boundary_slopes(out)
+    for radius in (lo * (1 + 1e-9), hi * (1 - 1e-9)):
+        assert run_quietly(["robin", "--n", str(n), "--radius", repr(radius),
+                            "--out", str(out)], capsys) == 0
+        assert boundary_slopes(out) == pytest.approx(unit, rel=1e-10)
+        _, rows = read_csv(out / "robin_profile.csv")
+        assert all(math.isfinite(float(row[6])) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +519,49 @@ def test_verify_blowup_solver_trace(vb_run):
     assert total == trace["newton_iters"]
 
 
+def trace_iterations(attempt):
+    """A trace attempt's iterations as (residual, damping) pairs."""
+    return tuple((it["residual"]["value"],
+                  None if it["damping"] is None else it["damping"]["value"])
+                 for it in attempt["iterations"])
+
+
+def test_solver_trace_writes_each_attempt_as_it_is(vb_run,
+                                                    subcritical_sweep):
+    # the reference run solves the conftest schedule on the same grid,
+    # so each offset's trace is its solution's one attempt, unchanged
+    _, out = vb_run
+    trace = json.loads((out / "report.json").read_text())["solver_trace"]
+    assert len(trace["offsets"]) == len(subcritical_sweep)
+    for offset, sol in zip(trace["offsets"], subcritical_sweep):
+        (attempt,) = offset["attempts"]
+        assert attempt["eps"] == offset["eps"] == _pv(-sol.eps, "formula")
+        assert attempt["start"] == "law"
+        assert attempt["exit"] == sol.attempt.exit
+        assert trace_iterations(attempt) == sol.attempt.iterations
+
+
+def test_failed_offset_is_the_aborted_attempt(tmp_path, capsys):
+    # at radius 1e10 the law seed of offset 0.3 misses Newton's basin;
+    # failure.json records the attempt the sweep's exception carries
+    rc = cli.main(["verify-blowup", "--eps", "0.3", "0.1", "0.05", "0.02",
+                   "--radius", "1e10", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 3
+    failure = json.loads(
+        (tmp_path / "verify-blowup" / "failure.json").read_text())
+    config = RunConfig(radius=1e10, eps_schedule=(0.3, 0.1, 0.05, 0.02))
+    domain = config.domain()
+    with pytest.raises(solver.ContinuationError) as err:
+        solver.continuation_sweep(list(config.eps_schedule), domain,
+                                  grid=solver.default_grid(domain))
+    assert err.value.partial == []
+    expected = cli._trace_offset(0.3, err.value.attempt)
+    assert failure["failed_offset"] == json.loads(json.dumps(expected))
+    assert trace_iterations(failure["failed_offset"]["attempts"][0]) == (
+        err.value.attempt.iterations)
+
+
 def test_verify_blowup_config_echo(vb_run):
     _, out = vb_run
     config = RunConfig.from_json(out / "config.json")
@@ -528,6 +647,30 @@ def test_config_json_lists_every_field_in_order(tmp_path):
 def test_verify_blowup_rejects_other_dimensions(capsys):
     assert cli.main(["verify-blowup", "--n", "5"]) == 2
     assert "dimension 6" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", [256, 2048])
+def test_verify_blowup_refuses_radii_past_the_cell_volumes(nodes, tmp_path,
+                                                           capsys):
+    # 1e-160 overflowed R ** (4 - n); at either end of the window the
+    # law seed misses Newton's basin and the sweep fails honestly, and at
+    # 1e50 a solved offset no longer decomposes, which used to end in a
+    # ValueError traceback while the partial sweep was written
+    grid = solver.default_grid(BallDomain.unit(6), nodes)
+    lo, hi = cli._grid_radius_window(grid)
+    flags = ["--grid-nodes", str(nodes)]
+    out = tmp_path / "verify-blowup"
+    for radius in ("1e-160", repr(lo * (1 - 1e-9)), repr(hi * (1 + 1e-9))):
+        assert_refused(["verify-blowup", *flags, "--radius", radius,
+                        "--out", str(tmp_path)], out, capsys)
+    for radius in (lo * (1 + 1e-9), hi * (1 - 1e-9), 1e50):
+        assert run_quietly(["verify-blowup", *flags, "--radius",
+                            repr(radius), "--out", str(tmp_path)],
+                           capsys) == 3
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["stage"] == "sweep"
+        _, rows = read_csv(out / "sweep.csv")
+        assert len(rows) <= failure["completed"]
 
 
 def test_verify_blowup_runs_from_config_file(tmp_path, capsys):
@@ -758,6 +901,52 @@ def test_supercritical_higher_dimension_certifies(tmp_path, capsys, n):
     for e in report["obstruction"]["entries"]:
         assert e["positive"] and e["margin"]["value"] > 0
     assert report["passed"] is True
+
+
+def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
+                                                         capsys):
+    # 1e-160 overflowed R ** (4 - n) and 1e200 the ball's R ** n; at
+    # either end of the window the probe and the obstruction still
+    # certify, and only the subcritical contrast fails to solve
+    grid = solver.default_grid(BallDomain.unit(6), 2048)
+    lo, hi = cli._supercritical_radius_window(grid)
+    out = tmp_path / "supercritical"
+    for radius in ("1e-160", "1e200", repr(lo * (1 - 1e-9)),
+                   repr(hi * (1 + 1e-9))):
+        assert_refused(["supercritical", "--radius", radius,
+                        "--out", str(tmp_path)], out, capsys)
+    for radius in (lo * (1 + 1e-9), hi * (1 - 1e-9)):
+        assert run_quietly(["supercritical", "--radius", repr(radius),
+                            "--out", str(tmp_path)], capsys) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert not report["probe"]["any_concentrating"]
+        assert report["obstruction"]["all_positive"]
+        assert "error" in report["subcritical_contrast"]
+        for entry in report["probe"]["entries"]:
+            assert entry["residual"]["value"] is not None
+
+
+def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
+                                                           capsys):
+    # at unit radius the default grid's first cell volume underflows from
+    # n = 64, which wrote the probe's residuals as NaN; from n = 72 no
+    # radius keeps it and the obstruction's margin both normal, and n = 82
+    # ended in an OverflowError traceback at 1e4 ** (n - 4)
+    out = tmp_path / "supercritical"
+    assert_refused(["supercritical", "--n", "64", "--out", str(tmp_path)],
+                   out, capsys)
+    assert_refused(["supercritical", "--n", "82", "--out", str(tmp_path)],
+                   out, capsys, "error: no radius at this dimension keeps")
+    # the last dimension accepted at unit radius; balance_constants'
+    # kernel powers overflow where the integrand is negligible
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert cli.main(["supercritical", "--n", "63", "--eps", "0.05",
+                         "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = json.loads((out / "report.json").read_text())
+    assert all(e["residual"]["value"] is not None
+               for e in report["probe"]["entries"])
 
 
 def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):

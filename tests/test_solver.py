@@ -9,6 +9,7 @@ loop-built flux stencil, and the grid convergence and exact scaling
 covariance pin the discretization order and the radius handling.
 """
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -44,12 +45,14 @@ from navier_bubbles.solver import (
     BubbleGuess,
     ContinuationError,
     Decomposition,
+    NewtonAttempt,
     RadialSolution,
     SolverDivergence,
     _bubble_fields,
     _cell_weights,
     _Discretization,
     _fv_geometry,
+    _grid_arrays,
     _law_seed,
     _newton_step,
     _pohozaev_sides,
@@ -139,6 +142,13 @@ def loop_flux_laplacian(r, n):
     return apply
 
 
+def declared_solution(grid, u, w, eps=-0.05):
+    """Fields declared a solution as they are: one Newton record with no
+    step taken and a zero residual."""
+    return RadialSolution(grid=grid, u=u, w=w, eps=eps,
+                          attempt=NewtonAttempt(((0.0, None),), "converged"))
+
+
 def ladder_to_easy(ball, grid=None):
     """Continue the bubble branch upward to exponent 3 (offset 2.0).
 
@@ -148,7 +158,7 @@ def ladder_to_easy(ball, grid=None):
     sol = solve_radial(-0.3, ball, BubbleGuess(lam=math.sqrt(20 / 0.3)),
                        grid=grid)
     for e in (0.5, 0.8, 1.2, 1.6, 1.8, 2.0):
-        sol = solve_radial(-e, ball, sol, grid=grid)
+        sol = solve_radial(-e, ball, (sol.u, sol.w), grid=sol.grid)
     return sol
 
 
@@ -190,9 +200,12 @@ def test_solution_invariants_enforced(unit_ball6):
     u, w = np.ones(len(grid)), -np.ones(len(grid))
     u[-1] = 0.0
     w[-1] = 0.0
-    good = dict(grid=grid, u=u, w=w, eps=-0.1, M=1.0, residual=0.0,
-                newton_iters=1)
-    RadialSolution(**good)
+    good = dict(grid=grid, u=u, w=w, eps=-0.1,
+                attempt=NewtonAttempt(((1e-3, 1.0), (0.0, None)),
+                                      "converged"))
+    sol = RadialSolution(**good)
+    # peak, residual and step count are read from u and the one attempt
+    assert (sol.M, sol.residual, sol.newton_iters) == (1.0, 0.0, 1)
     bad = dict(good)
     bad["u"] = u.copy()
     bad["u"][5] = -1.0
@@ -204,13 +217,18 @@ def test_solution_invariants_enforced(unit_ball6):
     with pytest.raises(ValueError, match="vanish"):
         RadialSolution(**bad)
     bad = dict(good)
-    bad["M"] = 2.0
-    with pytest.raises(ValueError, match="center value"):
-        RadialSolution(**bad)
-    bad = dict(good)
-    bad["residual"] = 1e-3
+    bad["attempt"] = NewtonAttempt(((1e-3, None),), "cap")
     with pytest.raises(ValueError, match="tolerance"):
         RadialSolution(**bad)
+
+
+def test_records_hold_each_fact_once():
+    # a solve's residuals, steps and peak live in its attempt and fields
+    # only; the decomposition does not copy the offset
+    assert NewtonAttempt._fields == ("iterations", "exit")
+    assert [f.name for f in dataclasses.fields(RadialSolution)] == [
+        "grid", "u", "w", "eps", "attempt", "tolerance"]
+    assert "eps" not in {f.name for f in dataclasses.fields(Decomposition)}
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +250,11 @@ def test_matches_shooting_oracle_in_easy_regime(unit_ball6, easy_solution):
     # comfortable. The discrete family is second order, so compare the
     # Richardson extrapolant of the 2048/4096 profiles to the oracle.
     coarse = easy_solution
-    fine = solve_radial(-2.0, unit_ball6, coarse,
-                        grid=default_grid(unit_ball6, nodes=4096))
+    fine_grid = default_grid(unit_ball6, nodes=4096)
+    u0, w0 = (np.interp(fine_grid.nodes, coarse.grid.nodes, f)
+              for f in (coarse.u, coarse.w))
+    u0[-1] = w0[-1] = 0.0
+    fine = solve_radial(-2.0, unit_ball6, (u0, w0), grid=fine_grid)
     root, oracle, status = shooting_profile(
         N6, 3.0, coarse.M, coarse.w[0], coarse.grid.nodes
     )
@@ -352,9 +373,18 @@ def test_divergence_reports_last_iterate(unit_ball6):
 def test_trivial_branch_collapse_detected(unit_ball6):
     sol = solve_radial(-0.3, unit_ball6, BubbleGuess(lam=math.sqrt(20 / 0.3)))
     for e in (0.5, 0.8, 1.2, 1.6):
-        sol = solve_radial(-e, unit_ball6, sol)
-    with pytest.raises(SolverDivergence, match="zero branch"):
-        solve_radial(-2.0, unit_ball6, sol)
+        sol = solve_radial(-e, unit_ball6, (sol.u, sol.w), grid=sol.grid)
+    with pytest.raises(SolverDivergence, match="zero branch") as err:
+        solve_radial(-2.0, unit_ball6, (sol.u, sol.w), grid=sol.grid)
+    assert err.value.last.attempt.exit == "collapsed"
+
+
+def test_solution_is_not_an_init(unit_ball6, subcritical_sweep):
+    # a solve continues from a solution's fields on the solution's grid;
+    # the solution itself is not a kind of init
+    sol = subcritical_sweep[0]
+    with pytest.raises(TypeError):
+        solve_radial(sol.eps, unit_ball6, sol, grid=sol.grid)
 
 
 def test_line_search_stall_is_named(unit_ball6):
@@ -406,8 +436,8 @@ FINE_OFFSETS = (0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.003, 0.002)
 
 
 def total_newton_iters(sweep):
-    """Newton steps over every attempt of a sweep, failed ones included."""
-    return sum(len(a.damping) for sol in sweep for a in sol.attempts)
+    """Newton steps over the one attempt of each solution of a sweep."""
+    return sum(len(sol.attempt.iterations) - 1 for sol in sweep)
 
 
 @pytest.fixture(scope="module")
@@ -419,8 +449,8 @@ def forced_jump(unit_ball6):
 
 def assert_one_law_solve_each(sweep):
     for sol in sweep:
-        (attempt,) = sol.attempts
-        assert attempt.start == "law" and attempt.exit == "converged"
+        assert sol.attempt.exit == "converged"
+        assert sol.newton_iters == len(sol.attempt.iterations) - 1
 
 
 def step_system(disc, q, u, w):
@@ -440,7 +470,7 @@ def full_newton_steps(sol, steps):
     """The peak after undamped Newton steps from a solution, built from
     the Jacobian band and scipy's solve_banded rather than the solver
     loop."""
-    disc = _Discretization(sol.grid)
+    disc = _grid_arrays(sol.grid)
     q = P6 + sol.eps
     u, w = sol.u, sol.w
     for _ in range(steps):
@@ -490,15 +520,34 @@ def test_sweep_starts_far_from_critical(unit_ball6, first):
 
 def test_attempt_record_matches_the_solve(subcritical_sweep):
     for sol in subcritical_sweep:
-        last = sol.attempts[-1]
-        assert last.eps == sol.eps and last.exit == "converged"
-        assert len(last.damping) == sol.newton_iters
-        assert len(last.residuals) == sol.newton_iters + 1
-        assert last.residuals[-1] == sol.residual
-        assert all(0 < t <= 1 for t in last.damping)
+        record = sol.attempt
+        assert record.exit == "converged"
+        residuals = [r for r, _ in record.iterations]
+        damping = [t for _, t in record.iterations]
+        assert len(damping) == sol.newton_iters + 1
+        assert damping[-1] is None
+        assert residuals[-1] == sol.residual
+        assert all(type(r) is float for r in residuals)
+        assert all(0 < t <= 1 for t in damping[:-1])
         # the exit step is a full step from below target
-        assert last.damping[-1] == 1.0
-        assert last.residuals[-2] < sol.tolerance / 10
+        assert damping[-2] == 1.0
+        assert residuals[-2] < sol.tolerance / 10
+
+
+def test_sweep_builds_each_solution_once(unit_ball6, monkeypatch):
+    # the sweep returns what solve_radial returns: one RadialSolution,
+    # checked once, per offset
+    built = []
+    post_init = RadialSolution.__post_init__
+
+    def spy(self):
+        built.append(self.eps)
+        post_init(self)
+
+    monkeypatch.setattr(RadialSolution, "__post_init__", spy)
+    sweep = continuation_sweep([0.3, 0.1, 0.02], unit_ball6)
+    assert built == [-0.3, -0.1, -0.02]
+    assert [sol.eps for sol in sweep] == built
 
 
 def test_converged_solutions_are_pinned(unit_ball6, subcritical_sweep,
@@ -518,11 +567,11 @@ def test_exit_step_failure_returns_the_converged_iterate(
     # failed exit step must return that iterate, never a failure
     monkeypatch.setattr(solver_module, "dgbsv", failing_gbsv(1))
     sol = subcritical_sweep[3]
-    again = solve_radial(sol.eps, unit_ball6, sol)
+    again = solve_radial(sol.eps, unit_ball6, (sol.u, sol.w), grid=sol.grid)
     assert again.newton_iters == 0
     assert np.array_equal(again.u, sol.u)
-    assert again.attempts[0].exit == "converged"
-    assert again.attempts[0].start == "solution"
+    assert again.attempt.exit == "converged"
+    assert again.attempt.iterations == ((again.residual, None),)
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +579,15 @@ def test_exit_step_failure_returns_the_converged_iterate(
 
 
 @pytest.fixture(scope="module")
-def small_system(unit_ball6):
+def small_grid(unit_ball6):
+    return default_grid(unit_ball6, nodes=64)
+
+
+@pytest.fixture(scope="module")
+def small_system(small_grid):
     """A 64-node discretization at a bubble iterate, exponent p - 0.3."""
-    grid = default_grid(unit_ball6, nodes=64)
-    disc = _Discretization(grid)
+    grid = small_grid
+    disc = _grid_arrays(grid)
     q = P6 - 0.3
     u, w = _bubble_fields(grid, 6.0)
     su, sw = disc.scales(np.abs(u), np.abs(w), np.abs(u) ** q)
@@ -597,10 +651,11 @@ def test_banded_step_matches_dense_solve(small_system):
     assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-def test_band_is_fresh_fortran_storage_with_zero_fill_rows(small_system):
+def test_band_is_fresh_fortran_storage_with_zero_fill_rows(small_system,
+                                                          small_grid):
     disc, q, u, w, su, sw, cu, cw = small_system
     ab = disc.jacobian_band(u, q, su, sw, cu, cw)
-    assert ab.shape == (7, 2 * len(disc.grid))
+    assert ab.shape == (7, 2 * len(small_grid))
     assert ab.flags["F_CONTIGUOUS"]
     assert not np.any(ab[:2])
     # gbsv overwrites the band, so no two calls may share one
@@ -614,7 +669,7 @@ def law_seed_system(ball, nodes, e):
     peak_limit = law_limits(balance_constants(ball.n),
                             center_potential(ball.n, ball.radius))[1]
     u, w = _law_seed(grid, peak_limit, e)
-    return _Discretization(grid), P6 - e, u, w
+    return _grid_arrays(grid), P6 - e, u, w
 
 
 def test_newton_step_matches_solve_banded_bit_for_bit(small_system,
@@ -638,14 +693,15 @@ def test_zero_column_is_a_singular_step(small_system, monkeypatch):
     assert _newton_step(*args) is not None
     ab[:, 10] = 0.0
     assert dgbsv(2, 2, ab, rhs)[3] == 11
-    band = disc.jacobian_band
+    band = _Discretization.jacobian_band
 
     def zero_column(*band_args):
         out = band(*band_args)
         out[:, 10] = 0.0
         return out
 
-    monkeypatch.setattr(disc, "jacobian_band", zero_column)
+    monkeypatch.setattr(_Discretization, "jacobian_band", zero_column)
+    assert disc.jacobian_band is not band
     assert _newton_step(*args) is None
 
 
@@ -660,12 +716,12 @@ def test_illegal_gbsv_argument_raises(unit_ball6, monkeypatch):
     assert "singular" not in str(err.value)
 
 
-def test_flux_diagonals_match_per_entry_loop(small_system):
+def test_flux_diagonals_match_per_entry_loop(small_system, small_grid):
     # same per-entry arithmetic as a row-by-row build, so equal exactly
     disc = small_system[0]
-    _, h, area, vol = _fv_geometry(disc.grid)
+    _, h, area, vol = _fv_geometry(small_grid)
     g = area / h
-    N = len(disc.grid)
+    N = len(small_grid)
     lo, di, up = np.zeros(N), np.zeros(N), np.zeros(N)
     di[0], up[0] = -g[0] / vol[0], g[0] / vol[0]
     for i in range(1, N - 1):
@@ -678,13 +734,13 @@ def test_flux_diagonals_match_per_entry_loop(small_system):
     assert np.array_equal(disc.up, up)
 
 
-def test_residual_matches_loop_stencil(small_system):
+def test_residual_matches_loop_stencil(small_system, small_grid):
     disc, q, u, w, *_ = small_system
     rng = np.random.default_rng(7)
     u = u * (1.0 + 0.1 * rng.random(u.size))
     w = w * (1.0 + 0.1 * rng.random(w.size))
     Fu, Fw = disc.residual(u, w, np.abs(u) ** q)
-    apply_lap = loop_flux_laplacian(disc.grid.nodes, N6)
+    apply_lap = loop_flux_laplacian(small_grid.nodes, N6)
     lu, lw = apply_lap(u), apply_lap(w)
     assert np.allclose(Fu[:-1], lu - w[:-1], rtol=0,
                        atol=1e-12 * np.abs(lu).max())
@@ -704,8 +760,7 @@ def pure_bubble_solution(ball, lam, grid=None):
     w = _projected_profile_laplacian(ball.n, lam, r, ball.radius)
     u[-1] = 0.0
     w[-1] = 0.0
-    return RadialSolution(grid=grid, u=u, w=w, eps=-0.05, M=float(u[0]),
-                          residual=0.0, newton_iters=0)
+    return declared_solution(grid, u, w)
 
 
 def test_decompose_pure_bubble_is_exact(unit_ball6):
@@ -847,17 +902,15 @@ def test_decompose_refuses_unbracketed_scale(unit_ball6):
     u = _projected_profile(N6, 15.0 * math.exp(3.0), grid.nodes, 1.0)
     w = _projected_profile_laplacian(N6, 15.0, grid.nodes, 1.0)
     u[-1] = w[-1] = 0.0
-    sol = RadialSolution(grid=grid, u=u, w=w, eps=-0.05, M=float(u[0]),
-                         residual=0.0, newton_iters=0)
+    sol = declared_solution(grid, u, w)
     with pytest.raises(RuntimeError, match="failed to bracket"):
         decompose(sol, unit_ball6)
 
 
 def test_decompose_rejects_wrong_energy(unit_ball6):
     sol = pure_bubble_solution(unit_ball6, 15.0)
-    shrunk = RadialSolution(grid=sol.grid, u=0.25 * sol.u, w=0.25 * sol.w,
-                            eps=sol.eps, M=float(0.25 * sol.u[0]),
-                            residual=0.0, newton_iters=0)
+    shrunk = declared_solution(sol.grid, 0.25 * sol.u, 0.25 * sol.w,
+                               eps=sol.eps)
     with pytest.raises(ValueError, match="factor 2"):
         decompose(shrunk, unit_ball6)
 
@@ -914,10 +967,12 @@ def test_geometry_is_built_once_per_grid(unit_ball6, monkeypatch):
     assert len(grids) == 1 and grids[0] is grid
 
 
-def test_grid_arrays_are_read_only(small_system):
+def test_grid_arrays_are_read_only(small_system, small_grid):
     disc = small_system[0]
-    wts = _cell_weights(disc.grid)
-    assert wts is _cell_weights(disc.grid)
+    # one discretization object per grid, holding the weights itself
+    assert _grid_arrays(small_grid) is disc
+    wts = _cell_weights(small_grid)
+    assert wts is disc.wts
     for a in (disc.lo, disc.di, disc.up, *disc.abs_diags, disc.mask, wts):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
