@@ -119,7 +119,11 @@ def radial_profile_laplacian(n, lam, r):
     r = np.asarray(r)
     t = (lam * r) ** 2
     pref = -(n - 4) * _c0_as(n, r) * lam ** ((n - 4) / 2.0 + 2.0)
-    return pref * (n + 2 * t) / (1 + t) ** (n / 2.0)
+    # from n = 48 the denominator overflows at the quadrature's outermost
+    # nodes, where the quotient's limit is 0
+    with np.errstate(over="ignore"):
+        denominator = (1 + t) ** (n / 2.0)
+    return pref * (n + 2 * t) / denominator
 
 
 def radial_scale_derivative(n, lam, r):
@@ -265,7 +269,11 @@ def balance_constants(n):
 
     def log_kernel(r):
         t = r * r
-        return np.log1p(t) * (1.0 - t) / (1.0 + t) ** (n + 1)
+        # the denominator overflows at the outermost nodes from n = 48,
+        # where the kernel's limit is 0
+        with np.errstate(over="ignore"):
+            denominator = (1.0 + t) ** (n + 1)
+        return np.log1p(t) * (1.0 - t) / denominator
 
     base = radial_integral(n, log_kernel)
     full = (n - 4.0) * cp1 * base

@@ -46,19 +46,20 @@ measured (CONSTANTS_N_MAX, ROBIN_N_MAX); ``expansion-orders`` accepts
 any n >= 5 under its lam_min ceiling. ``verify-blowup`` runs at n = 6:
 at n = 5 the default grid does not resolve eps = 0.02 (the law-seeded
 solve stops at the 30-step Newton cap, scaled residual 1.0e-5).
-``supercritical`` accepts n >= 5 wherever its radius window is not
-empty: its probe and obstruction solve nothing, and its subcritical
+``supercritical`` accepts 5 <= n <= 81 (SUPERCRITICAL_N_MAX, derived:
+its obstruction's margin forms 1e4^(n-4)) at every radius of its grid
+window: its probe and obstruction solve nothing, and its subcritical
 contrast, a sweep solve, runs at n = 6 and is skipped elsewhere.
 
-Radius windows: a radius at which a number a command forms would leave
-the normal doubles is refused before anything is written, each bound
-derived from the power that leaves first. ``robin`` keeps its boundary
-fit's squared gradient normal (_robin_radius_window);
-``verify-blowup`` and ``supercritical`` keep every cell volume of
-their grid normal (_grid_radius_window), and ``supercritical`` also
-the obstruction's margin (_supercritical_radius_window). On the
-default grid at unit radius that admits ``supercritical`` up to
-n = 63; from n = 72 no radius is left.
+Radius windows: a radius outside a command's window is refused before
+anything is written. ``verify-blowup`` and ``supercritical`` keep every
+cell volume of their grid normal (_grid_radius_window), derived from
+the power that leaves the normal doubles first. ``robin`` keeps its
+boundary fit's gradients within the square roots of the normal doubles
+(_robin_radius_window), a window kept from a fit that squared them: it
+bounds no number the command now forms. On the
+default grid that admits unit radius up to n = 63; from n = 64 the
+first cell needs R > 1 (R in [10.2, 6392] at n = 81).
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain,
                           boundary_blowup_fit, robin)
 from .numerics import sphere_measure
 from .projection import expansion_orders
-from .reduction import (_OBSTRUCTION_LAM_HI, LAW_RTOL, blowup_verdict,
-                        supercritical_obstruction)
+from .reduction import LAW_RTOL, blowup_verdict, supercritical_obstruction
 
 # the solver (and with it scipy.linalg) is imported only by the commands
 # that solve, so constants, robin and expansion-orders load no scipy
@@ -118,10 +118,14 @@ MAX_QUAD_TOL = 1e-10
 # Largest dimensions, measured (every n from 5 up runs): from n = 90 the
 # log-kernel quadrature of balance_constants meets 0 * inf at its
 # outermost nodes, where r^(n-1) overflows and the kernel underflows, and
-# does not converge; from n = 109 the Robin series' second-derivative
-# terms j (j - 1) C_j(1) overflow at the boundary fit's nearest station.
+# does not converge. ROBIN_N_MAX is a measured limit with room to spare:
+# robin runs at both ends of its radius window up to n = 110, and from
+# n = 111 a term of the Robin series overflows.
 CONSTANTS_N_MAX = 89
 ROBIN_N_MAX = 108
+# Largest dimension of supercritical, derived: the obstruction's margin
+# c1 phi(0) / 1e4^(n-4) forms 1e4^(n-4), which is finite up to n = 81.
+SUPERCRITICAL_N_MAX = 81
 
 
 class CliError(ValueError):
@@ -418,12 +422,15 @@ _ROBIN_FIELDS = (("station", PROV_FORMULA), ("axis_coordinate", PROV_FORMULA),
 
 
 def _robin_radius_window(n):
-    """The radii whose boundary fit keeps |grad phi|^2, formed by the
-    gradient's norm, a normal double. At tau = 1 - d / R the gradient is
+    """The radii whose boundary fit keeps every gradient in
+    [sqrt(smallest normal double), sqrt(largest double / 2)]. The window
+    is kept from a fit that squared the gradient; the command now writes
+    |phi~'| unsquared, so it bounds no number the command forms and is
+    narrower than it needs to be. At tau = 1 - d / R the gradient is
     about 2 (n - 4) tau (1 - tau^2)^(3-n) R^(3-n), the ball's image term
     (within 2 % at the fit's nearest station, an underestimate at its
-    farthest): the square at the nearest station must stay below half
-    the largest double, the one at the farthest above the smallest."""
+    farthest): the gradient at the nearest station must stay at most the
+    upper bound, the one at the farthest at least the lower."""
     def unit_square(d):
         tau = 1.0 - d
         return (2.0 * (n - 4) * tau * (1.0 - tau * tau) ** (3 - n)) ** 2
@@ -439,7 +446,8 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
     _require_dimension(n, ROBIN_N_MAX)
     _require_positive("radius", radius)
     _require_radius(radius, _robin_radius_window(n),
-                    "the boundary fit's squared gradient a normal double")
+                    "every boundary-fit gradient within the square roots "
+                    "of the normal doubles")
     if stations < 5 or stations % 2 == 0:
         raise CliError("stations must be odd and at least 5 so the "
                        "center row exists")
@@ -457,7 +465,7 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
         records.append({"station": idx,
                         "axis_coordinate": float(frac) * radius,
                         "phi": float(ev.phi),
-                        "grad_norm": float(np.linalg.norm(ev.grad))})
+                        "grad_norm": abs(float(ev.grad[0]))})
 
     _ensure_dir(out_dir)
     profile_path = os.path.join(out_dir, "robin_profile.csv")
@@ -761,20 +769,10 @@ def _contrast_section(eps_list, domain, grid, tol):
     }
 
 
-def _supercritical_radius_window(grid):
-    """The grid's radius window (_grid_radius_window), capped where the
-    obstruction's margin c1 phi / lam_hi^(n-4) would leave the normal
-    doubles: with phi ~ R^(4-n) it is about c1 (lam_hi R)^(4-n), and
-    c1 >= 505 for n >= 5, so it stays normal while (lam_hi R)^(n-4)
-    stays finite."""
-    lo, hi = _grid_radius_window(grid)
-    margin = sys.float_info.max ** (1.0 / (grid.n - 4)) / _OBSTRUCTION_LAM_HI
-    return lo, min(hi, margin * (1.0 - 1e-12))
-
-
 def cmd_supercritical(config, out_dir, stream=None):
     from .solver import check_eps_floor, default_grid, supercritical_probe
     stream = stream or sys.stdout
+    _require_dimension(config.n, SUPERCRITICAL_N_MAX)
     domain = config.domain()
     grid = default_grid(domain, config.grid_nodes)
     eps_list = sorted(config.eps_schedule)
@@ -782,10 +780,9 @@ def cmd_supercritical(config, out_dir, stream=None):
         check_eps_floor(eps_list[0], grid)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _require_radius(config.radius, _supercritical_radius_window(grid),
-                    "every cell volume of the %d-node grid and the "
-                    "obstruction's margin, about c1 (1e4 R)^(4-n), normal "
-                    "doubles" % len(grid))
+    _require_radius(config.radius, _grid_radius_window(grid),
+                    "every cell volume of the %d-node grid a normal double"
+                    % len(grid))
     _ensure_dir(out_dir)
     config.to_json(os.path.join(out_dir, "config.json"))
 

@@ -15,13 +15,16 @@ t = |x - center|/R, nu = (n-2)/2 and the generating function
 each mode k has the explicit interior solution A_k r^k + B_k r^{k+2}.
 The package needs H only on the diagonal, where every mode is evaluated
 at c = 1 and the series collapses to a power series in t^2 with
-closed-form coefficients: the Robin function phi(x) = H(x, x), its
-gradient and its Hessian. The general off-diagonal solve H(x, y) lives
-under tests/ as the oracle that series is checked against.
+closed-form coefficients: the Robin function phi(x) = H(x, x) and its
+gradient. The general off-diagonal solve H(x, y) lives under tests/ as
+the oracle that series is checked against.
 
-The radial profile of phi drives the concentration analysis: its
-critical point at the center locates the blow-up point and its boundary
-rates (4-n for phi, 3-n for the gradient) set the scales.
+The radial profile of phi grows from its one critical point, the
+center, where it equals the closed form bubble.center_potential; the
+blow-up verdict and the obstruction read that closed form, and the
+reduced system evaluates this series once, at the center. The series
+gives the profile away from the center and its boundary rates (4-n for
+phi, 3-n for the gradient).
 """
 
 from __future__ import annotations
@@ -59,19 +62,11 @@ class BallDomain:
 
 @dataclass(frozen=True)
 class RobinEval:
-    """phi, gradient and Hessian of the Robin function at one point.
-
-    nondegenerate means every Hessian eigenvalue clears `tolerance` in
-    absolute value; the tolerance travels with the result so the flag can
-    be audited later.
-    """
+    """phi and gradient of the Robin function at one point."""
 
     x: np.ndarray
     phi: float
     grad: np.ndarray
-    hessian: np.ndarray
-    nondegenerate: bool
-    tolerance: float
 
     def __post_init__(self):
         if not self.phi > 0:
@@ -118,11 +113,10 @@ def _first_axis(n):
 
 
 def robin(domain, x):
-    """Robin function phi(x) = H(x, x) with gradient and Hessian.
+    """Robin function phi(x) = H(x, x) with its gradient.
 
     The radial profile phi~(s) carries everything on a ball: the gradient
-    is phi~'(s) times the outward unit vector and the Hessian splits into
-    phi~'' on the radial line and phi~'/s tangentially. On the diagonal
+    is phi~'(s) times the outward unit vector. On the diagonal
     the zonal modes of H are evaluated at q = tau = s/R and c = 1; the
     value amplitudes h_k and the Laplacian amplitudes beta_k carry tau^k
     themselves, so phi~ is a power series in t = tau^2 with closed-form
@@ -131,9 +125,10 @@ def robin(domain, x):
       phi~(s) = R^(4-n) sum_k C_k(1) [(m/(m+k) - b_k) t^k
                                       + (b_k - m/(m+k+2)) t^(k+1)],
 
-    m = (n-4)/2, b_k = 2(4-n)/(4k+2n). phi~' and phi~'' come from the same
-    pass, differentiated term by term; the length is sized for the tail
-    of phi~'', whose terms carry an extra factor k^2 over those of phi~.
+    m = (n-4)/2, b_k = 2(4-n)/(4k+2n). phi~' comes from the same pass,
+    differentiated term by term; the length is sized for a tail whose
+    terms carry an extra factor k^2 over those of phi~, a margin over the
+    single factor k of phi~'.
     """
     n, R = domain.n, domain.radius
     xs = np.asarray(x, dtype=float) - domain.center
@@ -154,24 +149,11 @@ def robin(domain, x):
     j = np.arange(J + 1)
     tp = t ** j
     p1 = (j * coeffs)[1:] @ tp[:-1]
-    p2 = (j * (j - 1) * coeffs)[2:] @ tp[:-2]
     scale = R ** (4 - n)
     phi0 = float(scale * (coeffs @ tp))
     dphi = float(scale / R * 2.0 * tau * p1)
-    d2phi = float(scale / (R * R) * (2.0 * p1 + 4.0 * t * p2))
-    if s > 0:
-        u = xs / s
-        grad = dphi * u
-        tangential = dphi / s
-        hess = (d2phi - tangential) * np.outer(u, u) + tangential * np.eye(n)
-    else:
-        grad = np.zeros(n)
-        hess = d2phi * np.eye(n)
-    tol = 1e-6 * R ** (2 - n)
-    eig = np.linalg.eigvalsh(hess)
-    return RobinEval(x=np.asarray(x, dtype=float), phi=phi0, grad=grad,
-                     hessian=hess, nondegenerate=bool(np.all(np.abs(eig) > tol)),
-                     tolerance=tol)
+    grad = dphi * (xs / s) if s > 0 else np.zeros(n)
+    return RobinEval(x=np.asarray(x, dtype=float), phi=phi0, grad=grad)
 
 
 # The boundary fit's stations: twelve distances over [0.02, 0.1] R. The
@@ -198,7 +180,8 @@ def boundary_blowup_fit(domain):
     from the boundary along a diameter, geometrically spaced over
     BOUNDARY_FIT_WINDOW (in units of R), and fits both against d on
     log-log axes. Expected slopes: 4 - n for phi and 3 - n for the
-    gradient norm.
+    gradient norm. The stations lie on the first axis, so the gradient
+    norm is |phi~'| = |grad[0]|, taken without squaring it.
     """
     n, R = domain.n, domain.radius
     near, far = BOUNDARY_FIT_WINDOW
@@ -207,6 +190,6 @@ def boundary_blowup_fit(domain):
     for d in ds:
         ev = robin(domain, domain.center + (R - d) * _first_axis(n))
         phis.append(ev.phi)
-        grads.append(float(np.linalg.norm(ev.grad)))
+        grads.append(abs(float(ev.grad[0])))
     return BoundaryBlowupFits(phi=fit_loglog(ds, np.asarray(phis)),
                               grad_norm=fit_loglog(ds, np.asarray(grads)))

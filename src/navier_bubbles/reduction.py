@@ -39,6 +39,7 @@ from .bubble import (
     _require_centered,
     balance_constants,
     balance_scale,
+    center_potential,
     critical_exponent,
     law_limits,
     law_quantities,
@@ -394,9 +395,11 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
                          max_iter=60):
     """Solve the reduced system at the centered critical point.
 
-    x0 must be a nondegenerate interior critical point of the domain
-    term; on a ball that is the center, and only the centered chart is
-    supported. eps must lie in (0, 0.1].
+    x0 must be the ball's center, the one critical point of the domain
+    term on a ball (phi grows radially). The system reads phi(x0) from
+    the Robin function; the verdict and the obstruction take the same
+    value from the closed form bubble.center_potential. eps must lie in
+    (0, 0.1].
 
     The unknowns are the amplitude offset beta and the scale offset rho
     of the square-root balance chart; the center offset is pinned at
@@ -417,13 +420,10 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
     if np.linalg.norm(x0 - domain.center) > 1e-6 * R:
         raise ValueError(
             "x0 must be the centered critical point of the domain term")
-    anchor = robin(domain, x0)
-    if not anchor.nondegenerate:
-        raise ValueError("x0 must be a nondegenerate critical point")
 
     p = critical_exponent(n)
     qt = p + 1.0 - eps
-    h0 = anchor.phi
+    h0 = robin(domain, x0).phi
     alpha0 = consts.S ** (-n / 8.0)
     chart = math.sqrt(consts.c2 / consts.c1) * math.sqrt(eps)
 
@@ -569,9 +569,10 @@ def blowup_verdict(sweep, x0, domain, consts=None):
 
     sweep holds (eps, decomposition, peak) triples with strictly
     decreasing |eps|; at least four are required, and the extrapolation
-    tail uses the last four. x0 is the concentration point (the center
-    here). Verdict booleans ask both extrapolation models to land within
-    LAW_RTOL of the law.
+    tail uses the last four. x0 is the concentration point, the center,
+    whose potential is the closed form bubble.center_potential. Verdict
+    booleans ask both extrapolation models to land within LAW_RTOL of
+    the law.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -620,7 +621,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     scale_limits = (_affine_limit(glin, scale_tail),
                     _affine_limit(glog, scale_tail))
 
-    t_scale, t_peak = law_limits(consts, robin(domain, x0).phi)
+    t_scale, t_peak = law_limits(consts, center_potential(n, R))
     peak_ok = all(abs(v / t_peak - 1.0) <= LAW_RTOL for v in peak_limits)
     scale_ok = all(abs(v / t_scale - 1.0) <= LAW_RTOL for v in scale_limits)
     return BlowupVerdict(
@@ -642,13 +643,12 @@ def blowup_verdict(sweep, x0, domain, consts=None):
 # ---------------------------------------------------------------------------
 # supercritical obstruction
 
-# The obstruction's scale range: its top end sets the smallest domain
-# term, and the subcritical root is sought in it, widened to half and
-# twice the closed-form root when that root falls near or outside it.
+# The obstruction's scale range in units of 1/R: its top end sets the
+# smallest domain term, and the subcritical root is sought in it, widened
+# to half and twice the closed-form root when that root falls near or
+# outside it.
 _OBSTRUCTION_LAM_LO = 5.0
 _OBSTRUCTION_LAM_HI = 1e4
-# stations along a diameter, as fractions of the radius
-_OBSTRUCTION_STATIONS = np.linspace(0.0, 0.9, 10)
 
 
 @dataclass(frozen=True)
@@ -656,7 +656,8 @@ class ObstructionEntry:
     """The two terms of the supercritical balance at one exponent offset.
 
     floor is the exponent term c2 * eps and margin the smallest domain
-    term c1 * min(phi) / lam_hi^(n-4) over the stations and scales;
+    term over the scales lam <= lam_hi / R, c1 * phi(0) / (lam_hi / R)^(n-4)
+    = c1 * center_potential(n) / lam_hi^(n-4), the same at every radius;
     scan_min is their sum, the least value of the balance there.
     """
 
@@ -693,16 +694,19 @@ def supercritical_obstruction(eps_list, domain, consts=None):
     """Certify the supercritical balance by the signs of its two terms.
 
     For each eps the balance c2 * eps + c1 * phi(a) / lam^(n-4) is the
-    exponent term c2 * eps (floor) plus a domain term. Over scales up to
-    lam_hi = 1e4 and stations along a diameter up to 0.9 radius, the
-    domain term is least at the station of least phi and at lam_hi; that
-    product is the margin. Each is computed as a product of positive
-    constants, never as a difference, and the entry is positive when
-    both terms are: then the balance has no root. The matched
+    exponent term c2 * eps (floor) plus a domain term. The concentration
+    point a is the center, where phi is least (it grows radially), and
+    phi(0) = center_potential(n, R) ~ R^(4-n); over scales up to
+    lam_hi / R, lam_hi = 1e4, the domain term is least at the top end,
+    where it is c1 * center_potential(n) / lam_hi^(n-4) at every radius;
+    that product is the margin. Each term is computed as a product of
+    positive constants, never as a difference, and the entry is positive
+    when both terms are: then the balance has no root. The matched
     subcritical combination c2 * eps - c1 * phi(0) / lam^(n-4) is checked
-    for a sign change across [min(5, closed / 2), max(lam_hi, 2 closed)],
-    closed being its closed-form root; its root, found by bisection in
-    log lam, is recorded beside the closed form as an independent route.
+    for a sign change across [min(5 / R, closed / 2),
+    max(lam_hi / R, 2 closed)], closed being its closed-form root; its
+    root, found by bisection in log lam, is recorded beside the closed
+    form as an independent route.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -712,26 +716,23 @@ def supercritical_obstruction(eps_list, domain, consts=None):
     if any(not e > 0 for e in eps_arr):
         raise ValueError("every eps must be positive")
 
-    direction = np.zeros(n)
-    direction[0] = 1.0
-    phis = [robin(domain, domain.center + f * R * direction).phi
-            for f in _OBSTRUCTION_STATIONS]
-    phi0 = phis[0]
-    margin = float(consts.c1 * min(phis) / _OBSTRUCTION_LAM_HI ** (n - 4.0))
+    phi0 = center_potential(n, R)
+    margin = float(consts.c1 * center_potential(n)
+                   / _OBSTRUCTION_LAM_HI ** (n - 4.0))
 
     entries = []
     for eps in eps_arr:
         floor = consts.c2 * eps
         closed = float(balance_scale(consts, phi0, eps))
         sub = lambda lam: consts.c2 * eps - consts.c1 * phi0 / lam ** (n - 4.0)
-        lo = min(_OBSTRUCTION_LAM_LO, closed / 2.0)
-        hi = max(_OBSTRUCTION_LAM_HI, 2.0 * closed)
+        lo = min(_OBSTRUCTION_LAM_LO / R, closed / 2.0)
+        hi = max(_OBSTRUCTION_LAM_HI / R, 2.0 * closed)
         sign_change = bool(sub(lo) < 0 < sub(hi))
         if sign_change:
-            # bisection in log lam to 1e-12 + 1e-14 lam, a width that
+            # bisection in log lam to 1e-12 / R + 1e-14 lam, a width that
             # round-off never blocks
             a, b = lo, hi
-            while b - a > 1e-12 + 1e-14 * a:
+            while b - a > 1e-12 / R + 1e-14 * a:
                 mid = math.sqrt(a * b)
                 a, b = (mid, b) if sub(mid) < 0 else (a, mid)
             root = 0.5 * (a + b)

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from navier_bubbles import cli, solver
-from navier_bubbles.bubble import balance_constants
-from navier_bubbles.green_robin import BallDomain
+from navier_bubbles.bubble import balance_constants, center_potential
+from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles.cli import (CliError, RunConfig, _cell, _pv,
                                 _sweep_records, _write_table, _SWEEP_FIELDS)
 
@@ -274,21 +274,20 @@ def test_constants_rejects_low_dimension(capsys):
 def test_constants_refuses_dimensions_past_the_measured_limit(tmp_path,
                                                               capsys):
     # n = 90 ended in a RuntimeError traceback: the log-kernel quadrature
-    # no longer converges; n = 89, the last dimension that runs, does
+    # no longer converges; n = 89, the last dimension that runs, does.
+    # From n = 48 the kernel denominators overflow at the outermost
+    # quadrature nodes, where each quotient's limit is 0; that printed
+    # overflow warnings
     assert cli.CONSTANTS_N_MAX == 89
     assert cli.main(["constants", "--n", "90", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "error: dimension must be between 5 and 89\n")
     assert not (tmp_path / "constants.csv").exists()
-    with warnings.catch_warnings():
-        # the kernels' powers overflow only where the integrands are
-        # negligible, so those nodes add zero
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert cli.main(["constants", "--n", "89",
-                         "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    _, rows = read_csv(tmp_path / "constants.csv")
-    assert all(math.isfinite(float(row[1])) for row in rows)
+    for n in ("48", "89"):
+        assert run_quietly(["constants", "--n", n,
+                            "--out", str(tmp_path / n)], capsys) == 0
+        _, rows = read_csv(tmp_path / n / "constants.csv")
+        assert all(math.isfinite(float(row[1])) for row in rows)
 
 
 def run_quietly(argv, capsys):
@@ -431,6 +430,27 @@ def test_robin_refuses_radii_past_the_squared_gradient(n, tmp_path, capsys):
         assert boundary_slopes(out) == pytest.approx(unit, rel=1e-10)
         _, rows = read_csv(out / "robin_profile.csv")
         assert all(math.isfinite(float(row[6])) for row in rows)
+
+
+def test_robin_writes_normal_gradients_at_the_window_end(tmp_path, capsys):
+    # at R = 1.5e52, inside the window, the stations nearest the center
+    # have gradients near 1e-157 whose squares are subnormal; each is
+    # written as |phi~'|, which the unit ball gives by the scaling
+    # phi~'(s; R) = R^(3-n) phi~'(s / R; 1), not through its square
+    n, radius = 6, 1.5e52
+    lo, hi = cli._robin_radius_window(n)
+    assert lo < radius < hi
+    out = tmp_path / "robin"
+    assert run_quietly(["robin", "--radius", repr(radius), "--stations",
+                        "21", "--out", str(out)], capsys) == 0
+    header, rows = read_csv(out / "robin_profile.csv")
+    coord, grad = header.index("axis_coordinate"), header.index("grad_norm")
+    unit = BallDomain.unit(n)
+    e1 = np.eye(n)[0]
+    for row in rows:
+        tau = abs(float(row[coord])) / radius
+        expect = radius ** (3 - n) * abs(robin(unit, tau * e1).grad[0])
+        assert float(row[grad]) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -909,7 +929,7 @@ def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
     # either end of the window the probe and the obstruction still
     # certify, and only the subcritical contrast fails to solve
     grid = solver.default_grid(BallDomain.unit(6), 2048)
-    lo, hi = cli._supercritical_radius_window(grid)
+    lo, hi = cli._grid_radius_window(grid)
     out = tmp_path / "supercritical"
     for radius in ("1e-160", "1e200", repr(lo * (1 - 1e-9)),
                    repr(hi * (1 + 1e-9))):
@@ -929,24 +949,59 @@ def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
 def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
                                                            capsys):
     # at unit radius the default grid's first cell volume underflows from
-    # n = 64, which wrote the probe's residuals as NaN; from n = 72 no
-    # radius keeps it and the obstruction's margin both normal, and n = 82
-    # ended in an OverflowError traceback at 1e4 ** (n - 4)
+    # n = 64, which wrote the probe's residuals as NaN; n = 82 ended in an
+    # OverflowError traceback at 1e4 ** (n - 4)
     out = tmp_path / "supercritical"
     assert_refused(["supercritical", "--n", "64", "--out", str(tmp_path)],
                    out, capsys)
     assert_refused(["supercritical", "--n", "82", "--out", str(tmp_path)],
-                   out, capsys, "error: no radius at this dimension keeps")
-    # the last dimension accepted at unit radius; balance_constants'
-    # kernel powers overflow where the integrand is negligible
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        assert cli.main(["supercritical", "--n", "63", "--eps", "0.05",
-                         "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
+                   out, capsys, "error: dimension must be between 5 and 81")
+    # the last dimension accepted at unit radius
+    assert run_quietly(["supercritical", "--n", "63", "--eps", "0.05",
+                        "--out", str(tmp_path)], capsys) == 0
     report = json.loads((out / "report.json").read_text())
     assert all(e["residual"]["value"] is not None
                for e in report["probe"]["entries"])
+
+
+def test_supercritical_dimension_limit_is_where_the_margin_overflows(
+        tmp_path, capsys):
+    # the margin forms 1e4 ** (n - 4), finite up to n = 81; at R = 100,
+    # inside the grid window of both, n = 81 certifies and n = 82 (an
+    # OverflowError traceback without the limit) is refused
+    assert cli.SUPERCRITICAL_N_MAX == 81
+    assert math.isfinite(1e4 ** (81 - 4.0))
+    with pytest.raises(OverflowError):
+        1e4 ** (82 - 4.0)
+    out = tmp_path / "supercritical"
+    for n in (81, 82):
+        grid = solver.default_grid(BallDomain.unit(n), 2048)
+        lo, hi = cli._grid_radius_window(grid)
+        assert lo < 100.0 < hi
+    assert_refused(["supercritical", "--n", "82", "--radius", "100",
+                    "--out", str(tmp_path)], out, capsys,
+                   "error: dimension must be between 5 and 81")
+    assert run_quietly(["supercritical", "--n", "81", "--radius", "100",
+                        "--out", str(tmp_path)], capsys) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["n"] == 81 and report["passed"] is True
+
+
+def test_supercritical_margin_does_not_bound_the_radius(tmp_path, capsys):
+    # the obstruction's margin no longer depends on R, so at n = 72 every
+    # radius of the grid window runs; the margin's own bound refused them
+    # all
+    out = tmp_path / "supercritical"
+    assert run_quietly(["supercritical", "--n", "72", "--radius", "100",
+                        "--out", str(tmp_path)], capsys) == 0
+    report = json.loads((out / "report.json").read_text())
+    consts = balance_constants(72)
+    for entry in report["obstruction"]["entries"]:
+        assert entry["margin"]["value"] == (
+            consts.c1 * center_potential(72) / 1e4 ** (72 - 4.0))
+        assert entry["sign_change"] is True
+        assert entry["subcritical_root"]["value"] == pytest.approx(
+            entry["subcritical_root_closed"]["value"], rel=1e-10, abs=0.0)
 
 
 def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):

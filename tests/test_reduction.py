@@ -44,7 +44,7 @@ from navier_bubbles.bubble import (
     sobolev_energy,
 )
 from navier_bubbles.green_robin import BallDomain, robin
-from navier_bubbles import reduction
+from navier_bubbles import green_robin, reduction
 from navier_bubbles.numerics import (QUAD_RTOL, core_seams, radial_integral,
                                      sphere_measure)
 from navier_bubbles.solver import Decomposition
@@ -539,9 +539,8 @@ def test_verdict_entries_carry_the_laws(reference_verdict,
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_every_law_consumer_reads_the_law_home(n):
     # the constant table, the verdict and the obstruction's closed-form
-    # root agree with bubble's law bit for bit; the verdict and the
-    # obstruction take phi from the Robin series, the table from the
-    # closed form
+    # root agree with bubble's law bit for bit, each at the closed-form
+    # center potential
     consts = balance_constants(n)
     ball = BallDomain.unit(n)
     rows = dict(cli.constants_rows(n))
@@ -558,7 +557,7 @@ def test_every_law_consumer_reads_the_law_home(n):
                             ortho_residuals=(0.0, 0.0, 0.0), domain=ball)
         sweep.append((-eps, dec, 3.0 * lam))
     verdict = blowup_verdict(sweep, ball.center, ball, consts=consts)
-    phi = robin(ball, ball.center).phi
+    phi = center_potential(n)
     assert (verdict.scale_target, verdict.peak_target) == law_limits(
         consts, phi)
     for entry, (eps, dec, peak_value) in zip(verdict.entries, sweep):
@@ -612,17 +611,15 @@ def obstruction(unit_ball6):
 
 
 def test_obstruction_margin_identity():
-    # margin is the smallest domain term, c1 min(phi) / lam_hi^(n-4) over
-    # ten stations up to 0.9 R, computed as that product; scan_min is the
-    # sum of the two terms, both exactly
+    # margin is the smallest domain term over lam <= 1e4 / R, at the
+    # center where phi is least: c1 phi(0) / (1e4 / R)^(n-4), which is
+    # c1 center_potential(n) / 1e4^(n-4) at every radius, computed as that
+    # product; scan_min is the sum of the two terms, both exactly
     for n in (5, 6, 7, 8):
         consts = balance_constants(n)
-        axis = np.eye(n)[0]
-        for radius in (1.0, 1.7):
+        margin = consts.c1 * center_potential(n) / 1e4 ** (n - 4.0)
+        for radius in (1.0, 1.7, 0.5):
             ball = BallDomain(n, np.zeros(n), radius)
-            phis = [robin(ball, ball.center + f * radius * axis).phi
-                    for f in np.linspace(0.0, 0.9, 10)]
-            margin = consts.c1 * min(phis) / 1e4 ** (n - 4.0)
             report = supercritical_obstruction([0.09, 0.05, 0.02], ball)
             for entry in report.entries:
                 assert entry.positive
@@ -630,6 +627,43 @@ def test_obstruction_margin_identity():
                 assert entry.floor == consts.c2 * entry.eps
                 assert entry.scan_min == entry.floor + entry.margin
             assert report.all_positive
+
+
+@pytest.mark.parametrize("n,radius", [(5, 1e40), (6, 1e-30), (9, 1e20)])
+def test_obstruction_root_in_units_of_the_radius(n, radius):
+    # the bracket and the bisection width scale with 1 / R, so the root
+    # meets its closed form far from unit radius too
+    ball = BallDomain(n, np.zeros(n), radius)
+    for entry in supercritical_obstruction([0.09, 0.02], ball).entries:
+        assert entry.sign_change
+        assert entry.subcritical_root == pytest.approx(
+            entry.subcritical_root_closed, rel=1e-10, abs=0.0)
+
+
+def test_reduction_reads_the_center_potential_in_closed_form(
+        monkeypatch, unit_ball6, subcritical_sweep, sweep_decompositions):
+    # the verdict and the obstruction take phi(0) from
+    # bubble.center_potential and sum no Robin series; the reduced system
+    # evaluates the Robin function once, at its center
+    calls = []
+    original = robin
+
+    def counted(domain, x):
+        calls.append(np.asarray(x, dtype=float))
+        return original(domain, x)
+
+    monkeypatch.setattr(green_robin, "robin", counted)
+    monkeypatch.setattr(reduction, "robin", counted)
+    sweep = [(s.eps, d, s.M)
+             for s, d in zip(subcritical_sweep, sweep_decompositions)]
+    verdict = blowup_verdict(sweep, unit_ball6.center, unit_ball6)
+    assert (verdict.scale_target, verdict.peak_target) == law_limits(
+        balance_constants(N6), center_potential(N6))
+    supercritical_obstruction([0.05, 0.02], unit_ball6)
+    assert calls == []
+    solve_reduced_system(0.05, unit_ball6.center, unit_ball6)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], unit_ball6.center)
 
 
 def test_obstruction_contrast_roots(obstruction):
