@@ -11,26 +11,24 @@ finite differences appear only as test oracles.
 
 Universal constants live here as well:
 
-  * the Sobolev constant S of the embedding H^2 cap H_0^1 into L^(2n/(n-4)),
-    computed from the profile by quadrature (the profile is the extremal);
-  * the two balance constants c1 and c2 entering the scale equation
-    c2 * eps ~ c1 * phi(a) / lam^(n-4). The literature prints two
-    inequivalent normalizations of c2 (full prefactor with one sign, half
-    prefactor with the other); both are computed and exposed, and the
-    positive one is the operative value. Their ratio is exactly -2, which
-    callers can re-derive from the reported pair;
+  * the Sobolev constant S of the embedding H^2 cap H_0^1 into L^(2n/(n-4))
+    and the two balance constants c1 and c2 entering the scale equation
+    c2 * eps ~ c1 * phi(a) / lam^(n-4), all in closed form from one
+    Gamma expression for S^(n/4) (the profile is the extremal). The
+    literature prints two inequivalent normalizations of c2 (full
+    prefactor with one sign, half prefactor with the other); both are
+    exposed, derived from the operative positive value, and their ratio
+    is exactly -2;
   * the blow-up law built from them, in one place: its two limits, the
     scale it assigns to a peak, and its per-offset quantities.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import radial_integral
 
 
 @dataclass(frozen=True)
@@ -56,10 +54,11 @@ class BubbleParams:
 class CriticalConstants:
     """Constants of the critical problem in one dimension n.
 
+    c2 is the operative positive value used by every balance equation in
+    this package. The two printed normalizations are read from it:
     c2_variant_full carries the full (n-4) prefactor and comes out
-    negative; c2_variant_half carries (n-4)/2 with the opposite sign
-    convention and comes out positive. c2 is the operative positive value
-    used by every balance equation in this package.
+    negative, -2 c2; c2_variant_half carries (n-4)/2 with the opposite
+    sign convention and equals c2.
     """
 
     n: int
@@ -67,8 +66,6 @@ class CriticalConstants:
     p: float
     S: float
     c1: float
-    c2_variant_full: float
-    c2_variant_half: float
     c2: float
 
     def __post_init__(self):
@@ -76,6 +73,14 @@ class CriticalConstants:
             raise ValueError("c0, S, c1 must be positive")
         if not self.c2 > 0:
             raise ValueError("operative c2 must be positive")
+
+    @property
+    def c2_variant_full(self):
+        return -2.0 * self.c2
+
+    @property
+    def c2_variant_half(self):
+        return self.c2
 
 
 def c0(n):
@@ -226,62 +231,49 @@ def eval_delta(params, x):
 # universal constants
 
 
-@functools.cache
-def sobolev_energy(n, lam=1.0):
-    """int_{R^n} |Delta delta|^2 dx, which also equals S^{n/4}. A
-    converged quadrature, computed once per (n, lam)."""
-    return radial_integral(
-        n, lambda r: radial_profile_laplacian(n, lam, r) ** 2)
+def _log_energy(n):
+    """log S^{n/4}, the one expression every universal constant is read
+    from: S^{n/4} = [n (n-4) (n^2-4)]^{n/4} pi^{n/2} Gamma(n/2) / Gamma(n),
+    which is c0^{p+1} (|S^{n-1}|/2) B(n/2, n/2) by Euler's Beta integral
+    int_{R^n} (1+|x|^2)^{-a} dx = (|S^{n-1}|/2) B(n/2, a - n/2) (DLMF
+    5.12.3). Summed in logs, so no power overflows before the result."""
+    return (n / 4.0 * math.log(n * (n - 4) * (n * n - 4.0))
+            + n / 2.0 * math.log(math.pi)
+            + math.lgamma(n / 2.0) - math.lgamma(n))
 
 
-def sobolev_constant(n, lam=1.0):
-    """Best constant of the critical embedding, from the extremal profile.
+def sobolev_energy(n):
+    """int_{R^n} |Delta delta|^2 dx = int_{R^n} delta^{p+1} dx, which also
+    equals S^{n/4} (multiply the equation by delta and integrate)."""
+    return math.exp(_log_energy(n))
 
-    S = (int |Delta delta|^2) / (int delta^{p+1})^{(n-4)/n}; the two
-    integrals coincide (multiply the equation by delta and integrate),
-    which the test suite checks as a dual-route identity. The value is
-    independent of lam; the parameter exists so that invariance is
-    checkable.
-    """
-    p1 = critical_exponent(n) + 1.0
-    energy = sobolev_energy(n, lam)
-    mass = radial_integral(n, lambda r: radial_profile(n, lam, r) ** p1)
-    return energy / mass ** ((n - 4.0) / n)
+
+def sobolev_constant(n):
+    """Best constant S of the critical embedding, from the extremal
+    profile: S = (S^{n/4})^{4/n}, which is Swanson's (1992)
+    pi^2 n (n-4) (n^2-4) (Gamma(n/2) / Gamma(n))^{4/n}."""
+    return math.exp(4.0 / n * _log_energy(n))
 
 
 def balance_constants(n):
-    """All universal constants bundled as CriticalConstants.
+    """All universal constants bundled as CriticalConstants, each read
+    from S^{n/4} by Euler's Beta integral (_log_energy):
 
-    c1 = c0^{p+1} * int_{R^n} dx/(1+|x|^2)^{(n+4)/2}. For c2 both printed
-    normalizations are quadratured from their own integrands:
+      c1 = c0^{p+1} int dx/(1+|x|^2)^{(n+4)/2} = S^{n/4} B(n/2, 2)/B(n/2, n/2),
+      c2 = (n-4)/2 c0^{p+1} int log(1+|x|^2) (|x|^2-1)/(1+|x|^2)^{n+1}
+         = (n-4)/(2n) S^{n/4}.
 
-      full: (n-4)   * c0^{p+1} * int log(1+|x|^2) (1-|x|^2)/(1+|x|^2)^{n+1}
-      half: (n-4)/2 * c0^{p+1} * int log(1+|x|^2) (|x|^2-1)/(1+|x|^2)^{n+1}
-
-    The integrands differ by sign only, so full = -2 * half exactly; the
-    half variant is the positive one and becomes the operative c2.
+    For c2 the a-derivative of the Beta integral gives each log moment
+    J(a) = int log(1+|x|^2) (1+|x|^2)^{-a} dx with a digamma difference;
+    the kernel is J(n) - 2 J(n+1), where those differences step by 1/n
+    and 2/n, and it equals (|S^{n-1}|/2) B(n/2, n/2) / n.
     """
-    c0n = c0(n)
-    p = critical_exponent(n)
-    cp1 = c0n ** (p + 1.0)
-
-    c1 = cp1 * radial_integral(n, lambda r: (1 + r * r) ** (-(n + 4) / 2.0))
-
-    def log_kernel(r):
-        t = r * r
-        # the denominator overflows at the outermost nodes from n = 48,
-        # where the kernel's limit is 0
-        with np.errstate(over="ignore"):
-            denominator = (1.0 + t) ** (n + 1)
-        return np.log1p(t) * (1.0 - t) / denominator
-
-    base = radial_integral(n, log_kernel)
-    full = (n - 4.0) * cp1 * base
-    half = 0.5 * (n - 4.0) * cp1 * (-base)
-    operative = half if half > 0 else full
-    return CriticalConstants(n=n, c0=c0n, p=p, S=sobolev_constant(n),
-                             c1=c1, c2_variant_full=full,
-                             c2_variant_half=half, c2=operative)
+    energy = sobolev_energy(n)
+    inverse_beta = math.exp(math.lgamma(n) - 2.0 * math.lgamma(n / 2.0))
+    c1 = 4.0 / (n * (n + 2.0)) * inverse_beta * energy
+    return CriticalConstants(n=n, c0=c0(n), p=critical_exponent(n),
+                             S=sobolev_constant(n), c1=c1,
+                             c2=(n - 4.0) / (2.0 * n) * energy)
 
 
 # ---------------------------------------------------------------------------

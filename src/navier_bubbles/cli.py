@@ -41,8 +41,9 @@ configuration error, 3 a pipeline stage failed partway.
 
 Dimension policy: the constant table, the potential profile and the
 deficit expansion orders are closed-form surfaces. ``constants``
-accepts 5 <= n <= 89 and ``robin`` 5 <= n <= 108, both upper ends
-measured (CONSTANTS_N_MAX, ROBIN_N_MAX); ``expansion-orders`` accepts
+accepts 5 <= n <= 132 (CONSTANTS_N_MAX, derived: its peak law limit
+overflows from n = 133) and ``robin`` 5 <= n <= 108 (ROBIN_N_MAX,
+measured); ``expansion-orders`` accepts
 any n >= 5 under its lam_min ceiling. ``verify-blowup`` runs at n = 6:
 at n = 5 the default grid does not resolve eps = 0.02 (the law-seeded
 solve stops at the 30-step Newton cap, scaled residual 1.0e-5).
@@ -76,8 +77,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bubble import (BubbleParams, balance_constants, center_potential,
-                     law_limits, law_quantities, sobolev_constant,
-                     sobolev_energy)
+                     law_limits, law_quantities, sobolev_energy)
 from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain,
                           boundary_blowup_fit, robin)
 from .numerics import sphere_measure
@@ -115,13 +115,12 @@ MIN_QUAD_TOL = 1e-14
 # largest: a target tol/10 above the law seed's own scaled residual (as
 # low as 9.6e-10 at 8192 nodes, eps = 0.002) accepts the unsolved seed
 MAX_QUAD_TOL = 1e-10
-# Largest dimensions, measured (every n from 5 up runs): from n = 90 the
-# log-kernel quadrature of balance_constants meets 0 * inf at its
-# outermost nodes, where r^(n-1) overflows and the kernel underflows, and
-# does not converge. ROBIN_N_MAX is a measured limit with room to spare:
-# robin runs at both ends of its radius window up to n = 110, and from
-# n = 111 a term of the Robin series overflows.
-CONSTANTS_N_MAX = 89
+# Largest dimensions. CONSTANTS_N_MAX is derived: every row is a closed
+# form, and the largest, the peak law limit c0^2 (c1/c2) phi(0), is
+# 1.2e308 at n = 132 and overflows from n = 133. ROBIN_N_MAX is measured,
+# with room to spare: robin runs at both ends of its radius window up to
+# n = 110, and from n = 111 a term of the Robin series overflows.
+CONSTANTS_N_MAX = 132
 ROBIN_N_MAX = 108
 # Largest dimension of supercritical, derived: the obstruction's margin
 # c1 phi(0) / 1e4^(n-4) forms 1e4^(n-4), which is finite up to n = 81.
@@ -364,7 +363,7 @@ def _require_radius(radius, window, kept):
 # constants
 
 
-# every constant is a direct formula evaluation
+# every constant is a closed form; none is a quadrature
 _CONSTANTS_FIELDS = (("name", None), ("value", PROV_FORMULA))
 
 
@@ -377,7 +376,7 @@ def constants_rows(n):
         ("dimension", n),
         ("critical exponent p", consts.p),
         ("bubble amplitude c0", consts.c0),
-        ("best quotient level S", sobolev_constant(n)),
+        ("best quotient level S", consts.S),
         ("free bubble energy S^(n/4)", sobolev_energy(n)),
         ("interaction constant c1", consts.c1),
         ("exponent response c2, full variant", consts.c2_variant_full),
@@ -821,7 +820,8 @@ def cmd_supercritical(config, out_dir, stream=None):
     _write_json(os.path.join(out_dir, "report.json"), report)
 
     print("supercritical probe: %s" % (
-        "Pohozaev sign NOT certified at every offset"
+        "Pohozaev sign NOT certified at eps %s" % " ".join(
+            "%g" % e.eps for e in probe.entries if e.concentrating)
         if probe.any_concentrating
         else "Pohozaev sign certified at every offset"), file=stream)
     print("balance obstruction: %s" % (

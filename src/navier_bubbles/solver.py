@@ -273,7 +273,7 @@ class ProbeEntry:
     of the seed, and defect is lhs / rhs - 1 of the identity built from
     them (_pohozaev_sides). concentrating is true exactly when the
     certificate fails: u not positive in the interior, or the sides not
-    of the signs lhs < 0 < rhs.
+    finite with the signs lhs < 0 < rhs.
     """
 
     eps: float
@@ -624,7 +624,9 @@ def _pohozaev_sides(grid, u, w, q):
     d1 = _stencil_weights(r[-1], r[-3:], 1)[1]
     u_slope = float(d1 @ u[-3:])
     w_slope = float(d1 @ w[-3:])
-    mass = float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
+    # an overflowed mass is inf, and fails the probe's certificate
+    with np.errstate(over="ignore"):
+        mass = float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
     lhs = (n / (q + 1) - (n - 4) / 2) * mass
     rhs = -sphere_measure(n) * grid.R**n * u_slope * w_slope
     return mass, u_slope, w_slope, lhs, rhs
@@ -960,8 +962,8 @@ def supercritical_probe(eps_list, domain, grid=None):
     positive; its defect is then below -1, where a resolved solution's is
     a small truncation error. The offset is certified on the seed a
     continuation would start from, the projected bubble at the balance
-    scale: u positive in the interior and lhs < 0 < rhs. No Newton step
-    is taken.
+    scale: u positive in the interior and lhs < 0 < rhs, both finite. No
+    Newton step is taken.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_arr):
@@ -985,7 +987,8 @@ def supercritical_probe(eps_list, domain, grid=None):
             residual=_scaled_residual(disc, q, u, w),
             mass=mass, u_slope=u_slope, w_slope=w_slope,
             defect=lhs / rhs - 1.0,
-            concentrating=not (u[:-1].min() > 0 and lhs < 0 < rhs),
+            concentrating=not (u[:-1].min() > 0
+                               and -math.inf < lhs < 0 < rhs < math.inf),
         ))
     return SupercriticalProbe(
         entries=tuple(entries),

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from navier_bubbles import bubble as bubble_module
 from navier_bubbles.bubble import (
     BubbleParams,
     CriticalConstants,
@@ -166,16 +165,76 @@ def test_pde_residual_second_order():
 
 
 # ---------------------------------------------------------------------------
-# Sobolev constant
+# universal constants: the closed forms against a quadrature oracle of
+# their defining integrands
+
+
+ORACLE_DIMENSIONS = (5, 6, 7, 8, 9, 10, 11, 12, 20, 40, 89)
+
+
+def energy_kernel(n, lam=1.0):
+    """|Delta delta|^2, whose integral is S^{n/4}."""
+    return lambda r: radial_profile_laplacian(n, lam, r) ** 2
+
+
+def mass_kernel(n, lam=1.0):
+    """delta^{p+1}, whose integral is S^{n/4} as well."""
+    p1 = critical_exponent(n) + 1.0
+    return lambda r: radial_profile(n, lam, r) ** p1
+
+
+def c1_kernel(n):
+    """c0^{p+1} / (1+r^2)^{(n+4)/2}, whose integral is c1."""
+    cp1 = c0(n) ** (critical_exponent(n) + 1.0)
+    return lambda r: cp1 * (1 + r * r) ** (-(n + 4) / 2.0)
+
+
+def log_kernel(n):
+    """(n-4) c0^{p+1} log(1+r^2) (1-r^2)/(1+r^2)^{n+1}, whose integral is
+    the full variant of c2."""
+    cp1 = c0(n) ** (critical_exponent(n) + 1.0)
+
+    def kernel(r):
+        t = r * r
+        # the denominator overflows at the outermost nodes from n = 48,
+        # where the kernel's limit is 0
+        with np.errstate(over="ignore"):
+            denominator = (1.0 + t) ** (n + 1)
+        return (n - 4.0) * cp1 * np.log1p(t) * (1.0 - t) / denominator
+
+    return kernel
 
 
 def test_sobolev_dual_route_identity():
+    # multiply the equation by delta and integrate: the two integrands
+    # of S^{n/4} have the same integral
     for n in (5, 6):
-        p1 = critical_exponent(n) + 1.0
-        energy = sobolev_energy(n)
-        from navier_bubbles.numerics import radial_integral
-        mass = radial_integral(n, lambda r: radial_profile(n, 1.0, r) ** p1)
-        assert math.isclose(energy, mass, rel_tol=1e-8)
+        assert math.isclose(radial_integral(n, energy_kernel(n)),
+                            radial_integral(n, mass_kernel(n)),
+                            rel_tol=1e-8)
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMENSIONS)
+def test_constants_match_their_quadratures(n):
+    cc = balance_constants(n)
+    pairs = (
+        (sobolev_energy(n), radial_integral(n, energy_kernel(n))),
+        (sobolev_energy(n), radial_integral(n, mass_kernel(n))),
+        (cc.c1, radial_integral(n, c1_kernel(n))),
+        (cc.c2_variant_full, radial_integral(n, log_kernel(n))),
+    )
+    for closed, quadrature in pairs:
+        assert math.isclose(closed, quadrature, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("n", ORACLE_DIMENSIONS)
+def test_sobolev_constant_is_swansons(n):
+    # Swanson (1992); Edmunds, Fortunato and Jannelli (1990)
+    swanson = (PI ** 2 * n * (n - 4) * (n * n - 4)
+               * (math.gamma(n / 2) / math.gamma(n)) ** (4.0 / n))
+    assert math.isclose(sobolev_constant(n), swanson, rel_tol=1e-12)
+    assert math.isclose(sobolev_constant(n) ** (n / 4.0), sobolev_energy(n),
+                        rel_tol=1e-12)
 
 
 def test_sobolev_frozen_values():
@@ -186,29 +245,19 @@ def test_sobolev_frozen_values():
     s5 = (105.0 ** 1.25 * PI ** 3 / 32.0) ** 0.8
     assert math.isclose(sobolev_constant(6), s6, rel_tol=1e-9)
     assert math.isclose(sobolev_constant(5), s5, rel_tol=1e-9)
+    assert math.isclose(sobolev_energy(6), 384.0 ** 1.5 * PI ** 3 / 60.0,
+                        rel_tol=1e-9)
 
 
 def test_sobolev_scale_invariance():
-    ref = sobolev_constant(6, lam=1.0)
+    # the quotient of the two integrals does not depend on lam; the
+    # closed form has no lam to set
+    n = 6
     for lam in (0.5, 4.0):
-        assert math.isclose(sobolev_constant(6, lam=lam), ref, rel_tol=1e-9)
-
-
-def test_sobolev_energy_is_integrated_once_per_argument(monkeypatch):
-    # decompose checks every solution's energy against this level; the
-    # quadrature runs once per (n, lam) and later calls return its value
-    calls = []
-
-    def counted(n, f, *args, **kwargs):
-        calls.append(n)
-        return radial_integral(n, f, *args, **kwargs)
-
-    monkeypatch.setattr(bubble_module, "radial_integral", counted)
-    sobolev_energy.cache_clear()
-    first = sobolev_energy(7)
-    assert sobolev_energy(7) == first and calls == [7]
-    assert sobolev_energy(7, 2.0) != first and calls == [7, 7]
-    sobolev_energy.cache_clear()
+        energy = radial_integral(n, energy_kernel(n, lam))
+        mass = radial_integral(n, mass_kernel(n, lam))
+        assert math.isclose(energy / mass ** ((n - 4.0) / n),
+                            sobolev_constant(n), rel_tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +289,9 @@ def test_balance_ratio_frozen():
 
 def test_constants_validation():
     with pytest.raises(ValueError):
-        CriticalConstants(n=6, c0=1.0, p=5.0, S=1.0, c1=1.0,
-                          c2_variant_full=-2.0, c2_variant_half=1.0, c2=-1.0)
+        CriticalConstants(n=6, c0=1.0, p=5.0, S=1.0, c1=1.0, c2=-1.0)
+    cc = CriticalConstants(n=6, c0=1.0, p=5.0, S=1.0, c1=1.0, c2=0.5)
+    assert (cc.c2_variant_full, cc.c2_variant_half) == (-1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -273,21 +273,40 @@ def test_constants_rejects_low_dimension(capsys):
 
 def test_constants_refuses_dimensions_past_the_measured_limit(tmp_path,
                                                               capsys):
-    # n = 90 ended in a RuntimeError traceback: the log-kernel quadrature
-    # no longer converges; n = 89, the last dimension that runs, does.
-    # From n = 48 the kernel denominators overflow at the outermost
-    # quadrature nodes, where each quotient's limit is 0; that printed
-    # overflow warnings
-    assert cli.CONSTANTS_N_MAX == 89
-    assert cli.main(["constants", "--n", "90", "--out", str(tmp_path)]) == 2
+    # every row is a closed form; the largest, the peak law limit
+    # c0^2 (c1/c2) phi(0), is finite up to n = 132 and overflows at
+    # n = 133, so the limit is derived, not measured. The log-kernel
+    # quadrature it replaced stopped converging from n = 90
+    assert cli.CONSTANTS_N_MAX == 132
+    assert math.isinf(cli.constants_rows(133)[-1][1])
+    assert cli.main(["constants", "--n", "133", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: dimension must be between 5 and 89\n")
+        "error: dimension must be between 5 and 132\n")
     assert not (tmp_path / "constants.csv").exists()
-    for n in ("48", "89"):
+    for n in ("48", "89", "132"):
         assert run_quietly(["constants", "--n", n,
                             "--out", str(tmp_path / n)], capsys) == 0
         _, rows = read_csv(tmp_path / n / "constants.csv")
         assert all(math.isfinite(float(row[1])) for row in rows)
+
+
+@pytest.mark.parametrize("n", ["5", "6", "89", "132"])
+def test_constants_rows_are_formulas_without_quadrature(n, tmp_path, capsys,
+                                                        monkeypatch):
+    # the formula provenance of every row: the table forms no quadrature
+    def refuse(*args, **kwargs):
+        raise AssertionError("constants must not integrate")
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("navier_bubbles")
+                and hasattr(module, "radial_integral")):
+            monkeypatch.setattr(module, "radial_integral", refuse)
+    assert run_quietly(["constants", "--n", n, "--out", str(tmp_path)],
+                       capsys) == 0
+    header, rows = read_csv(tmp_path / "constants.csv")
+    assert header == ["name", "value", "value_provenance"]
+    assert all(math.isfinite(float(row[1])) and row[2] == "formula"
+               for row in rows)
 
 
 def run_quietly(argv, capsys):
@@ -962,6 +981,26 @@ def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
     report = json.loads((out / "report.json").read_text())
     assert all(e["residual"]["value"] is not None
                for e in report["probe"]["entries"])
+
+
+def test_supercritical_probe_fails_on_an_overflowed_mass(tmp_path, capsys):
+    # at eps = 2 the seed's mass overflows; lhs = -inf then satisfied
+    # lhs < 0 < rhs, and the run certified the offset, warned of the
+    # overflow and passed
+    argv = ["supercritical", "--n", "63", "--radius", "0.3", "--grid-nodes",
+            "256", "--eps", "2", "1", "0.5", "--out", str(tmp_path)]
+    assert run_quietly(argv, capsys) == 1
+    report = json.loads(
+        (tmp_path / "supercritical" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["probe"]["any_concentrating"] is True
+    assert [e["concentrating"] for e in report["probe"]["entries"]] == [
+        False, False, True]
+    assert report["probe"]["entries"][2]["mass"]["value"] is None
+    # the failed check and its offset are named on stdout
+    assert cli.main(argv) == 1
+    assert ("supercritical probe: Pohozaev sign NOT certified at eps 2\n"
+            in capsys.readouterr().out)
 
 
 def test_supercritical_dimension_limit_is_where_the_margin_overflows(

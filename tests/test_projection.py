@@ -154,7 +154,7 @@ def test_projected_bubble_energy_approaches_sobolev_level():
     # the centered projected bubble the solver decomposes against; its
     # Laplacian is Delta delta - Delta delta(R)
     n = 6
-    level = sobolev_energy(n, 1.0)
+    level = sobolev_energy(n)
     gaps = []
     lams = (8.0, 16.0, 32.0, 64.0)
     for lam in lams:
