@@ -42,8 +42,9 @@ configuration error, 3 a pipeline stage failed partway.
 Dimension policy: the constant table, the potential profile and the
 deficit expansion orders are closed-form surfaces. ``constants``
 accepts 5 <= n <= 132 (CONSTANTS_N_MAX, derived: its peak law limit
-overflows from n = 133) and ``robin`` 5 <= n <= 108 (ROBIN_N_MAX,
-measured); ``expansion-orders`` accepts
+overflows from n = 133) and ``robin`` 5 <= n <= 220 (ROBIN_N_MAX,
+derived: its series sums at 0.98 R overflow from n = 221);
+``expansion-orders`` accepts
 any n >= 5 under its lam_min ceiling. ``verify-blowup`` runs at n = 6:
 at n = 5 the default grid does not resolve eps = 0.02 (the law-seeded
 solve stops at the 30-step Newton cap, scaled residual 1.0e-5).
@@ -55,12 +56,12 @@ contrast, a sweep solve, runs at n = 6 and is skipped elsewhere.
 Radius windows: a radius outside a command's window is refused before
 anything is written. ``verify-blowup`` and ``supercritical`` keep every
 cell volume of their grid normal (_grid_radius_window), derived from
-the power that leaves the normal doubles first. ``robin`` keeps its
-boundary fit's gradients within the square roots of the normal doubles
-(_robin_radius_window), a window kept from a fit that squared them: it
-bounds no number the command now forms. On the
-default grid that admits unit radius up to n = 63; from n = 64 the
-first cell needs R > 1 (R in [10.2, 6392] at n = 81).
+the power that leaves the normal doubles first; on the default grid
+that admits unit radius up to n = 63, and from n = 64 the first cell
+needs R > 1 (R in [10.2, 6392] at n = 81). ``robin`` keeps every phi
+and nonzero gradient norm it writes a positive normal double
+(_robin_radius_window), read from the unit-ball values they scale
+from: [7.1e-102, 2.7e102] at n = 6 with the default 21 stations.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ import numpy as np
 
 from .bubble import (BubbleParams, balance_constants, center_potential,
                      law_limits, law_quantities, sobolev_energy)
-from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain,
+from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain, _first_axis,
                           boundary_blowup_fit, robin)
 from .numerics import sphere_measure
 from .projection import expansion_orders
@@ -115,13 +116,15 @@ MIN_QUAD_TOL = 1e-14
 # largest: a target tol/10 above the law seed's own scaled residual (as
 # low as 9.6e-10 at 8192 nodes, eps = 0.002) accepts the unsolved seed
 MAX_QUAD_TOL = 1e-10
-# Largest dimensions. CONSTANTS_N_MAX is derived: every row is a closed
-# form, and the largest, the peak law limit c0^2 (c1/c2) phi(0), is
-# 1.2e308 at n = 132 and overflows from n = 133. ROBIN_N_MAX is measured,
-# with room to spare: robin runs at both ends of its radius window up to
-# n = 110, and from n = 111 a term of the Robin series overflows.
+# Largest dimensions, both derived. CONSTANTS_N_MAX: every row is a
+# closed form, and the largest, the peak law limit c0^2 (c1/c2) phi(0),
+# is 1.2e308 at n = 132 and overflows from n = 133. ROBIN_N_MAX: the
+# largest values robin forms are the unit ball's phi~ and phi~' at the
+# boundary fit's nearest station, tau = 0.98, which the radius window
+# scales from; phi~' there is 8.6e306 at n = 220, and its series sum
+# overflows from n = 221.
 CONSTANTS_N_MAX = 132
-ROBIN_N_MAX = 108
+ROBIN_N_MAX = 220
 # Largest dimension of supercritical, derived: the obstruction's margin
 # c1 phi(0) / 1e4^(n-4) forms 1e4^(n-4), which is finite up to n = 81.
 SUPERCRITICAL_N_MAX = 81
@@ -420,43 +423,45 @@ _ROBIN_FIELDS = (("station", PROV_FORMULA), ("axis_coordinate", PROV_FORMULA),
                  ("phi", PROV_SOLVER), ("grad_norm", PROV_SOLVER))
 
 
-def _robin_radius_window(n):
-    """The radii whose boundary fit keeps every gradient in
-    [sqrt(smallest normal double), sqrt(largest double / 2)]. The window
-    is kept from a fit that squared the gradient; the command now writes
-    |phi~'| unsquared, so it bounds no number the command forms and is
-    narrower than it needs to be. At tau = 1 - d / R the gradient is
-    about 2 (n - 4) tau (1 - tau^2)^(3-n) R^(3-n), the ball's image term
-    (within 2 % at the fit's nearest station, an underestimate at its
-    farthest): the gradient at the nearest station must stay at most the
-    upper bound, the one at the farthest at least the lower."""
-    def unit_square(d):
-        tau = 1.0 - d
-        return (2.0 * (n - 4) * tau * (1.0 - tau * tau) ** (3 - n)) ** 2
-
-    near, far = BOUNDARY_FIT_WINDOW
-    power = 1.0 / (2 * n - 6)
-    return ((2.0 * unit_square(near) / sys.float_info.max) ** power,
-            unit_square(far) ** power / sys.float_info.min ** power)
+def _robin_radius_window(n, least):
+    """The radii at which every phi and every nonzero gradient norm the
+    command writes is a positive normal double. Both scale from the unit
+    ball, phi~(s; R) = R^(4-n) phi~(s/R; 1) and phi~'(s; R) =
+    R^(3-n) phi~'(s/R; 1), and both grow along the radius, so the
+    extremes are three unit-ball values: phi at the center (the closed
+    form center_potential), the gradient at the smallest nonzero
+    station tau = least, and both at the boundary fit's nearest station.
+    A relative 1e-12 is kept back for the rounding of the powers."""
+    axis = _first_axis(n)
+    unit = BallDomain.unit(n)
+    near, _ = BOUNDARY_FIT_WINDOW
+    edge = robin(unit, (1.0 - near) * axis)
+    inner = abs(float(robin(unit, least * axis).grad[0]))
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    phi_pow, grad_pow = 1.0 / (n - 4), 1.0 / (n - 3)
+    lo = max((edge.phi / huge) ** phi_pow,
+             (abs(float(edge.grad[0])) / huge) ** grad_pow)
+    hi = min(center_potential(n) ** phi_pow / tiny ** phi_pow,
+             inner ** grad_pow / tiny ** grad_pow)
+    return lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)
 
 
 def cmd_robin(n, radius, stations, out_dir, stream=None):
     stream = stream or sys.stdout
     _require_dimension(n, ROBIN_N_MAX)
     _require_positive("radius", radius)
-    _require_radius(radius, _robin_radius_window(n),
-                    "every boundary-fit gradient within the square roots "
-                    "of the normal doubles")
     if stations < 5 or stations % 2 == 0:
         raise CliError("stations must be odd and at least 5 so the "
                        "center row exists")
-    domain = BallDomain(n, np.zeros(n), radius)
     # integer multiples: the center is exactly 0, and mirrored stations
     # are exact negatives, evaluated at the same magnitude (phi is even)
     half = stations // 2
     fractions = 0.9 * np.arange(-half, half + 1) / half
-    axis = np.zeros(n)
-    axis[0] = 1.0
+    _require_radius(radius, _robin_radius_window(n, fractions[half + 1]),
+                    "every written phi and nonzero gradient norm a "
+                    "positive normal double")
+    domain = BallDomain(n, np.zeros(n), radius)
+    axis = _first_axis(n)
 
     records = []
     for idx, frac in enumerate(fractions):

@@ -2,11 +2,11 @@
 
 The concentration analysis compresses the full boundary value problem to
 a handful of scalars: an amplitude offset `beta`, a scale offset `rho`
-and a center offset `xi`. This module assembles that finite system,
-solves it by a frozen-Jacobian fixed point that carries a contraction
-certificate, measures the constrained spectral gap that keeps the
-reduction honest, and turns subcritical sweeps into pass/fail blow-up
-verdicts.
+and a center offset, which parity pins at the center here. This module
+assembles that finite system, solves it by a frozen-Jacobian fixed
+point that carries a contraction certificate, measures the constrained
+spectral gap that keeps the reduction honest, and turns subcritical
+sweeps into pass/fail blow-up verdicts.
 
 Construction of the reduced system. The energy quotient is invariant
 along rays, so pairing its gradient with the profile itself vanishes
@@ -332,28 +332,20 @@ class NonContractionError(RuntimeError):
 class ReducedState:
     """Solution of the reduced system with its contraction certificate.
 
-    beta is the amplitude offset from the critical normalization, rho
-    the scale offset in the square-root balance chart, xi the center
-    offset (identically zero here: the centered chart is pinned by
-    parity). multipliers holds the basis coefficients of the energy
-    gradient at the fixed point, amplitude and scale first, then the n
-    translation entries; all of them vanish to solver precision at a
-    genuine fixed point. ratios are the certified step contraction
+    beta is the amplitude offset from the critical normalization and
+    rho the scale offset in the square-root balance chart; the center
+    is pinned by parity. ratios are the certified step contraction
     ratios, each below one.
     """
 
     eps: float
     beta: float
     rho: float
-    xi: np.ndarray
     lam: float
-    multipliers: tuple
     ratios: tuple
     iterations: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "xi", np.atleast_1d(np.asarray(self.xi, dtype=float)))
         if not self.eps > 0:
             raise ValueError("eps must be positive")
         if not self.lam > 0:
@@ -479,32 +471,11 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
             "steps at eps=%g" % (tol, max_iter, eps), history)
 
     beta, rho = float(z[0]), float(z[1])
-    lam = lam_of_rho(rho)
-    pair_b, mass, pair_s, mass_s = _reduced_integrals(n, R, lam, eps)
-    scale_sq = radial_integral(
-        n,
-        lambda r: p * radial_profile(n, lam, r) ** (p - 1.0)
-        * radial_scale_derivative(n, lam, r)
-        * _projected_scale_derivative(n, lam, r, R), R,
-        seams=core_seams(lam, R))
-    alpha = alpha0 + beta
-    energy = alpha * alpha * pair_b
-    mass_full = alpha ** qt * mass
-    prefactor = 2.0 * mass_full ** (-2.0 / qt)
-    ray = energy / mass_full * alpha ** (p - eps)
-    rhs = np.array([
-        prefactor * (alpha * pair_b - ray * mass),
-        prefactor * (alpha * pair_s - ray * mass_s),
-    ])
-    gram = np.array([[pair_b, pair_s], [pair_s, scale_sq]])
-    mult_amp, mult_scale = np.linalg.solve(gram, rhs)
     return ReducedState(
         eps=eps,
         beta=beta,
         rho=rho,
-        xi=np.zeros(n),
-        lam=lam,
-        multipliers=(float(mult_amp), float(mult_scale)) + (0.0,) * n,
+        lam=lam_of_rho(rho),
         ratios=tuple(ratios),
         iterations=len(steps),
     )

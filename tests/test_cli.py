@@ -412,15 +412,17 @@ def test_robin_rejects_low_dimension(capsys):
     capsys.readouterr()
 
 
-def test_robin_refuses_dimensions_past_the_measured_limit(tmp_path, capsys):
-    # n = 109 ended in a LinAlgError traceback: the series' second
-    # derivative terms overflow at the boundary fit's nearest station
-    assert cli.ROBIN_N_MAX == 108
+def test_robin_refuses_dimensions_past_the_derived_limit(tmp_path, capsys):
+    # the series' sums at the boundary fit's nearest station stay finite
+    # up to n = 220 and overflow from n = 221; n = 150 was refused while
+    # the limit was a measured 108
+    assert cli.ROBIN_N_MAX == 220
     out = tmp_path / "robin"
-    assert_refused(["robin", "--n", "109", "--out", str(out)], out, capsys,
-                   "error: dimension must be between 5 and 108")
-    assert run_quietly(["robin", "--n", "108", "--out", str(out)],
-                       capsys) == 0
+    assert_refused(["robin", "--n", "221", "--out", str(out)], out, capsys,
+                   "error: dimension must be between 5 and 220")
+    for n in ("150", "220"):
+        assert run_quietly(["robin", "--n", n, "--out", str(out)],
+                           capsys) == 0
 
 
 def boundary_slopes(out):
@@ -429,12 +431,20 @@ def boundary_slopes(out):
             fits["grad_boundary_exponent"]["value"])
 
 
+def is_normal(value):
+    return sys.float_info.min <= value <= sys.float_info.max
+
+
+# the default 21 stations: the innermost nonzero one is at 0.09 R
+DEFAULT_LEAST_STATION = 0.9 / 10
+
+
 @pytest.mark.parametrize("n", [6, 40])
-def test_robin_refuses_radii_past_the_squared_gradient(n, tmp_path, capsys):
-    # 1e-160 overflowed R ** (4 - n) and 1e200 overflowed the station's
-    # norm; inside the window the boundary fit is scale invariant, so its
-    # slopes at either end equal those of the unit ball
-    lo, hi = cli._robin_radius_window(n)
+def test_robin_refuses_radii_past_its_written_values(n, tmp_path, capsys):
+    # the window keeps every written phi and nonzero gradient norm a
+    # positive normal double; inside it the boundary fit is scale
+    # invariant, so its slopes at either end equal those of the unit ball
+    lo, hi = cli._robin_radius_window(n, DEFAULT_LEAST_STATION)
     out = tmp_path / "robin"
     for radius in ("1e-160", "1e200", repr(lo * (1 - 1e-9)),
                    repr(hi * (1 + 1e-9))):
@@ -447,29 +457,36 @@ def test_robin_refuses_radii_past_the_squared_gradient(n, tmp_path, capsys):
         assert run_quietly(["robin", "--n", str(n), "--radius", repr(radius),
                             "--out", str(out)], capsys) == 0
         assert boundary_slopes(out) == pytest.approx(unit, rel=1e-10)
-        _, rows = read_csv(out / "robin_profile.csv")
-        assert all(math.isfinite(float(row[6])) for row in rows)
+        header, rows = read_csv(out / "robin_profile.csv")
+        phi, grad = header.index("phi"), header.index("grad_norm")
+        assert all(is_normal(float(row[phi])) for row in rows)
+        assert all(is_normal(float(row[grad])) for row in rows
+                   if float(row[grad]) != 0.0)
 
 
 def test_robin_writes_normal_gradients_at_the_window_end(tmp_path, capsys):
-    # at R = 1.5e52, inside the window, the stations nearest the center
-    # have gradients near 1e-157 whose squares are subnormal; each is
-    # written as |phi~'|, which the unit ball gives by the scaling
-    # phi~'(s; R) = R^(3-n) phi~'(s / R; 1), not through its square
-    n, radius = 6, 1.5e52
-    lo, hi = cli._robin_radius_window(n)
-    assert lo < radius < hi
-    out = tmp_path / "robin"
-    assert run_quietly(["robin", "--radius", repr(radius), "--stations",
-                        "21", "--out", str(out)], capsys) == 0
-    header, rows = read_csv(out / "robin_profile.csv")
-    coord, grad = header.index("axis_coordinate"), header.index("grad_norm")
+    # R = 1e80 lay past the window kept from a squared gradient; each
+    # written gradient is |phi~'|, which the unit ball gives by the
+    # scaling phi~'(s; R) = R^(3-n) phi~'(s / R; 1), also at both ends of
+    # the window, where the innermost gradient or the center phi is near
+    # the smallest normal double
+    n = 6
+    lo, hi = cli._robin_radius_window(n, DEFAULT_LEAST_STATION)
+    assert lo < 1e-100 and 1e102 < hi
     unit = BallDomain.unit(n)
     e1 = np.eye(n)[0]
-    for row in rows:
-        tau = abs(float(row[coord])) / radius
-        expect = radius ** (3 - n) * abs(robin(unit, tau * e1).grad[0])
-        assert float(row[grad]) == pytest.approx(expect, rel=1e-13, abs=0.0)
+    out = tmp_path / "robin"
+    for radius in (1e80, lo, hi):
+        assert run_quietly(["robin", "--radius", repr(radius), "--stations",
+                            "21", "--out", str(out)], capsys) == 0
+        header, rows = read_csv(out / "robin_profile.csv")
+        coord = header.index("axis_coordinate")
+        grad = header.index("grad_norm")
+        for row in rows:
+            tau = abs(float(row[coord])) / radius
+            expect = radius ** (3 - n) * abs(robin(unit, tau * e1).grad[0])
+            assert float(row[grad]) == pytest.approx(expect, rel=1e-13,
+                                                     abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ oracle's Laplacian route, and a coarse iterated-kernel quadrature).
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,14 +21,16 @@ from scipy.special import eval_gegenbauer, gammaln
 from navier_bubbles.green_robin import (
     BallDomain,
     RobinEval,
-    _gegenbauer_at_one,
-    _terms_needed,
     boundary_blowup_fit,
     robin,
 )
+from navier_bubbles.bubble import center_potential
+from navier_bubbles.cli import ROBIN_N_MAX
 from navier_bubbles.numerics import sphere_measure
 from zonal_oracle import (
+    _gegenbauer_at_one,
     _gegenbauer_matrix,
+    _terms_needed,
     ball_axisymmetric_integral,
     biharmonic_green,
     fundamental_normalization,
@@ -88,7 +91,8 @@ def test_gegenbauer_recurrence_matches_scipy():
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_gegenbauer_at_one_matches_gamma_and_exact_products(n):
-    # every k the Robin series sums at the 0.9 R station
+    # the oracle's own C_k(1), which weights its projection tails, over
+    # every k a series sums at the 0.9 R station
     nu = (n - 2) / 2.0
     J = _terms_needed(0.81, n - 1)
     got = _gegenbauer_at_one(nu, J)
@@ -385,16 +389,96 @@ def test_robin_derivatives_at_window_edge(n):
 
 
 def test_robin_monotone_along_radius():
-    # phi grows from the center out to the series' reach, so its least
-    # value on the ball is the closed-form center potential phi(0); the
-    # obstruction's margin rests on this
-    stations = np.linspace(0.0, 0.998, 60)
-    for n in range(5, 13):
+    # phi and phi~' grow from the center out to the series' reach, so
+    # the least phi on the ball is the closed-form center potential phi(0)
+    # (the obstruction's margin rests on this) and robin's radius window
+    # reads its extremes at the center, the innermost station and 0.98 R;
+    # past n = 12 the sums overflow before 0.998 R, so those dimensions
+    # run to the boundary fit's nearest station
+    reaches = [(n, 0.998) for n in range(5, 13)]
+    reaches += [(n, 0.98) for n in (40, 108, 150, ROBIN_N_MAX)]
+    for n, reach in reaches:
         dom = BallDomain.unit(n)
-        evs = [robin(dom, s * e1(n)) for s in stations]
+        evs = [robin(dom, s * e1(n)) for s in np.linspace(0.0, reach, 60)]
         vals = [ev.phi for ev in evs]
+        grads = [ev.grad[0] for ev in evs]
         assert all(b > a for a, b in zip(vals, vals[1:])), n
-        assert all(ev.grad[0] > 0 for ev in evs[1:]), n
+        assert grads[0] == 0.0, n
+        assert all(b > a for a, b in zip(grads, grads[1:])), n
+
+
+def test_robin_center_is_the_closed_form_to_the_bit():
+    for n in range(5, ROBIN_N_MAX + 1):
+        for radius in (0.3, 1.0, 1.7, 7.0):
+            dom = BallDomain(n=n, center=np.zeros(n), radius=radius)
+            assert robin(dom, dom.center).phi == center_potential(n, radius)
+
+
+def test_robin_refuses_an_overflowed_sum_past_the_dimension_limit():
+    # ROBIN_N_MAX is the last dimension whose sums stay finite at the
+    # boundary fit's nearest station; one past it the series overflows,
+    # which warns, and the non-finite value is refused, not returned
+    n = ROBIN_N_MAX + 1
+    x = 0.98 * e1(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        robin(BallDomain.unit(ROBIN_N_MAX), 0.98 * e1(ROBIN_N_MAX))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            robin(BallDomain.unit(n), x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="overflows"):
+            robin(BallDomain.unit(n), x)
+
+
+# break points of the oracle's quadrature in y = sqrt(x), toward the
+# boundary peak of (1 - t x)^(2-n)
+_EULER_BREAKS = [1.0 - 10.0 ** -j for j in range(1, 9)]
+
+
+def _euler_integral_robin(n, tau):
+    """Unit-ball phi~ and phi~' from Euler's integral for the series'
+    2F1 sums (DLMF 15.6.1): with t = tau^2 and m = (n-4)/2,
+
+      phi~ = m int_0^1 x^(m-1) (1-tx)^(2-n) (1-tx^2) dx
+             + m (1-t) int_0^1 x^(n/2-1) (1-tx)^(2-n) dx,
+
+    and phi~' = 2 tau d phi~/dt from the t-derivatives of the same
+    integrands. Each integrand carries (1-tx)^(2-n) as
+    ((1-t)/(1-tx))^(n-2) <= 1 times (1-t)^(2-n), applied after the
+    quadrature, so no integrand overflows below the dimension limit.
+    """
+    t = tau * tau
+    m = (n - 4) / 2.0
+
+    def quad(f):
+        val, _ = integrate.quad(lambda y: 2.0 * y * f(y * y), 0.0, 1.0,
+                                points=_EULER_BREAKS, epsabs=0.0,
+                                epsrel=1e-13, limit=400)
+        return val
+
+    w = lambda x: ((1.0 - t) / (1.0 - t * x)) ** (n - 2)
+    a = quad(lambda x: x ** (m - 1) * w(x) * (1.0 - t * x * x))
+    b = quad(lambda x: x ** (n / 2.0 - 1) * w(x))
+    da = quad(lambda x: x ** (m - 1) * w(x)
+              * ((n - 2) * x * (1.0 - t * x * x) / (1.0 - t * x) - x * x))
+    db = quad(lambda x: x ** (n / 2.0) * w(x) / (1.0 - t * x))
+    unit = (1.0 - t) ** (2 - n)
+    phi = unit * m * (a + (1.0 - t) * b)
+    dphi_dt = unit * m * (da - b + (1.0 - t) * (n - 2) * db)
+    return phi, 2.0 * tau * dphi_dt
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 12, 40, 108, 150, ROBIN_N_MAX])
+def test_robin_matches_euler_integral(n):
+    # the series and the integral share no term; measured worst 1.1e-13
+    # for phi and 1.05e-13 for phi~', both at n = 108 and tau = 0.98
+    dom = BallDomain.unit(n)
+    for tau in (0.0, 0.45, 0.9, 0.95, 0.98):
+        phi, grad = _euler_integral_robin(n, tau)
+        ev = robin(dom, tau * e1(n))
+        assert ev.phi == pytest.approx(phi, rel=1e-12, abs=0.0), tau
+        assert ev.grad[0] == pytest.approx(grad, rel=1e-12, abs=0.0), tau
 
 
 def test_robin_gradient_matches_full_difference():

@@ -431,18 +431,6 @@ def test_reduced_balance_identity(unit_ball6, reduced_states):
     assert all(b < a for a, b in zip(scaled, scaled[1:]))
 
 
-def test_reduced_multipliers_vanish(reduced_states):
-    for st in reduced_states.values():
-        assert abs(st.multipliers[0]) < 1e-10
-        assert abs(st.multipliers[1]) < 1e-10
-        assert st.multipliers[2:] == (0.0,) * N6
-
-
-def test_reduced_center_offset_pinned(reduced_states):
-    for st in reduced_states.values():
-        assert np.array_equal(st.xi, np.zeros(N6))
-
-
 @pytest.mark.parametrize("n,eps", [(6, 0.05), (6, 0.02), (6, 0.002),
                                    (8, 0.05), (8, 0.01)])
 def test_reduced_integrals_match_separate_integrals(n, eps):
@@ -491,12 +479,10 @@ def test_reduced_noncontraction_carries_history(unit_ball6):
 def test_reduced_state_invariants(reduced_states):
     st = reduced_states[0.05]
     with pytest.raises(ValueError, match="contraction"):
-        ReducedState(eps=st.eps, beta=st.beta, rho=st.rho, xi=st.xi,
-                     lam=st.lam, multipliers=st.multipliers,
+        ReducedState(eps=st.eps, beta=st.beta, rho=st.rho, lam=st.lam,
                      ratios=(0.5, 1.0), iterations=st.iterations)
     with pytest.raises(ValueError, match="at least 1"):
-        ReducedState(eps=st.eps, beta=st.beta, rho=st.rho, xi=st.xi,
-                     lam=st.lam, multipliers=st.multipliers,
+        ReducedState(eps=st.eps, beta=st.beta, rho=st.rho, lam=st.lam,
                      ratios=st.ratios, iterations=0)
 
 

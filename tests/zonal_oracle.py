@@ -31,14 +31,40 @@ import numpy as np
 from scipy.special import gammaln, roots_jacobi
 
 from navier_bubbles.bubble import radial_profile, radial_profile_laplacian
-from navier_bubbles.green_robin import (_check_series_reach,
-                                        _gegenbauer_at_one, _terms_needed)
 from navier_bubbles.numerics import (converged_quadrature,
                                      gauss_legendre_panels, sphere_measure)
 
 # (radius x cosine) arrays of one axisymmetric integrand call are built
 # at most this many radii at a time
 _RADIAL_BLOCK = 256
+
+
+# The oracle's own series rules, kept apart from the package's so the
+# reference does not share its tail rule with the series it checks.
+
+def _check_series_reach(tau):
+    """Refuse points whose zonal series would converge too slowly."""
+    if tau > 0.998:
+        raise ValueError("evaluation point too close to the boundary for "
+                         "the zonal series (distance under 0.002 radius)")
+
+
+def _terms_needed(ratio, power):
+    """Series length so the tail of ratio^k k^power drops below 1e-18."""
+    if ratio < 1e-8:
+        return 3
+    logt = math.log(ratio)
+    J = max(8.0, math.log(1e-18) / logt)
+    for _ in range(3):
+        J = max(8.0, (math.log(1e-18) - power * math.log(J)) / logt)
+    return int(J) + 8
+
+
+def _gegenbauer_at_one(nu, J):
+    """C_k^(nu)(1) = (2 nu)_k / k! for k = 0..J-1, as the cumulative
+    product of (2 nu + j) / (j + 1) over j < k."""
+    j = np.arange(J - 1)
+    return np.cumprod(np.r_[1.0, (2 * nu + j) / (j + 1.0)])
 
 
 def _gegenbauer_matrix(c, nu, J):
