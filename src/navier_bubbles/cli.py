@@ -270,9 +270,11 @@ class RunConfig:
 
 
 def _write_json(path, obj):
+    # encoded whole before the file opens: json.dump writes chunk by
+    # chunk, and a value it cannot encode would leave a truncated file
+    text = json.dumps(obj, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path, header, rows):

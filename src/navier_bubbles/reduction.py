@@ -71,12 +71,22 @@ __all__ = [
 # trial-mode product, two nodes per period (its Nyquist density), and the
 # panel count doubles until the gap at P and 2P panels agrees to the
 # shared relative tolerance. The cap sits below the shared one because
-# the trial array is modes x nodes; a gap still moving at
-# _GAP_MAX_DENSITY times the starting count is an error, never a result.
+# each doubling doubles the Bessel samples, the gap's main cost; a gap
+# still moving at _GAP_MAX_DENSITY times the starting count is an error,
+# never a result.
 _GAP_PANEL_PERIODS = 8.0
 _GAP_MAX_DENSITY = 16
+# Whole 16-node panels per block of the streamed trial integrals (see
+# _trial_gap). Measured on the four gaps of acceptance criterion 9 (2
+# cores, one BLAS thread, 15 interleaved rounds): 256-node blocks took
+# 0.154 s median against 0.194 s at 2 panels, 0.158 s at 32 and 0.166 s
+# unblocked, and hold the 320-mode gap's traced peak at 4.8 MB at both
+# density 2 and 4, where the unblocked modes x nodes array peaked at 17.6
+# and 35.3 MB.
+_GAP_BLOCK_PANELS = 16
 # Trial modes scale with lam so the concentration core stays resolved;
-# this cap bounds the dense eigenproblem and the mode-matrix memory.
+# this cap bounds the dense K x K eigenproblem: its cubic time and the
+# few K x K arrays of the form and its rank-2 shift.
 _MAX_TRIAL_MODES = 400
 # Newton steps allowed for the Bessel zeros of the trial modes; at 400
 # zeros, 4 to 6 were measured for the orders 2 to 10 and 15 at order 18.
@@ -179,35 +189,48 @@ def _trial_gap(n, R, lam, z, density):
 
     The modes are sampled through _bessel_over_power and normalized in
     energy by J_(nu+1)(z) = z^(nu+1) f_(nu+1)(z) from the same routine.
-    The two constraint pairings come from one product with the modes;
-    the modes are then scaled in place by the square root of the positive
-    mass weight, so the weighted mass is the symmetric product U U^T
-    (BLAS syrk). With Q the constraints' two right singular vectors and
-    P = I - Q Q^T, the form F is replaced by P F P + Q Q^T, three rank-2
-    updates: the constrained spectrum plus eigenvalue 1 on the two
-    constraint directions. F is the identity minus a positive
-    semidefinite mass, so every constrained eigenvalue is at most 1 and
-    the smallest eigenvalue is the constrained gap.
+    The trial integrals stream over blocks of _GAP_BLOCK_PANELS whole
+    panels: each block's modes are sampled, add their share of the two
+    constraint pairings through one product, and are then scaled in place
+    by the square root of the positive mass weight, so the block's share
+    of the weighted mass is the symmetric product U U^T (BLAS syrk). No
+    array grows with the node count: beyond the K x K form, memory is a
+    few K x block arrays, so the peak stays put as the density doubles.
+    With Q the constraints' two right singular vectors and P = I - Q Q^T,
+    the form F is replaced by P F P + Q Q^T, three rank-2 updates: the
+    constrained spectrum plus eigenvalue 1 on the two constraint
+    directions. F is the identity minus a positive semidefinite mass, so
+    every constrained eigenvalue is at most 1 and the smallest eigenvalue
+    is the constrained gap.
     """
     nu = n // 2 - 1
     p = critical_exponent(n)
     sm = sphere_measure(n)
     r, w = _gap_panels(R, lam, z[-1], density)
-    # r^(1 - n/2) J_nu(z r / R) = (z / R)^nu * J_nu(x) / x^nu, x = z r / R
-    U = _bessel_over_power(nu, z[:, None] * (r / R))
     mu = (z / R) ** 2
     j_next = z ** (nu + 1) * _bessel_over_power(nu + 1, z)
     energy_diag = mu ** 2 * sm * R * R * j_next ** 2 / 2.0
-    U *= ((z / R) ** nu / np.sqrt(energy_diag))[:, None]
-
-    wvol = w * r ** (n - 1)
-    profile = radial_profile(n, lam, r)
-    dpm1 = profile ** (p - 1.0)
-    constraints = sm * (np.array([
-        profile ** p * wvol,
-        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol]) @ U.T)
-    U *= np.sqrt(p * sm * dpm1 * wvol)
-    form = np.eye(len(z)) - U @ U.T
+    mode_scale = ((z / R) ** nu / np.sqrt(energy_diag))[:, None]
+    constraints = np.zeros((2, len(z)))
+    form = np.zeros((len(z), len(z)))
+    block = 16 * _GAP_BLOCK_PANELS
+    for start in range(0, r.size, block):
+        rb, wb = r[start:start + block], w[start:start + block]
+        # r^(1 - n/2) J_nu(z r / R) = (z / R)^nu * J_nu(x) / x^nu
+        U = _bessel_over_power(nu, z[:, None] * (rb / R))
+        U *= mode_scale
+        wvol = wb * rb ** (n - 1)
+        profile = radial_profile(n, lam, rb)
+        dpm1 = profile ** (p - 1.0)
+        constraints += np.array([
+            profile ** p * wvol,
+            p * dpm1 * radial_scale_derivative(n, lam, rb) * wvol]) @ U.T
+        U *= np.sqrt(p * sm * dpm1 * wvol)
+        form += U @ U.T
+    constraints *= sm
+    # the identity minus the mass, in place
+    np.negative(form, out=form)
+    form.flat[::len(z) + 1] += 1.0
     # rank cut as in scipy.linalg.null_space
     _, sv, vh = np.linalg.svd(constraints, full_matrices=False)
     if np.sum(sv > sv.max() * np.finfo(float).eps * len(z)) != 2:
@@ -258,9 +281,14 @@ def coercivity_check(params, domain, trial_count=40):
     gap at 2P is returned; if that does not happen within
     _GAP_MAX_DENSITY times the starting count, RuntimeError is raised
     rather than an unconverged gap returned. Each density's weighted mass
-    is one symmetric product of the weight-scaled modes, and the two
-    constraints enter as a rank-2 shift of the form rather than a
-    null-space basis (see _trial_gap).
+    is a sum of symmetric products of the weight-scaled modes over blocks
+    of whole panels, and the two constraints enter as a rank-2 shift of
+    the form rather than a null-space basis (see _trial_gap).
+
+    Memory is bounded by the mode count K alone: a few K x K arrays for
+    the form and a few K x 256 arrays for one block's samples, whatever
+    the panel density. At the 320 modes of lam = 40 with 80 trials per
+    band, one gap's traced peak is 4.8 MB at density 2 and at 4.
     """
     _require_centered(params, domain)
     if trial_count < 5:

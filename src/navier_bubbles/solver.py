@@ -524,8 +524,11 @@ def _newton(disc, q, u, w, tol, max_iter):
 
     Exit rule: once the scaled residual is below tol, one more full
     Newton step is taken and the solve returns. The step is kept if u
-    stays positive in the interior and the scaled residual does not
-    rise; otherwise the iterate before it is returned, still converged.
+    stays positive in the interior and the scaled residual after it is
+    still below tol; otherwise the iterate before it is returned, still
+    converged. The residual is not compared with the one before the
+    step: both sit near round-off (about 2e-16) there, and their order
+    flips with the last bits of the seed.
     A residual below tol alone admits a band of iterates around the
     discrete solution (in the scale direction, a near-kernel of the
     linearization as eps -> 0, peak heights up to a few 1e-6 apart);
@@ -558,7 +561,7 @@ def _newton(disc, q, u, w, tol, max_iter):
                 wt = w + step[1]
                 if ut[:-1].min() > 0:
                     res_t = _scaled_residual(disc, q, ut, wt)
-                    if res_t <= res:
+                    if res_t < tol:
                         history.append((res, 1.0))
                         history.append((res_t, None))
                         return ut, wt, history, "converged"

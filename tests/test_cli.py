@@ -676,6 +676,15 @@ def test_config_flag_mix_names_the_fields(tmp_path, capsys):
             "quad_tol)\n")
 
 
+def test_unencodable_json_leaves_no_file(tmp_path):
+    # the value after the first key cannot be encoded: json.dump would
+    # have written '{\n "ok": 1,\n "bad": ' before raising
+    path = tmp_path / "report.json"
+    with pytest.raises(TypeError):
+        cli._write_json(path, {"ok": 1, "bad": object()})
+    assert not path.exists()
+
+
 def test_config_json_lists_every_field_in_order(tmp_path):
     path = tmp_path / "config.json"
     RunConfig().to_json(path)

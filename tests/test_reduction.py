@@ -21,6 +21,7 @@ runs; relative bars reflect quadrature determinism, not optimism.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,41 @@ def test_gap_starts_at_two_nodes_per_period(lam, trials):
         periods = (b - a) * z_max / math.pi
         nodes = np.count_nonzero((r > a) & (r < b))
         assert 2.0 * periods <= nodes < 2.0 * periods + 16
+
+
+# traced peak of one 320-mode gap (lam 40, 80 trials per band): measured
+# 4.8 MB at density 2 and 4 with the trial integrals streamed over
+# 256-node blocks; sampled as one modes x nodes array it was 17.6 MB at
+# density 2 and 35.3 MB at 4
+GAP_PEAK_MB = 8.0
+
+
+def test_gap_memory_does_not_grow_with_density():
+    z = reduction._bessel_zeros(2, 320)
+    peaks = []
+    for density in (2, 4):
+        tracemalloc.start()
+        try:
+            reduction._trial_gap(N6, 1.0, 40.0, z, density)
+            peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= GAP_PEAK_MB
+    assert abs(peaks[1] / peaks[0] - 1.0) <= 0.1
+
+
+@pytest.mark.parametrize("block_panels", [1, 10 ** 6])
+@pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
+def test_gap_does_not_depend_on_the_block(lam, trials, block_panels,
+                                          monkeypatch):
+    # one panel per block, and every node in one block, sum the same
+    # products in another order
+    z = reduction._bessel_zeros(2, trials * math.ceil(lam / 10.0))
+    expected = reduction._converged_gap(N6, 1.0, lam, z)
+    monkeypatch.setattr(reduction, "_GAP_BLOCK_PANELS", block_panels)
+    gap, density = reduction._converged_gap(N6, 1.0, lam, z)
+    assert density == expected[1]
+    assert abs(gap - expected[0]) <= 1e-13 * abs(expected[0])
 
 
 def test_gap_refuses_unconverged_quadrature(unit_ball6, monkeypatch):
