@@ -108,14 +108,6 @@ ORDER_SLOPE_TOL = 0.3    # deficit exponents vs their targets
 LADDER_DECADES = 1.6     # the expansion-orders ladder spans lam_min to
                          # lam_min * 10^LADDER_DECADES
 CONTRAST_EPS_CAP = 0.02  # contrast solve runs at or below this offset
-# smallest Newton tolerance a run accepts: the solve targets a scaled
-# residual of tol/10, and 1e-15 is about 4.5 machine epsilons, just above
-# the double-precision round-off of the residual itself (Newton stalls
-# near 1.6e-16)
-MIN_QUAD_TOL = 1e-14
-# largest: a target tol/10 above the law seed's own scaled residual (as
-# low as 9.6e-10 at 8192 nodes, eps = 0.002) accepts the unsolved seed
-MAX_QUAD_TOL = 1e-10
 # Largest dimensions, both derived. CONSTANTS_N_MAX: every row is a
 # closed form, and the largest, the peak law limit c0^2 (c1/c2) phi(0),
 # is 1.2e308 at n = 132 and overflows from n = 133. ROBIN_N_MAX: the
@@ -161,17 +153,14 @@ class RunConfig:
     """One run's full parameterization, round-trippable through JSON.
 
     eps_schedule holds positive offset magnitudes, strictly decreasing;
-    the sweep solves at exponent p - eps for each entry. grid_nodes and
-    quad_tol go to the radial solver, quad_tol as its Newton scaled-
-    residual tolerance, in [MIN_QUAD_TOL, MAX_QUAD_TOL]; no quadrature
-    reads it.
+    the sweep solves at exponent p - eps for each entry. grid_nodes goes
+    to the radial solver, whose Newton target is fixed.
     """
 
     n: int = 6
     radius: float = 1.0
     eps_schedule: tuple = DEFAULT_SCHEDULE
     grid_nodes: int = 2048
-    quad_tol: float = 1e-10
     out_dir: str = "runs"
 
     def __post_init__(self):
@@ -209,17 +198,6 @@ class RunConfig:
                 and self.grid_nodes >= 256):
             raise CliError("grid_nodes must be an integer at least 256")
         object.__setattr__(self, "grid_nodes", int(self.grid_nodes))
-        if not (math.isfinite(self.quad_tol) and 0 < self.quad_tol < 1):
-            raise CliError("quad_tol must lie strictly between 0 and 1")
-        if self.quad_tol < MIN_QUAD_TOL:
-            raise CliError("quad_tol must be at least %g; the Newton solve "
-                           "cannot reach a residual below double-precision "
-                           "round-off" % MIN_QUAD_TOL)
-        if self.quad_tol > MAX_QUAD_TOL:
-            raise CliError("quad_tol must be at most %g; a looser Newton "
-                           "target can accept the law seed unsolved"
-                           % MAX_QUAD_TOL)
-        object.__setattr__(self, "quad_tol", float(self.quad_tol))
         if not isinstance(self.out_dir, str) or not self.out_dir:
             raise CliError("out_dir must be a nonempty path string")
 
@@ -627,7 +605,7 @@ def cmd_verify_blowup(config, out_dir, stream=None):
 
     try:
         solutions = continuation_sweep(list(config.eps_schedule), domain,
-                                       grid=grid, tol=config.quad_tol)
+                                       grid=grid)
     except ContinuationError as exc:
         partial = list(exc.partial)
         decs, _ = decompose_each(partial)
@@ -740,7 +718,7 @@ _OBSTRUCTION_FIELDS = (("eps", PROV_FORMULA), ("scan_min", PROV_FORMULA),
                        ("sign_change", None))
 
 
-def _contrast_section(eps_list, domain, grid, tol):
+def _contrast_section(eps_list, domain, grid):
     """Solve the matched subcritical problem at the smallest requested
     offset (capped at 0.02, where the concentration test λ·d > 20
     holds) and report the three-part contrast with the supercritical
@@ -756,7 +734,7 @@ def _contrast_section(eps_list, domain, grid, tol):
                            "sweep is validated"}
     target = min(CONTRAST_EPS_CAP, min(eps_list))
     try:
-        (sol,) = continuation_sweep([target], domain, grid=grid, tol=tol)
+        (sol,) = continuation_sweep([target], domain, grid=grid)
         dec = decompose(sol, domain)
     except (ValueError, RuntimeError) as exc:
         return {"eps": _pv(target, PROV_FORMULA), "error": str(exc)}
@@ -802,7 +780,7 @@ def cmd_supercritical(config, out_dir, stream=None):
     _write_table(os.path.join(out_dir, "obstruction.csv"),
                  obstruction_records, _OBSTRUCTION_FIELDS)
 
-    contrast = _contrast_section(eps_list, domain, grid, config.quad_tol)
+    contrast = _contrast_section(eps_list, domain, grid)
     contrast_ok = bool(contrast.get("passed", "skipped" in contrast))
 
     report = {
@@ -984,7 +962,6 @@ def _add_run_flags(parser, eps_help):
     parser.add_argument("--eps", dest="eps_schedule", type=float, nargs="+",
                         help=eps_help)
     parser.add_argument("--grid-nodes", type=int)
-    parser.add_argument("--tol", dest="quad_tol", type=float)
     parser.add_argument("--out", dest="out_dir")
 
 

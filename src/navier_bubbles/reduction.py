@@ -94,6 +94,8 @@ _ZERO_MAX_STEPS = 20
 # Contraction ratios are certified only while steps sit clearly above
 # the round-off floor of the fixed-point update.
 _RATIO_FLOOR = 1e-10
+# The reduced fixed point stops at the first step below this norm.
+_REDUCED_STEP_TOL = 1e-12
 # relative distance within which an extrapolated law limit passes
 LAW_RTOL = 0.15
 
@@ -411,8 +413,7 @@ def _reduced_integrals(n, R, lam, eps):
     return tuple(float(v) for v in integrals)
 
 
-def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
-                         max_iter=60):
+def solve_reduced_system(eps, x0, domain, consts=None, max_iter=60):
     """Solve the reduced system at the centered critical point.
 
     x0 must be the ball's center, the one critical point of the domain
@@ -486,7 +487,7 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
             ratios.append(step / steps[-1])
         steps.append(step)
         history.append((float(z[0]), float(z[1]), step))
-        if step < tol:
+        if step < _REDUCED_STEP_TOL:
             converged = True
             break
     if any(not rr < 1.0 for rr in ratios):
@@ -496,7 +497,7 @@ def solve_reduced_system(eps, x0, domain, consts=None, tol=1e-12,
     if not converged:
         raise NonContractionError(
             "fixed-point iteration did not reach tolerance %g within %d "
-            "steps at eps=%g" % (tol, max_iter, eps), history)
+            "steps at eps=%g" % (_REDUCED_STEP_TOL, max_iter, eps), history)
 
     beta, rho = float(z[0]), float(z[1])
     return ReducedState(

@@ -66,6 +66,10 @@ _GRID_STRENGTH = 5.0
 # starts lagging the true one by more than a percent. A 4096-node grid
 # buys one more halving.
 _EPS_FLOOR = 0.005
+# The scaled max-norm residual every solution declares. Newton aims at a
+# tenth of it and then takes one full exit step (_newton), which lands on
+# the discrete solution at round-off; a tighter target only adds steps.
+NEWTON_TOL = 1e-10
 
 # The concentration triple the nonexistence theory rules out on the
 # supercritical side and the subcritical branch achieves: remainder
@@ -145,7 +149,7 @@ class RadialSolution:
     w: np.ndarray
     eps: float
     attempt: NewtonAttempt
-    tolerance: float = 1e-10
+    tolerance: float = NEWTON_TOL
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -507,8 +511,9 @@ def _newton_step(disc, q, au, aw, xu, xw, su, sw):
     return cu * y[0::2], cw * y[1::2]
 
 
-def _newton(disc, q, u, w, tol, max_iter):
-    """Damped Newton on the scaled two-field residual.
+def _newton(disc, q, u, w, max_iter):
+    """Damped Newton on the scaled two-field residual, to the target
+    tol = NEWTON_TOL / 10.
 
     Returns (u, w, history, exit). history holds one (scaled residual,
     damping) pair per iterate visited, the damping being the factor of
@@ -548,6 +553,7 @@ def _newton(disc, q, u, w, tol, max_iter):
     once (_scaled_rows) and shared by the max-norm, the band's right
     side and the Armijo merit m0.
     """
+    tol = NEWTON_TOL / 10.0
     u = np.array(u, dtype=float)
     w = np.array(w, dtype=float)
     history = []
@@ -651,16 +657,16 @@ def check_eps_floor(eps_mag, grid):
         raise ValueError("offset %g is below any supported resolution" % eps_mag)
 
 
-def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
+def solve_radial(eps, domain, init, grid=None, max_iter=30):
     """Solve the two-field system at signed offset eps on a ball.
 
     init is a BubbleGuess (fields built from the projected bubble) or a
     pair (u, w) of sample arrays on the grid; to continue from a solution
     pass (sol.u, sol.w) with grid=sol.grid. The Newton iteration targets
-    a scaled residual of tol/10, then takes the one full exit step
-    described in _newton; the returned solution declares tol, so
-    round-off level drift cannot invalidate the object later. Its
-    attempt is the solve's Newton record.
+    a scaled residual of NEWTON_TOL / 10, then takes the one full exit
+    step described in _newton; the returned solution declares
+    NEWTON_TOL, so round-off level drift cannot invalidate the object
+    later. Its attempt is the solve's Newton record.
 
     Raises SolverDivergence when the iteration cap is reached, the line
     search stalls, a Newton step is singular or non-finite, or the
@@ -687,16 +693,14 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
         raise ValueError("initial iterate must be positive in the interior")
 
     q = p + eps
-    u, w, history, exit_ = _newton(_grid_arrays(grid), q, u0, w0, tol / 10.0,
-                                   max_iter)
+    u, w, history, exit_ = _newton(_grid_arrays(grid), q, u0, w0, max_iter)
     if float(np.max(np.abs(u))) < 1e-6 * float(np.max(np.abs(u0))):
         exit_ = "collapsed"
     attempt = NewtonAttempt(tuple(history), exit_)
     u[-1] = 0.0
     w[-1] = 0.0
     if exit_ == "converged":
-        return RadialSolution(grid=grid, u=u, w=w, eps=eps, attempt=attempt,
-                              tolerance=tol)
+        return RadialSolution(grid=grid, u=u, w=w, eps=eps, attempt=attempt)
     iters, res = len(history) - 1, history[-1][0]
     if exit_ == "collapsed":
         reason = "iterates collapsed onto the trivial zero branch"
@@ -712,7 +716,7 @@ def solve_radial(eps, domain, init, grid=None, tol=1e-10, max_iter=30):
                   % (iters, res))
     raise SolverDivergence(reason, last=RadialSolution(
         grid=grid, u=u, w=w, eps=eps, attempt=attempt,
-        tolerance=max(res, tol)))
+        tolerance=max(res, NEWTON_TOL)))
 
 
 def _law_seed(grid, peak_limit, e):
@@ -727,7 +731,7 @@ def _law_seed(grid, peak_limit, e):
     return amp * u, amp * w
 
 
-def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
+def continuation_sweep(eps_list, domain, grid=None):
     """Subcritical sweep: solve at each positive offset in eps_list
     (strictly decreasing), each solve started from the blow-up law's
     seed (_law_seed) for the ball's center, independently of the others.
@@ -755,7 +759,7 @@ def continuation_sweep(eps_list, domain, grid=None, tol=1e-10):
         try:
             out.append(solve_radial(-e, domain,
                                     _law_seed(grid, peak_limit, e),
-                                    grid=grid, tol=tol))
+                                    grid=grid))
         except SolverDivergence as exc:
             raise ContinuationError(
                 "sweep aborted at offset %g: %s" % (e, exc), partial=out,
