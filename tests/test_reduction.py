@@ -5,7 +5,8 @@ Oracles used here and nowhere in the package:
 * A conservative finite-volume discretization of the constrained
   quadratic form on a graded grid. It shares no code with the Bessel
   trial basis in the package and agrees with it to a few parts in 1e5;
-  the tests ask for half a percent. At n = 8 it agrees to about 2e-3.
+  the tests ask for half a percent. At n = 8 it agrees to about 2e-3,
+  at n = 40 to about 4e-3.
 * scipy's general-order jv and its jn_zeros (the package uses
   neither) as the references for the series and recurrence Bessel
   values, the Newton zeros and the mode norms of the trial basis.
@@ -219,7 +220,7 @@ def test_bessel_over_power_matches_jv(nu):
     assert np.all(got[~pos] == pytest.approx(origin, rel=1e-15))
 
 
-@pytest.mark.parametrize("nu", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, 5, 6, 10, 18, 19, 40, 79])
 def test_bessel_zeros_match_jn_zeros(nu):
     got = reduction._bessel_zeros(nu, 400)
     expected = jn_zeros(nu, 400)
@@ -243,11 +244,35 @@ def test_bessel_zeros_refuse_step_cap(monkeypatch):
         reduction._bessel_zeros(2, 40)
 
 
-def test_bessel_zeros_refuse_missed_zero():
-    # at order 19 McMahon's seed for the first zero lies too far out,
-    # and Newton carries it to a later zero (47.17 instead of 24.34)
+def test_bessel_zeros_refuse_missed_zero(monkeypatch):
+    # a first seed next to the second zero converges to it, so two zeros
+    # coincide (McMahon's seeds did this from order 19)
+    seeds = reduction._bessel_zero_seeds
+
+    def missed(nu, count):
+        x = seeds(nu, count)
+        x[0] = x[1]
+        return x
+
+    monkeypatch.setattr(reduction, "_bessel_zero_seeds", missed)
     with pytest.raises(RuntimeError, match="out of order"):
         reduction._bessel_zeros(19, 40)
+
+
+def test_gap_at_n40_matches_grid_oracle_and_sphere_spectrum():
+    # n = 40 takes order-19 zeros. At lam = 10 the ball's correction,
+    # of order lam^(4 - n), is far below round-off, so the gap is the
+    # whole-space one: the Paneitz operator's eigenvalues on S^n,
+    # Gamma(k + n/2 + 2) / Gamma(k + n/2 - 2) on degree k, put the
+    # radial linearization's third eigenvalue at mu_2 with
+    # 1 - p / mu_2 = 8 / (n + 6). 160 trials resolve it (40 do not: a
+    # mode of order 19 reaches the core only once z > 19 lam).
+    n = 40
+    ball = BallDomain.unit(n)
+    spectral = coercivity_check(centered(10.0, n), ball, 160)
+    assert spectral == pytest.approx(8.0 / (n + 6.0), rel=1e-8)
+    grid = grid_gap_oracle(10.0, ball)
+    assert abs(grid - spectral) <= 5e-3 * abs(spectral)
 
 
 def null_space_gap(n, R, lam, z, density):
