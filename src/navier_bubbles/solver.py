@@ -277,7 +277,10 @@ class ProbeEntry:
     of the seed, and defect is lhs / rhs - 1 of the identity built from
     them (_pohozaev_sides). concentrating is true exactly when the
     certificate fails: u not positive in the interior, or the sides not
-    finite with the signs lhs < 0 < rhs.
+    finite with the signs lhs < 0 < rhs. At large eps the seed is so
+    flat that its far field underflows: rows whose value and scale are
+    both zero make the residual nan, and rhs = 0 makes the defect nan;
+    the certificate fails there.
     """
 
     eps: float
@@ -989,11 +992,12 @@ def supercritical_probe(eps_list, domain, grid=None):
         lam = balance_scale(consts, phi, eps)
         u, w = _bubble_fields(grid, lam)
         mass, u_slope, w_slope, lhs, rhs = _pohozaev_sides(grid, u, w, q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residual = _scaled_residual(disc, q, u, w)
         entries.append(ProbeEntry(
-            eps=eps, lam=lam,
-            residual=_scaled_residual(disc, q, u, w),
+            eps=eps, lam=lam, residual=residual,
             mass=mass, u_slope=u_slope, w_slope=w_slope,
-            defect=lhs / rhs - 1.0,
+            defect=lhs / rhs - 1.0 if rhs != 0 else math.nan,
             concentrating=not (u[:-1].min() > 0
                                and -math.inf < lhs < 0 < rhs < math.inf),
         ))

@@ -1008,6 +1008,28 @@ def test_supercritical_probe_fails_on_an_overflowed_mass(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("eps", ["1e11", "1e50"])
+def test_supercritical_probe_fails_on_an_underflowed_seed(tmp_path, capsys,
+                                                          eps):
+    # the balance scale is so small that the seed's far field underflows:
+    # u'(R) rounds to 0, which ended in a ZeroDivisionError traceback,
+    # and from eps = 1e17 the residual divided 0 by 0 with a warning; the
+    # certificate fails instead, with the defect written as null
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["supercritical", "--eps", eps,
+                       "--out", str(tmp_path)])
+    assert rc == 1
+    assert ("supercritical probe: Pohozaev sign NOT certified at eps %g\n"
+            % float(eps) in capsys.readouterr().out)
+    report = json.loads(
+        (tmp_path / "supercritical" / "report.json").read_text())
+    (entry,) = report["probe"]["entries"]
+    assert entry["concentrating"] is True
+    assert entry["u_slope"]["value"] == 0.0
+    assert entry["defect"]["value"] is None
+
+
 def test_supercritical_dimension_limit_is_where_the_margin_overflows(
         tmp_path, capsys):
     # the margin forms 1e4 ** (n - 4), finite up to n = 81; at R = 100,
