@@ -1145,6 +1145,31 @@ def test_expansion_orders_refuses_an_overflowing_ladder(tmp_path, capsys):
     assert (out / "orders.json").exists()
 
 
+@pytest.mark.parametrize("radius, lam_min", [
+    ("1e-200", "1e203"), ("1e100", "6e-99"), ("1e50", "6e-49"),
+    ("1e-100", "6e101")])
+def test_expansion_orders_far_from_the_unit_radius(tmp_path, capsys, radius,
+                                                   lam_min):
+    # the fits depend on lam and R only through lam R; built on the ball
+    # of radius R, these runs ended in an OverflowError (the first two),
+    # an unconverged quadrature and an overflow warning
+    out = tmp_path / "far"
+    assert run_quietly(["expansion-orders", "--radius", radius, "--lam-min",
+                        lam_min, "--out", str(out)], capsys) == 0
+    report = json.loads((out / "orders.json").read_text())
+    assert report["ladder"][0]["value"] == float(lam_min)
+    # the unit-radius run at lam_min R rounds its ladder differently, so
+    # the slopes agree to the quadrature tolerance, not bit for bit
+    unit = tmp_path / "unit"
+    assert run_quietly(["expansion-orders", "--lam-min",
+                        repr(float(lam_min) * float(radius)),
+                        "--out", str(unit)], capsys) == 0
+    reference = json.loads((unit / "orders.json").read_text())
+    for name, fit in report["fits"].items():
+        assert fit["slope"]["value"] == pytest.approx(
+            reference["fits"][name]["slope"]["value"], rel=1e-10)
+
+
 def test_expansion_orders_rejects_short_ladder(tmp_path, capsys):
     assert cli.main(["expansion-orders", "--rungs", "3"]) == 2
     assert cli.main(["expansion-orders", "--lam-min", "10"]) == 2
