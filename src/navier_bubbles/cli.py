@@ -865,9 +865,8 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
         raise CliError("lam_min must be at most %.6g at n = %d and radius "
                        "%g, so the top rung's powers stay finite"
                        % (ceiling, n, radius))
-    # every fitted slope depends on lam and R only through lam R, so the
-    # family is built on the unit ball at lam R, where no power of R can
-    # overflow; the ladder is written in lam
+    # the slopes depend on lam and R only through lam R: fit on the unit
+    # ball at lam R, where no power of R overflows; the ladder stays in lam
     domain = BallDomain.unit(n)
     lams = lam_min * 10.0 ** np.linspace(0.0, LADDER_DECADES, rungs)
     family = [BubbleParams(a=domain.center, lam=float(l * radius), n=n)

@@ -89,13 +89,11 @@ _GAP_BLOCK_PANELS = 16
 # few K x K arrays of the form and its rank-2 shift.
 _MAX_TRIAL_MODES = 400
 # Newton steps allowed for the Bessel zeros of the trial modes; from
-# Olver's seeds at most 4 were measured for 400 zeros of every order 1
-# to 79.
+# Olver's seeds, 400 zeros of every order 1 to 79 took at most 4.
 _ZERO_MAX_STEPS = 20
 # Contraction ratios are certified only while steps sit clearly above
 # the round-off floor of the fixed-point update.
 _RATIO_FLOOR = 1e-10
-# The reduced fixed point stops at the first step below this norm.
 _REDUCED_STEP_TOL = 1e-12
 # relative distance within which an extrapolated law limit passes
 LAW_RTOL = 0.15
@@ -142,19 +140,14 @@ def _bessel_over_power(nu, x):
 
 
 def _bessel_zero_seeds(nu, count):
-    """Seeds for the first count positive zeros of J_nu, nu >= 1.
-
-    The leading term of Olver's uniform expansion (DLMF 10.20,
-    10.21(viii)): j_(nu,k) ~ nu z, where z >= 1 solves
-    (2/3) (-zeta)^(3/2) = sqrt(z^2 - 1) - arcsec z at zeta = nu^(-2/3)
-    a_k, and a_k is the k-th zero of Ai from five terms of its asymptotic
-    series (DLMF 9.9.6, 9.9.18). With z = sec theta that equation reads
-    tan theta - theta = s; the left side is convex and increasing on
-    (0, pi/2), so Newton steps from min((3 s)^(1/3), arctan(s + pi/2)),
-    which bounds the root from above, descend to it. Unlike McMahon's
-    expansion for large k, the seeds hold for the first zeros of every
-    order: within 3e-3 relative of the zeros at order 1 and 7e-5 at
-    order 40 (measured over the first 400).
+    """Seeds for the first count positive zeros of J_nu, nu >= 1: the
+    leading term nu z of Olver's uniform expansion (DLMF 10.20,
+    10.21(viii)), where (2/3) (-zeta)^(3/2) = sqrt(z^2 - 1) - arcsec z at
+    zeta = nu^(-2/3) a_k, a_k the k-th zero of Ai from five terms of its
+    asymptotic series (DLMF 9.9.6, 9.9.18). With z = sec theta this is
+    tan theta - theta = s, convex and increasing on (0, pi/2), so Newton
+    steps from an upper bound of the root descend to it. Unlike
+    McMahon's, the seeds hold for the first zeros of every order.
     """
     t = 3.0 * math.pi / 8.0 * (4.0 * np.arange(1, count + 1) - 1.0)
     t2 = t ** -2.0
@@ -169,15 +162,13 @@ def _bessel_zero_seeds(nu, count):
 
 
 def _bessel_zeros(nu, count):
-    """The first count positive zeros of J_nu, integer nu >= 1.
-
-    Each zero starts from _bessel_zero_seeds and takes Newton steps
-    x <- x + f_nu(x) / (x f_(nu+1)(x)) on f_nu = J_nu / x^nu, whose
-    derivative is -J_(nu+1) / x^nu, until every relative step is at most
-    4 eps. RuntimeError is raised rather than a zero returned when that
-    takes more than _ZERO_MAX_STEPS steps, or when the zeros do not
-    increase strictly, which is how a seed that converged to another zero
-    shows.
+    """The first count positive zeros of J_nu, integer nu >= 1: Newton
+    steps x <- x + f_nu(x) / (x f_(nu+1)(x)) from _bessel_zero_seeds on
+    f_nu = J_nu / x^nu, whose derivative is -J_(nu+1) / x^nu, until every
+    relative step is at most 4 eps. RuntimeError is raised rather than a
+    zero returned when that takes more than _ZERO_MAX_STEPS steps, or
+    when the zeros do not increase strictly, which is how a seed that
+    converged to another zero shows.
     """
     x = _bessel_zero_seeds(nu, count)
     for _ in range(_ZERO_MAX_STEPS):
@@ -291,19 +282,15 @@ def coercivity_check(params, domain, trial_count=40):
     their energy pairing exactly diagonal. Radial modes are orthogonal to
     the translation directions for free. The modes' zeros and energy
     norms come from the same J_nu / x^nu routine as their samples
-    (_bessel_zeros, _trial_gap). The zeros hold for every order, but the
-    power series of the samples loses digits near x = nu as the order
-    grows: up to n = 78 the gap stays within 2.3e-10 of one sampled with
-    scipy's jv, and from n = 80 the doubling check below raises.
+    (_bessel_zeros, _trial_gap). The zeros hold for every order; from
+    n = 80 the samples' power series cancels too much near x = nu, and
+    the doubling check below raises.
 
     The mode count is trial_count per core-resolution band: the basis
     holds trial_count * ceil(lam R / 10) modes so the oscillation scale
     of the last mode stays below the concentration core width. Doubling
-    trial_count is the intended stability check, and from n = 10 on it is
-    needed: a mode of order nu reaches into the core only once its zero z
-    exceeds about nu lam R, so 40 trials per band leave the gap 0.8 %
-    high at n = 10 and at n = 40 give 0.621 for lam = 10, where 160
-    trials give 0.1739, the whole-space value 8 / (n + 6).
+    trial_count is the intended stability check, needed from n = 10 on: a
+    mode of order nu reaches the core once its zero exceeds about nu lam R.
 
     The weighted mass and the two constraint pairings are integrated on
     composite Gauss-Legendre panels split at the core seams, starting at

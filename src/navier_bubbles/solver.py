@@ -66,9 +66,7 @@ _GRID_STRENGTH = 5.0
 # starts lagging the true one by more than a percent. A 4096-node grid
 # buys one more halving.
 _EPS_FLOOR = 0.005
-# The scaled max-norm residual every solution declares. Newton aims at a
-# tenth of it and then takes one full exit step (_newton), which lands on
-# the discrete solution at round-off; a tighter target only adds steps.
+# The scaled residual every solution declares; Newton aims at a tenth.
 NEWTON_TOL = 1e-10
 
 # The concentration triple the nonexistence theory rules out on the
@@ -277,10 +275,7 @@ class ProbeEntry:
     of the seed, and defect is lhs / rhs - 1 of the identity built from
     them (_pohozaev_sides). concentrating is true exactly when the
     certificate fails: u not positive in the interior, or the sides not
-    finite with the signs lhs < 0 < rhs. At large eps the seed is so
-    flat that its far field underflows: rows whose value and scale are
-    both zero make the residual nan, and rhs = 0 makes the defect nan;
-    the certificate fails there.
+    finite with the signs lhs < 0 < rhs; an underflowed seed reads nan.
     """
 
     eps: float
@@ -515,8 +510,7 @@ def _newton_step(disc, q, au, aw, xu, xw, su, sw):
 
 
 def _newton(disc, q, u, w, max_iter):
-    """Damped Newton on the scaled two-field residual, to the target
-    tol = NEWTON_TOL / 10.
+    """Damped Newton on the scaled two-field residual; tol = NEWTON_TOL / 10.
 
     Returns (u, w, history, exit). history holds one (scaled residual,
     damping) pair per iterate visited, the damping being the factor of
