@@ -13,6 +13,8 @@ Oracles used here and nowhere in the package:
 * The null-space route to the constrained gap: an orthonormal basis of
   the constraints' null space and the projected form basis^T F basis,
   with the mass weight applied by a general product.
+* The whole-space gap 8 / (n + 6) from the Paneitz spectrum on S^n,
+  which the ball's gap reaches once lam^(4 - n) is below round-off.
 * Closed-form balance laws. The exact identity for the leading-order
   scale balance at a reconstructed scale is checked from first
   principles.
