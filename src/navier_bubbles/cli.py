@@ -50,8 +50,12 @@ at n = 5 the default grid does not resolve eps = 0.02 (the law-seeded
 solve stops at the 30-step Newton cap, scaled residual 1.0e-5).
 ``supercritical`` accepts 5 <= n <= 81 (SUPERCRITICAL_N_MAX, derived:
 its obstruction's margin forms 1e4^(n-4)) at every radius of its grid
-window: its probe and obstruction solve nothing, and its subcritical
-contrast, a sweep solve, runs at n = 6 and is skipped elsewhere.
+window: its probe is the closed-form sign of the Pohozaev coefficient
+and its obstruction compares two closed-form terms, so neither solves
+or evaluates a field, and its subcritical contrast, a sweep solve, runs
+at n = 6 and is skipped elsewhere. Both run commands take offsets below
+p - 1 = 8/(n-4), where the matched subcritical exponent p - eps exceeds
+one.
 
 Radius windows: a radius outside a command's window is refused before
 anything is written. ``verify-blowup`` and ``supercritical`` keep every
@@ -78,7 +82,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .bubble import (BubbleParams, balance_constants, center_potential,
-                     law_limits, law_quantities, sobolev_energy)
+                     critical_exponent, law_limits, law_quantities,
+                     sobolev_energy)
 from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain, _first_axis,
                           boundary_blowup_fit, robin)
 from .numerics import sphere_measure
@@ -152,8 +157,9 @@ def _fits_float(value):
 class RunConfig:
     """One run's full parameterization, round-trippable through JSON.
 
-    eps_schedule holds positive offset magnitudes, strictly decreasing;
-    the sweep solves at exponent p - eps for each entry. grid_nodes goes
+    eps_schedule holds positive offset magnitudes below p - 1, strictly
+    decreasing; the sweep solves at exponent p - eps for each entry, and
+    supercritical matches p + eps with that same p - eps. grid_nodes goes
     to the radial solver, whose Newton target is fixed.
     """
 
@@ -193,6 +199,10 @@ class RunConfig:
                            "finite")
         if any(b >= a for a, b in zip(sched, sched[1:])):
             raise CliError("eps schedule must decrease strictly")
+        p = critical_exponent(self.n)
+        if not sched[0] < p - 1:
+            raise CliError("offset magnitude must stay below p - 1 = %g"
+                           % (p - 1))
         object.__setattr__(self, "eps_schedule", sched)
         if not (float(self.grid_nodes).is_integer()
                 and self.grid_nodes >= 256):
@@ -707,10 +717,9 @@ def cmd_verify_blowup(config, out_dir, stream=None):
 # supercritical
 
 
-_PROBE_FIELDS = (("eps", PROV_FORMULA), ("lam", PROV_FORMULA),
-                 ("residual", PROV_QUADRATURE), ("mass", PROV_QUADRATURE),
-                 ("u_slope", PROV_QUADRATURE), ("w_slope", PROV_QUADRATURE),
-                 ("defect", PROV_QUADRATURE), ("concentrating", None))
+_PROBE_FIELDS = (("eps", PROV_FORMULA),
+                 ("pohozaev_coefficient", PROV_FORMULA),
+                 ("concentrating", None))
 _OBSTRUCTION_FIELDS = (("eps", PROV_FORMULA), ("scan_min", PROV_FORMULA),
                        ("floor", PROV_FORMULA), ("margin", PROV_FORMULA),
                        ("positive", None), ("subcritical_root", PROV_SOLVER),
@@ -770,7 +779,7 @@ def cmd_supercritical(config, out_dir, stream=None):
     _ensure_dir(out_dir)
     config.to_json(os.path.join(out_dir, "config.json"))
 
-    probe = supercritical_probe(eps_list, domain, grid=grid)
+    probe = supercritical_probe(eps_list, domain)
     probe_records = [asdict(e) for e in probe.entries]
     _write_table(os.path.join(out_dir, "probe.csv"), probe_records,
                  _PROBE_FIELDS)

@@ -540,7 +540,6 @@ class BlowupEntry:
     scale: float
     eps_peak_sq: float
     eps_scale_pow: float
-    peak_pow: float
     peak_scale_ratio: float
 
 
@@ -558,7 +557,6 @@ class BlowupVerdict:
 
     n: int
     entries: tuple
-    tail: int
     peak_limit_eps: float
     peak_limit_epslog: float
     scale_limit_eps: float
@@ -623,7 +621,6 @@ def blowup_verdict(sweep, x0, domain, consts=None):
             scale=float(dec.lam),
             eps_peak_sq=peak_sq,
             eps_scale_pow=scale_pow,
-            peak_pow=float(peak) ** eps,
             peak_scale_ratio=ratio,
         ))
 
@@ -644,7 +641,6 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     return BlowupVerdict(
         n=n,
         entries=tuple(entries),
-        tail=4,
         peak_limit_eps=peak_limits[0],
         peak_limit_epslog=peak_limits[1],
         scale_limit_eps=scale_limits[0],
@@ -723,7 +719,8 @@ def supercritical_obstruction(eps_list, domain, consts=None):
     for a sign change across [min(5 / R, closed / 2),
     max(lam_hi / R, 2 closed)], closed being its closed-form root; its
     root, found by bisection in log lam, is recorded beside the closed
-    form as an independent route.
+    form as an independent route. Offsets must stay below p - 1, as in
+    solve_radial: p - eps is that matched subcritical exponent.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -732,6 +729,10 @@ def supercritical_obstruction(eps_list, domain, consts=None):
         raise ValueError("eps_list must not be empty")
     if any(not e > 0 for e in eps_arr):
         raise ValueError("every eps must be positive")
+    p = critical_exponent(n)
+    if any(not e < p - 1 for e in eps_arr):
+        raise ValueError("offset magnitude must stay below p - 1 = %g"
+                         % (p - 1))
 
     phi0 = center_potential(n, R)
     margin = float(consts.c1 * center_potential(n)

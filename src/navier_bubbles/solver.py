@@ -29,8 +29,9 @@ re-discretized or copied for the linear algebra.
 Also here: the decomposition u = alpha * Pdelta_lambda + v of a computed
 solution into its nearest projected bubble and a remainder, diagnostics
 for the remainder norm along a sweep, the Pohozaev identity on discrete
-fields, and a supercritical probe that certifies by that identity's
-sign that no concentrating branch exists at exponent p + eps.
+fields, and a supercritical probe that certifies by the closed-form
+sign of that identity's coefficient that no concentrating branch exists
+at exponent p + eps.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .bubble import (
     _projected_profile_laplacian,
     _projected_scale_derivative_laplacian,
     balance_constants,
-    balance_scale,
     center_potential,
     critical_exponent,
     law_limits,
@@ -251,16 +251,15 @@ class VnormDiagnostics:
 
     eps_fit: log ||v|| against log eps (slope near 1 expected on the
     ball, where the boundary distance stays of order one).
-    lambda_fit / eps_lambda_fit: both quantities against lambda; in
-    dimension 6 the remainder bound and the offset itself scale like
-    lambda^{-2}, so the two slopes should straddle -2.
+    lambda_fit: log ||v|| against log lambda; in dimension 6 the
+    remainder bound scales like lambda^{-2}, so the slope should be
+    near -2.
     bound_ratio is max ||v|| / (eps + (lam d)^{4-n}) over the sweep and
     ratios are the per-entry values behind the max.
     """
 
     eps_fit: SlopeFit
     lambda_fit: SlopeFit
-    eps_lambda_fit: SlopeFit
     bound_ratio: float
     ratios: tuple
 
@@ -269,22 +268,13 @@ class VnormDiagnostics:
 class ProbeEntry:
     """The Pohozaev certificate at one supercritical offset.
 
-    lam is the seed's scale, the balance scale a continuation would
-    start from, and residual the seed's scaled residual at exponent
-    p + eps. mass, u_slope and w_slope are int u^{q+1}, u'(R) and w'(R)
-    of the seed, and defect is lhs / rhs - 1 of the identity built from
-    them (_pohozaev_sides). concentrating is true exactly when the
-    certificate fails: u not positive in the interior, or the sides not
-    finite with the signs lhs < 0 < rhs; an underflowed seed reads nan.
+    pohozaev_coefficient is n/(q+1) - (n-4)/2 at q = p + eps, the factor
+    of int u^{q+1} on the identity's left side (supercritical_probe), and
+    concentrating is true exactly when it is not negative.
     """
 
     eps: float
-    lam: float
-    residual: float
-    mass: float
-    u_slope: float
-    w_slope: float
-    defect: float
+    pohozaev_coefficient: float
     concentrating: bool
 
     @property
@@ -630,9 +620,7 @@ def _pohozaev_sides(grid, u, w, q):
     d1 = _stencil_weights(r[-1], r[-3:], 1)[1]
     u_slope = float(d1 @ u[-3:])
     w_slope = float(d1 @ w[-3:])
-    # an overflowed mass is inf, and fails the probe's certificate
-    with np.errstate(over="ignore"):
-        mass = float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
+    mass = float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
     lhs = (n / (q + 1) - (n - 4) / 2) * mass
     rhs = -sphere_measure(n) * grid.R**n * u_slope * w_slope
     return mass, u_slope, w_slope, lhs, rhs
@@ -950,51 +938,37 @@ def vnorm_diagnostics(sweep, eps_list):
     return VnormDiagnostics(
         eps_fit=fit_loglog(eps_arr, vnorms),
         lambda_fit=fit_loglog(lams, vnorms),
-        eps_lambda_fit=fit_loglog(lams, eps_arr),
         bound_ratio=float(ratios.max()),
         ratios=tuple(float(x) for x in ratios),
     )
 
 
-def supercritical_probe(eps_list, domain, grid=None):
-    """Certify by the Pohozaev sign that no concentrating branch exists
-    at exponent p + eps, for each positive eps in eps_list.
+def supercritical_probe(eps_list, domain):
+    """Certify by the Pohozaev sign that no positive solution, and so no
+    concentrating branch, exists at exponent p + eps, for each positive
+    eps in eps_list.
 
-    For q > p the left side of the identity (_pohozaev_sides) is
-    negative, while a positive field with u'(R) < 0 < w'(R), the sign
-    pattern every positive discrete solution has, makes the right side
-    positive; its defect is then below -1, where a resolved solution's is
-    a small truncation error. The offset is certified on the seed a
-    continuation would start from, the projected bubble at the balance
-    scale: u positive in the interior and lhs < 0 < rhs, both finite. No
-    Newton step is taken.
+    The identity (_pohozaev_sides) reads
+
+        (n/(q+1) - (n-4)/2) int u^{q+1} = -|S^{n-1}| R^n u'(R) w'(R).
+
+    Its right side is positive on every positive solution: the maximum
+    principle gives u'(R) < 0 < w'(R), a premise the tests check on
+    subcritical solutions. For q > p the coefficient on the left is
+    negative, so the two sides cannot agree. The probe evaluates that coefficient in closed form and no
+    field; the measured closure of the identity on a solution is the
+    subcritical contrast's RadialSolution.pohozaev_defect.
     """
     eps_arr = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_arr):
         raise ValueError("probe offsets must be positive")
-    if grid is None:
-        grid = default_grid(domain)
-    if grid.n != domain.n or grid.R != domain.radius:
-        raise ValueError("grid dimension or radius does not match the domain")
-    check_eps_floor(min(eps_arr), grid)
-    disc = _grid_arrays(grid)
-    consts = balance_constants(domain.n)
-    phi = center_potential(domain.n, domain.radius)
+    n = domain.n
     entries = []
     for eps in eps_arr:
-        q = critical_exponent(domain.n) + eps
-        lam = balance_scale(consts, phi, eps)
-        u, w = _bubble_fields(grid, lam)
-        mass, u_slope, w_slope, lhs, rhs = _pohozaev_sides(grid, u, w, q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            residual = _scaled_residual(disc, q, u, w)
-        entries.append(ProbeEntry(
-            eps=eps, lam=lam, residual=residual,
-            mass=mass, u_slope=u_slope, w_slope=w_slope,
-            defect=lhs / rhs - 1.0 if rhs != 0 else math.nan,
-            concentrating=not (u[:-1].min() > 0
-                               and -math.inf < lhs < 0 < rhs < math.inf),
-        ))
+        q = critical_exponent(n) + eps
+        coefficient = n / (q + 1) - (n - 4) / 2
+        entries.append(ProbeEntry(eps=eps, pohozaev_coefficient=coefficient,
+                                  concentrating=not coefficient < 0))
     return SupercriticalProbe(
         entries=tuple(entries),
         any_concentrating=any(e.concentrating for e in entries),

@@ -817,10 +817,11 @@ def test_supercritical_certificate_passes(sc_run):
     assert report["probe"]["any_concentrating"] is False
     for e in report["probe"]["entries"]:
         assert not e["concentrating"]
-        # the certificate re-checked from the artifact: lhs < 0 < rhs
-        assert e["u_slope"]["value"] < 0 < e["w_slope"]["value"]
-        assert e["mass"]["value"] > 0
-        assert e["defect"]["value"] < -1.0
+        # the certificate re-checked from the artifact: the left side's
+        # coefficient n/(q+1) - (n-4)/2 at q = p + eps is negative
+        q = 5.0 + e["eps"]["value"]
+        assert e["pohozaev_coefficient"]["value"] == 6 / (q + 1) - 1.0
+        assert e["pohozaev_coefficient"]["value"] < 0
     assert report["obstruction"]["all_positive"] is True
 
 
@@ -870,14 +871,15 @@ def test_supercritical_probe_table(sc_run):
     header, rows = read_csv(out / "probe.csv")
     assert len(rows) == 2
     assert header == [
-        "eps", "eps_provenance", "lam", "lam_provenance",
-        "residual", "residual_provenance", "mass", "mass_provenance",
-        "u_slope", "u_slope_provenance", "w_slope", "w_slope_provenance",
-        "defect", "defect_provenance", "concentrating"]
+        "eps", "eps_provenance",
+        "pohozaev_coefficient", "pohozaev_coefficient_provenance",
+        "concentrating"]
     assert [float(r[header.index("eps")]) for r in rows] == [0.02, 0.05]
     for row in rows:
         assert row[header.index("concentrating")] == "false"
-        assert float(row[header.index("defect")]) < -1.0
+        assert float(row[header.index("pohozaev_coefficient")]) < 0
+        assert row[header.index("pohozaev_coefficient_provenance")] == (
+            "formula")
         for tag in provenance_cells(header, row):
             assert tag in PROVENANCE_VOCAB
     report = json.loads((out / "report.json").read_text())
@@ -940,7 +942,11 @@ def test_supercritical_higher_dimension_certifies(tmp_path, capsys, n):
     assert report["probe"]["any_concentrating"] is False
     assert len(report["probe"]["entries"]) == 3
     for e in report["probe"]["entries"]:
-        assert not e["concentrating"] and e["defect"]["value"] < -1.0
+        q = (int(n) + 4) / (int(n) - 4) + e["eps"]["value"]
+        assert e["pohozaev_coefficient"]["value"] == (
+            int(n) / (q + 1) - (int(n) - 4) / 2)
+        assert not e["concentrating"] and e["pohozaev_coefficient"][
+            "value"] < 0
     assert report["obstruction"]["all_positive"] is True
     for e in report["obstruction"]["entries"]:
         assert e["positive"] and e["margin"]["value"] > 0
@@ -966,15 +972,13 @@ def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
         assert not report["probe"]["any_concentrating"]
         assert report["obstruction"]["all_positive"]
         assert "error" in report["subcritical_contrast"]
-        for entry in report["probe"]["entries"]:
-            assert entry["residual"]["value"] is not None
 
 
 def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
                                                            capsys):
     # at unit radius the default grid's first cell volume underflows from
-    # n = 64, which wrote the probe's residuals as NaN; n = 82 ended in an
-    # OverflowError traceback at 1e4 ** (n - 4)
+    # n = 64, which wrote the probe's residuals (since removed) as NaN;
+    # n = 82 ended in an OverflowError traceback at 1e4 ** (n - 4)
     out = tmp_path / "supercritical"
     assert_refused(["supercritical", "--n", "64", "--out", str(tmp_path)],
                    out, capsys)
@@ -983,51 +987,83 @@ def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
     # the last dimension accepted at unit radius
     assert run_quietly(["supercritical", "--n", "63", "--eps", "0.05",
                         "--out", str(tmp_path)], capsys) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert all(e["residual"]["value"] is not None
-               for e in report["probe"]["entries"])
+
+
+def assert_past_p_minus_one(argv, out, capsys):
+    """The run is refused (exit 2) for an offset at or past p - 1,
+    before anything is written and without a numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_refused(argv, out, capsys,
+                       "error: offset magnitude must stay below p - 1 = ")
 
 
 def test_supercritical_probe_fails_on_an_overflowed_mass(tmp_path, capsys):
-    # at eps = 2 the seed's mass overflows; lhs = -inf then satisfied
-    # lhs < 0 < rhs, and the run certified the offset, warned of the
-    # overflow and passed
-    argv = ["supercritical", "--n", "63", "--radius", "0.3", "--grid-nodes",
-            "256", "--eps", "2", "1", "0.5", "--out", str(tmp_path)]
-    assert run_quietly(argv, capsys) == 1
-    report = json.loads(
-        (tmp_path / "supercritical" / "report.json").read_text())
-    assert report["passed"] is False
-    assert report["probe"]["any_concentrating"] is True
-    assert [e["concentrating"] for e in report["probe"]["entries"]] == [
-        False, False, True]
-    assert report["probe"]["entries"][2]["mass"]["value"] is None
-    # the failed check and its offset are named on stdout
-    assert cli.main(argv) == 1
-    assert ("supercritical probe: Pohozaev sign NOT certified at eps 2\n"
-            in capsys.readouterr().out)
+    # at eps = 2 the probe's seed, a field it no longer builds, overflowed
+    # its mass and failed the certificate (exit 1); eps = 2 is past
+    # p - 1 = 8/59 at n = 63, so the run is refused before it starts
+    assert_past_p_minus_one(
+        ["supercritical", "--n", "63", "--radius", "0.3", "--grid-nodes",
+         "256", "--eps", "2", "1", "0.5", "--out", str(tmp_path)],
+        tmp_path / "supercritical", capsys)
 
 
 @pytest.mark.parametrize("eps", ["1e11", "1e50"])
 def test_supercritical_probe_fails_on_an_underflowed_seed(tmp_path, capsys,
                                                           eps):
-    # the balance scale is so small that the seed's far field underflows:
-    # u'(R) rounds to 0, which ended in a ZeroDivisionError traceback,
-    # and from eps = 1e17 the residual divided 0 by 0 with a warning; the
-    # certificate fails instead, with the defect written as null
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = cli.main(["supercritical", "--eps", eps,
-                       "--out", str(tmp_path)])
-    assert rc == 1
-    assert ("supercritical probe: Pohozaev sign NOT certified at eps %g\n"
-            % float(eps) in capsys.readouterr().out)
-    report = json.loads(
-        (tmp_path / "supercritical" / "report.json").read_text())
-    (entry,) = report["probe"]["entries"]
-    assert entry["concentrating"] is True
-    assert entry["u_slope"]["value"] == 0.0
-    assert entry["defect"]["value"] is None
+    # the probe's seed underflowed at these offsets and failed the
+    # certificate (exit 1); they are past p - 1 = 4, where the matched
+    # subcritical exponent p - eps is below one, and are refused
+    assert_past_p_minus_one(["supercritical", "--eps", eps,
+                             "--out", str(tmp_path)],
+                            tmp_path / "supercritical", capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["supercritical", "--eps", "1.7e308"],
+    ["supercritical", "--n", "81", "--radius", "100", "--eps", "1e300"],
+    ["supercritical", "--n", "40", "--radius", "5e7", "--eps", "1e50"],
+    ["supercritical", "--n", "6", "--radius", "1e51", "--eps", "1e300"],
+    ["verify-blowup", "--eps", "4", "3", "2", "1"],
+], ids=["n6-1.7e308", "n81-1e300", "n40-1e50", "n6-R1e51-1e300",
+        "verify-blowup-4"])
+def test_run_offsets_stay_below_p_minus_one(tmp_path, capsys, argv):
+    # the obstruction's three repros ended in a ZeroDivisionError
+    # traceback, and without the rule 1.7e308 wrote an infinite floor
+    # and passed
+    assert_past_p_minus_one(argv + ["--out", str(tmp_path)],
+                            tmp_path / argv[0], capsys)
+
+
+def test_config_refuses_offsets_past_p_minus_one():
+    # p - 1 = 8/(n-4): 4 at n = 6, 0.4 at n = 24
+    assert RunConfig(eps_schedule=(3.99,)).eps_schedule == (3.99,)
+    for n, eps in ((6, 4.0), (24, 0.4)):
+        with pytest.raises(CliError, match=r"below p - 1 = %g$" % eps):
+            RunConfig(n=n, eps_schedule=(eps, 0.02))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--radius", "3e-57", "--eps", "1", "0.02"],
+    ["--n", "20", "--eps", "0.49"],
+    ["--eps", "3.99", "0.02"],
+], ids=["n5-R3e-57", "n20-0.49", "n6-3.99"])
+def test_supercritical_below_p_minus_one_writes_finite_values(tmp_path,
+                                                              capsys, argv):
+    # offsets just below p - 1 and radii at the window's end: the first
+    # failed the seed's certificate on an overflowed mass (exit 1)
+    assert run_quietly(["supercritical"] + argv + ["--out", str(tmp_path)],
+                       capsys) == 0
+    out = tmp_path / "supercritical"
+    for name in ("probe.csv", "obstruction.csv"):
+        header, rows = read_csv(out / name)
+        for row in rows:
+            for key, cell in zip(header, row):
+                if not key.endswith("_provenance") and cell not in (
+                        "true", "false"):
+                    assert math.isfinite(float(cell)), (name, key, cell)
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is True
 
 
 def test_supercritical_dimension_limit_is_where_the_margin_overflows(

