@@ -941,12 +941,12 @@ def test_supercritical_higher_dimension_certifies(tmp_path, capsys, n):
     assert "skipped" in report["subcritical_contrast"]
     assert report["probe"]["any_concentrating"] is False
     assert len(report["probe"]["entries"]) == 3
+    dim = int(n)
     for e in report["probe"]["entries"]:
-        q = (int(n) + 4) / (int(n) - 4) + e["eps"]["value"]
-        assert e["pohozaev_coefficient"]["value"] == (
-            int(n) / (q + 1) - (int(n) - 4) / 2)
-        assert not e["concentrating"] and e["pohozaev_coefficient"][
-            "value"] < 0
+        q = (dim + 4) / (dim - 4) + e["eps"]["value"]
+        coefficient = e["pohozaev_coefficient"]["value"]
+        assert coefficient == dim / (q + 1) - (dim - 4) / 2
+        assert not e["concentrating"] and coefficient < 0
     assert report["obstruction"]["all_positive"] is True
     for e in report["obstruction"]["entries"]:
         assert e["positive"] and e["margin"]["value"] > 0
@@ -977,8 +977,7 @@ def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
 def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
                                                            capsys):
     # at unit radius the default grid's first cell volume underflows from
-    # n = 64, which wrote the probe's residuals (since removed) as NaN;
-    # n = 82 ended in an OverflowError traceback at 1e4 ** (n - 4)
+    # n = 64; n = 82 ended in an OverflowError traceback at 1e4 ** (n - 4)
     out = tmp_path / "supercritical"
     assert_refused(["supercritical", "--n", "64", "--out", str(tmp_path)],
                    out, capsys)
