@@ -146,8 +146,9 @@ def robin(domain, x):
     m = (n - 4) / 2.0
     b = 2.0 * (4 - n) / (4 * k + 2 * n)
     # g_k t^(k-1) for k >= 1, then g_k t^k for k >= 0
-    over_t = np.cumprod(np.r_[n - 2.0, t * (n - 2 + k[1:-1]) / k[2:]])
-    terms = np.r_[1.0, t * over_t]
+    over_t = np.cumprod(np.concatenate(([n - 2.0],
+                                        t * (n - 2 + k[1:-1]) / k[2:])))
+    terms = np.concatenate(([1.0], t * over_t))
     lead = m / (m + k) - b
     lead[0] = center_potential(n)
     tail = b - m / (m + k + 2)

@@ -231,35 +231,53 @@ def _stencil_weights(z, x, m):
 
     The last axis of x holds one stencil's nodes; its leading axes
     broadcast against z, one stencil per entry of z. There is no linear
-    solve, and the arithmetic runs in the dtype of x.
+    solve, and the arithmetic runs in the dtype of x. The recurrence runs
+    with the node axis leading and the stencils trailing, so each step is
+    one contiguous pass over every stencil; the product of a node's
+    differences is formed left to right, as multiply.reduce does.
     """
     z = np.asarray(z, dtype=np.asarray(x).dtype)
-    x = np.broadcast_to(x, z.shape + np.shape(x)[-1:])
-    k = np.arange(m + 1, dtype=x.dtype)
+    x = np.moveaxis(np.broadcast_to(x, z.shape + np.shape(x)[-1:]), -1, 0)
+    k = np.arange(m + 1, dtype=x.dtype).reshape((-1,) + (1,) * z.ndim)
     # row 0 of w stays zero, so row k + 1 holds derivative k and the
     # recurrence's k * w[k - 1] term needs no special case at k = 0
-    w = np.zeros(x.shape[:-1] + (m + 2, x.shape[-1]), dtype=x.dtype)
-    w[..., 1, 0] = 1
-    c1 = np.ones_like(z)[..., None]
-    c4 = (x[..., 0] - z)[..., None]
-    for i in range(1, x.shape[-1]):
+    w = np.zeros((m + 2,) + x.shape, dtype=x.dtype)
+    w[1, 0] = 1
+    c1 = np.ones_like(z)
+    c4 = x[0] - z
+    for i in range(1, x.shape[0]):
         top = min(i, m) + 1
-        d = x[..., i, None] - x[..., :i]
-        c2 = np.prod(d, axis=-1)[..., None]
-        c5, c4 = c4, (x[..., i] - z)[..., None]
+        d = x[i] - x[:i]
+        c2 = np.multiply.reduce(d, axis=0)
+        c5, c4 = c4, x[i] - z
         # node i's column from the old column of node i - 1, then the
         # update of the columns of nodes 0..i-1
-        w[..., 1:top + 1, i] = c1 / c2 * (k[:top] * w[..., :top, i - 1]
-                                          - c5 * w[..., 1:top + 1, i - 1])
-        w[..., 1:top + 1, :i] = (c4[..., None] * w[..., 1:top + 1, :i]
-                                 - k[:top, None] * w[..., :top, :i]
-                                 ) / d[..., None, :]
+        w[1:top + 1, i] = c1 / c2 * (k[:top] * w[:top, i - 1]
+                                     - c5 * w[1:top + 1, i - 1])
+        w[1:top + 1, :i] = (c4 * w[1:top + 1, :i]
+                            - k[:top, None] * w[:top, :i]) / d
         c1 = c2
-    return w[..., 1:, :]
+    return np.ascontiguousarray(np.moveaxis(w[1:], (0, 1), (-2, -1)))
 
 
-def _laplacian_apply(u, r, n):
-    """One application of Delta = d^2/dr^2 + ((n-1)/r) d/dr on samples.
+def _laplacian_stencil(r, n):
+    """The node-only parts of Delta = d^2/dr^2 + ((n-1)/r) d/dr on the
+    nodes r, shared by every application on them: the interior rows'
+    coefficients of u[j-1], u[j], u[j+1], their common denominator, and
+    the outer row's weights."""
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    g = (n - 1) / r[1:-1]
+    coefficients = (2 * hp - g * hp * hp,
+                    -2 * (hm + hp) + g * (hp * hp - hm * hm),
+                    2 * hm + g * hm * hm)
+    outer = _stencil_weights(r[-1], r[-4:], 2)
+    return coefficients, hm * hp * (hm + hp), outer
+
+
+def _laplacian_apply(u, r, n, stencil):
+    """One application of Delta = d^2/dr^2 + ((n-1)/r) d/dr on samples,
+    with the stencil _laplacian_stencil(r, n).
 
     Interior rows use the standard 3-point nonuniform stencil. The center
     row fits u = u0 + b r^2 + c r^4 through the first three nodes and
@@ -269,14 +287,9 @@ def _laplacian_apply(u, r, n):
     amplify into the core. The outer row differentiates the cubic
     through the last four nodes.
     """
+    (lower, middle, upper), den, outer = stencil
     out = np.empty_like(u)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    den = hm * hp * (hm + hp)
-    g = (n - 1) / r[1:-1]
-    out[1:-1] = ((2 * hp - g * hp * hp) * u[:-2]
-                 + (-2 * (hm + hp) + g * (hp * hp - hm * hm)) * u[1:-1]
-                 + (2 * hm + g * hm * hm) * u[2:]) / den
+    out[1:-1] = (lower * u[:-2] + middle * u[1:-1] + upper * u[2:]) / den
 
     r1, r2 = r[1], r[2]
     det = r1 * r1 * r2 ** 4 - r2 * r2 * r1 ** 4
@@ -284,7 +297,7 @@ def _laplacian_apply(u, r, n):
     c = ((u[2] - u[0]) * r1 * r1 - (u[1] - u[0]) * r2 * r2) / det
     out[0] = 2 * n * b + 2 * (2 * n - 1) * r1 * r1 * c
 
-    _, slope, curv = _stencil_weights(r[-1], r[-4:], 2) @ (u[-4:] - u[-1])
+    _, slope, curv = outer @ (u[-4:] - u[-1])
     out[-1] = curv + (n - 1) / r[-1] * slope
     return out
 
@@ -310,14 +323,16 @@ def radial_bilaplacian(u, grid):
     plain composition is either inconsistent or drowned by rounding:
 
       * head (r < 0.008 R): u = F(t), t = r^2, with F the polynomial
-        through the center and nodes spread over [0.008 R, 0.032 R], and
-        Delta^2 u = 16 t^2 F'''' + 16 (n+2) t F''' + 4 n (n+2) F'';
+        through the center and nodes spread over [0.008 R, 0.032 R],
+        differentiated once at t = 0 and summed by Horner at each row,
+        and Delta^2 u = 16 t^2 F'''' + 16 (n+2) t F''' + 4 n (n+2) F'';
       * an inner band (0.008 R <= r < 0.04 R): strided seven-point
         windows of degree six, which trade a longer stencil for a fourth
         power of the stride in the rounding amplification;
       * the last two rows: the same window on the trailing nodes, since
         the composed stencil has no room on the right.
 
+    Both applications of the Laplacian share one _laplacian_stencil.
     Each local polynomial, like the outer row of the Laplacian, is
     differentiated by one rule, the weights of _stencil_weights. All
     arithmetic runs in extended precision. Hand in longdouble samples
@@ -335,11 +350,13 @@ def radial_bilaplacian(u, grid):
     N = r.size
     R = float(nodes[-1])
 
-    w = _laplacian_apply(u, r, n)
-    out = _laplacian_apply(w, r, n)
+    stencil = _laplacian_stencil(r, n)
+    out = _laplacian_apply(_laplacian_apply(u, r, n, stencil), r, n, stencil)
 
-    # head zone: one polynomial in t = r^2 through the center and the
-    # spread nodes
+    # head zone: one polynomial F in t = r^2 through the center and the
+    # spread nodes; its derivatives D[k] = F^(k)(0), k = 0..len(js) - 1,
+    # come from one set of weights at t = 0, and each head row's F'',
+    # F''' and F'''' from their Taylor sums by Horner
     r_head = 0.008 * R
     fit_radii = r_head * np.array([1.0, 1.4, 1.8, 2.2, 2.6, 3.0, 3.5, 4.0])
     js = np.unique(np.searchsorted(nodes, fit_radii))
@@ -347,11 +364,18 @@ def radial_bilaplacian(u, grid):
     head = int(np.searchsorted(nodes, r_head))
     if len(js) >= 5 and head > 0:
         t = r[:head] ** 2
-        F2, F3, F4 = np.einsum("ikj,j->ki",
-                               _stencil_weights(t, r[js] ** 2, 4)[:, 2:],
-                               u[js] - u[0])
-        out[:head] = (16 * t * t * F4 + 16 * (n + 2) * t * F3
-                      + 4 * n * (n + 2) * F2)
+        D = _stencil_weights(0, r[js] ** 2, len(js) - 1) @ (u[js] - u[0])
+
+        def derivative(k):
+            # F^(k)(t) = sum_i D[k + i] t^i / i!
+            acc = D[-1]
+            for j in range(len(D) - 2, k - 1, -1):
+                acc = D[j] + acc * t / (j - k + 1)
+            return acc
+
+        out[:head] = (16 * t * t * derivative(4)
+                      + 16 * (n + 2) * t * derivative(3)
+                      + 4 * n * (n + 2) * derivative(2))
 
     # band zone: strided seven-node windows centered on each row
     stride = 3

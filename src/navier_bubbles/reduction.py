@@ -28,6 +28,7 @@ center offset is locked at the origin. Off-center configurations are
 refused rather than approximated.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -113,13 +114,18 @@ def _bessel_over_power(nu, x):
     three-term recurrence, which is stable while the order stays below x,
     in the form a_(k+1) = (2k a_k - a_(k-1)) / x^2 for a_k = J_k(x) / x^k.
     The recurrence runs over every x and the series then overwrites the
-    few values below the switch. This is the package's only Bessel
-    routine: the trial modes, their zeros and their norms all come from
-    it, so scipy.special is reached only for j0 and j1.
+    few values below the switch. From order 41 (n = 84) the recurrence
+    overflows on the gap's panels near the origin, below the switch; a
+    sample that is not finite all the same raises RuntimeError. This is the
+    package's only Bessel routine: the trial modes, their zeros and their
+    norms all come from it, so scipy.special is reached only for j0 and
+    j1.
     """
     from scipy.special import j0, j1
     x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a value that overflows stays non-finite through the recurrence, so
+    # the check of the result catches any the series does not overwrite
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv_sq = 1.0 / (x * x)
         lower, out = j0(x), j1(x) / x
         for k in range(1, nu):
@@ -136,6 +142,9 @@ def _bessel_over_power(nu, x):
         term = term * quarter / (k * (k + nu))
         total += term
     np.put(out, small, total)
+    if not np.all(np.isfinite(out)):
+        raise RuntimeError("Bessel samples are not finite above the "
+                           "series switch x = nu + 2")
     return out
 
 
@@ -471,10 +480,15 @@ def solve_reduced_system(eps, x0, domain, consts=None, max_iter=60):
             raise ValueError("scale chart left its domain: rho too negative")
         return base ** (-2.0 / (n - 4.0))
 
+    # the Jacobian's two amplitude differences and the first iterate sit
+    # at the origin's scale: each distinct scale is integrated once
+    integrals = functools.cache(lambda lam: _reduced_integrals(n, R, lam,
+                                                               eps))
+
     def right_sides(zz):
         beta, rho = zz
         lam = lam_of_rho(rho)
-        pair_b, mass, pair_s, mass_s = _reduced_integrals(n, R, lam, eps)
+        pair_b, mass, pair_s, mass_s = integrals(lam)
         quotient = pair_b * mass ** (-2.0 / qt)
         gam = quotient ** (n / 8.0) * (alpha0 + beta)
         f1 = (gam * pair_b - gam ** (p - eps) * mass) / pair_b

@@ -7,19 +7,23 @@ assertions then read the artifacts like a downstream consumer would.
 Byte-identical rerun checks rewrite into the same directory and hash.
 """
 
+import contextlib
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from navier_bubbles import cli, solver
 from navier_bubbles.bubble import balance_constants, center_potential
@@ -1236,6 +1240,114 @@ def test_expansion_orders_other_dimensions(tmp_path, capsys, n):
         fit = report["fits"][name]
         assert fit["within_band"] is True
         assert abs(fit["slope"]["value"] - target) <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# range contract of the closed-form commands
+
+
+def _written_numbers(out_dir):
+    """Every number the run wrote: each CSV cell that parses as a float,
+    each JSON number, and each tagged value (null stands for a value
+    that was not finite)."""
+    numbers = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            if node.get("value", 0.0) is None:
+                numbers.append(math.nan)
+            for value in node.values():
+                walk(value)
+        elif isinstance(node, list):
+            for value in node:
+                walk(value)
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            numbers.append(float(node))
+
+    for name in sorted(os.listdir(out_dir)):
+        path = os.path.join(out_dir, name)
+        if name.endswith(".json"):
+            with open(path, encoding="utf-8") as fh:
+                walk(json.load(fh))
+        else:
+            for cell in [c for row in read_csv(path)[1] for c in row]:
+                try:
+                    numbers.append(float(cell))
+                except ValueError:
+                    pass
+    return numbers
+
+
+def _run_in_range_contract(argv):
+    """Run one command under warnings-as-errors into a fresh directory:
+    it exits 0, 1 or 2, writes nothing when it exits 2, and writes only
+    finite numbers otherwise."""
+    with tempfile.TemporaryDirectory() as base:
+        out = os.path.join(base, "out")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main([*argv, "--out", out])
+        assert rc in (0, 1, 2), argv
+        if rc == 2:
+            assert not os.path.exists(out), argv
+        else:
+            numbers = _written_numbers(out)
+            assert numbers and all(map(math.isfinite, numbers)), argv
+
+
+# Random draws keep the arguments a command checks on their own (n,
+# station and rung counts, the sign of a radius) admitted, so they reach
+# the limits derived from the values written: the radius window, the
+# dimension limit, the ladder's ceiling. Radii span the double range,
+# half of them near the unit ball. The refusals of single arguments are
+# fixed examples.
+_RADII = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0)).map(
+    lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(-2, 150))
+def test_constants_range_contract(n):
+    _run_in_range_contract(["constants", "--n=%d" % n])
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(5, 240), radius=_RADII,
+       stations=st.integers(2, 20).map(lambda k: 2 * k + 1))
+@example(n=4, radius=1.0, stations=21)
+@example(n=6, radius=1.0, stations=20)
+@example(n=6, radius=1.0, stations=3)
+@example(n=6, radius=0.0, stations=21)
+@example(n=6, radius=-1.0, stations=21)
+@example(n=6, radius=math.inf, stations=21)
+@example(n=6, radius=math.nan, stations=21)
+def test_robin_range_contract(n, radius, stations):
+    _run_in_range_contract(["robin", "--n=%d" % n, "--radius=%r" % radius,
+                            "--stations=%d" % stations])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(5, 150), radius=_RADII,
+       lam_r=st.floats(1.5, 4.0).map(lambda e: 10.0 ** e),
+       rungs=st.integers(4, 9))
+@example(n=4, radius=1.0, lam_r=60.0, rungs=6)
+@example(n=6, radius=1.0, lam_r=60.0, rungs=3)
+@example(n=6, radius=1.0, lam_r=29.0, rungs=6)
+@example(n=6, radius=0.0, lam_r=60.0, rungs=6)
+@example(n=6, radius=-1.0, lam_r=60.0, rungs=6)
+@example(n=6, radius=math.inf, lam_r=60.0, rungs=6)
+@example(n=6, radius=math.nan, lam_r=60.0, rungs=6)
+@example(n=6, radius=1.0, lam_r=math.inf, rungs=6)
+@example(n=6, radius=1.0, lam_r=-60.0, rungs=6)
+def test_expansion_orders_range_contract(n, radius, lam_r, rungs):
+    # lam_min * radius = lam_r from 32 to 1e4, so most ladders are
+    # admitted or refused on their top rung
+    lam_min = lam_r / radius if 0.0 < radius < math.inf else lam_r
+    _run_in_range_contract(["expansion-orders", "--n=%d" % n,
+                            "--radius=%r" % radius, "--rungs=%d" % rungs,
+                            "--lam-min=%r" % lam_min])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import beta as beta_fn
 
+from navier_bubbles import numerics
 from navier_bubbles.bubble import critical_exponent, radial_profile
 from navier_bubbles.numerics import (
     QUAD_RTOL,
@@ -21,6 +22,7 @@ from navier_bubbles.numerics import (
     converged_quadrature,
     gauss_legendre_panels,
     _laplacian_apply,
+    _laplacian_stencil,
     _stencil_weights,
     SlopeFit,
     fit_loglog,
@@ -252,7 +254,8 @@ def test_laplacian_matches_oracle():
     t = g.nodes ** 2
     exact = (4 * t - 2 * 6) * np.exp(-t)
     r = ld_nodes(g)
-    out = np.asarray(_laplacian_apply(u.astype(np.longdouble), r, 6),
+    out = np.asarray(_laplacian_apply(u.astype(np.longdouble), r, 6,
+                                      _laplacian_stencil(r, 6)),
                      dtype=float)
     assert np.max(np.abs(out - exact)) < 2e-4
 
@@ -293,6 +296,182 @@ def test_bilaplacian_local_zones_on_bubble(n, N):
     r = grid.nodes / grid.R
     assert err[r < 0.008].max() <= 2e-9
     assert err[(r >= 0.008) & (r < 0.04)].max() <= 5e-8
+
+
+# ---------------------------------------------------------------------------
+# shared work of radial_bilaplacian against the per-row routes it replaced
+
+
+def _leading_rows_weights(z, x, m):
+    # Fornberg's recurrence with the stencils leading and the nodes in the
+    # last axis: the route _stencil_weights ran before its recurrence
+    # moved the node axis to the front
+    z = np.asarray(z, dtype=np.asarray(x).dtype)
+    x = np.broadcast_to(x, z.shape + np.shape(x)[-1:])
+    k = np.arange(m + 1, dtype=x.dtype)
+    w = np.zeros(x.shape[:-1] + (m + 2, x.shape[-1]), dtype=x.dtype)
+    w[..., 1, 0] = 1
+    c1 = np.ones_like(z)[..., None]
+    c4 = (x[..., 0] - z)[..., None]
+    for i in range(1, x.shape[-1]):
+        top = min(i, m) + 1
+        d = x[..., i, None] - x[..., :i]
+        c2 = np.prod(d, axis=-1)[..., None]
+        c5, c4 = c4, (x[..., i] - z)[..., None]
+        w[..., 1:top + 1, i] = c1 / c2 * (k[:top] * w[..., :top, i - 1]
+                                          - c5 * w[..., 1:top + 1, i - 1])
+        w[..., 1:top + 1, :i] = (c4[..., None] * w[..., 1:top + 1, :i]
+                                 - k[:top, None] * w[..., :top, :i]
+                                 ) / d[..., None, :]
+        c1 = c2
+    return w[..., 1:, :]
+
+
+def _self_contained_laplacian(u, r, n):
+    # one application of Delta that builds its own interior coefficients,
+    # denominator and outer-row weights
+    out = np.empty_like(u)
+    hm = r[1:-1] - r[:-2]
+    hp = r[2:] - r[1:-1]
+    den = hm * hp * (hm + hp)
+    g = (n - 1) / r[1:-1]
+    out[1:-1] = ((2 * hp - g * hp * hp) * u[:-2]
+                 + (-2 * (hm + hp) + g * (hp * hp - hm * hm)) * u[1:-1]
+                 + (2 * hm + g * hm * hm) * u[2:]) / den
+    r1, r2 = r[1], r[2]
+    det = r1 * r1 * r2 ** 4 - r2 * r2 * r1 ** 4
+    b = ((u[1] - u[0]) * r2 ** 4 - (u[2] - u[0]) * r1 ** 4) / det
+    c = ((u[2] - u[0]) * r1 * r1 - (u[1] - u[0]) * r2 * r2) / det
+    out[0] = 2 * n * b + 2 * (2 * n - 1) * r1 * r1 * c
+    _, slope, curv = _leading_rows_weights(r[-1], r[-4:], 2) @ (u[-4:]
+                                                                 - u[-1])
+    out[-1] = curv + (n - 1) / r[-1] * slope
+    return out
+
+
+def _head_zone(grid):
+    # radial_bilaplacian's head rows and the fit nodes of their polynomial
+    nodes = grid.nodes
+    r_head = 0.008 * grid.R
+    fit_radii = r_head * np.array([1.0, 1.4, 1.8, 2.2, 2.6, 3.0, 3.5, 4.0])
+    js = np.unique(np.searchsorted(nodes, fit_radii))
+    js = np.concatenate([[0], js[js < nodes.size]])
+    return int(np.searchsorted(nodes, r_head)), js
+
+
+def _per_row_head(u, grid):
+    # every head row's own Fornberg table in t = r^2, the route the one
+    # polynomial at t = 0 replaced
+    n = grid.n
+    head, js = _head_zone(grid)
+    r = grid.nodes.astype(np.longdouble)
+    u = np.asarray(u).astype(np.longdouble)
+    t = r[:head] ** 2
+    F2, F3, F4 = np.einsum("ikj,j->ki",
+                           _leading_rows_weights(t, r[js] ** 2, 4)[:, 2:],
+                           u[js] - u[0])
+    return np.asarray(16 * t * t * F4 + 16 * (n + 2) * t * F3
+                      + 4 * n * (n + 2) * F2, dtype=np.float64)
+
+
+def _stencil_shapes():
+    # the five call shapes of _stencil_weights: the Laplacian's outer row,
+    # the head polynomial, the band and tail windows, and the three-point
+    # slope of solver._pohozaev_sides (float64)
+    grid = RadialGrid.arctan_graded(6, 4096, R=10.0, stretch=0.8)
+    r = grid.nodes.astype(np.longdouble)
+    head, js = _head_zone(grid)
+    band = np.arange(300, 600)
+    f = RadialGrid.sinh_graded(6, 2048).nodes
+    return {
+        "outer": (r[-1], r[-4:], 2),
+        "head": (np.longdouble(0), r[js] ** 2, len(js) - 1),
+        "head_rows": (r[:head] ** 2, r[js] ** 2, 4),
+        "band": (r[band], r[band[:, None] + 3 * np.arange(-3, 4)], 4),
+        "tail": (r[[-2, -1]], r[np.arange(r.size - 19, r.size, 3)], 4),
+        "pohozaev": (f[-1], f[-3:], 1),
+    }
+
+
+@pytest.mark.parametrize("shape", ["outer", "head", "head_rows", "band",
+                                   "tail", "pohozaev"])
+def test_stencil_weights_match_leading_rows_recurrence(shape):
+    z, x, m = _stencil_shapes()[shape]
+    got = _stencil_weights(z, x, m)
+    want = _leading_rows_weights(z, x, m)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_shared_laplacian_stencil_matches_self_contained(n, monkeypatch):
+    grid = RadialGrid.arctan_graded(n, 2048, R=10.0, stretch=0.8)
+    r = grid.nodes.astype(np.longdouble)
+    u = radial_profile(n, 1.0, r)
+    stencil = _laplacian_stencil(r, n)
+    once = _laplacian_apply(u, r, n, stencil)
+    twice = _laplacian_apply(once, r, n, stencil)
+    want = _self_contained_laplacian(u, r, n)
+    assert np.array_equal(once, want)
+    assert np.array_equal(twice, _self_contained_laplacian(want, r, n))
+    # radial_bilaplacian builds that stencil once for both applications
+    built = []
+    monkeypatch.setattr(numerics, "_laplacian_stencil",
+                        lambda *a: built.append(a) or _laplacian_stencil(*a))
+    radial_bilaplacian(u, grid)
+    assert len(built) == 1
+
+
+HEAD_GRIDS = [
+    RadialGrid.arctan_graded(n, N, R=10.0, stretch=0.8)
+    for n in (5, 6, 8) for N in (1024, 2048, 4096)
+] + [RadialGrid.sinh_graded(n, N) for n in (5, 9, 12) for N in (256, 2048)]
+
+
+@pytest.mark.parametrize("grid", HEAD_GRIDS,
+                         ids=lambda g: "n%d-%d" % (g.n, len(g)))
+@pytest.mark.parametrize("lam,dtype", [(1.0, np.longdouble),
+                                       (30.0, np.float64)])
+def test_head_rows_match_per_row_fornberg(grid, lam, dtype, monkeypatch):
+    # the one polynomial at t = 0, evaluated by Horner, against a
+    # Fornberg table per head row, relative to max |Delta^2 u|; every
+    # other row is unchanged to the bit
+    u = radial_profile(grid.n, lam, grid.nodes.astype(dtype))
+    head, js = _head_zone(grid)
+    points = []
+
+    def counted(z, x, m):
+        if np.all(np.asarray(x)[..., 0] == 0):
+            points.append(np.size(z))
+        return _stencil_weights(z, x, m)
+
+    monkeypatch.setattr(numerics, "_stencil_weights", counted)
+    out = radial_bilaplacian(u, grid)
+    assert head > 0 and points == [1]
+    drift = np.abs(out[:head] - _per_row_head(u, grid))
+    assert drift.max() <= 1e-12 * np.abs(out).max()
+
+
+def test_criterion_1_errors_keep_their_digits():
+    # criterion 1's error ratios with the one head polynomial match those
+    # of the per-row head to seven digits
+    for n in (5, 6, 8):
+        p = critical_exponent(n)
+        new, old = [], []
+        for N in (1024, 2048, 4096):
+            grid = RadialGrid.arctan_graded(n, N, R=10.0, stretch=0.8)
+            u = radial_profile(n, 1.0, grid.nodes.astype(np.longdouble))
+            rhs = u ** np.longdouble(p)
+            out = radial_bilaplacian(u, grid)
+            per_row = out.copy()
+            per_row[:_head_zone(grid)[0]] = _per_row_head(u, grid)
+            new.append(float(np.max(np.abs(out - rhs)) / float(rhs.max())))
+            old.append(float(np.max(np.abs(per_row - rhs))
+                             / float(rhs.max())))
+        for a, b in ((0, 1), (1, 2)):
+            assert new[a] / new[b] == pytest.approx(old[a] / old[b],
+                                                    rel=1e-7)
 
 
 def test_bilaplacian_rejects_mismatched_samples():

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+from navier_bubbles import projection
 from navier_bubbles.bubble import (
     BubbleParams,
+    _deficit_profile,
     _projected_profile_laplacian,
     c0,
     eval_delta,
@@ -224,6 +226,61 @@ def test_deficit_expansion_structure():
     with pytest.raises(ValueError):
         DeficitExpansion(params=p, domain=dom, leading=exp.leading,
                          remainder_norm=-1.0)
+
+
+def _per_point_expansion(params, domain):
+    # the per-point loop deficit_expansion ran before its 30 axis samples
+    # became arrays: the remainder sup, and the first sample failing the
+    # squeeze (None when none does)
+    n, R = domain.n, domain.radius
+    amplitude = c0(n) * params.lam ** (-0.5 * (n - 4))
+    worst = 0.0
+    for t in np.linspace(-0.5 * R, 0.5 * R, 30):
+        x = domain.center + t * e1(n)
+        th = _deficit_profile(n, params.lam, abs(t), R)
+        if not 0.0 <= th <= projection.eval_delta(params, x) * (1 + 1e-12):
+            return worst, x
+        r = np.linalg.norm(x - domain.center)
+        worst = max(worst, abs(th - amplitude * projection
+                               ._center_regular_part(n, r, R)))
+    return worst, None
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 13])
+@pytest.mark.parametrize("radius", [1.0, 1.7])
+def test_deficit_expansion_matches_per_point_loop(n, radius, monkeypatch):
+    # bit for bit, with the bubble evaluated once per expansion on the
+    # stack of samples, not once per sample
+    center = np.zeros(n) if radius == 1.0 else np.linspace(-0.1, 0.2, n)
+    dom = BallDomain(n, center, radius)
+    calls = []
+    monkeypatch.setattr(projection, "eval_delta",
+                        lambda p, x: calls.append(x) or eval_delta(p, x))
+    for lam in 60.0 * 10 ** np.linspace(0.0, 1.6, 6):
+        params = BubbleParams(a=center, lam=float(lam), n=n)
+        want, failed = _per_point_expansion(params, dom)
+        calls.clear()
+        got = deficit_expansion(params, dom).remainder_norm
+        assert failed is None and got == want
+        assert len(calls) == 1
+
+
+def test_deficit_expansion_names_the_first_failing_sample(monkeypatch):
+    # a planted bubble that vanishes past x_1 = 0.2 breaks the squeeze on
+    # every sample there; the error names the first along the axis
+    n = 6
+    dom = BallDomain.unit(n)
+    params = centered(n, 60.0)
+    monkeypatch.setattr(
+        projection, "eval_delta",
+        lambda p, x: np.where(np.asarray(x)[..., 0] > 0.2, 0.0,
+                              eval_delta(p, x)))
+    _, first = _per_point_expansion(params, dom)
+    assert 0.2 < first[0] < 0.3
+    with pytest.raises(RuntimeError) as err:
+        deficit_expansion(params, dom)
+    assert str(err.value) == ("pointwise squeeze 0 <= deficit <= bubble "
+                              f"fails at {first}")
 
 
 def test_deficit_leading_term_pointwise_rate():

@@ -23,6 +23,7 @@ Numeric literals below are frozen measurements from this suite's first
 runs; relative bars reflect quadrature determinism, not optimism.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -239,6 +240,63 @@ def test_mode_norms_match_jv(nu):
     got = z ** (nu + 1) * reduction._bessel_over_power(nu + 1, z)
     expected = jv(nu + 1.0, z)
     assert np.all(np.abs(got - expected) <= 1e-14 * np.abs(expected))
+
+
+def _unchecked_bessel_over_power(nu, x):
+    # _bessel_over_power before its overflow was contained: the
+    # recurrence's overflow near the origin warns, and no sample is checked
+    from scipy.special import j0, j1
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sq = 1.0 / (x * x)
+        lower, out = j0(x), j1(x) / x
+        for k in range(1, nu):
+            lower, out = out, (2.0 * k * out - lower) * inv_sq
+    small = np.flatnonzero(x < nu + 2.0)
+    xs = np.take(x, small)
+    quarter = -0.25 * xs * xs
+    origin = 1.0 / (2.0 ** nu * math.factorial(nu))
+    term = np.full_like(xs, origin)
+    total = term.copy()
+    k = 0
+    while np.any(np.abs(term) > 1e-17 * origin):
+        k += 1
+        term = term * quarter / (k * (k + nu))
+        total += term
+    np.put(out, small, total)
+    return out
+
+
+@pytest.mark.parametrize("n", [76, 78])
+def test_gap_below_the_overflow_is_unchanged(n, monkeypatch):
+    # where the recurrence does not overflow, containing it moves no bit
+    ball = BallDomain.unit(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gap = coercivity_check(centered(10.0, n), ball, 40)
+        monkeypatch.setattr(reduction, "_bessel_over_power",
+                            _unchecked_bessel_over_power)
+        assert coercivity_check(centered(10.0, n), ball, 40) == gap
+
+
+@pytest.mark.parametrize("n", [90, 100])
+def test_gap_past_the_overflow_raises_without_warning(n):
+    # at these orders the recurrence overflows near the origin, below the
+    # series switch; the unresolved gap is refused by its quadrature,
+    # with no numpy warning on the way
+    ball = BallDomain.unit(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="did not converge"):
+            coercivity_check(centered(10.0, n), ball, 40)
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 600)])
+        assert np.all(np.isfinite(reduction._bessel_over_power(n // 2 - 1,
+                                                               x)))
+
+
+def test_bessel_over_power_refuses_non_finite_samples():
+    with pytest.raises(RuntimeError, match="not finite"):
+        reduction._bessel_over_power(2, np.array([1.0, np.nan]))
 
 
 def test_bessel_zeros_refuse_step_cap(monkeypatch):
@@ -515,6 +573,27 @@ def test_reduced_integrals_match_separate_integrals(n, eps):
     shared = reduction._reduced_integrals(n, 1.0, lam, eps)
     for got, want in zip(shared, separate):
         assert abs(got - want) <= QUAD_RTOL * abs(want)
+
+
+@pytest.mark.parametrize("eps", REDUCED_OFFSETS)
+def test_reduced_system_integrates_each_scale_once(unit_ball6,
+                                                   reduced_states, eps,
+                                                   monkeypatch):
+    # the Jacobian's amplitude differences and the first iterate sit at
+    # the origin's scale, so the scales are the origin's, the two of the
+    # Jacobian's scale differences and one per later iterate; each is
+    # integrated once, and the state matches a run that integrates at
+    # every evaluation to the bit
+    scales = []
+    integrals = reduction._reduced_integrals
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "_reduced_integrals",
+                  lambda *a: scales.append(a[2]) or integrals(*a))
+        st = solve_reduced_system(eps, unit_ball6.center, unit_ball6)
+    assert len(scales) == len(set(scales)) == st.iterations + 2
+    monkeypatch.setattr(functools, "cache", lambda f: f)
+    assert solve_reduced_system(eps, unit_ball6.center, unit_ball6) == st
+    assert st == reduced_states[eps]
 
 
 def test_reduced_validation(unit_ball6):
