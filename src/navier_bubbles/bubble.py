@@ -33,7 +33,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class BubbleParams:
-    """Center a in R^n and scale lam > 0 of one profile."""
+    """Center a in R^n and finite scale lam > 0 of one profile."""
 
     a: np.ndarray
     lam: float
@@ -46,8 +46,8 @@ class BubbleParams:
             raise ValueError("profile family needs dimension n >= 5")
         if a.size != self.n:
             raise ValueError("center must have n coordinates")
-        if not self.lam > 0:
-            raise ValueError("scale lam must be positive")
+        if not (self.lam > 0 and math.isfinite(self.lam)):
+            raise ValueError("scale lam must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ refused rather than approximated.
 
 import functools
 import math
+import numbers
 
 import numpy as np
 from dataclasses import dataclass
@@ -69,13 +70,21 @@ __all__ = [
 # Trial integrals of the spectral gap use the shared Gauss-Legendre
 # panels, split at the core seams. Each piece starts with one 16-node
 # panel per _GAP_PANEL_PERIODS oscillation periods of the fastest
-# trial-mode product, two nodes per period (its Nyquist density), and the
-# panel count doubles until the gap at P and 2P panels agrees to the
-# shared relative tolerance. The cap sits below the shared one because
-# each doubling doubles the Bessel samples, the gap's main cost; a gap
-# still moving at _GAP_MAX_DENSITY times the starting count is an error,
-# never a result.
-_GAP_PANEL_PERIODS = 8.0
+# trial-mode product, and at least _GAP_MIN_PANELS panels, and the panel
+# count doubles until the gap at P and 2P panels agrees to the shared
+# relative tolerance. On the four gaps of acceptance criterion 9 that
+# start certifies each at its first doubling, within 1.3e-11 relative;
+# 8 periods per panel agree to 8.9e-14 but take 39 % more Bessel
+# samples (896,640 against 643,200). The floor is for the
+# core piece [0.5 / lam, 3 / lam]: across it the mass weight
+# (1 + lam^2 r^2)^-4 falls by about 10^4, which one panel does not
+# integrate, and three of the four gaps then miss their first doubling
+# by 1.1e-8 to 3.1e-8. The cap sits below the shared one because each
+# doubling doubles the Bessel samples, the gap's main cost; a gap still
+# moving at _GAP_MAX_DENSITY times the starting count is an error, never
+# a result.
+_GAP_PANEL_PERIODS = 12.0
+_GAP_MIN_PANELS = 2
 _GAP_MAX_DENSITY = 16
 # Whole 16-node panels per block of the streamed trial integrals (see
 # _trial_gap). Measured on the four gaps of acceptance criterion 9 (2
@@ -131,15 +140,19 @@ def _bessel_over_power(nu, x):
         for k in range(1, nu):
             lower, out = out, (2.0 * k * out - lower) * inv_sq
     small = np.flatnonzero(x < nu + 2.0)
-    xs = np.take(x, small)
-    quarter = -0.25 * xs * xs
+    # the series arrays update in place: near the origin most of a
+    # block's samples fall below the switch, so each copy is a large
+    # share of the gap's peak memory
+    quarter = np.take(x, small)
+    quarter *= -0.25 * quarter
     origin = 1.0 / (2.0 ** nu * math.factorial(nu))
-    term = np.full_like(xs, origin)
+    term = np.full_like(quarter, origin)
     total = term.copy()
     k = 0
     while np.any(np.abs(term) > 1e-17 * origin):
         k += 1
-        term = term * quarter / (k * (k + nu))
+        term *= quarter
+        term /= k * (k + nu)
         total += term
     np.put(out, small, total)
     if not np.all(np.isfinite(out)):
@@ -201,12 +214,14 @@ def _gap_panels(R, lam, z_max, density):
 
     Each piece between seams gets density panels per _GAP_PANEL_PERIODS
     oscillation periods of the fastest trial-mode product (wavenumber
-    2 z_max / R), and at least density panels. Density 1 puts two nodes
-    on each period, the product's Nyquist density.
+    2 z_max / R), and at least density * _GAP_MIN_PANELS panels: 16 nodes
+    per 12 periods at density 1, 32 at density 2, where the four gaps of
+    acceptance criterion 9 are certified.
     """
     edges = [0.0] + core_seams(lam, R) + [R]
-    counts = [density * max(1, math.ceil((b - a) * z_max / (math.pi * R)
-                                         / _GAP_PANEL_PERIODS))
+    counts = [density * max(_GAP_MIN_PANELS,
+                            math.ceil((b - a) * z_max / (math.pi * R)
+                                      / _GAP_PANEL_PERIODS))
               for a, b in zip(edges, edges[1:])]
     return gauss_legendre_panels(edges, counts)
 
@@ -291,27 +306,34 @@ def coercivity_check(params, domain, trial_count=40):
     their energy pairing exactly diagonal. Radial modes are orthogonal to
     the translation directions for free. The modes' zeros and energy
     norms come from the same J_nu / x^nu routine as their samples
-    (_bessel_zeros, _trial_gap). The zeros hold for every order; from
-    n = 80 the samples' power series cancels too much near x = nu, and
-    the doubling check below raises.
+    (_bessel_zeros, _trial_gap). The zeros hold for every order, but from
+    about n = 72 the samples' power series cancels near x = nu down to
+    noise of about 1e-10 in the gap, the doubling check's own tolerance,
+    so whether that check passes turns on the dimension, the scale and the
+    panel layout. At lam = 10 with 40 trials per band, n = 72 converges at
+    density 8, n = 74 raises, n = 76 and 78 converge, and n = 80 to 100
+    raise; at lam = 40, n = 80 returns 0.926939. A returned gap has passed
+    the check all the same.
 
-    The mode count is trial_count per core-resolution band: the basis
-    holds trial_count * ceil(lam R / 10) modes so the oscillation scale
-    of the last mode stays below the concentration core width. Doubling
-    trial_count is the intended stability check, needed from n = 10 on: a
-    mode of order nu reaches the core once its zero exceeds about nu lam R.
+    The mode count is trial_count, an integer of at least 5, per
+    core-resolution band: the basis holds trial_count * ceil(lam R / 10)
+    modes so the oscillation scale of the last mode stays below the
+    concentration core width. Doubling trial_count is the intended
+    stability check, needed from n = 10 on: a mode of order nu reaches
+    the core once its zero exceeds about nu lam R.
 
     The weighted mass and the two constraint pairings are integrated on
     composite Gauss-Legendre panels split at the core seams, starting at
-    two nodes per period of the fastest trial-mode product, its Nyquist
-    density. The panel count doubles until the gap at P and 2P panels
-    agrees to the shared relative tolerance numerics.QUAD_RTOL, and the
-    gap at 2P is returned; if that does not happen within
-    _GAP_MAX_DENSITY times the starting count, RuntimeError is raised
-    rather than an unconverged gap returned. Each density's weighted mass
-    is a sum of symmetric products of the weight-scaled modes over blocks
-    of whole panels, and the two constraints enter as a rank-2 shift of
-    the form rather than a null-space basis (see _trial_gap).
+    one 16-node panel per 12 periods of the fastest trial-mode product and
+    at least two panels per piece (see _gap_panels). The panel count
+    doubles until the gap at P and 2P panels agrees to the shared
+    relative tolerance numerics.QUAD_RTOL, and the gap at 2P is returned;
+    if that does not happen within _GAP_MAX_DENSITY times the starting
+    count, RuntimeError is raised rather than an unconverged gap
+    returned. Each density's weighted mass is a sum of symmetric products
+    of the weight-scaled modes over blocks of whole panels, and the two
+    constraints enter as a rank-2 shift of the form rather than a
+    null-space basis (see _trial_gap).
 
     Memory is bounded by the mode count K alone: a few K x K arrays for
     the form and a few K x 256 arrays for one block's samples, whatever
@@ -319,6 +341,10 @@ def coercivity_check(params, domain, trial_count=40):
     band, one gap's traced peak is 4.8 MB at density 2 and at 4.
     """
     _require_centered(params, domain)
+    # a float count would silently round the basis up, and bool is an int
+    if (isinstance(trial_count, bool)
+            or not isinstance(trial_count, numbers.Integral)):
+        raise ValueError("trial_count must be an integer")
     if trial_count < 5:
         raise ValueError("trial_count must be at least 5")
     n, R, lam = domain.n, domain.radius, params.lam

@@ -58,6 +58,10 @@ def test_params_validation():
         BubbleParams(a=np.zeros(6), lam=-1.0, n=6)
     with pytest.raises(ValueError):
         BubbleParams(a=np.zeros(3), lam=1.0, n=6)
+    # an infinite scale passes lam > 0, then overflows every closed form
+    for lam in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            BubbleParams(a=np.zeros(6), lam=lam, n=6)
 
 
 def test_center_value():

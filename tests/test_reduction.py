@@ -393,14 +393,36 @@ CRITERION_9_GAPS = ((10.0, 40), (20.0, 40), (40.0, 40), (40.0, 80))
 
 @pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
 def test_gap_converges_at_first_doubling(lam, trials):
-    # the doubling starts at the Nyquist density of the fastest trial-mode
-    # product, where the gap already agrees with its first doubling
+    # the doubling starts at one 16-node panel per 12 periods of the
+    # fastest trial-mode product and at least two panels per seam piece,
+    # where the gap already agrees with its first doubling
     z = reduction._bessel_zeros(2, trials * math.ceil(lam / 10.0))
     assert reduction._converged_gap(N6, 1.0, lam, z)[1] == 2
 
 
 @pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
-def test_gap_starts_at_two_nodes_per_period(lam, trials):
+def test_gap_first_doubling_agrees_with_margin(lam, trials):
+    # a fifth of the tolerance: the start density certifies each gap
+    # with room to spare, not by a hair
+    z = reduction._bessel_zeros(2, trials * math.ceil(lam / 10.0))
+    start = reduction._trial_gap(N6, 1.0, lam, z, 1)
+    doubled = reduction._trial_gap(N6, 1.0, lam, z, 2)
+    assert abs(doubled - start) <= QUAD_RTOL / 5.0 * abs(doubled)
+
+
+def test_gap_needs_two_panels_per_piece(monkeypatch):
+    # one panel on the core piece [0.5 / lam, 3 / lam] cannot integrate
+    # the mass weight (1 + lam^2 r^2)^-4, which falls by about 10^4 there
+    monkeypatch.setattr(reduction, "_GAP_MIN_PANELS", 1)
+    densities = [reduction._converged_gap(
+        N6, 1.0, lam, reduction._bessel_zeros(
+            2, trials * math.ceil(lam / 10.0)))[1]
+        for lam, trials in CRITERION_9_GAPS]
+    assert max(densities) > 2
+
+
+@pytest.mark.parametrize("lam,trials", CRITERION_9_GAPS)
+def test_gap_starts_at_one_panel_per_twelve_periods(lam, trials):
     z_max = reduction._bessel_zeros(2, trials * math.ceil(lam / 10.0))[-1]
     r, _ = reduction._gap_panels(1.0, lam, z_max, 1)
     edges = [0.0] + core_seams(lam, 1.0) + [1.0]
@@ -408,7 +430,7 @@ def test_gap_starts_at_two_nodes_per_period(lam, trials):
         # periods of the product, wavenumber 2 z_max, on the piece
         periods = (b - a) * z_max / math.pi
         nodes = np.count_nonzero((r > a) & (r < b))
-        assert 2.0 * periods <= nodes < 2.0 * periods + 16
+        assert nodes == 16 * max(2, math.ceil(periods / 12.0))
 
 
 # traced peak of one 320-mode gap (lam 40, 80 trials per band): measured
@@ -471,6 +493,12 @@ def test_bubble_direction_is_negative(unit_ball6):
 def test_gap_validation(unit_ball6):
     with pytest.raises(ValueError, match="at least 5"):
         coercivity_check(centered(10.0), unit_ball6, 4)
+    # 40.5 would build 41 modes and "40" would fail on a str comparison
+    for count in (40.5, "40", True, np.float64(40.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            coercivity_check(centered(10.0), unit_ball6, count)
+    assert (coercivity_check(centered(10.0), unit_ball6, np.int64(40))
+            == coercivity_check(centered(10.0), unit_ball6, 40))
     with pytest.raises(ValueError, match="too large"):
         coercivity_check(centered(40.0), unit_ball6, 200)
     with pytest.raises(ValueError, match="even dimensions"):
