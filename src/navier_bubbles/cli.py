@@ -49,23 +49,20 @@ any n >= 5 under its lam_min ceiling. ``verify-blowup`` runs at n = 6:
 at n = 5 the default grid does not resolve eps = 0.02 (the law-seeded
 solve stops at the 30-step Newton cap, scaled residual 1.0e-5).
 ``supercritical`` accepts 5 <= n <= 81 (SUPERCRITICAL_N_MAX, derived:
-its obstruction's margin forms 1e4^(n-4)) at every radius of its grid
-window: its probe is the closed-form sign of the Pohozaev coefficient
-and its obstruction compares two closed-form terms, so neither solves
-or evaluates a field, and its subcritical contrast, a sweep solve, runs
-at n = 6 and is skipped elsewhere. Both run commands take offsets below
-p - 1 = 8/(n-4), where the matched subcritical exponent p - eps exceeds
-one.
+its obstruction's margin forms 1e4^(n-4)): its probe and obstruction
+are closed forms that solve nothing, and only its subcritical contrast,
+a sweep solve at n = 6, builds a grid; elsewhere it is skipped. Both
+run commands take offsets below p - 1 = 8/(n-4), where the matched
+subcritical exponent p - eps exceeds one.
 
 Radius windows: a radius outside a command's window is refused before
-anything is written. ``verify-blowup`` and ``supercritical`` keep every
-cell volume of their grid normal (_grid_radius_window), derived from
-the power that leaves the normal doubles first; on the default grid
-that admits unit radius up to n = 63, and from n = 64 the first cell
-needs R > 1 (R in [10.2, 6392] at n = 81). ``robin`` keeps every phi
-and nonzero gradient norm it writes a positive normal double
-(_robin_radius_window), read from the unit-ball values they scale
-from: [7.1e-102, 2.7e102] at n = 6 with the default 21 stations.
+anything is written. Where a grid is built, every cell volume stays
+normal (_grid_radius_window): R in [4.3e-47, 1.3e51] on the default
+n = 6 grid. ``robin`` and, off n = 6, ``supercritical`` keep every
+written number that depends on R a positive normal double, read from
+the unit-ball values it scales from (_robin_radius_window,
+_obstruction_radius_window): [7.1e-102, 2.7e102] for ``robin`` at
+n = 6 with the default 21 stations.
 """
 
 from __future__ import annotations
@@ -722,9 +719,19 @@ _PROBE_FIELDS = (("eps", PROV_FORMULA),
                  ("concentrating", None))
 _OBSTRUCTION_FIELDS = (("eps", PROV_FORMULA), ("scan_min", PROV_FORMULA),
                        ("floor", PROV_FORMULA), ("margin", PROV_FORMULA),
-                       ("positive", None), ("subcritical_root", PROV_SOLVER),
-                       ("subcritical_root_closed", PROV_FORMULA),
-                       ("sign_change", None))
+                       ("positive", None),
+                       ("subcritical_root_closed", PROV_FORMULA))
+
+
+def _obstruction_radius_window(n, eps_list):
+    """The radii that keep R and every written subcritical root, the unit
+    ball's over R, positive normal doubles; nothing else written off
+    n = 6 depends on R. A relative 1e-12 is kept back for rounding."""
+    roots = [e.subcritical_root_closed for e in supercritical_obstruction(
+        eps_list, BallDomain.unit(n)).entries]
+    tiny, huge = sys.float_info.min, sys.float_info.max
+    return (max(tiny, max(roots) / huge * (1.0 + 1e-12)),
+            min(huge, min(roots) / tiny * (1.0 - 1e-12)))
 
 
 def _contrast_section(eps_list, domain, grid):
@@ -732,15 +739,13 @@ def _contrast_section(eps_list, domain, grid):
     offset (capped at 0.02, where the concentration test λ·d > 20
     holds) and report the three-part contrast with the supercritical
     probe, and the solution's Pohozaev defect, which is reported, not
-    gated. Errors are recorded, not raised. The law-seeded sweep is
-    validated in dimension 6 only (at n = 5 the default grid does not
-    resolve eps = 0.02), so other dimensions skip this section rather
-    than fail it."""
-    from .solver import concentration, continuation_sweep, decompose
-    if domain.n != 6:
+    gated. Errors are recorded, not raised. Off n = 6 grid is None and
+    the section is skipped: the sweep is validated at n = 6 only."""
+    if grid is None:
         return {"skipped": "the subcritical contrast runs in dimension 6 "
                            "only, the one dimension where the law-seeded "
                            "sweep is validated"}
+    from .solver import concentration, continuation_sweep, decompose
     target = min(CONTRAST_EPS_CAP, min(eps_list))
     try:
         (sol,) = continuation_sweep([target], domain, grid=grid)
@@ -767,19 +772,26 @@ def cmd_supercritical(config, out_dir, stream=None):
     stream = stream or sys.stdout
     _require_dimension(config.n, SUPERCRITICAL_N_MAX)
     domain = config.domain()
-    grid = default_grid(domain, config.grid_nodes)
     eps_list = sorted(config.eps_schedule)
     try:
-        check_eps_floor(eps_list[0], grid)
+        if config.n == 6:  # the one dimension where the contrast solves
+            grid = default_grid(domain, config.grid_nodes)
+            check_eps_floor(eps_list[0], grid)
+            window = _grid_radius_window(grid)
+            kept = ("every cell volume of the %d-node grid a normal double"
+                    % len(grid))
+        else:
+            grid = None
+            window = _obstruction_radius_window(config.n, eps_list)
+            kept = ("the radius and every subcritical root a positive "
+                    "normal double")
+        probe = supercritical_probe(eps_list, domain)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    _require_radius(config.radius, _grid_radius_window(grid),
-                    "every cell volume of the %d-node grid a normal double"
-                    % len(grid))
+    _require_radius(config.radius, window, kept)
     _ensure_dir(out_dir)
     config.to_json(os.path.join(out_dir, "config.json"))
 
-    probe = supercritical_probe(eps_list, domain)
     probe_records = [asdict(e) for e in probe.entries]
     _write_table(os.path.join(out_dir, "probe.csv"), probe_records,
                  _PROBE_FIELDS)

@@ -56,8 +56,8 @@ class BallDomain:
             raise ValueError("domain dimension must be at least 5")
         if center.size != self.n:
             raise ValueError("center must have n coordinates")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
 
     @classmethod
     def unit(cls, n):

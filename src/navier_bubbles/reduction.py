@@ -696,11 +696,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
 # ---------------------------------------------------------------------------
 # supercritical obstruction
 
-# The obstruction's scale range in units of 1/R: its top end sets the
-# smallest domain term, and the subcritical root is sought in it, widened
-# to half and twice the closed-form root when that root falls near or
-# outside it.
-_OBSTRUCTION_LAM_LO = 5.0
+# The obstruction's top scale in units of 1/R, where the domain term is least
 _OBSTRUCTION_LAM_HI = 1e4
 
 
@@ -712,6 +708,8 @@ class ObstructionEntry:
     term over the scales lam <= lam_hi / R, c1 * phi(0) / (lam_hi / R)^(n-4)
     = c1 * center_potential(n) / lam_hi^(n-4), the same at every radius;
     scan_min is their sum, the least value of the balance there.
+    subcritical_root_closed is the root of the matched subcritical
+    balance, the closed form bubble.balance_scale.
     """
 
     eps: float
@@ -719,9 +717,7 @@ class ObstructionEntry:
     floor: float
     margin: float
     positive: bool
-    subcritical_root: float
     subcritical_root_closed: float
-    sign_change: bool
 
 
 @dataclass(frozen=True)
@@ -729,8 +725,8 @@ class ObstructionReport:
     """Sign certificate of the supercritical balance at each offset.
 
     On the supercritical side both balance terms are positive, so the
-    balance has no root at any scale; the matched subcritical balance
-    changes sign and its root is recorded for contrast.
+    balance has no root at any scale; the root of the matched
+    subcritical balance is recorded in closed form for contrast.
     """
 
     n: int
@@ -754,13 +750,12 @@ def supercritical_obstruction(eps_list, domain, consts=None):
     where it is c1 * center_potential(n) / lam_hi^(n-4) at every radius;
     that product is the margin. Each term is computed as a product of
     positive constants, never as a difference, and the entry is positive
-    when both terms are: then the balance has no root. The matched
-    subcritical combination c2 * eps - c1 * phi(0) / lam^(n-4) is checked
-    for a sign change across [min(5 / R, closed / 2),
-    max(lam_hi / R, 2 closed)], closed being its closed-form root; its
-    root, found by bisection in log lam, is recorded beside the closed
-    form as an independent route. Offsets must stay below p - 1, as in
-    solve_radial: p - eps is that matched subcritical exponent.
+    when both terms are: then the balance has no root. The root of the
+    matched subcritical balance c2 * eps = c1 * phi(0) / lam^(n-4) is
+    recorded for contrast, as the unit ball's closed-form root over R:
+    the balance is scale covariant, and this form raises no power of R.
+    Offsets must stay below p - 1, as in solve_radial: p - eps is that
+    matched subcritical exponent.
     """
     n, R = domain.n, domain.radius
     consts = _constants_for(n, consts)
@@ -774,37 +769,20 @@ def supercritical_obstruction(eps_list, domain, consts=None):
         raise ValueError("offset magnitude must stay below p - 1 = %g"
                          % (p - 1))
 
-    phi0 = center_potential(n, R)
-    margin = float(consts.c1 * center_potential(n)
-                   / _OBSTRUCTION_LAM_HI ** (n - 4.0))
+    unit_phi0 = center_potential(n)
+    margin = float(consts.c1 * unit_phi0 / _OBSTRUCTION_LAM_HI ** (n - 4.0))
 
     entries = []
     for eps in eps_arr:
         floor = consts.c2 * eps
-        closed = float(balance_scale(consts, phi0, eps))
-        sub = lambda lam: consts.c2 * eps - consts.c1 * phi0 / lam ** (n - 4.0)
-        lo = min(_OBSTRUCTION_LAM_LO / R, closed / 2.0)
-        hi = max(_OBSTRUCTION_LAM_HI / R, 2.0 * closed)
-        sign_change = bool(sub(lo) < 0 < sub(hi))
-        if sign_change:
-            # bisection in log lam to 1e-12 / R + 1e-14 lam, a width that
-            # round-off never blocks
-            a, b = lo, hi
-            while b - a > 1e-12 / R + 1e-14 * a:
-                mid = math.sqrt(a * b)
-                a, b = (mid, b) if sub(mid) < 0 else (a, mid)
-            root = 0.5 * (a + b)
-        else:
-            root = float("nan")
         entries.append(ObstructionEntry(
             eps=eps,
             scan_min=floor + margin,
             floor=floor,
             margin=margin,
             positive=bool(floor > 0 and margin > 0),
-            subcritical_root=root,
-            subcritical_root_closed=closed,
-            sign_change=sign_change,
+            subcritical_root_closed=float(
+                balance_scale(consts, unit_phi0, eps) / R),
         ))
 
     return ObstructionReport(

@@ -957,15 +957,21 @@ def supercritical_probe(eps_list, domain):
     subcritical solutions. For q > p the coefficient on the left is
     negative, so the two sides cannot agree. The probe evaluates that coefficient in closed form and no
     field; the measured closure of the identity on a solution is the
-    subcritical contrast's RadialSolution.pohozaev_defect.
+    subcritical contrast's RadialSolution.pohozaev_defect. The rounded
+    coefficient is within 4 u (n-4)/2 of -(n-4)^2 eps / (4n + 2(n-4) eps),
+    u = 2^-53, so its sign is exact for eps above 4 u (p + 1); offsets
+    must exceed twice that.
     """
     eps_arr = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_arr):
-        raise ValueError("probe offsets must be positive")
     n = domain.n
+    p = critical_exponent(n)
+    least = 2.0 ** -50 * (p + 1)
+    if any(not least < e < math.inf for e in eps_arr):
+        raise ValueError("probe offsets must be positive, finite and above "
+                         "%.6g, where the coefficient's sign is exact" % least)
     entries = []
     for eps in eps_arr:
-        q = critical_exponent(n) + eps
+        q = p + eps
         coefficient = n / (q + 1) - (n - 4) / 2
         entries.append(ProbeEntry(eps=eps, pohozaev_coefficient=coefficient,
                                   concentrating=not coefficient < 0))

@@ -25,8 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from navier_bubbles import cli, solver
-from navier_bubbles.bubble import balance_constants, center_potential
+from navier_bubbles import cli, reduction, solver
+from navier_bubbles.bubble import (balance_constants, balance_scale,
+                                   center_potential)
 from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles.cli import (CliError, RunConfig, _cell, _pv,
                                 _sweep_records, _write_table, _SWEEP_FIELDS)
@@ -842,18 +843,21 @@ def test_supercritical_margin_matches_scan_identity(sc_run):
 
 
 def test_supercritical_roots_match_closed_form(sc_run):
+    # the matched subcritical root is written once, in closed form: the
+    # law's balance_scale at the unit ball's center potential
     _, out = sc_run
     report = json.loads((out / "report.json").read_text())
     consts = balance_constants(6)
     for entry in report["obstruction"]["entries"]:
         eps = entry["eps"]["value"]
-        root = entry["subcritical_root"]["value"]
-        closed = entry["subcritical_root_closed"]["value"]
-        assert entry["sign_change"] is True
-        assert root == pytest.approx(closed, rel=1e-9)
-        assert closed == pytest.approx(
+        closed = entry["subcritical_root_closed"]
+        assert closed == {"value": balance_scale(consts, center_potential(6),
+                                                 eps),
+                          "provenance": "formula"}
+        assert closed["value"] == pytest.approx(
             math.sqrt(consts.c1 * (4.0 / 3.0) / (consts.c2 * eps)),
             rel=1e-6)
+        assert "subcritical_root" not in entry and "sign_change" not in entry
 
 
 def test_supercritical_contrast_triple(sc_run):
@@ -897,13 +901,12 @@ def test_supercritical_obstruction_table(sc_run):
     assert header == [
         "eps", "eps_provenance", "scan_min", "scan_min_provenance",
         "floor", "floor_provenance", "margin", "margin_provenance",
-        "positive", "subcritical_root", "subcritical_root_provenance",
-        "subcritical_root_closed", "subcritical_root_closed_provenance",
-        "sign_change"]
+        "positive", "subcritical_root_closed",
+        "subcritical_root_closed_provenance"]
     for row in rows:
         assert float(row[header.index("margin")]) > 0
         assert row[header.index("positive")] == "true"
-        assert row[header.index("sign_change")] == "true"
+        assert float(row[header.index("subcritical_root_closed")]) > 0
     # the report's entries carry the table's names and values
     report = json.loads((out / "report.json").read_text())
     assert_table_matches_entries(header, rows,
@@ -980,15 +983,13 @@ def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
 
 def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
                                                            capsys):
-    # at unit radius the default grid's first cell volume underflows from
-    # n = 64; n = 82 ended in an OverflowError traceback at 1e4 ** (n - 4)
+    # n = 82 ended in an OverflowError traceback at 1e4 ** (n - 4); off
+    # n = 6 no grid is built, so n = 64, whose default grid's first cell
+    # volume underflows at unit radius, runs there
     out = tmp_path / "supercritical"
-    assert_refused(["supercritical", "--n", "64", "--out", str(tmp_path)],
-                   out, capsys)
     assert_refused(["supercritical", "--n", "82", "--out", str(tmp_path)],
                    out, capsys, "error: dimension must be between 5 and 81")
-    # the last dimension accepted at unit radius
-    assert run_quietly(["supercritical", "--n", "63", "--eps", "0.05",
+    assert run_quietly(["supercritical", "--n", "64",
                         "--out", str(tmp_path)], capsys) == 0
 
 
@@ -1104,9 +1105,9 @@ def test_supercritical_margin_does_not_bound_the_radius(tmp_path, capsys):
     for entry in report["obstruction"]["entries"]:
         assert entry["margin"]["value"] == (
             consts.c1 * center_potential(72) / 1e4 ** (72 - 4.0))
-        assert entry["sign_change"] is True
-        assert entry["subcritical_root"]["value"] == pytest.approx(
-            entry["subcritical_root_closed"]["value"], rel=1e-10, abs=0.0)
+        # the root is the unit ball's over R, and raises no power of R
+        assert entry["subcritical_root_closed"]["value"] == balance_scale(
+            consts, center_potential(72), entry["eps"]["value"]) / 100.0
 
 
 def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):
@@ -1120,6 +1121,69 @@ def test_supercritical_refuses_unresolved_offsets(tmp_path, capsys):
     assert rc == 2
     assert "below any supported resolution" in capsys.readouterr().err
     assert not (tmp_path / "supercritical").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "8", "--eps", "0.003"],
+    ["--n", "64"],
+    ["--n", "81"],
+], ids=["n8-eps0.003", "n64", "n81"])
+def test_supercritical_builds_no_grid_off_dimension_six(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    # each was refused on the grid's account, which only the n = 6
+    # contrast reads: 0.003 by the 2,048-node resolution floor, n = 64 and
+    # n = 81 at unit radius by the first cell volume
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(solver, "default_grid", refuse)
+    assert run_quietly(["supercritical", *argv, "--out", str(tmp_path)],
+                       capsys) == 0
+    report = json.loads(
+        (tmp_path / "supercritical" / "report.json").read_text())
+    assert report["passed"] is True
+    assert "skipped" in report["subcritical_contrast"]
+
+
+@pytest.mark.parametrize("n", [9, 40])
+def test_supercritical_window_is_read_from_the_written_roots(tmp_path,
+                                                           capsys, n):
+    # off n = 6 the only number written that depends on R is the
+    # subcritical root, the unit ball's over R: at both ends of the window
+    # every written number is a normal double, and just past them the
+    # run is refused. At n = 9 both ends come from the roots; at n = 40
+    # the lower end is the least normal radius itself
+    eps = (0.02, 0.05, 0.09)
+    unit = reduction.supercritical_obstruction(eps, BallDomain.unit(n))
+    roots = [e.subcritical_root_closed for e in unit.entries]
+    lo, hi = cli._obstruction_radius_window(n, eps)
+    assert hi == pytest.approx(min(roots) / sys.float_info.min, rel=1e-11)
+    assert lo == pytest.approx(max(sys.float_info.min,
+                                   max(roots) / sys.float_info.max),
+                               rel=1e-11)
+    out = tmp_path / "supercritical"
+    argv = ["supercritical", "--n", str(n), "--out", str(tmp_path)]
+    for radius in (lo * (1 - 1e-9), hi * (1 + 1e-9)):
+        assert_refused(argv + ["--radius", repr(radius)], out, capsys)
+    for radius in (lo, hi):
+        assert run_quietly(argv + ["--radius", repr(radius)], capsys) == 0
+        numbers = _written_numbers(out)
+        assert numbers and all(is_normal(abs(v)) for v in numbers)
+
+
+def test_supercritical_refuses_offsets_the_probe_cannot_sign(tmp_path,
+                                                            capsys):
+    # off n = 6 no grid floor applies; an offset within the rounding of
+    # the Pohozaev coefficient (8.9e-15 at n = 5) is refused instead of
+    # failing the certificate on a coefficient that rounds to zero
+    out = tmp_path / "supercritical"
+    for eps in ("1e-17", "8e-15", "1e-320"):
+        assert_refused(["supercritical", "--n", "5", "--eps", "0.02", eps,
+                        "--out", str(tmp_path)], out, capsys,
+                       "error: probe offsets must be positive, finite and "
+                       "above 8.88178e-15")
+    assert run_quietly(["supercritical", "--n", "5", "--eps", "1e-14",
+                        "--out", str(tmp_path)], capsys) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1243,13 +1307,13 @@ def test_expansion_orders_other_dimensions(tmp_path, capsys, n):
 
 
 # ---------------------------------------------------------------------------
-# range contract of the closed-form commands
+# range contract of the commands that run no sweep
 
 
 def _written_numbers(out_dir):
-    """Every number the run wrote: each CSV cell that parses as a float,
-    each JSON number, and each tagged value (null stands for a value
-    that was not finite)."""
+    """Every number the run wrote under out_dir: each CSV cell that
+    parses as a float, each JSON number, and each tagged value (null
+    stands for a value that was not finite)."""
     numbers = []
 
     def walk(node):
@@ -1264,9 +1328,10 @@ def _written_numbers(out_dir):
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             numbers.append(float(node))
 
-    for name in sorted(os.listdir(out_dir)):
-        path = os.path.join(out_dir, name)
-        if name.endswith(".json"):
+    paths = sorted(os.path.join(base, name)
+                   for base, _, names in os.walk(out_dir) for name in names)
+    for path in paths:
+        if path.endswith(".json"):
             with open(path, encoding="utf-8") as fh:
                 walk(json.load(fh))
         else:
@@ -1278,10 +1343,10 @@ def _written_numbers(out_dir):
     return numbers
 
 
-def _run_in_range_contract(argv):
+def _run_in_range_contract(argv, written=math.isfinite):
     """Run one command under warnings-as-errors into a fresh directory:
-    it exits 0, 1 or 2, writes nothing when it exits 2, and writes only
-    finite numbers otherwise."""
+    it exits 0, 1 or 2, writes nothing when it exits 2, and otherwise
+    writes only numbers that pass written, finite ones by default."""
     with tempfile.TemporaryDirectory() as base:
         out = os.path.join(base, "out")
         with warnings.catch_warnings():
@@ -1294,7 +1359,7 @@ def _run_in_range_contract(argv):
             assert not os.path.exists(out), argv
         else:
             numbers = _written_numbers(out)
-            assert numbers and all(map(math.isfinite, numbers)), argv
+            assert numbers and all(map(written, numbers)), argv
 
 
 # Random draws keep the arguments a command checks on their own (n,
@@ -1348,6 +1413,36 @@ def test_expansion_orders_range_contract(n, radius, lam_r, rungs):
     _run_in_range_contract(["expansion-orders", "--n=%d" % n,
                             "--radius=%r" % radius, "--rungs=%d" % rungs,
                             "--lam-min=%r" % lam_min])
+
+
+# Off n = 6 supercritical runs no sweep, so each run takes milliseconds.
+# Offsets are drawn as fractions 10^e of p - 1: a third near the
+# default schedule, a third around the probe's resolution (1e-15 to
+# 2e-14 of p - 1) and a third over the double range; those past p - 1
+# are drawn too.
+_OFFSET_EXPONENTS = st.one_of(st.floats(-3.0, 0.0), st.floats(-17.0, 0.1),
+                              st.floats(-330.0, 0.1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(5, 90).filter(lambda n: n != 6), radius=_RADII,
+       exponents=st.lists(_OFFSET_EXPONENTS, min_size=1, max_size=3))
+@example(n=8, radius=1.0, exponents=[math.log10(0.003 / 2.0)])
+@example(n=64, radius=1.0, exponents=[-0.5, -1.5])
+@example(n=81, radius=1.0, exponents=[-1.0, -2.0])
+@example(n=82, radius=1.0, exponents=[-1.0])
+@example(n=5, radius=1.0, exponents=[-17.0])
+@example(n=5, radius=1e-300, exponents=[-13.0])
+@example(n=5, radius=1.0, exponents=[-330.0])
+def test_supercritical_range_contract(n, radius, exponents):
+    # every number written is a normal double: nonzero, finite and not
+    # subnormal
+    p_minus_one = 8.0 / (n - 4)
+    _run_in_range_contract(["supercritical", "--n=%d" % n,
+                            "--radius=%r" % radius, "--eps",
+                            *(repr(p_minus_one * 10.0 ** e)
+                              for e in exponents)],
+                           written=lambda v: is_normal(abs(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,14 @@ def test_domain_validation():
     assert d.radius == 1.0 and d.center.shape == (6,)
 
 
+@pytest.mark.parametrize("radius", [math.inf, -math.inf, math.nan])
+def test_domain_refuses_a_radius_that_is_not_finite(radius):
+    # an infinite radius passed `radius > 0`, and the obstruction's
+    # bisection then divided by zero; a nan was refused already
+    with pytest.raises(ValueError, match="positive and finite"):
+        BallDomain(6, np.zeros(6), radius)
+
+
 def test_robin_eval_rejects_nonpositive_phi():
     with pytest.raises(ValueError):
         RobinEval(x=np.zeros(6), phi=0.0, grad=np.zeros(6))

@@ -25,6 +25,7 @@ runs; relative bars reflect quadrature determinism, not optimism.
 
 import functools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -53,7 +54,7 @@ from navier_bubbles.green_robin import BallDomain, robin
 from navier_bubbles import green_robin, reduction
 from navier_bubbles.numerics import (QUAD_RTOL, core_seams, radial_integral,
                                      sphere_measure)
-from navier_bubbles.solver import Decomposition, default_grid
+from navier_bubbles.solver import Decomposition
 from navier_bubbles.reduction import (
     BlowupVerdict,
     NonContractionError,
@@ -787,13 +788,20 @@ def test_obstruction_margin_identity():
 
 @pytest.mark.parametrize("n,radius", [(5, 1e40), (6, 1e-30), (9, 1e20)])
 def test_obstruction_root_in_units_of_the_radius(n, radius):
-    # the bracket and the bisection width scale with 1 / R, so the root
-    # meets its closed form far from unit radius too
+    # the root is the unit ball's over R, which raises no power of R; far
+    # from unit radius it meets the closed form at the ball's own center
+    # potential, whose powers of R round to a relative 1.3e-14 at most
+    # (measured over n = 5 to 81 and R = 1e-300 to 1e300)
+    consts = balance_constants(n)
     ball = BallDomain(n, np.zeros(n), radius)
-    for entry in supercritical_obstruction([0.09, 0.02], ball).entries:
-        assert entry.sign_change
-        assert entry.subcritical_root == pytest.approx(
-            entry.subcritical_root_closed, rel=1e-10, abs=0.0)
+    unit = supercritical_obstruction([0.09, 0.02], BallDomain.unit(n))
+    report = supercritical_obstruction([0.09, 0.02], ball)
+    for entry, unit_entry in zip(report.entries, unit.entries):
+        assert entry.subcritical_root_closed == (
+            unit_entry.subcritical_root_closed / radius)
+        assert entry.subcritical_root_closed == pytest.approx(
+            balance_scale(consts, center_potential(n, radius), entry.eps),
+            rel=1e-13, abs=0.0)
 
 
 def test_reduction_reads_the_center_potential_in_closed_form(
@@ -823,12 +831,12 @@ def test_reduction_reads_the_center_potential_in_closed_form(
 
 
 def test_obstruction_contrast_roots(obstruction):
+    consts = balance_constants(N6)
     roots = []
     for entry in obstruction.entries:
-        assert entry.sign_change
-        assert entry.subcritical_root == pytest.approx(
-            entry.subcritical_root_closed, rel=1e-10)
-        roots.append(entry.subcritical_root)
+        assert entry.subcritical_root_closed == balance_scale(
+            consts, center_potential(N6), entry.eps)
+        roots.append(entry.subcritical_root_closed)
     assert roots[0] == pytest.approx(20.0, rel=1e-10)
     assert all(b > a for a, b in zip(roots, roots[1:]))
 
@@ -852,13 +860,16 @@ def test_balance_radius_invariance():
 @pytest.mark.parametrize("n,eps", [(6, 0.9)] + [
     (n, eps) for n in (8, 9, 12) for eps in (0.02, 0.05, 0.09)])
 def test_obstruction_root_bracket_from_closed_form(n, eps):
-    # the bisection bracket reaches half and twice the closed-form root,
-    # which falls below lam = 5 at n = 6, eps = 0.9, at n = 8, eps = 0.09,
-    # at n = 9, eps >= 0.05 and at n = 12 at every offset here
+    # the closed-form root balances the matched subcritical terms,
+    # c2 eps = c1 phi(0) / lam^(n-4), also where it falls below lam = 5,
+    # the lower end of the bisection bracket this root replaced: at
+    # n = 6, eps = 0.9, at n = 8, eps = 0.09, at n = 9, eps >= 0.05 and at
+    # n = 12 at every offset here
+    consts = balance_constants(n)
     entry = supercritical_obstruction([eps], BallDomain.unit(n)).entries[0]
-    assert entry.sign_change
-    assert entry.subcritical_root == pytest.approx(
-        entry.subcritical_root_closed, rel=1e-10)
+    lam = entry.subcritical_root_closed
+    assert consts.c1 * center_potential(n) / lam ** (n - 4.0) == (
+        pytest.approx(consts.c2 * eps, rel=1e-13))
     assert entry.positive
 
 
@@ -866,9 +877,12 @@ def test_obstruction_runs_in_dimension_five():
     ball5 = BallDomain.unit(5)
     report = supercritical_obstruction([0.05, 0.01], ball5)
     assert report.all_positive
-    assert report.entries[0].sign_change
-    assert report.entries[0].subcritical_root == pytest.approx(
-        report.entries[0].subcritical_root_closed, rel=1e-10)
+    # at n = 5 the balance is linear in 1 / lam: lam = c1 phi(0) / (c2 eps)
+    consts = balance_constants(5)
+    for entry in report.entries:
+        assert entry.subcritical_root_closed == pytest.approx(
+            consts.c1 * center_potential(5) / (consts.c2 * entry.eps),
+            rel=1e-14)
 
 
 def test_obstruction_validation(unit_ball6):
@@ -892,19 +906,16 @@ def test_obstruction_refuses_offsets_past_p_minus_one():
 @pytest.mark.parametrize("end", [0, 1])
 @pytest.mark.parametrize("n", [5, 6, 9, 20, 40, 63, 81])
 def test_obstruction_is_finite_just_below_p_minus_one(n, end):
-    # the largest offset admitted, at either end of the 2,048-node grid
-    # window the CLI admits: every term finite and positive, and the
-    # matched subcritical balance still changes sign
-    radius = cli._grid_radius_window(
-        default_grid(BallDomain.unit(n), 2048))[end]
+    # the largest offset admitted, at either end of the radius window the
+    # CLI derives off n = 6 from the written roots (at n = 6 it applies
+    # the narrower grid window): every term a positive normal double
     eps = (critical_exponent(n) - 1) * (1 - 1e-15)
+    radius = cli._obstruction_radius_window(n, [eps])[end]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         (entry,) = supercritical_obstruction(
             [eps], BallDomain(n, np.zeros(n), radius)).entries
     for value in (entry.scan_min, entry.floor, entry.margin,
-                  entry.subcritical_root, entry.subcritical_root_closed):
-        assert math.isfinite(value) and value > 0
-    assert entry.positive and entry.sign_change
-    assert entry.subcritical_root == pytest.approx(
-        entry.subcritical_root_closed, rel=1e-10)
+                  entry.subcritical_root_closed):
+        assert sys.float_info.min <= value <= sys.float_info.max
+    assert entry.positive

@@ -1155,6 +1155,32 @@ def test_probe_validation(unit_ball6):
         supercritical_probe([0.05, -0.01], unit_ball6)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_probe_refuses_offsets_that_are_not_finite(unit_ball6, eps):
+    # nan failed the certificate (no comparison holds) and inf passed it
+    with pytest.raises(ValueError, match="positive, finite and above"):
+        supercritical_probe([0.05, eps], unit_ball6)
+
+
+@pytest.mark.parametrize("n", [5, 6, 8, 20, 81])
+def test_probe_signs_every_offset_it_admits(n):
+    # the rounded coefficient is within 4 u (n-4)/2 of
+    # -(n-4)^2 eps / (4n + 2(n-4) eps), u = 2^-53, so its sign is exact
+    # above 4 u (p + 1); the probe admits offsets above twice that, and
+    # below it the coefficient rounds to zero or even to positive values
+    ball = BallDomain.unit(n)
+    bound = 2.0 ** -50 * (critical_exponent(n) + 1)
+    admitted = bound * (1.0 + 2.0 ** -40) * np.arange(1, 200)
+    probe = supercritical_probe(admitted, ball)
+    assert not probe.any_concentrating
+    for entry in probe.entries:
+        exact = -(n - 4) ** 2 * entry.eps / (4 * n + 2 * (n - 4) * entry.eps)
+        assert abs(entry.pohozaev_coefficient - exact) <= (
+            4 * 2.0 ** -53 * (n - 4) / 2)
+    with pytest.raises(ValueError, match="above %.6g" % bound):
+        supercritical_probe([0.05, bound], ball)
+
+
 def test_subcritical_contrast_achieves_the_triple(subcritical_sweep,
                                                   sweep_decompositions):
     # the same criterion the probe applies: small remainder, amplitude
