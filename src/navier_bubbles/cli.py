@@ -509,7 +509,8 @@ _SWEEP_FIELDS = (("eps", PROV_FORMULA), ("peak", PROV_SOLVER),
                  ("v_norm", PROV_SOLVER), ("eps_lam_pow", PROV_SOLVER),
                  ("eps_peak_sq", PROV_SOLVER),
                  ("peak_scale_ratio", PROV_SOLVER),
-                 ("newton_iters", PROV_SOLVER), ("residual", PROV_SOLVER))
+                 ("newton_iters", PROV_SOLVER), ("residual", PROV_SOLVER),
+                 ("pohozaev_defect", PROV_SOLVER))
 
 
 def _sweep_records(n, solutions, decomps):
@@ -523,7 +524,8 @@ def _sweep_records(n, solutions, decomps):
                         "eps_lam_pow": scale_pow, "eps_peak_sq": peak_sq,
                         "peak_scale_ratio": ratio,
                         "newton_iters": int(sol.newton_iters),
-                        "residual": float(sol.residual)})
+                        "residual": float(sol.residual),
+                        "pohozaev_defect": float(sol.pohozaev_defect())})
     return records
 
 

@@ -536,7 +536,8 @@ def test_verify_blowup_sweep_table(vb_run):
         "eps_peak_sq", "eps_peak_sq_provenance",
         "peak_scale_ratio", "peak_scale_ratio_provenance",
         "newton_iters", "newton_iters_provenance",
-        "residual", "residual_provenance"]
+        "residual", "residual_provenance",
+        "pohozaev_defect", "pohozaev_defect_provenance"]
     assert len(rows) == 7
     eps = [float(r[header.index("eps")]) for r in rows]
     assert eps == [0.3, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005]

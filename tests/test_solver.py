@@ -12,6 +12,7 @@ covariance pin the discretization order and the radius handling.
 import dataclasses
 import gc
 import math
+import warnings
 import weakref
 from collections import Counter
 
@@ -453,31 +454,49 @@ def assert_one_law_solve_each(sweep):
         assert sol.newton_iters == len(sol.attempt.iterations) - 1
 
 
-def step_system(disc, q, u, w):
-    """_newton_step's arguments at (u, w), and the band and right side
-    the step solves, built without it."""
-    au, aw, uq = np.abs(u), np.abs(w), np.abs(u) ** q
+def full_system_band(disc, q, u, w):
+    """The unreduced Newton system at (u, w), built here from the flux
+    diagonals: the (5, 2N) band of the interleaved unknowns (du_0, dw_0,
+    du_1, ...), entry (r, c) at band[2 + r - c, c], rows divided by the
+    row scales, and its right side."""
+    au, uq = np.abs(u), np.abs(u) ** q
     Fu, Fw = disc.residual(u, w, uq)
-    su, sw = disc.scales(au, aw, uq)
-    rhs = np.empty(2 * u.size)
-    rhs[0::2] = -Fu / su
-    rhs[1::2] = -Fw / sw
-    ab = disc.jacobian_band(au, q, su, sw, au.max(), aw.max())
-    return (disc, q, au, aw, Fu / su, Fw / sw, su, sw), ab, rhs
+    su, sw = disc.scales(au, np.abs(w), uq)
+    N = u.size
+    inv = np.empty(2 * N)
+    inv[0::2], inv[1::2] = 1.0 / su, 1.0 / sw
+    band = np.zeros((5, 2 * N))
+
+    def put(rows, cols, values):
+        band[2 + rows - cols, cols] = values * inv[rows]
+
+    i = np.arange(N)
+    for f in (0, 1):
+        put(2 * i + f, 2 * i + f, disc.di)
+        put(2 * i[1:] + f, 2 * i[1:] - 2 + f, disc.lo[1:])
+        put(2 * i[:-1] + f, 2 * i[:-1] + 2 + f, disc.up[:-1])
+    put(2 * i, 2 * i + 1, -disc.mask)
+    put(2 * i + 1, 2 * i, -disc.mask * q * au ** (q - 1))
+    rhs = np.empty(2 * N)
+    rhs[0::2], rhs[1::2] = -Fu / su, -Fw / sw
+    return band, rhs
 
 
-def full_newton_steps(sol, steps):
-    """The peak after undamped Newton steps from a solution, built from
-    the Jacobian band and scipy's solve_banded rather than the solver
-    loop."""
+def full_banded_step(disc, q, u, w):
+    """(du, dw) from scipy's solve_banded on full_system_band."""
+    y = solve_banded((2, 2), *full_system_band(disc, q, u, w))
+    return y[0::2], y[1::2]
+
+
+def pinned_peak(sol, steps):
+    """The peak after undamped Newton steps from a solution, each solved
+    on the unreduced system rather than by the solver's step."""
     disc = _grid_arrays(sol.grid)
     q = P6 + sol.eps
     u, w = sol.u, sol.w
     for _ in range(steps):
-        _, ab, rhs = step_system(disc, q, u, w)
-        y = solve_banded((2, 2), ab[2:], rhs)
-        u = u + np.abs(u).max() * y[0::2]
-        w = w + np.abs(w).max() * y[1::2]
+        du, dw = full_banded_step(disc, q, u, w)
+        u, w = u + du, w + dw
     return u[0]
 
 
@@ -511,7 +530,7 @@ def test_exit_step_kept_whatever_the_seed_bits(unit_ball6, monkeypatch):
 def test_fine_schedule_predicts_without_bisection(unit_ball6):
     sweep = continuation_sweep(list(FINE_OFFSETS), unit_ball6,
                                grid=default_grid(unit_ball6, nodes=8192))
-    assert total_newton_iters(sweep) <= 45  # measured 43
+    assert total_newton_iters(sweep) == 43
     assert_one_law_solve_each(sweep)
 
 
@@ -579,7 +598,7 @@ def test_converged_solutions_are_pinned(unit_ball6, subcritical_sweep,
     cold = solve_radial(-0.3, unit_ball6,
                         BubbleGuess(lam=math.sqrt(20 / 0.3)))
     for sol in (*subcritical_sweep, *forced_jump, easy_solution, cold):
-        assert abs(full_newton_steps(sol, 3) / sol.M - 1.0) <= 1e-9
+        assert abs(pinned_peak(sol, 3) / sol.M - 1.0) <= 1e-9
 
 
 def test_exit_step_failure_returns_the_converged_iterate(
@@ -596,7 +615,13 @@ def test_exit_step_failure_returns_the_converged_iterate(
 
 
 # ---------------------------------------------------------------------------
-# banded Newton core
+# reduced Newton step
+
+
+def bubble_system(grid):
+    """A discretization at a bubble iterate, exponent p - 0.3."""
+    u, w = _bubble_fields(grid, 6.0)
+    return _grid_arrays(grid), P6 - 0.3, u, w
 
 
 @pytest.fixture(scope="module")
@@ -607,48 +632,75 @@ def small_grid(unit_ball6):
 @pytest.fixture(scope="module")
 def small_system(small_grid):
     """A 64-node discretization at a bubble iterate, exponent p - 0.3."""
-    grid = small_grid
-    disc = _grid_arrays(grid)
-    q = P6 - 0.3
-    u, w = _bubble_fields(grid, 6.0)
-    su, sw = disc.scales(np.abs(u), np.abs(w), np.abs(u) ** q)
-    cu, cw = np.abs(u).max(), np.abs(w).max()
-    return disc, q, u, w, su, sw, cu, cw
+    return bubble_system(small_grid)
 
 
-def band_to_dense(ab):
-    """The dense matrix of a 5-row band, entry (r, c) at ab[2 + r - c, c]:
-    the jacobian_band array without its two fill rows."""
-    size = ab.shape[1]
-    dense = np.zeros((size, size))
-    for r in range(size):
-        for c in range(max(0, r - 2), min(size, r + 3)):
-            dense[r, c] = ab[2 + r - c, c]
-    return dense
+def law_seed_system(ball, nodes, e):
+    grid = default_grid(ball, nodes=nodes)
+    peak_limit = law_limits(balance_constants(ball.n),
+                            center_potential(ball.n, ball.radius))[1]
+    u, w = _law_seed(grid, peak_limit, e)
+    return _grid_arrays(grid), P6 - e, u, w
 
 
-def scaled_residual(disc, q, u, w, su, sw, cu, cw, y):
-    """The residual Newton drives to zero, in interleaved scaled
-    unknowns y = (du_0/cu, dw_0/cw, du_1/cu, ...)."""
-    ut = u + cu * y[0::2]
-    Fu, Fw = disc.residual(ut, w + cw * y[1::2], np.abs(ut) ** q)
-    out = np.empty(y.size)
-    out[0::2] = Fu / su
-    out[1::2] = Fw / sw
+def step_args(disc, q, u, w):
+    """_newton_step's arguments at (u, w)."""
+    au, uq = np.abs(u), np.abs(u) ** q
+    Fu, Fw = disc.residual(u, w, uq)
+    su, sw = disc.scales(au, np.abs(w), uq)
+    return disc, q, au, Fu, Fw, su, sw
+
+
+def reduced(disc, q, au, Fu, Fw, su, sw):
+    """The reduced system _newton_step solves for these arguments."""
+    return disc.reduced_system(au, q, Fu, Fw, su, sw)
+
+
+def interleaved(a, b):
+    out = np.empty(2 * a.size)
+    out[0::2], out[1::2] = a, b
     return out
 
 
-def test_band_matches_finite_difference_jacobian(small_system):
-    disc, q, u, w, su, sw, cu, cw = small_system
-    dense = band_to_dense(disc.jacobian_band(u, q, su, sw, cu, cw)[2:])
-    size = dense.shape[0]
+def interleaved_residual(disc, q, x):
+    """(Fu_0, Fw_0, Fu_1, ...) at the interleaved unknowns x."""
+    u, w = x[0::2], x[1::2]
+    return interleaved(*disc.residual(u, w, np.abs(u) ** q))
+
+
+def dense_jacobian(disc, q, u):
+    """The unscaled two-field Jacobian at u in the interleaved unknowns,
+    built entry by entry from the flux diagonals."""
+    N = u.size
+    J = np.zeros((2 * N, 2 * N))
+    for i in range(N):
+        for f in (0, 1):
+            J[2 * i + f, 2 * i + f] = disc.di[i]
+            if i > 0:
+                J[2 * i + f, 2 * i - 2 + f] = disc.lo[i]
+            if i < N - 1:
+                J[2 * i + f, 2 * i + 2 + f] = disc.up[i]
+        J[2 * i, 2 * i + 1] = -disc.mask[i]
+        J[2 * i + 1, 2 * i] = -disc.mask[i] * q * abs(u[i]) ** (q - 1)
+    return J
+
+
+def test_jacobian_matches_finite_difference(small_system):
+    disc, q, u, w = small_system
+    dense = dense_jacobian(disc, q, u)
+    x = interleaved(u, w)
+    size = x.size
+    # central differences in unknowns scaled by each field's size
+    cols = interleaved(np.full(u.size, np.abs(u).max()),
+                       np.full(w.size, np.abs(w).max()))
     h = 1e-5
     fd = np.empty((size, size))
     for j in range(size):
         e = np.zeros(size)
-        e[j] = h
-        fd[:, j] = (scaled_residual(disc, q, u, w, su, sw, cu, cw, e)
-                    - scaled_residual(disc, q, u, w, su, sw, cu, cw, -e)) / (2 * h)
+        e[j] = h * cols[j]
+        fd[:, j] = (interleaved_residual(disc, q, x + e)
+                    - interleaved_residual(disc, q, x - e)) / (2 * h)
+    dense = dense * cols
     # the stencil couples nothing outside the documented pattern, so the
     # finite differences vanish exactly there
     for r in range(size):
@@ -662,68 +714,93 @@ def test_band_matches_finite_difference_jacobian(small_system):
     assert np.all(np.abs(fd - dense).max(axis=1) <= 1e-8 * row_scale)
 
 
-def test_banded_step_matches_dense_solve(small_system):
-    disc, q, u, w, su, sw, cu, cw = small_system
-    ab = disc.jacobian_band(u, q, su, sw, cu, cw)[2:]
-    rhs = -scaled_residual(disc, q, u, w, su, sw, cu, cw,
-                           np.zeros(ab.shape[1]))
-    banded = solve_banded((2, 2), ab, rhs)
-    dense = np.linalg.solve(band_to_dense(ab), rhs)
-    assert np.linalg.norm(banded - dense) <= 1e-12 * np.linalg.norm(dense)
+@pytest.mark.parametrize("nodes", [64, 65])
+def test_step_solves_the_full_system(unit_ball6, nodes):
+    # the boundary node is odd on 64 nodes and even on 65, so it is
+    # eliminated in one and kept in the reduced band in the other
+    disc, q, u, w = bubble_system(default_grid(unit_ball6, nodes=nodes))
+    du, dw = _newton_step(*step_args(disc, q, u, w))
+    dense = np.linalg.solve(dense_jacobian(disc, q, u),
+                            -interleaved_residual(disc, q, interleaved(u, w)))
+    # measured: 4.3e-13 (du) and 2.2e-14 (dw) of the field's largest
+    # entry on 64 nodes, 1.1e-13 and 1.4e-14 on 65; the unreduced gbsv
+    # step agreed to 4.4e-13 and 1.2e-13, the dense solve's own error
+    for step, ref in ((du, dense[0::2]), (dw, dense[1::2])):
+        assert np.abs(step - ref).max() <= 2e-12 * np.abs(ref).max()
 
 
-def test_band_is_fresh_fortran_storage_with_zero_fill_rows(small_system,
-                                                          small_grid):
-    disc, q, u, w, su, sw, cu, cw = small_system
-    ab = disc.jacobian_band(u, q, su, sw, cu, cw)
-    assert ab.shape == (7, 2 * len(small_grid))
-    assert ab.flags["F_CONTIGUOUS"]
-    assert not np.any(ab[:2])
-    # gbsv overwrites the band, so no two calls may share one
-    again = disc.jacobian_band(u, q, su, sw, cu, cw)
-    assert not np.shares_memory(ab, again)
-    assert np.array_equal(ab, again)
+def test_step_matches_the_full_banded_solve_at_the_law_seed(unit_ball6):
+    # the finest seed the suite solves from: 8,192 nodes at eps = 0.002
+    disc, q, u, w = law_seed_system(unit_ball6, 8192, 0.002)
+    du, dw = _newton_step(*step_args(disc, q, u, w))
+    ref_u, ref_w = full_banded_step(disc, q, u, w)
+    # measured: 8.1e-10 of each field's largest entry; row scaling of the
+    # reduced rows is what keeps it there (unscaled, 1.7e-5)
+    for step, ref in ((du, ref_u), (dw, ref_w)):
+        assert np.abs(step - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def law_seed_system(ball, nodes, e):
-    grid = default_grid(ball, nodes=nodes)
-    peak_limit = law_limits(balance_constants(ball.n),
-                            center_potential(ball.n, ball.radius))[1]
-    u, w = _law_seed(grid, peak_limit, e)
-    return _grid_arrays(grid), P6 - e, u, w
-
-
-def test_newton_step_matches_solve_banded_bit_for_bit(small_system,
-                                                      unit_ball6):
-    # the step factors the same band with the same LAPACK routine that
-    # scipy's solve_banded calls on the 5-row view, so it is equal exactly
-    for disc, q, u, w in (small_system[:4],
-                          law_seed_system(unit_ball6, 8192, 0.002)):
-        args, ab, rhs = step_system(disc, q, u, w)
-        y = solve_banded((2, 2), ab[2:], rhs)
+def test_even_part_matches_solve_banded_bit_for_bit(small_system,
+                                                    unit_ball6):
+    # the step factors the reduced band with the same LAPACK routine that
+    # scipy's solve_banded calls on the 7-row view, so it is equal exactly
+    for system in (small_system, law_seed_system(unit_ball6, 8192, 0.002)):
+        args = step_args(*system)
+        ab, rhs, _ = reduced(*args)
+        x = solve_banded((3, 3), ab[3:], rhs)
         du, dw = _newton_step(*args)
-        assert np.array_equal(du, np.abs(u).max() * y[0::2])
-        assert np.array_equal(dw, np.abs(w).max() * y[1::2])
+        assert np.array_equal(du[0::2], x[0::2])
+        assert np.array_equal(dw[0::2], x[1::2])
 
 
-def test_zero_column_is_a_singular_step(small_system, monkeypatch):
+@pytest.mark.parametrize("nodes", [64, 65])
+def test_reduced_band_is_fresh_fortran_storage_with_zero_fill_rows(
+        unit_ball6, nodes):
+    args = step_args(*bubble_system(default_grid(unit_ball6, nodes=nodes)))
+    ab, rhs, _ = reduced(*args)
+    even = (nodes + 1) // 2
+    assert ab.shape == (10, 2 * even) and rhs.shape == (2 * even,)
+    assert ab.flags["F_CONTIGUOUS"]
+    assert not np.any(ab[:3])
+    # gbsv overwrites the band and the right side, so no two calls may
+    # share them
+    again, rhs_again, _ = reduced(*args)
+    assert not np.shares_memory(ab, again)
+    assert not np.shares_memory(rhs, rhs_again)
+    assert np.array_equal(ab, again) and np.array_equal(rhs, rhs_again)
+
+
+def test_zero_reduced_column_is_a_singular_step(small_system, monkeypatch):
     # no stand-in for LAPACK: a zero column makes gbsv itself report the
     # zero pivot there (info = 11 for column 10, counted from one)
-    disc = small_system[0]
-    args, ab, rhs = step_system(*small_system[:4])
+    args = step_args(*small_system)
     assert _newton_step(*args) is not None
+    ab, rhs, _ = reduced(*args)
     ab[:, 10] = 0.0
-    assert dgbsv(2, 2, ab, rhs)[3] == 11
-    band = _Discretization.jacobian_band
+    assert dgbsv(3, 3, ab, rhs)[3] == 11
+    system = _Discretization.reduced_system
 
-    def zero_column(*band_args):
-        out = band(*band_args)
-        out[:, 10] = 0.0
-        return out
+    def zero_column(*system_args):
+        ab, rhs, odd = system(*system_args)
+        ab[:, 10] = 0.0
+        return ab, rhs, odd
 
-    monkeypatch.setattr(_Discretization, "jacobian_band", zero_column)
-    assert disc.jacobian_band is not band
+    monkeypatch.setattr(_Discretization, "reduced_system", zero_column)
+    assert small_system[0].reduced_system is not system
     assert _newton_step(*args) is None
+
+
+def test_zero_odd_determinant_is_a_singular_step(small_system):
+    # at q = 2 the determinant di^2 - 2 |u| of odd node 11 is exactly zero
+    # at |u| = di^2 / 2; the step ends singular, with no warning
+    disc, _, u, w = small_system
+    u = u.copy()
+    u[11] = disc.di[11] ** 2 / 2
+    args = step_args(disc, 2.0, u, w)
+    assert disc.di[11] ** 2 - 2.0 * np.abs(u[11]) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _newton_step(*args) is None
 
 
 def test_illegal_gbsv_argument_raises(unit_ball6, monkeypatch):
@@ -994,7 +1071,8 @@ def test_grid_arrays_are_read_only(small_system, small_grid):
     assert _grid_arrays(small_grid) is disc
     wts = _cell_weights(small_grid)
     assert wts is disc.wts
-    for a in (disc.lo, disc.di, disc.up, *disc.abs_diags, disc.mask, wts):
+    for a in (disc.lo, disc.di, disc.up, *disc.abs_diags, disc.mask, wts,
+              *disc.pair_products, disc.di_odd_sq):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         wts[0] = 0.0
