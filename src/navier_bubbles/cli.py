@@ -87,8 +87,8 @@ from .numerics import sphere_measure
 from .projection import expansion_orders
 from .reduction import LAW_RTOL, blowup_verdict, supercritical_obstruction
 
-# the solver (and with it scipy.linalg) is imported only by the commands
-# that solve, so constants, robin and expansion-orders load no scipy
+# the solver is imported only by the commands that use it; no module
+# loads scipy on import, so only a Newton step loads scipy.linalg
 
 SCHEMA_PREFIX = "navier-bubbles"
 SCHEMA_VERSION = 1
@@ -580,8 +580,9 @@ def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
 
 
 def cmd_verify_blowup(config, out_dir, stream=None):
-    from .solver import (ContinuationError, continuation_sweep, decompose,
-                         default_grid, vnorm_diagnostics)
+    from .solver import (ContinuationError, check_eps_floor,
+                         continuation_sweep, decompose, default_grid,
+                         vnorm_diagnostics)
     stream = stream or sys.stdout
     if len(config.eps_schedule) < 4:
         raise CliError("the blow-up verdict extrapolates over a tail of "
@@ -591,6 +592,10 @@ def cmd_verify_blowup(config, out_dir, stream=None):
                        "the default grid does not resolve eps = 0.02")
     domain = config.domain()
     grid = default_grid(domain, config.grid_nodes)
+    try:
+        check_eps_floor(config.eps_schedule[-1], grid)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     _require_radius(config.radius, _grid_radius_window(grid),
                     "every cell volume of the %d-node grid a normal double"
                     % len(grid))

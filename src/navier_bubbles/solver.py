@@ -49,7 +49,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .bubble import (
     _projected_profile,
@@ -75,6 +74,9 @@ _GRID_STRENGTH = 5.0
 _EPS_FLOOR = 0.005
 # The scaled residual every solution declares; Newton aims at a tenth.
 NEWTON_TOL = 1e-10
+# Newton steps after which a solve stops unconverged; an iterate below
+# target may still take its full step, so a solve takes at most one more.
+NEWTON_MAX_STEPS = 30
 
 # The concentration triple the nonexistence theory rules out on the
 # supercritical side and the subcritical branch achieves: remainder
@@ -542,12 +544,6 @@ def _scaled_rows(disc, w, au, uq, Fu, Fw):
     return su, sw, xu, xw, float(max(np.abs(xu).max(), np.abs(xw).max()))
 
 
-def _scaled_residual(disc, q, u, w):
-    """The scaled max-norm residual at (u, w)."""
-    au, uq, Fu, Fw = _point(disc, q, u, w)
-    return _scaled_rows(disc, w, au, uq, Fu, Fw)[4]
-
-
 def _newton_step(disc, q, au, Fu, Fw, su, sw):
     """The full Newton step (du, dw) at a point with |u| = au, residual
     rows (Fu, Fw) and row scales (su, sw), or None when the step is
@@ -555,6 +551,7 @@ def _newton_step(disc, q, au, Fu, Fw, su, sw):
     (_Discretization.reduced_system) leaves the even nodes, which LAPACK
     gbsv factors and solves in place; each odd node k then follows in
     closed form, x_k = -D_k^-1 (F_k + lo_k x_{k-1} + up_k x_{k+1})."""
+    from scipy.linalg.lapack import dgbsv
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ab, rhs, (g, h, k) = disc.reduced_system(au, q, Fu, Fw, su, sw)
         if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(rhs))):
@@ -588,33 +585,38 @@ def _newton_step(disc, q, au, Fu, Fw, su, sw):
     return du, dw
 
 
-def _newton(disc, q, u, w, max_iter):
+def _newton(disc, q, u, w):
     """Damped Newton on the scaled two-field residual; tol = NEWTON_TOL / 10.
 
     Returns (u, w, history, exit). history holds one (scaled residual,
     damping) pair per iterate visited, the damping being the factor of
     the step taken from that iterate and None at the returned one, so
     len(history) - 1 steps were taken. exit is one of "converged",
-    "cap" (max_iter steps taken without reaching tol), "line search"
-    (no damping factor gave a positive iterate with an Armijo decrease)
-    or "singular step" (an odd node's 2x2 block or the reduced band was
-    singular, or the step was not finite). The line search demands
-    interior positivity of u and a fixed-scale Armijo decrease; there is
-    no projection, so a step that cannot keep u positive while
-    decreasing the residual fails the solve honestly.
+    "cap" (NEWTON_MAX_STEPS steps taken without converging, one more
+    if the last started below tol), "line search" (no damping factor
+    gave a positive iterate with an Armijo decrease) or "singular step"
+    (an odd node's 2x2 block or the reduced band was singular, or the
+    step was not finite). The line search demands interior positivity of
+    u and a fixed-scale Armijo decrease; there is no projection, so a
+    step that cannot keep u positive while decreasing the residual fails
+    the solve honestly.
 
-    Exit rule: once the scaled residual is below tol, one more full
-    Newton step is taken and the solve returns. The step is kept if u
-    stays positive in the interior and the scaled residual after it is
-    still below tol; otherwise the iterate before it is returned, still
-    converged. The residual is not compared with the one before the
-    step: both sit near round-off (about 2e-16) there, and their order
-    flips with the last bits of the seed.
-    A residual below tol alone admits a band of iterates around the
-    discrete solution (in the scale direction, a near-kernel of the
-    linearization as eps -> 0, peak heights up to a few 1e-6 apart);
-    the extra step, quadratically convergent from there, pins the one
-    discrete solution whatever route reached the band.
+    Every step takes the same path. From an iterate whose scaled
+    residual is below tol the step is taken at full length without the
+    Armijo test whenever u stays positive in the interior: both
+    residuals sit near round-off (about 2e-16) there, and their order
+    flips with the last bits of the seed. Otherwise the line search
+    runs. The solve converges at the first iterate below tol that such
+    a full step reached from an iterate below tol. A residual below tol
+    alone admits a band of iterates around the discrete solution (in the
+    scale direction, a near-kernel of the linearization as eps -> 0,
+    peak heights up to a few 1e-6 apart on 2,048 nodes); the full step,
+    quadratically convergent from there, moves into that band's core
+    whatever route reached it. A full step that lands above tol does not
+    end the solve, it is one more step: on 100,000 nodes the law seeds
+    for eps = 0.003 and 0.002 start below tol, their full steps leave it,
+    and the solves converge two steps later with peaks 3.2e-3 and
+    2.2e-3 from the seeds'.
 
     Each step (_newton_step) eliminates the odd nodes in closed form and
     solves the even nodes' reduced system
@@ -627,8 +629,8 @@ def _newton(disc, q, u, w, max_iter):
     8.1e-10 at the 8,192-node law seed for eps = 0.002.
 
     Each point is evaluated once: |u|, |u|^q and the residual rows at
-    the accepted line-search trial (_point) become the next iterate's,
-    and per iterate the row scales and the scaled rows are formed once
+    the accepted trial (_point) become the next iterate's, and per
+    iterate the row scales and the scaled rows are formed once
     (_scaled_rows); the scales serve the step and the Armijo test, the
     scaled rows the max-norm and the Armijo merit m0.
     """
@@ -637,49 +639,43 @@ def _newton(disc, q, u, w, max_iter):
     w = np.array(w, dtype=float)
     history = []
     au, uq, Fu, Fw = _point(disc, q, u, w)
-    for it in range(max_iter + 1):
+    full_from_below = False
+    while True:
         su, sw, xu, xw, res = _scaled_rows(disc, w, au, uq, Fu, Fw)
-        if res < tol:
-            step = _newton_step(disc, q, au, Fu, Fw, su, sw)
-            if step is not None:
-                ut = u + step[0]
-                wt = w + step[1]
-                if ut[:-1].min() > 0:
-                    res_t = _scaled_residual(disc, q, ut, wt)
-                    if res_t < tol:
-                        history.append((res, 1.0))
-                        history.append((res_t, None))
-                        return ut, wt, history, "converged"
-            history.append((res, None))
-            return u, w, history, "converged"
-        if it == max_iter:
-            history.append((res, None))
-            return u, w, history, "cap"
+        if res < tol and full_from_below:
+            exit_ = "converged"
+            break
+        if len(history) >= NEWTON_MAX_STEPS + (res < tol):
+            exit_ = "cap"
+            break
         step = _newton_step(disc, q, au, Fu, Fw, su, sw)
         if step is None:
-            history.append((res, None))
-            return u, w, history, "singular step"
+            exit_ = "singular step"
+            break
         du, dw = step
         m0 = np.sum(xu ** 2) + np.sum(xw ** 2)
         t = 1.0
-        accepted = False
         for _ in range(60):
             ut = u + t * du
             wt = w + t * dw
             if ut[:-1].min() > 0:
                 trial = _point(disc, q, ut, wt)
+                if t == 1.0 and res < tol:
+                    break
                 _, _, Fut, Fwt = trial
                 m2 = np.sum((Fut / su) ** 2) + np.sum((Fwt / sw) ** 2)
                 if m2 < (1.0 - 1e-4 * t) * m0:
-                    accepted = True
                     break
             t /= 2
-        if not accepted:
-            history.append((res, None))
-            return u, w, history, "line search"
+        else:
+            exit_ = "line search"
+            break
         history.append((res, t))
+        full_from_below = res < tol and t == 1.0
         u, w = ut, wt
         au, uq, Fu, Fw = trial
+    history.append((res, None))
+    return u, w, history, exit_
 
 
 def _bubble_fields(grid, lam, amplitude=1.0):
@@ -734,21 +730,23 @@ def check_eps_floor(eps_mag, grid):
         raise ValueError("offset %g is below any supported resolution" % eps_mag)
 
 
-def solve_radial(eps, domain, init, grid=None, max_iter=30):
+def solve_radial(eps, domain, init, grid=None):
     """Solve the two-field system at signed offset eps on a ball.
 
     init is a BubbleGuess (fields built from the projected bubble) or a
     pair (u, w) of sample arrays on the grid; to continue from a solution
-    pass (sol.u, sol.w) with grid=sol.grid. The Newton iteration targets
-    a scaled residual of NEWTON_TOL / 10, then takes the one full exit
-    step described in _newton; the returned solution declares
-    NEWTON_TOL, so round-off level drift cannot invalidate the object
-    later. Its attempt is the solve's Newton record.
+    pass (sol.u, sol.w) with grid=sol.grid. The Newton iteration
+    (_newton) converges at an iterate below a scaled residual of
+    NEWTON_TOL / 10 that a full step from below it reached; the returned
+    solution declares NEWTON_TOL, so round-off level drift cannot
+    invalidate the object later. Its attempt is the solve's Newton
+    record.
 
-    Raises SolverDivergence when the iteration cap is reached, the line
-    search stalls, a Newton step is singular or non-finite, or the
-    iterates collapse onto the zero branch; the message names which, and
-    the exception carries the last positive iterate.
+    Raises SolverDivergence when NEWTON_MAX_STEPS steps are taken without
+    converging, the line search stalls, a Newton step is singular or
+    non-finite, or the iterates collapse onto the zero branch; the
+    message names which, and the exception carries the last positive
+    iterate.
     """
     n = domain.n
     p = critical_exponent(n)
@@ -770,7 +768,7 @@ def solve_radial(eps, domain, init, grid=None, max_iter=30):
         raise ValueError("initial iterate must be positive in the interior")
 
     q = p + eps
-    u, w, history, exit_ = _newton(_grid_arrays(grid), q, u0, w0, max_iter)
+    u, w, history, exit_ = _newton(_grid_arrays(grid), q, u0, w0)
     if float(np.max(np.abs(u))) < 1e-6 * float(np.max(np.abs(u0))):
         exit_ = "collapsed"
     attempt = NewtonAttempt(tuple(history), exit_)
@@ -783,7 +781,7 @@ def solve_radial(eps, domain, init, grid=None, max_iter=30):
         reason = "iterates collapsed onto the trivial zero branch"
     elif exit_ == "cap":
         reason = ("iteration cap %d reached at scaled residual %.2e"
-                  % (max_iter, res))
+                  % (NEWTON_MAX_STEPS, res))
     elif exit_ == "line search":
         reason = ("line search found no Armijo decrease at iteration "
                   "%d, scaled residual %.2e" % (iters, res))

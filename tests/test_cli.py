@@ -9,7 +9,6 @@ Byte-identical rerun checks rewrite into the same directory and hash.
 
 import contextlib
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -751,23 +750,38 @@ def test_verify_blowup_runs_from_config_file(tmp_path, capsys):
 
 def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
                                               monkeypatch):
-    rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "1e-7",
-                   "--out", str(tmp_path)])
+    # an offset below the grid's floor is a configuration error, refused
+    # before anything is written
+    for below in ("0.004", "1e-7"):
+        rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", below,
+                       "--out", str(tmp_path)])
+        assert rc == 2
+        assert "below the resolution floor" in capsys.readouterr().err
+        assert not (tmp_path / "verify-blowup").exists()
+
+    # a sweep refused before its first solve: no offset was tried
+    def refused(*args, **kwargs):
+        raise ValueError("refused before any solve")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "continuation_sweep", refused)
+        rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
+                       "--out", str(tmp_path)])
     assert rc == 3
-    assert "below the resolution floor" in capsys.readouterr().err
+    assert ("sweep failed before the first solve: refused before any solve"
+            in capsys.readouterr().err)
     out = tmp_path / "verify-blowup"
     failure = json.loads((out / "failure.json").read_text())
     assert failure["schema"] == "navier-bubbles/failure/1"
     assert failure["stage"] == "sweep"
     assert failure["completed"] == 0
-    assert failure["failed_offset"] is None  # refused before any solve
+    assert failure["failed_offset"] is None
     assert (out / "config.json").exists()
     assert not (out / "report.json").exists()
 
-    # a one-iteration Newton cap: the first solve runs and fails, and
+    # a one-step Newton cap: the first solve runs and fails, and
     # its attempt is written in the solver-trace offset shape
-    monkeypatch.setattr(solver, "solve_radial",
-                        functools.partial(solver.solve_radial, max_iter=1))
+    monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 1)
     rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
                    "--out", str(tmp_path / "aborted")])
     assert rc == 3
@@ -1464,31 +1478,45 @@ def _fresh_python(code, *args):
 
 
 def test_closed_form_commands_load_no_scipy(tmp_path):
+    # supercritical off n = 6 is formulas only: it solves nothing
     code = """
         import json, os, sys
         from navier_bubbles.cli import main
-        codes = [main([cmd, "--out", os.path.join(sys.argv[1], cmd)])
-                 for cmd in ("constants", "robin", "expansion-orders")]
+        codes = [main([*cmd, "--out", os.path.join(sys.argv[1], cmd[0])])
+                 for cmd in (["constants"], ["robin"], ["expansion-orders"],
+                             ["supercritical", "--n", "8"])]
         print(json.dumps([codes, sorted(
             m for m in sys.modules if m.split(".")[0] == "scipy")]))
     """
     codes, loaded = _fresh_python(code, str(tmp_path))
-    assert codes == [0, 0, 0]
+    assert codes == [0, 0, 0, 0]
     assert loaded == []
     assert (tmp_path / "expansion-orders" / "orders.json").exists()
+    assert (tmp_path / "supercritical" / "supercritical" /
+            "report.json").exists()
 
 
 def test_solver_imports_no_optimize_or_special():
+    # importing the package loads no scipy; a Newton solve loads
+    # scipy.linalg for gbsv, and nothing loads optimize or special
     code = """
-        import json, sys
+        import json, math, sys
         import navier_bubbles.cli, navier_bubbles.solver
         import navier_bubbles.reduction
-        print(json.dumps(sorted(m for m in sys.modules
-                                if m.split(".")[0] == "scipy")))
+        from navier_bubbles.green_robin import BallDomain
+        def scipy_modules():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] == "scipy")
+        on_import = scipy_modules()
+        navier_bubbles.solver.solve_radial(
+            -0.3, BallDomain.unit(6),
+            navier_bubbles.solver.BubbleGuess(lam=math.sqrt(20 / 0.3)))
+        print(json.dumps([on_import, scipy_modules()]))
     """
-    loaded = _fresh_python(code)
-    assert "scipy.linalg" in loaded
-    assert not [m for m in loaded
+    on_import, after_solve = _fresh_python(code)
+    assert on_import == []
+    assert "scipy.linalg" in after_solve
+    assert not [m for m in after_solve
                 if m.startswith(("scipy.optimize", "scipy.special"))]
 
 

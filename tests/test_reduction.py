@@ -634,15 +634,12 @@ def test_reduced_validation(unit_ball6):
     off[0] = 0.1
     with pytest.raises(ValueError, match="centered critical point"):
         solve_reduced_system(0.01, off, unit_ball6)
-    with pytest.raises(ValueError, match="do not match"):
-        solve_reduced_system(0.01, unit_ball6.center, unit_ball6,
-                             consts=balance_constants(5))
 
 
-def test_reduced_noncontraction_carries_history(unit_ball6):
+def test_reduced_noncontraction_carries_history(unit_ball6, monkeypatch):
+    monkeypatch.setattr(reduction, "_REDUCED_MAX_STEPS", 2)
     with pytest.raises(NonContractionError) as err:
-        solve_reduced_system(0.05, unit_ball6.center, unit_ball6,
-                             max_iter=2)
+        solve_reduced_system(0.05, unit_ball6.center, unit_ball6)
     assert len(err.value.history) == 2
     beta, rho, step = err.value.history[-1]
     assert math.isfinite(beta) and math.isfinite(rho) and step > 0
@@ -722,7 +719,7 @@ def test_every_law_consumer_reads_the_law_home(n):
                 entry.peak_scale_ratio) == law_quantities(
                     n, abs(eps), peak_value, dec.lam)
 
-    report = supercritical_obstruction(offsets, ball, consts=consts)
+    report = supercritical_obstruction(offsets, ball)
     for entry in report.entries:
         assert entry.subcritical_root_closed == balance_scale(
             consts, phi, entry.eps)

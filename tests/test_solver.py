@@ -43,6 +43,7 @@ from navier_bubbles.bubble import (
 from navier_bubbles.green_robin import BallDomain
 from navier_bubbles.numerics import RadialGrid
 from navier_bubbles.solver import (
+    NEWTON_TOL,
     BubbleGuess,
     ContinuationError,
     Decomposition,
@@ -388,14 +389,15 @@ def test_solution_is_not_an_init(unit_ball6, subcritical_sweep):
         solve_radial(sol.eps, unit_ball6, sol, grid=sol.grid)
 
 
-def test_line_search_stall_is_named(unit_ball6):
+def test_line_search_stall_is_named(unit_ball6, monkeypatch):
     # at eps = +0.02 from the bubble at the balance scale the scaled
     # residual plateaus near 4.4e-6; given room, the line search itself
     # runs out of Armijo decrease before the cap
+    monkeypatch.setattr(solver_module, "NEWTON_MAX_STEPS", 120)
     guess = BubbleGuess(lam=balance_scale(balance_constants(6),
                                           center_potential(6), 0.02))
     with pytest.raises(SolverDivergence) as err:
-        solve_radial(+0.02, unit_ball6, guess, max_iter=120)
+        solve_radial(+0.02, unit_ball6, guess)
     message = str(err.value)
     assert message.startswith("line search found no Armijo decrease at "
                               "iteration ")
@@ -419,7 +421,7 @@ def test_singular_banded_step_fails_with_last_iterate(unit_ball6,
     # "raise": gbsv reports a zero pivot (info > 0), the case a banded
     # solver raises on; "nan": it returns a non-finite solution
     bad = failing_gbsv(1) if broken == "raise" else failing_gbsv(0, np.nan)
-    monkeypatch.setattr(solver_module, "dgbsv", bad)
+    monkeypatch.setattr("scipy.linalg.lapack.dgbsv", bad)
     grid = default_grid(unit_ball6, nodes=256)
     u0, w0 = _bubble_fields(grid, math.sqrt(20 / 0.3))
     with pytest.raises(SolverDivergence, match="singular or non-finite") as err:
@@ -601,17 +603,52 @@ def test_converged_solutions_are_pinned(unit_ball6, subcritical_sweep,
         assert abs(pinned_peak(sol, 3) / sol.M - 1.0) <= 1e-9
 
 
-def test_exit_step_failure_returns_the_converged_iterate(
+def test_singular_step_below_target_fails_with_the_start_iterate(
         unit_ball6, subcritical_sweep, monkeypatch):
-    # started at a solution the residual is already below target; a
-    # failed exit step must return that iterate, never a failure
-    monkeypatch.setattr(solver_module, "dgbsv", failing_gbsv(1))
+    # started at a solution the residual is already below target, but no
+    # iterate is converged until a full step from below target reached
+    # it: a singular first step fails the solve, with the start as last
+    monkeypatch.setattr("scipy.linalg.lapack.dgbsv", failing_gbsv(1))
     sol = subcritical_sweep[3]
-    again = solve_radial(sol.eps, unit_ball6, (sol.u, sol.w), grid=sol.grid)
-    assert again.newton_iters == 0
-    assert np.array_equal(again.u, sol.u)
-    assert again.attempt.exit == "converged"
-    assert again.attempt.iterations == ((again.residual, None),)
+    assert sol.residual < NEWTON_TOL / 10
+    with pytest.raises(SolverDivergence,
+                       match="singular or non-finite") as err:
+        solve_radial(sol.eps, unit_ball6, (sol.u, sol.w), grid=sol.grid)
+    last = err.value.last
+    assert last.newton_iters == 0
+    assert np.array_equal(last.u, sol.u) and np.array_equal(last.w, sol.w)
+    assert last.attempt.exit == "singular step"
+    assert last.attempt.iterations == ((last.residual, None),)
+
+
+def test_cap_spares_the_full_step_from_below_target(unit_ball6,
+                                                    monkeypatch):
+    # at eps = 0.3 the fourth step lands below target and the fifth, the
+    # full step from there, converges: a cap of four steps lets it
+    # through, a cap of three stops the solve above target
+    monkeypatch.setattr(solver_module, "NEWTON_MAX_STEPS", 4)
+    (sol,) = continuation_sweep([0.3], unit_ball6)
+    assert sol.newton_iters == 5 and sol.attempt.exit == "converged"
+    monkeypatch.setattr(solver_module, "NEWTON_MAX_STEPS", 3)
+    with pytest.raises(ContinuationError, match="iteration cap 3 reached"):
+        continuation_sweep([0.3], unit_ball6)
+
+
+@pytest.mark.parametrize("eps, moved", [(0.003, 3.2e-3), (0.002, 2.2e-3)])
+def test_fine_grid_law_seed_below_target_is_not_returned(unit_ball6, eps,
+                                                         moved):
+    # on 100,000 nodes these law seeds start below target; their full
+    # steps leave it, and Newton goes on to a peak well away from the
+    # seed's instead of returning the seed unchanged
+    grid = default_grid(unit_ball6, nodes=100000)
+    peak_limit = law_limits(balance_constants(6), center_potential(6))[1]
+    seed_peak = _law_seed(grid, peak_limit, eps)[0][0]
+    (sol,) = continuation_sweep([eps], unit_ball6, grid=grid)
+    assert sol.newton_iters >= 1
+    assert sol.attempt.exit == "converged"
+    assert sol.residual < NEWTON_TOL / 10
+    assert abs(sol.M / seed_peak - 1.0) == pytest.approx(moved, rel=0.05)
+    assert abs(sol.M / seed_peak - 1.0) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +843,7 @@ def test_zero_odd_determinant_is_a_singular_step(small_system):
 def test_illegal_gbsv_argument_raises(unit_ball6, monkeypatch):
     # info < 0 is a malformed call, not a singular step: it must surface
     # as an error, never as a Newton exit
-    monkeypatch.setattr(solver_module, "dgbsv", failing_gbsv(-3))
+    monkeypatch.setattr("scipy.linalg.lapack.dgbsv", failing_gbsv(-3))
     grid = default_grid(unit_ball6, nodes=256)
     u0, w0 = _bubble_fields(grid, math.sqrt(20 / 0.3))
     with pytest.raises(ValueError, match="argument 3 of gbsv") as err:
