@@ -569,7 +569,8 @@ def _grid_radius_window(grid):
 
 def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
     """failure.json; failed_offset is the solver-trace record of the
-    offset a sweep could not reach, None when no solve of it ran."""
+    offset a sweep could not reach, and None only at the decompose
+    stage, where every offset was solved."""
     _write_json(os.path.join(out_dir, "failure.json"), {
         "schema": _schema("failure"),
         "stage": stage,
@@ -629,11 +630,6 @@ def cmd_verify_blowup(config, out_dir, stream=None):
         print("sweep failed after %d offsets: %s" % (len(partial), exc),
               file=sys.stderr)
         return 3
-    except ValueError as exc:
-        _persist_failure(out_dir, "sweep", exc, 0)
-        print("sweep failed before the first solve: %s" % exc,
-              file=sys.stderr)
-        return 3
 
     decomps, exc = decompose_each(solutions)
     if exc is not None:
@@ -646,14 +642,9 @@ def cmd_verify_blowup(config, out_dir, stream=None):
 
     write_sweep(solutions, decomps)
 
-    try:
-        verdict = blowup_verdict(
-            [(s.eps, d, s.M) for s, d in zip(solutions, decomps)],
-            domain.center, domain)
-    except ValueError as exc:
-        _persist_failure(out_dir, "verdict", exc, len(decomps))
-        print("verdict construction failed: %s" % exc, file=sys.stderr)
-        return 3
+    verdict = blowup_verdict(
+        [(s.eps, d, s.M) for s, d in zip(solutions, decomps)],
+        domain.center, domain)
 
     final_sol = solutions[-1]
     final_dec = decomps[-1]

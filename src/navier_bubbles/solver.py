@@ -77,6 +77,9 @@ NEWTON_TOL = 1e-10
 # Newton steps after which a solve stops unconverged; an iterate below
 # target may still take its full step, so a solve takes at most one more.
 NEWTON_MAX_STEPS = 30
+# Secant steps allowed for decompose's scale; the reference and fine
+# n = 6 sweeps and an n = 8 sweep on 4,096 nodes took at most 5.
+_SECANT_MAX_STEPS = 60
 
 # The concentration triple the nonexistence theory rules out on the
 # supercritical side and the subcritical branch achieves: remainder
@@ -196,17 +199,14 @@ class RadialSolution:
 
     # -- integrals in the cell-volume quadrature the solver itself uses
 
-    def _weights(self):
-        return _cell_weights(self.grid)
-
     def energy_norm_sq(self):
         """Discrete int |Delta u|^2 over the ball."""
-        return float(np.sum(self._weights() * self.w**2))
+        return float(np.sum(_cell_weights(self.grid) * self.w**2))
 
     def nonlinear_mass(self):
         """Discrete int u^{q+1} with q = p + eps."""
         q = critical_exponent(self.grid.n) + self.eps
-        return float(np.sum(self._weights() * np.abs(self.u) ** (q + 1)))
+        return _nonlinear_mass(self.grid, self.u, q)
 
     def pohozaev_defect(self):
         """lhs / rhs - 1 of the Pohozaev identity (_pohozaev_sides): a
@@ -526,6 +526,11 @@ def _cell_weights(grid):
     return _grid_arrays(grid).wts
 
 
+def _nonlinear_mass(grid, u, q):
+    """Discrete int |u|^{q+1} in the cell weights."""
+    return float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
+
+
 def _point(disc, q, u, w):
     """(|u|, |u|^q, Fu, Fw) at (u, w): |u| is formed and raised to q once,
     and the power serves both the residual and the row scales."""
@@ -708,7 +713,7 @@ def _pohozaev_sides(grid, u, w, q):
     d1 = _stencil_weights(r[-1], r[-3:], 1)[1]
     u_slope = float(d1 @ u[-3:])
     w_slope = float(d1 @ w[-3:])
-    mass = float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
+    mass = _nonlinear_mass(grid, u, q)
     lhs = (n / (q + 1) - (n - 4) / 2) * mass
     rhs = -sphere_measure(n) * grid.R**n * u_slope * w_slope
     return mass, u_slope, w_slope, lhs, rhs
@@ -852,15 +857,18 @@ def decompose(sol, domain):
     center, minimizing the energy norm of v over (alpha, lam).
 
     alpha is eliminated in closed form at each lam (the problem is
-    linear in alpha). The profile objective is walked downhill on a
-    lattice in log lam, the law seed's log lam plus 0.1 j for |j| <= 16:
-    from j = 0, step to the lower neighbour while one is lower. The
-    neighbours of the stopping point bracket lam, and the exact
-    stationarity condition (v orthogonal to the scale direction) must
-    change sign across them. Secant steps on that condition, kept inside
-    the bracket, drive the scale orthogonality defect to rounding; the
+    linear in alpha). The exact stationarity condition, v orthogonal to
+    the scale direction, must change sign across one bracket, the law
+    seed's log lam plus or minus 0.1; plain secant steps on it from the
+    bracket's ends drive the scale orthogonality defect to rounding. The
     objective alone is flat to rounding over a few 1e-10 of lam at fat
-    offsets.
+    offsets. Secant steps shrink superlinearly, so the first one below
+    1e-10 is taken unevaluated and lands at the rounding floor.
+
+    Raises RuntimeError when the condition does not change sign across
+    the bracket, when a secant step is flat or leaves the bracket, when
+    _SECANT_MAX_STEPS steps do not converge, and when the amplitude or
+    the objective's curvature at the result is not positive.
 
     Within one call the profile's Laplacian (with its eliminated
     amplitude) and the scale derivative are evaluated at most once per
@@ -902,17 +910,6 @@ def decompose(sol, domain):
         lp, al = profile(math.exp(loglam))
         return float(np.sum(wts * (w - al * lp) ** 2))
 
-    seed = np.log(law_scale(n, sol.M, sol.eps))
-    lattice = seed + np.linspace(-1.6, 1.6, 33)
-    at = functools.cache(lambda j: objective(lattice[j]))
-    k = len(lattice) // 2
-    while 0 < k < len(lattice) - 1:
-        step = min(k - 1, k + 1, key=at)
-        if not at(step) < at(k):
-            break
-        k = step
-    k = min(max(k, 1), len(lattice) - 2)
-
     def stationarity(loglam):
         # d/d(log lam) of the objective, up to the factor -2 alpha:
         # the inner product of the remainder with the scale direction.
@@ -920,28 +917,26 @@ def decompose(sol, domain):
         lp, al = profile(lam)
         return float(np.sum(wts * (w - al * lp) * scale_derivative(lam)))
 
-    lo, hi = float(lattice[k - 1]), float(lattice[k + 1])
-    g_lo, g_hi = stationarity(lo), stationarity(hi)
-    if not g_lo * g_hi < 0:
+    seed = math.log(law_scale(n, sol.M, sol.eps))
+    lo, hi = seed - 0.1, seed + 0.1
+    x0, g0, x1, g1 = lo, stationarity(lo), hi, stationarity(hi)
+    if not g0 * g1 < 0:
         raise RuntimeError("profile minimization failed to bracket")
-    # a secant step that is flat or leaves the bracket is replaced by the
-    # midpoint; secant steps shrink superlinearly, so the first one below
-    # 1e-10 is taken unevaluated and lands at the rounding floor
-    x0, g0, x1, g1 = lo, g_lo, hi, g_hi
-    for _ in range(60):
-        x2 = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+    for _ in range(_SECANT_MAX_STEPS):
+        if g1 == g0:
+            raise RuntimeError("secant step is flat at log lam %.17g" % x1)
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if not lo <= x2 <= hi:
+            raise RuntimeError("secant step to log lam %.17g left the "
+                               "bracket [%.17g, %.17g]" % (x2, lo, hi))
         if abs(x2 - x1) <= 1e-10:
-            x1 = min(max(x2, lo), hi)
             break
-        if not lo < x2 < hi:
-            x2 = 0.5 * (lo + hi)
         x0, g0, x1, g1 = x1, g1, x2, stationarity(x2)
-        if (g1 < 0) == (g_lo < 0):
-            lo, g_lo = x1, g1
-        else:
-            hi = x1
+    else:
+        raise RuntimeError("secant did not converge in %d steps"
+                           % _SECANT_MAX_STEPS)
 
-    lam = math.exp(x1)
+    lam = math.exp(x2)
     lp, alpha = profile(lam)
     if not alpha > 0:
         raise RuntimeError("minimization returned a nonpositive amplitude")
@@ -958,8 +953,8 @@ def decompose(sol, domain):
     # means the (alpha, lam) Hessian is degenerate and the minimizer
     # meaningless, so that is reported rather than returned
     h = 1e-3
-    f0 = objective(x1)
-    curv = (objective(x1 + h) - 2 * f0 + objective(x1 - h)) / h**2
+    f0 = objective(x2)
+    curv = (objective(x2 + h) - 2 * f0 + objective(x2 - h)) / h**2
     if not curv > 0:
         raise RuntimeError(
             "objective curvature %.3e at the minimizer; the decomposition "

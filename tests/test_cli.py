@@ -632,6 +632,18 @@ def test_verify_blowup_rerun_is_byte_identical(vb_run):
     assert file_hashes(out) == before
 
 
+def test_verify_blowup_reruns_from_its_echoed_config(vb_run, capsys):
+    # a run repeated from its own config.json, into the same directory,
+    # writes every artifact byte for byte as the run from flags did
+    rc, out = vb_run
+    assert rc == 0
+    before = file_hashes(out)
+    assert cli.main(["verify-blowup", "--config",
+                     str(out / "config.json")]) == 0
+    capsys.readouterr()
+    assert file_hashes(out) == before
+
+
 def test_verify_blowup_shallow_schedule_fails_honestly(tmp_path):
     rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
                    "--out", str(tmp_path)])
@@ -759,26 +771,6 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
         assert "below the resolution floor" in capsys.readouterr().err
         assert not (tmp_path / "verify-blowup").exists()
 
-    # a sweep refused before its first solve: no offset was tried
-    def refused(*args, **kwargs):
-        raise ValueError("refused before any solve")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(solver, "continuation_sweep", refused)
-        rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", "0.05",
-                       "--out", str(tmp_path)])
-    assert rc == 3
-    assert ("sweep failed before the first solve: refused before any solve"
-            in capsys.readouterr().err)
-    out = tmp_path / "verify-blowup"
-    failure = json.loads((out / "failure.json").read_text())
-    assert failure["schema"] == "navier-bubbles/failure/1"
-    assert failure["stage"] == "sweep"
-    assert failure["completed"] == 0
-    assert failure["failed_offset"] is None
-    assert (out / "config.json").exists()
-    assert not (out / "report.json").exists()
-
     # a one-step Newton cap: the first solve runs and fails, and
     # its attempt is written in the solver-trace offset shape
     monkeypatch.setattr(solver, "NEWTON_MAX_STEPS", 1)
@@ -788,7 +780,10 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
     assert "sweep aborted at offset 0.3" in capsys.readouterr().err
     out = tmp_path / "aborted" / "verify-blowup"
     failure = json.loads((out / "failure.json").read_text())
+    assert failure["schema"] == "navier-bubbles/failure/1"
     assert failure["stage"] == "sweep" and failure["completed"] == 0
+    assert (out / "config.json").exists()
+    assert not (out / "report.json").exists()
     offset = failure["failed_offset"]
     assert set(offset) == {"eps", "attempts"}
     assert offset["eps"] == {"value": 0.3, "provenance": "formula"}

@@ -984,55 +984,86 @@ def test_decompose_matches_brent_oracle(subcritical_sweep,
         assert abs(math.exp(x1) / dec.lam - 1.0) <= 1e-10
 
 
-def test_decompose_walk_finds_the_lattice_argmin(subcritical_sweep,
-                                                monkeypatch):
-    # the downhill walk from the law seed stops at the argmin of the full
-    # 33-point lattice, after one objective evaluation per step plus the
-    # start and its two neighbours; the secant bracket is its neighbours
-    events = []
+def test_decompose_brackets_at_the_law_seed(subcritical_sweep, monkeypatch):
+    # the stationarity condition changes sign across the law seed's
+    # log lam +- 0.1 at every offset of the reference sweep and of a
+    # law-seeded n = 8 sweep on 4,096 nodes at sinh strength 10, and
+    # decompose's first two stationarity calls are at exactly those ends
+    ball8 = BallDomain.unit(8)
+    grid8 = RadialGrid.sinh_graded(8, 4096, R=1.0, strength=10.0)
+    cases = [(BallDomain.unit(N6), sol) for sol in subcritical_sweep]
+    cases += [(ball8, sol) for sol in
+              continuation_sweep([0.1, 0.05, 0.02], ball8, grid=grid8)]
     profile, scale = (solver_module._projected_profile_laplacian,
                       solver_module._projected_scale_derivative_laplacian)
+    calls = []
 
-    def spy(tag, fn):
-        def wrapped(n, lam, r, R):
-            events.append((tag, lam))
-            return fn(n, lam, r, R)
-        return wrapped
+    def spy(n, lam, r, R):
+        calls.append(lam)
+        return scale(n, lam, r, R)
 
-    monkeypatch.setattr(solver_module, "_projected_profile_laplacian",
-                        spy("profile", profile))
     monkeypatch.setattr(solver_module,
-                        "_projected_scale_derivative_laplacian",
-                        spy("stationarity", scale))
-    ball = BallDomain.unit(N6)
-    for sol in subcritical_sweep:
-        wts = _cell_weights(sol.grid)
-        lattice = (np.log(law_scale(N6, sol.M, sol.eps))
-                   + np.linspace(-1.6, 1.6, 33))
-        values = []
-        for x in lattice:
-            lp = profile(N6, math.exp(x), sol.grid.nodes, 1.0)
+                        "_projected_scale_derivative_laplacian", spy)
+    for ball, sol in cases:
+        n, r, wts = ball.n, sol.grid.nodes, _cell_weights(sol.grid)
+        seed = math.log(law_scale(n, sol.M, sol.eps))
+        ends = [math.exp(seed - 0.1), math.exp(seed + 0.1)]
+        signs = []
+        for lam in ends:
+            lp = profile(n, lam, r, 1.0)
             alpha = np.sum(wts * sol.w * lp) / np.sum(wts * lp * lp)
-            values.append(float(np.sum(wts * (sol.w - alpha * lp) ** 2)))
-        k = int(np.argmin(values))
-        assert 0 < k < 32
-
-        events.clear()
+            ds = scale(n, lam, r, 1.0)
+            signs.append(np.sign(np.sum(wts * (sol.w - alpha * lp) * ds)))
+        assert signs[0] * signs[1] < 0
+        calls.clear()
         decompose(sol, ball)
-        first = next(i for i, (tag, _) in enumerate(events)
-                     if tag == "stationarity")
-        # the bracket ends are lattice points the walk visited, so the
-        # first stationarity call reuses their profiles
-        assert first == 3 + abs(k - 16)
-        bracket = [lam for tag, lam in events if tag == "stationarity"][:2]
-        assert bracket == [math.exp(float(lattice[k - 1])),
-                           math.exp(float(lattice[k + 1]))]
+        assert calls[:2] == ends
+
+
+def test_decompose_refuses_unconverged_secant(subcritical_sweep,
+                                              monkeypatch):
+    # one secant step does not reach the rounding floor, and a scale
+    # left short of it is refused, not returned
+    monkeypatch.setattr(solver_module, "_SECANT_MAX_STEPS", 1)
+    with pytest.raises(RuntimeError,
+                       match="secant did not converge in 1 steps"):
+        decompose(subcritical_sweep[2], BallDomain.unit(N6))
+
+
+@pytest.mark.parametrize("skew", ["flat", "steep"])
+def test_decompose_refuses_a_secant_off_the_bracket(skew, subcritical_sweep,
+                                                    monkeypatch):
+    # "flat": every scale inside the bracket reads the profile of its
+    # upper end, so the second secant step has g1 == g0; "steep": the
+    # scale direction weighted by (lam / lam_seed)^20 keeps the root but
+    # bends the condition so far that a secant step leaves the bracket
+    sol = subcritical_sweep[2]
+    seed = math.log(law_scale(N6, sol.M, sol.eps))
+    ends = (math.exp(seed - 0.1), math.exp(seed + 0.1))
+    profile, scale = (solver_module._projected_profile_laplacian,
+                      solver_module._projected_scale_derivative_laplacian)
+    if skew == "flat":
+        def pinned(fn):
+            return lambda n, lam, r, R: fn(n, lam if lam in ends
+                                           else ends[1], r, R)
+
+        profile, scale = pinned(profile), pinned(scale)
+    else:
+        scale = (lambda n, lam, r, R, fn=scale:
+                 (lam / math.exp(seed)) ** 20 * fn(n, lam, r, R))
+    monkeypatch.setattr(solver_module, "_projected_profile_laplacian",
+                        profile)
+    monkeypatch.setattr(solver_module,
+                        "_projected_scale_derivative_laplacian", scale)
+    match = "is flat" if skew == "flat" else "left the bracket"
+    with pytest.raises(RuntimeError, match=match):
+        decompose(sol, BallDomain.unit(N6))
 
 
 def test_decompose_refuses_unbracketed_scale(unit_ball6):
     # u concentrated at a scale e^3 times that of w: the law's seed puts
-    # the lattice far above the true scale, so the downhill walk stops at
-    # the lattice's edge with no sign change of the derivative beside it
+    # the bracket far above the true scale, with no sign change of the
+    # derivative across it
     grid = default_grid(unit_ball6)
     u = _projected_profile(N6, 15.0 * math.exp(3.0), grid.nodes, 1.0)
     w = _projected_profile_laplacian(N6, 15.0, grid.nodes, 1.0)
