@@ -78,9 +78,9 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .bubble import (BubbleParams, balance_constants, center_potential,
-                     critical_exponent, law_limits, law_quantities,
-                     sobolev_energy)
+from .bubble import (BubbleParams, balance_constants, balance_scale,
+                     center_potential, critical_exponent, law_limits,
+                     law_quantities, sobolev_energy)
 from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain, _first_axis,
                           boundary_blowup_fit, robin)
 from .numerics import sphere_measure
@@ -725,8 +725,8 @@ def _obstruction_radius_window(n, eps_list):
     """The radii that keep R and every written subcritical root, the unit
     ball's over R, positive normal doubles; nothing else written off
     n = 6 depends on R. A relative 1e-12 is kept back for rounding."""
-    roots = [e.subcritical_root_closed for e in supercritical_obstruction(
-        eps_list, BallDomain.unit(n)).entries]
+    consts, phi = balance_constants(n), center_potential(n)
+    roots = [balance_scale(consts, phi, e) for e in eps_list]
     tiny, huge = sys.float_info.min, sys.float_info.max
     return (max(tiny, max(roots) / huge * (1.0 + 1e-12)),
             min(huge, min(roots) / tiny * (1.0 - 1e-12)))

@@ -74,6 +74,10 @@ _GRID_STRENGTH = 5.0
 _EPS_FLOOR = 0.005
 # The scaled residual every solution declares; Newton aims at a tenth.
 NEWTON_TOL = 1e-10
+# The round-off level of the scaled residual: a full step from below the
+# target converges only when it lands here. On 32,768 nodes an iterate
+# such a step reached at 3e-13 still sat 4.1e-6 from the discrete peak.
+NEWTON_ROUNDOFF = 1e-14
 # Newton steps after which a solve stops unconverged; an iterate below
 # target may still take its full step, so a solve takes at most one more.
 NEWTON_MAX_STEPS = 30
@@ -611,17 +615,20 @@ def _newton(disc, q, u, w):
     Armijo test whenever u stays positive in the interior: both
     residuals sit near round-off (about 2e-16) there, and their order
     flips with the last bits of the seed. Otherwise the line search
-    runs. The solve converges at the first iterate below tol that such
-    a full step reached from an iterate below tol. A residual below tol
-    alone admits a band of iterates around the discrete solution (in the
-    scale direction, a near-kernel of the linearization as eps -> 0,
-    peak heights up to a few 1e-6 apart on 2,048 nodes); the full step,
-    quadratically convergent from there, moves into that band's core
-    whatever route reached it. A full step that lands above tol does not
-    end the solve, it is one more step: on 100,000 nodes the law seeds
-    for eps = 0.003 and 0.002 start below tol, their full steps leave it,
-    and the solves converge two steps later with peaks 3.2e-3 and
-    2.2e-3 from the seeds'.
+    runs. The solve converges at the first iterate that such a full step
+    reached from an iterate below tol and whose scaled residual is at
+    most NEWTON_ROUNDOFF. A residual below tol alone admits a band of
+    iterates around the discrete solution (in the scale direction, a
+    near-kernel of the linearization as eps -> 0, peak heights up to a
+    few 1e-6 apart on 2,048 nodes); the full step, quadratically
+    convergent from there, moves into that band's core whatever route
+    reached it. On fine grids one such step can land short of round-off
+    (3e-13 on 32,768 nodes, 4.1e-6 from the discrete peak), and the next
+    full step finishes the move. A full step that lands above
+    NEWTON_ROUNDOFF does not end the solve, it is one more step: on
+    100,000 nodes the law seeds for eps = 0.003 and 0.002 start below
+    tol, their full steps leave it, and the solves go on to peaks 3.2e-3
+    and 2.2e-3 from the seeds'.
 
     Each step (_newton_step) eliminates the odd nodes in closed form and
     solves the even nodes' reduced system
@@ -647,7 +654,7 @@ def _newton(disc, q, u, w):
     full_from_below = False
     while True:
         su, sw, xu, xw, res = _scaled_rows(disc, w, au, uq, Fu, Fw)
-        if res < tol and full_from_below:
+        if res <= NEWTON_ROUNDOFF and full_from_below:
             exit_ = "converged"
             break
         if len(history) >= NEWTON_MAX_STEPS + (res < tol):
@@ -741,10 +748,10 @@ def solve_radial(eps, domain, init, grid=None):
     init is a BubbleGuess (fields built from the projected bubble) or a
     pair (u, w) of sample arrays on the grid; to continue from a solution
     pass (sol.u, sol.w) with grid=sol.grid. The Newton iteration
-    (_newton) converges at an iterate below a scaled residual of
-    NEWTON_TOL / 10 that a full step from below it reached; the returned
-    solution declares NEWTON_TOL, so round-off level drift cannot
-    invalidate the object later. Its attempt is the solve's Newton
+    (_newton) converges at an iterate at a scaled residual of at most
+    NEWTON_ROUNDOFF that a full step from below NEWTON_TOL / 10 reached;
+    the returned solution declares NEWTON_TOL, so round-off level drift
+    cannot invalidate the object later. Its attempt is the solve's Newton
     record.
 
     Raises SolverDivergence when NEWTON_MAX_STEPS steps are taken without

@@ -18,13 +18,12 @@ import subprocess
 import sys
 import tempfile
 import textwrap
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from navier_bubbles import cli, reduction, solver
+from navier_bubbles import cli, projection, reduction, solver
 from navier_bubbles.bubble import (balance_constants, balance_scale,
                                    center_potential)
 from navier_bubbles.green_robin import BallDomain, robin
@@ -308,11 +307,10 @@ def test_constants_rows_are_formulas_without_quadrature(n, tmp_path, capsys,
 
 
 def run_quietly(argv, capsys):
-    """Exit code of a run that must raise no numpy warning (overflow,
-    invalid value or division by zero)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = cli.main(argv)
+    """Exit code of a run, its output discarded. Like every run in the
+    suite (filterwarnings in pyproject.toml), it fails on any warning,
+    numpy's overflow, invalid value or division by zero included."""
+    rc = cli.main(argv)
     capsys.readouterr()
     return rc
 
@@ -421,6 +419,7 @@ def test_robin_refuses_dimensions_past_the_derived_limit(tmp_path, capsys):
     for n in ("150", "220"):
         assert run_quietly(["robin", "--n", n, "--out", str(out)],
                            capsys) == 0
+        assert_profile_normal(out)
 
 
 def boundary_slopes(out):
@@ -431,6 +430,16 @@ def boundary_slopes(out):
 
 def is_normal(value):
     return sys.float_info.min <= value <= sys.float_info.max
+
+
+def assert_profile_normal(out):
+    """Every written phi and nonzero gradient norm is a positive normal
+    double."""
+    header, rows = read_csv(out / "robin_profile.csv")
+    phi, grad = header.index("phi"), header.index("grad_norm")
+    assert rows and all(is_normal(float(row[phi])) for row in rows)
+    assert all(is_normal(float(row[grad])) for row in rows
+               if float(row[grad]) != 0.0)
 
 
 # the default 21 stations: the innermost nonzero one is at 0.09 R
@@ -455,11 +464,7 @@ def test_robin_refuses_radii_past_its_written_values(n, tmp_path, capsys):
         assert run_quietly(["robin", "--n", str(n), "--radius", repr(radius),
                             "--out", str(out)], capsys) == 0
         assert boundary_slopes(out) == pytest.approx(unit, rel=1e-10)
-        header, rows = read_csv(out / "robin_profile.csv")
-        phi, grad = header.index("phi"), header.index("grad_norm")
-        assert all(is_normal(float(row[phi])) for row in rows)
-        assert all(is_normal(float(row[grad])) for row in rows
-                   if float(row[grad]) != 0.0)
+        assert_profile_normal(out)
 
 
 def test_robin_writes_normal_gradients_at_the_window_end(tmp_path, capsys):
@@ -477,6 +482,7 @@ def test_robin_writes_normal_gradients_at_the_window_end(tmp_path, capsys):
     for radius in (1e80, lo, hi):
         assert run_quietly(["robin", "--radius", repr(radius), "--stations",
                             "21", "--out", str(out)], capsys) == 0
+        assert_profile_normal(out)
         header, rows = read_csv(out / "robin_profile.csv")
         coord = header.index("axis_coordinate")
         grad = header.index("grad_norm")
@@ -554,7 +560,7 @@ def test_verify_blowup_solver_trace(vb_run):
     header, rows = read_csv(out / "sweep.csv")
     trace = json.loads((out / "report.json").read_text())["solver_trace"]
     assert set(trace) == {"newton_iters", "offsets"}
-    assert trace["newton_iters"] <= 40
+    assert trace["newton_iters"] == 35
     total = 0
     for offset, row in zip(trace["offsets"], rows):
         assert set(offset) == {"eps", "attempts"}
@@ -621,6 +627,8 @@ def test_verify_blowup_config_echo(vb_run):
     _, out = vb_run
     config = RunConfig.from_json(out / "config.json")
     assert config.eps_schedule == RunConfig().eps_schedule
+    assert list(json.loads((out / "config.json").read_text())) == [
+        "schema", "n", "radius", "eps_schedule", "grid_nodes", "out_dir"]
 
 
 def test_verify_blowup_rerun_is_byte_identical(vb_run):
@@ -764,11 +772,13 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
                                               monkeypatch):
     # an offset below the grid's floor is a configuration error, refused
     # before anything is written
-    for below in ("0.004", "1e-7"):
+    for below, shown in (("0.004", "0.004"), ("1e-7", "1e-07")):
         rc = cli.main(["verify-blowup", "--eps", "0.3", "0.2", "0.1", below,
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert "below the resolution floor" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            "error: offset %s is below the resolution floor 0.005 of a "
+            "2048-node grid" % shown)
         assert not (tmp_path / "verify-blowup").exists()
 
     # a one-step Newton cap: the first solve runs and fails, and
@@ -895,7 +905,9 @@ def test_supercritical_probe_table(sc_run):
     assert [float(r[header.index("eps")]) for r in rows] == [0.02, 0.05]
     for row in rows:
         assert row[header.index("concentrating")] == "false"
-        assert float(row[header.index("pohozaev_coefficient")]) < 0
+        q = (6 + 4) / (6 - 4) + float(row[header.index("eps")])
+        coefficient = float(row[header.index("pohozaev_coefficient")])
+        assert coefficient == 6 / (q + 1) - (6 - 4) / 2 and coefficient < 0
         assert row[header.index("pohozaev_coefficient_provenance")] == (
             "formula")
         for tag in provenance_cells(header, row):
@@ -1006,10 +1018,8 @@ def test_supercritical_refuses_dimensions_without_a_radius(tmp_path,
 def assert_past_p_minus_one(argv, out, capsys):
     """The run is refused (exit 2) for an offset at or past p - 1,
     before anything is written and without a numpy warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert_refused(argv, out, capsys,
-                       "error: offset magnitude must stay below p - 1 = ")
+    assert_refused(argv, out, capsys,
+                   "error: offset magnitude must stay below p - 1 = ")
 
 
 def test_supercritical_probe_fails_on_an_overflowed_mass(tmp_path, capsys):
@@ -1029,8 +1039,8 @@ def test_supercritical_probe_fails_on_an_underflowed_seed(tmp_path, capsys,
     # certificate (exit 1); they are past p - 1 = 4, where the matched
     # subcritical exponent p - eps is below one, and are refused
     assert_past_p_minus_one(["supercritical", "--eps", eps,
-                             "--out", str(tmp_path)],
-                            tmp_path / "supercritical", capsys)
+                             "--out", str(tmp_path / "out")],
+                            tmp_path / "out", capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1045,8 +1055,8 @@ def test_run_offsets_stay_below_p_minus_one(tmp_path, capsys, argv):
     # the obstruction's three repros ended in a ZeroDivisionError
     # traceback, and without the rule 1.7e308 wrote an infinite floor
     # and passed
-    assert_past_p_minus_one(argv + ["--out", str(tmp_path)],
-                            tmp_path / argv[0], capsys)
+    assert_past_p_minus_one(argv + ["--out", str(tmp_path / "out")],
+                            tmp_path / "out", capsys)
 
 
 def test_config_refuses_offsets_past_p_minus_one():
@@ -1201,14 +1211,21 @@ def test_supercritical_refuses_offsets_the_probe_cannot_sign(tmp_path,
 
 @pytest.fixture(scope="module")
 def eo_run(tmp_path_factory):
+    # each rung reads the bubble once, on all its axis samples
     out = tmp_path_factory.mktemp("eo")
-    rc = cli.main(["expansion-orders", "--rungs", "5", "--out", str(out)])
-    return rc, out
+    reads = []
+    eval_delta = projection.eval_delta
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(projection, "eval_delta",
+                  lambda p, x: reads.append(p.lam) or eval_delta(p, x))
+        rc = cli.main(["expansion-orders", "--rungs", "5", "--out", str(out)])
+    return rc, out, reads
 
 
 def test_expansion_orders_slopes_within_bands(eo_run):
-    rc, out = eo_run
+    rc, out, reads = eo_run
     assert rc == 0
+    assert len(reads) == len(set(reads)) == 5
     report = json.loads((out / "orders.json").read_text())
     assert report["schema"] == "navier-bubbles/expansion-orders/1"
     fits = report["fits"]
@@ -1219,7 +1236,7 @@ def test_expansion_orders_slopes_within_bands(eo_run):
 
 
 def test_expansion_orders_table(eo_run):
-    _, out = eo_run
+    _, out, _ = eo_run
     header, rows = read_csv(out / "orders.csv")
     assert header == ["quantity", "slope", "slope_provenance",
                       "expected", "expected_provenance",
@@ -1250,10 +1267,8 @@ def test_expansion_orders_refuses_an_overflowing_ladder(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: lam_min must be "
                                                   "at most")
     assert not out.exists()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = cli.main(["expansion-orders", "--lam-min",
-                       repr(ceiling * (1 - 1e-9)), "--out", str(out)])
+    rc = cli.main(["expansion-orders", "--lam-min",
+                   repr(ceiling * (1 - 1e-9)), "--out", str(out)])
     assert rc in (0, 1)
     assert (out / "orders.json").exists()
 
@@ -1359,11 +1374,9 @@ def _run_in_range_contract(argv, written=math.isfinite):
     writes only numbers that pass written, finite ones by default."""
     with tempfile.TemporaryDirectory() as base:
         out = os.path.join(base, "out")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main([*argv, "--out", out])
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main([*argv, "--out", out])
         assert rc in (0, 1, 2), argv
         if rc == 2:
             assert not os.path.exists(out), argv

@@ -428,11 +428,9 @@ def test_robin_refuses_an_overflowed_sum_past_the_dimension_limit():
     # which warns, and the non-finite value is refused, not returned
     n = ROBIN_N_MAX + 1
     x = 0.98 * e1(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        robin(BallDomain.unit(ROBIN_N_MAX), 0.98 * e1(ROBIN_N_MAX))
-        with pytest.raises(RuntimeWarning, match="overflow"):
-            robin(BallDomain.unit(n), x)
+    robin(BallDomain.unit(ROBIN_N_MAX), 0.98 * e1(ROBIN_N_MAX))
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        robin(BallDomain.unit(n), x)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ValueError, match="overflows"):

