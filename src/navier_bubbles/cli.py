@@ -78,14 +78,15 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .bubble import (BubbleParams, balance_constants, balance_scale,
-                     center_potential, critical_exponent, law_limits,
-                     law_quantities, sobolev_energy)
+from .bubble import (BubbleParams, balance_constants, center_potential,
+                     critical_exponent, law_limits, law_quantities,
+                     sobolev_energy)
 from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain, _first_axis,
                           boundary_blowup_fit, robin)
 from .numerics import sphere_measure
 from .projection import expansion_orders
-from .reduction import LAW_RTOL, blowup_verdict, supercritical_obstruction
+from .reduction import (LAW_RTOL, blowup_verdict, subcritical_roots,
+                        supercritical_obstruction)
 
 # the solver is imported only by the commands that use it; no module
 # loads scipy on import, so only a Newton step loads scipy.linalg
@@ -725,8 +726,7 @@ def _obstruction_radius_window(n, eps_list):
     """The radii that keep R and every written subcritical root, the unit
     ball's over R, positive normal doubles; nothing else written off
     n = 6 depends on R. A relative 1e-12 is kept back for rounding."""
-    consts, phi = balance_constants(n), center_potential(n)
-    roots = [balance_scale(consts, phi, e) for e in eps_list]
+    roots = subcritical_roots(n, eps_list)
     tiny, huge = sys.float_info.min, sys.float_info.max
     return (max(tiny, max(roots) / huge * (1.0 + 1e-12)),
             min(huge, min(roots) / tiny * (1.0 - 1e-12)))

@@ -734,6 +734,14 @@ class ObstructionReport:
             raise ValueError("report needs at least one entry")
 
 
+def subcritical_roots(n, eps_list):
+    """The unit ball's roots lam of the matched subcritical balance
+    c2 * eps = c1 * phi(0) / lam^(n-4), one per offset. The balance is
+    scale covariant: on a ball of radius R each root is this over R."""
+    consts, phi0 = balance_constants(n), center_potential(n)
+    return [balance_scale(consts, phi0, eps) for eps in eps_list]
+
+
 def supercritical_obstruction(eps_list, domain):
     """Certify the supercritical balance by the signs of its two terms.
 
@@ -747,8 +755,9 @@ def supercritical_obstruction(eps_list, domain):
     positive constants, never as a difference, and the entry is positive
     when both terms are: then the balance has no root. The root of the
     matched subcritical balance c2 * eps = c1 * phi(0) / lam^(n-4) is
-    recorded for contrast, as the unit ball's closed-form root over R:
-    the balance is scale covariant, and this form raises no power of R.
+    recorded for contrast, as the unit ball's root (subcritical_roots)
+    over R: the balance is scale covariant, and this form raises no
+    power of R.
     Offsets must stay below p - 1, as in solve_radial: p - eps is that
     matched subcritical exponent.
     """
@@ -768,7 +777,7 @@ def supercritical_obstruction(eps_list, domain):
     margin = float(consts.c1 * unit_phi0 / _OBSTRUCTION_LAM_HI ** (n - 4.0))
 
     entries = []
-    for eps in eps_arr:
+    for eps, root in zip(eps_arr, subcritical_roots(n, eps_arr)):
         floor = consts.c2 * eps
         entries.append(ObstructionEntry(
             eps=eps,
@@ -776,8 +785,7 @@ def supercritical_obstruction(eps_list, domain):
             floor=floor,
             margin=margin,
             positive=bool(floor > 0 and margin > 0),
-            subcritical_root_closed=float(
-                balance_scale(consts, unit_phi0, eps) / R),
+            subcritical_root_closed=float(root / R),
         ))
 
     return ObstructionReport(

@@ -77,6 +77,9 @@ NEWTON_TOL = 1e-10
 # The round-off level of the scaled residual: a full step from below the
 # target converges only when it lands here. On 32,768 nodes an iterate
 # such a step reached at 3e-13 still sat 4.1e-6 from the discrete peak.
+# Measured floor, on the law-seeded fine schedule at n = 5 to 8 over 256
+# to 300,000 nodes: six more full steps from each converged solution
+# leave scaled residuals of 1.8e-16 to 2.8e-16, 36 times below this.
 NEWTON_ROUNDOFF = 1e-14
 # Newton steps after which a solve stops unconverged; an iterate below
 # target may still take its full step, so a solve takes at most one more.

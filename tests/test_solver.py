@@ -493,7 +493,7 @@ def pinned_peak(sol, steps):
     """The peak after undamped Newton steps from a solution, each solved
     on the unreduced system rather than by the solver's step."""
     disc = _grid_arrays(sol.grid)
-    q = P6 + sol.eps
+    q = critical_exponent(sol.grid.n) + sol.eps
     u, w = sol.u, sol.w
     for _ in range(steps):
         du, dw = full_banded_step(disc, q, u, w)
@@ -602,13 +602,16 @@ def test_converged_solutions_are_pinned(unit_ball6, subcritical_sweep,
         assert abs(pinned_peak(sol, 3) / sol.M - 1.0) <= 1e-9
 
 
-def test_fine_grid_solutions_are_pinned(unit_ball6):
-    # on 32,768 nodes a full step from below target landed at a scaled
-    # residual of 3e-13 with the peak 4.1e-6 from the discrete one (eps =
-    # 0.05); converging only at NEWTON_ROUNDOFF takes 36 steps, not 30,
-    # and leaves at most 6.2e-8 for six more full steps to move
-    sweep = continuation_sweep(list(FINE_OFFSETS), unit_ball6,
-                               grid=default_grid(unit_ball6, nodes=32768))
+@pytest.mark.parametrize("n, nodes", [(6, 32768), (7, 8192)])
+def test_fine_grid_solutions_are_pinned(n, nodes):
+    # a full step from below target can land short of round-off with the
+    # peak still off the discrete one: at n = 6 on 32,768 nodes at 3e-13
+    # and 4.1e-6 (eps = 0.05), at n = 7 on 8,192 nodes 4.1e-6 off.
+    # Converging only at NEWTON_ROUNDOFF leaves at most 6.2e-8 and 4.2e-9
+    # for six more full steps to move
+    ball = BallDomain.unit(n)
+    sweep = continuation_sweep(list(FINE_OFFSETS), ball,
+                               grid=default_grid(ball, nodes=nodes))
     assert_one_law_solve_each(sweep)
     for sol in sweep:
         assert abs(pinned_peak(sol, 6) / sol.M - 1.0) <= 1e-7
