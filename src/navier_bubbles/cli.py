@@ -57,10 +57,10 @@ subcritical exponent p - eps exceeds one.
 
 Radius windows: a radius outside a command's window is refused before
 anything is written. Where a grid is built, every cell volume stays
-normal (_grid_radius_window): R in [4.3e-47, 1.3e51] on the default
-n = 6 grid. ``robin`` and, off n = 6, ``supercritical`` keep every
-written number that depends on R a positive normal double, read from
-the unit-ball values it scales from (_robin_radius_window,
+normal (solver._grid_radius_window): R in [4.3e-47, 1.3e51] on the
+default n = 6 grid. ``robin`` and, off n = 6, ``supercritical`` keep
+every written number that depends on R a positive normal double, read
+from the unit-ball values it scales from (_robin_radius_window,
 _obstruction_radius_window): [7.1e-102, 2.7e102] for ``robin`` at
 n = 6 with the default 21 stations.
 """
@@ -83,7 +83,6 @@ from .bubble import (BubbleParams, balance_constants, center_potential,
                      sobolev_energy)
 from .green_robin import (BOUNDARY_FIT_WINDOW, BallDomain, _first_axis,
                           boundary_blowup_fit, robin)
-from .numerics import sphere_measure
 from .projection import expansion_orders
 from .reduction import (LAW_RTOL, blowup_verdict, subcritical_roots,
                         supercritical_obstruction)
@@ -382,24 +381,22 @@ def constants_rows(n):
     ]
 
 
-def cmd_constants(n, out_dir=None, stream=None):
-    stream = stream or sys.stdout
+def cmd_constants(n, out_dir=None):
     _require_dimension(n, CONSTANTS_N_MAX)
     rows = constants_rows(n)
     prov = dict(_CONSTANTS_FIELDS)["value"]
-    print("constant table for dimension n = %d" % n, file=stream)
-    print("%-44s %-22s %s" % ("name", "value", "provenance"), file=stream)
+    print("constant table for dimension n = %d" % n)
+    print("%-44s %-22s %s" % ("name", "value", "provenance"))
     for label, value in rows:
         text = str(value) if isinstance(value, int) else "%.10g" % value
-        print("%-44s %-22s %s" % (label, text, prov), file=stream)
+        print("%-44s %-22s %s" % (label, text, prov))
     if out_dir is not None:
         _ensure_dir(out_dir)
         _write_table(os.path.join(out_dir, "constants.csv"),
                      [{"name": label, "value": value}
                       for label, value in rows],
                      _CONSTANTS_FIELDS)
-        print("wrote %s" % os.path.join(out_dir, "constants.csv"),
-              file=stream)
+        print("wrote %s" % os.path.join(out_dir, "constants.csv"))
     return 0
 
 
@@ -434,8 +431,7 @@ def _robin_radius_window(n, least):
     return lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)
 
 
-def cmd_robin(n, radius, stations, out_dir, stream=None):
-    stream = stream or sys.stdout
+def cmd_robin(n, radius, stations, out_dir):
     _require_dimension(n, ROBIN_N_MAX)
     _require_positive("radius", radius)
     if stations < 5 or stations % 2 == 0:
@@ -491,13 +487,13 @@ def cmd_robin(n, radius, stations, out_dir, stream=None):
     fits_path = os.path.join(out_dir, "robin_fits.json")
     _write_json(fits_path, report)
 
-    print("wrote %s (%d stations)" % (profile_path, stations), file=stream)
-    print("wrote %s" % fits_path, file=stream)
+    print("wrote %s (%d stations)" % (profile_path, stations))
+    print("wrote %s" % fits_path)
     print("center potential %.10g (closed form %.10g)"
-          % (center_phi, closed_center), file=stream)
+          % (center_phi, closed_center))
     print("boundary exponents: phi %.4f (expect %g), gradient %.4f "
           "(expect %g)" % (fits.phi.slope, 4.0 - n,
-                           fits.grad_norm.slope, 3.0 - n), file=stream)
+                           fits.grad_norm.slope, 3.0 - n))
     return 0
 
 
@@ -553,21 +549,6 @@ def _solver_trace(solutions):
     }
 
 
-def _grid_radius_window(grid):
-    """The radii at which a grid of this shape keeps every cell volume of
-    the flux discretization a normal double. The smallest number is the
-    first cell's volume (r_1 / 2)^n / n, which must not underflow (the
-    origin row of the Laplacian is then 0 / 0); the largest is the
-    ball's measure |S^{n-1}| R^n, or R^n itself where |S^{n-1}| < 1,
-    which must not overflow. A relative 1e-12 is kept back for the
-    rounding of the powers."""
-    n = grid.n
-    first = 0.5 * float(grid.nodes[1]) / grid.R
-    lo = (n * sys.float_info.min) ** (1.0 / n) / first
-    hi = (sys.float_info.max / max(1.0, sphere_measure(n))) ** (1.0 / n)
-    return lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)
-
-
 def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
     """failure.json; failed_offset is the solver-trace record of the
     offset a sweep could not reach, and None only at the decompose
@@ -581,11 +562,10 @@ def _persist_failure(out_dir, stage, error, completed, failed_offset=None):
     })
 
 
-def cmd_verify_blowup(config, out_dir, stream=None):
-    from .solver import (ContinuationError, check_eps_floor,
-                         continuation_sweep, decompose, default_grid,
-                         vnorm_diagnostics)
-    stream = stream or sys.stdout
+def cmd_verify_blowup(config, out_dir):
+    from .solver import (ContinuationError, _grid_radius_window,
+                         check_eps_floor, continuation_sweep, decompose,
+                         default_grid, vnorm_diagnostics)
     if len(config.eps_schedule) < 4:
         raise CliError("the blow-up verdict extrapolates over a tail of "
                        "four offsets; give a schedule with at least four")
@@ -703,9 +683,8 @@ def cmd_verify_blowup(config, out_dir, stream=None):
     _write_json(os.path.join(out_dir, "report.json"), report)
 
     for c in checks:
-        print("%-34s %s" % (c["name"],
-                            "pass" if c["passed"] else "FAIL"), file=stream)
-    print("overall: %s" % ("pass" if passed else "FAIL"), file=stream)
+        print("%-34s %s" % (c["name"], "pass" if c["passed"] else "FAIL"))
+    print("overall: %s" % ("pass" if passed else "FAIL"))
     return 0 if passed else 1
 
 
@@ -765,9 +744,9 @@ def _contrast_section(eps_list, domain, grid):
     }
 
 
-def cmd_supercritical(config, out_dir, stream=None):
-    from .solver import check_eps_floor, default_grid, supercritical_probe
-    stream = stream or sys.stdout
+def cmd_supercritical(config, out_dir):
+    from .solver import (_grid_radius_window, check_eps_floor, default_grid,
+                         supercritical_probe)
     _require_dimension(config.n, SUPERCRITICAL_N_MAX)
     domain = config.domain()
     eps_list = sorted(config.eps_schedule)
@@ -827,22 +806,19 @@ def cmd_supercritical(config, out_dir, stream=None):
         "Pohozaev sign NOT certified at eps %s" % " ".join(
             "%g" % e.eps for e in probe.entries if e.concentrating)
         if probe.any_concentrating
-        else "Pohozaev sign certified at every offset"), file=stream)
+        else "Pohozaev sign certified at every offset"))
     print("balance obstruction: %s" % (
         "margin positive at every offset" if obstruction.all_positive
-        else "margin NOT positive everywhere"), file=stream)
+        else "margin NOT positive everywhere"))
     if "skipped" in contrast:
-        print("subcritical contrast: skipped (%s)" % contrast["skipped"],
-              file=stream)
+        print("subcritical contrast: skipped (%s)" % contrast["skipped"])
     elif "error" in contrast:
-        print("subcritical contrast: failed (%s)" % contrast["error"],
-              file=stream)
+        print("subcritical contrast: failed (%s)" % contrast["error"])
     else:
         print("subcritical contrast at eps %g: %s"
               % (contrast["eps"]["value"],
-                 "pass" if contrast_ok else "FAIL"), file=stream)
-    print("overall: %s" % ("pass" if report["passed"] else "FAIL"),
-          file=stream)
+                 "pass" if contrast_ok else "FAIL"))
+    print("overall: %s" % ("pass" if report["passed"] else "FAIL"))
     return 0 if report["passed"] else 1
 
 
@@ -868,8 +844,7 @@ def _lam_min_ceiling(n, radius):
     return top / 10.0 ** LADDER_DECADES
 
 
-def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
-    stream = stream or sys.stdout
+def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir):
     if n < 5:
         raise CliError("dimension must be at least 5")
     if rungs < 4:
@@ -918,9 +893,8 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir, stream=None):
 
     for row in rows:
         print("%-15s slope %+.4f (expect %+.1f)"
-              % (row["quantity"], row["slope"], row["expected"]),
-              file=stream)
-    print("overall: %s" % ("pass" if all_ok else "FAIL"), file=stream)
+              % (row["quantity"], row["slope"], row["expected"]))
+    print("overall: %s" % ("pass" if all_ok else "FAIL"))
     return 0 if all_ok else 1
 
 

@@ -68,7 +68,6 @@ class BallDomain:
 class RobinEval:
     """phi and gradient of the Robin function at one point."""
 
-    x: np.ndarray
     phi: float
     grad: np.ndarray
 
@@ -160,7 +159,7 @@ def robin(domain, x):
         raise ValueError("the Robin series overflows at this dimension "
                          "and distance from the boundary")
     grad = dphi * (xs / s) if s > 0 else np.zeros(n)
-    return RobinEval(x=np.asarray(x, dtype=float), phi=phi0, grad=grad)
+    return RobinEval(phi=phi0, grad=grad)
 
 
 # The boundary fit's stations: twelve distances over [0.02, 0.1] R. The

@@ -28,38 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .bubble import BubbleParams, _deficit_profile, _navier_extension, \
+from .bubble import _deficit_profile, _navier_extension, \
     _require_centered, c0, eval_delta, radial_profile_laplacian
-from .green_robin import BallDomain, _first_axis
+from .green_robin import _first_axis
 from .numerics import SlopeFit, fit_loglog, radial_integral, sphere_measure
 
 # axis samples of the core ball of radius R/2 on which the expansion
 # remainder and the pointwise squeeze are measured
 _CORE_SAMPLES = 30
-
-
-@dataclass(frozen=True)
-class DeficitExpansion:
-    """Leading-order structure of the deficit for one centered bubble.
-
-    leading is the field c0 H(center, .) / lam^{(n-4)/2} as a callable
-    on a point or a stack of points in the last axis;
-    remainder_norm is the sup of deficit - leading over the core ball of
-    radius R/2.
-    """
-
-    params: BubbleParams
-    domain: BallDomain
-    leading: Callable[[np.ndarray], float]
-    remainder_norm: float
-
-    def __post_init__(self):
-        if self.remainder_norm < 0:
-            raise ValueError("remainder_norm is a sup norm")
 
 
 @dataclass(frozen=True)
@@ -94,25 +73,19 @@ def deficit(params, domain, x):
 
 
 def deficit_expansion(params, domain):
-    """Leading term and measured remainder of the deficit expansion.
+    """The measured remainder of the deficit expansion: the sup of
+    deficit - c0 H(center, .) lam^{-(n-4)/2} over the core ball of
+    radius R/2, sampled along an axis (the configuration is radial).
 
-    The leading field is c0 H(center, .) lam^{-(n-4)/2}; the remainder
-    sup is taken over the core ball of radius R/2, sampled along an axis
-    (the configuration is radial). The pointwise squeeze
-    0 <= deficit <= bubble is asserted on the same samples, and a failure
-    names the first sample along the axis that breaks it. The samples
-    are evaluated as arrays: the deficit at their distances, the bubble
-    on their stack, and the leading term at their row norms.
+    The pointwise squeeze 0 <= deficit <= bubble is asserted on the same
+    samples, and a failure names the first sample along the axis that
+    breaks it. The samples are evaluated as arrays: the deficit at their
+    distances, the bubble on their stack, and the leading term at their
+    row norms.
     """
     _require_centered(params, domain)
     n, R = domain.n, domain.radius
     amplitude = c0(n) * params.lam ** (-0.5 * (n - 4))
-
-    def leading(x):
-        r = np.linalg.norm(np.asarray(x, dtype=float) - domain.center,
-                           axis=-1)
-        return amplitude * _center_regular_part(n, r, R)
-
     ts = np.linspace(-0.5 * R, 0.5 * R, _CORE_SAMPLES)
     xs = domain.center + ts[:, None] * _first_axis(n)
     th = _deficit_profile(n, params.lam, np.abs(ts), R)
@@ -120,9 +93,9 @@ def deficit_expansion(params, domain):
     if not squeezed.all():
         raise RuntimeError("pointwise squeeze 0 <= deficit <= bubble "
                            f"fails at {xs[np.argmin(squeezed)]}")
-    return DeficitExpansion(params=params, domain=domain, leading=leading,
-                            remainder_norm=float(np.max(np.abs(
-                                th - leading(xs)))))
+    leading = amplitude * _center_regular_part(
+        n, np.linalg.norm(xs - domain.center, axis=-1), R)
+    return float(np.max(np.abs(th - leading)))
 
 
 def deficit_energy_norm(params, domain):
@@ -168,7 +141,7 @@ def expansion_orders(params_family, domain):
     for p in params_family:
         energies.append(deficit_energy_norm(p, domain))
         criticals.append(deficit_critical_norm(p, domain))
-        remainders.append(deficit_expansion(p, domain).remainder_norm)
+        remainders.append(deficit_expansion(p, domain))
     return ExpansionOrderFits(
         energy_norm=fit_loglog(lams, np.array(energies)),
         critical_norm=fit_loglog(lams, np.array(criticals)),

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -208,7 +209,7 @@ class RadialSolution:
 
     def energy_norm_sq(self):
         """Discrete int |Delta u|^2 over the ball."""
-        return float(np.sum(_cell_weights(self.grid) * self.w**2))
+        return float(np.sum(_grid_arrays(self.grid).wts * self.w**2))
 
     def nonlinear_mass(self):
         """Discrete int u^{q+1} with q = p + eps."""
@@ -230,12 +231,12 @@ class Decomposition:
     The point a is pinned to the center of the ball (the solutions are
     radial), so the minimization runs over (alpha, lam) only. v_norm is
     measured in the sqrt(int |Delta . |^2) norm. ortho_residuals holds
-    the three orthogonality defects of v against the tangent directions
-    of the bubble family, each normalized by ||v|| times the norm of the
-    direction: (amplitude direction Pdelta, scale direction
-    lam * d/dlam Pdelta, translation direction d/da Pdelta). The
-    translation entry is exactly zero by parity: v is radial and the
-    translation derivative is odd about the center.
+    the orthogonality defects of v against the amplitude direction
+    Pdelta and the scale direction lam * d/dlam Pdelta, each normalized
+    by ||v|| times the norm of the direction. The translation direction
+    d/da Pdelta needs no entry: v is radial and the translation
+    derivative is odd about the center, so that defect is zero by
+    parity.
     """
 
     alpha: float
@@ -325,6 +326,21 @@ def _fv_geometry(grid):
     return faces, h, area, vol
 
 
+def _grid_radius_window(grid):
+    """The radii at which a grid of this shape keeps every cell volume of
+    the flux discretization a normal double. The smallest number is the
+    first cell's volume (r_1 / 2)^n / n, _fv_geometry's vol[0], which
+    must not underflow (the origin row of the Laplacian is then 0 / 0);
+    the largest is the ball's measure |S^{n-1}| R^n, the sum of the cell
+    weights, or R^n itself where |S^{n-1}| < 1, which must not overflow.
+    A relative 1e-12 is kept back for the rounding of the powers."""
+    n = grid.n
+    first = 0.5 * float(grid.nodes[1]) / grid.R
+    lo = (n * sys.float_info.min) ** (1.0 / n) / first
+    hi = (sys.float_info.max / max(1.0, sphere_measure(n))) ** (1.0 / n)
+    return lo * (1.0 + 1e-12), hi * (1.0 - 1e-12)
+
+
 def _flux_laplacian(h, area, vol):
     """Diagonals (lo, di, up) of the radial Laplacian in conservative form,
     from the spacings h, face areas and cell volumes of _fv_geometry.
@@ -366,22 +382,24 @@ def _stencil(lo, di, up, x):
 
 class _Discretization(NamedTuple):
     """Everything the solver needs of one grid, built once per grid by
-    _grid_arrays: the flux Laplacian's diagonals (_flux_laplacian),
-    their absolute values for the row scales, the Jacobian's mask, 1
-    except 0 at the boundary row, the quadrature weights V_i * |S^{n-1}|
-    (_cell_weights), and for the Newton step's reduction to the even
-    nodes the rows (lo_i lo_{i-1}, lo_i up_{i-1}, up_i lo_{i+1},
-    up_i up_{i+1}) at each even node i, zero where the neighbour is
-    missing, and di^2 at the odd nodes. The methods form the residual,
-    the row scales and the reduced Newton system; the per-point ones take
-    |u|, |w| and |u|^q from the caller, which forms each once per point
-    (_point, _scaled_rows).
+    _grid_arrays: the flux Laplacian's diagonals (_flux_laplacian);
+    -di, which with lo and up is the absolute diagonals on every row the
+    row scales read (lo and up are not negative, and di is not positive
+    but in the boundary row, which _stencil leaves to its caller); the
+    Jacobian's mask, 1 except 0 at the boundary row; the quadrature
+    weights V_i * |S^{n-1}|, zero on the boundary cell; and for the
+    Newton step's reduction to the even nodes the rows (lo_i lo_{i-1},
+    lo_i up_{i-1}, up_i lo_{i+1}, up_i up_{i+1}) at each even node i,
+    zero where the neighbour is missing, and di^2 at the odd nodes. The
+    methods form the residual, the row scales and the reduced Newton
+    system; the per-point ones take |u|, |w| and |u|^q from the caller,
+    which forms each once per point (_point, _scaled_rows).
     """
 
     lo: np.ndarray
     di: np.ndarray
     up: np.ndarray
-    abs_diags: tuple
+    neg_di: np.ndarray
     mask: np.ndarray
     wts: np.ndarray
     pair_products: tuple
@@ -400,9 +418,9 @@ class _Discretization(NamedTuple):
     def scales(self, au, aw, uq):
         """Row equilibration, the natural size of each residual row, from
         au = |u|, aw = |w| and uq = |u|^q."""
-        su = _stencil(*self.abs_diags, au)
+        su = _stencil(self.lo, self.neg_di, self.up, au)
         su += aw
-        sw = _stencil(*self.abs_diags, aw)
+        sw = _stencil(self.lo, self.neg_di, self.up, aw)
         sw += uq
         su[-1] = 1.0 + au[-1]
         sw[-1] = 1.0 + aw[-1]
@@ -511,7 +529,6 @@ def _grid_arrays(grid):
         # there
         wts = vol * sphere_measure(grid.n)
         wts[-1] = 0.0
-        abs_diags = tuple(np.abs(d) for d in (lo, di, up))
         ne, no = (vol.size + 1) // 2, vol.size // 2
         pairs = np.zeros((4, ne))
         pairs[0, 1:] = lo[2::2] * lo[1:2 * ne - 2:2]
@@ -519,23 +536,18 @@ def _grid_arrays(grid):
         pairs[2, :no] = up[0:2 * no:2] * lo[1::2]
         pairs[3, :no] = up[0:2 * no:2] * up[1::2]
         di_odd_sq = di[1::2] ** 2
-        for a in (lo, di, up, *abs_diags, mask, wts, pairs, di_odd_sq):
+        neg_di = -di
+        for a in (lo, di, up, neg_di, mask, wts, pairs, di_odd_sq):
             a.flags.writeable = False
-        disc = _Discretization(lo, di, up, abs_diags, mask, wts,
+        disc = _Discretization(lo, di, up, neg_di, mask, wts,
                                tuple(pairs), di_odd_sq)
         grid._derived["solver"] = disc
     return disc
 
 
-def _cell_weights(grid):
-    """Quadrature weights V_i * |S^{n-1}| matching the discretization,
-    with weight zero on the boundary cell: the grid's read-only copy."""
-    return _grid_arrays(grid).wts
-
-
 def _nonlinear_mass(grid, u, q):
     """Discrete int |u|^{q+1} in the cell weights."""
-    return float(np.sum(_cell_weights(grid) * np.abs(u) ** (q + 1)))
+    return float(np.sum(_grid_arrays(grid).wts * np.abs(u) ** (q + 1)))
 
 
 def _point(disc, q, u, w):
@@ -883,7 +895,7 @@ def decompose(sol, domain):
     Within one call the profile's Laplacian (with its eliminated
     amplitude) and the scale derivative are evaluated at most once per
     scale, and wts * w is formed once; the cell weights are the grid's
-    own (_cell_weights).
+    own (_grid_arrays).
     """
     if not isinstance(sol, RadialSolution):
         raise TypeError("decompose expects a RadialSolution")
@@ -901,7 +913,7 @@ def decompose(sol, domain):
     grid = sol.grid
     r = grid.nodes
     R = grid.R
-    wts = _cell_weights(grid)
+    wts = _grid_arrays(grid).wts
     w = sol.w
     wts_w = wts * w
 
@@ -976,7 +988,7 @@ def decompose(sol, domain):
         a=np.array(domain.center, dtype=float),
         lam=lam,
         v_norm=v_norm,
-        ortho_residuals=(amp_defect, scale_defect, 0.0),
+        ortho_residuals=(amp_defect, scale_defect),
         domain=domain,
     )
 

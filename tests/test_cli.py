@@ -740,7 +740,7 @@ def test_verify_blowup_refuses_radii_past_the_cell_volumes(nodes, tmp_path,
     # 1e50 a solved offset no longer decomposes, which used to end in a
     # ValueError traceback while the partial sweep was written
     grid = solver.default_grid(BallDomain.unit(6), nodes)
-    lo, hi = cli._grid_radius_window(grid)
+    lo, hi = solver._grid_radius_window(grid)
     flags = ["--grid-nodes", str(nodes)]
     out = tmp_path / "verify-blowup"
     for radius in ("1e-160", repr(lo * (1 - 1e-9)), repr(hi * (1 + 1e-9))):
@@ -986,7 +986,7 @@ def test_supercritical_refuses_radii_past_the_cell_volumes(tmp_path,
     # either end of the window the probe and the obstruction still
     # certify, and only the subcritical contrast fails to solve
     grid = solver.default_grid(BallDomain.unit(6), 2048)
-    lo, hi = cli._grid_radius_window(grid)
+    lo, hi = solver._grid_radius_window(grid)
     out = tmp_path / "supercritical"
     for radius in ("1e-160", "1e200", repr(lo * (1 - 1e-9)),
                    repr(hi * (1 + 1e-9))):
@@ -1100,7 +1100,7 @@ def test_supercritical_dimension_limit_is_where_the_margin_overflows(
     out = tmp_path / "supercritical"
     for n in (81, 82):
         grid = solver.default_grid(BallDomain.unit(n), 2048)
-        lo, hi = cli._grid_radius_window(grid)
+        lo, hi = solver._grid_radius_window(grid)
         assert lo < 100.0 < hi
     assert_refused(["supercritical", "--n", "82", "--radius", "100",
                     "--out", str(tmp_path)], out, capsys,

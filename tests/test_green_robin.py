@@ -83,7 +83,7 @@ def test_domain_refuses_a_radius_that_is_not_finite(radius):
 
 def test_robin_eval_rejects_nonpositive_phi():
     with pytest.raises(ValueError):
-        RobinEval(x=np.zeros(6), phi=0.0, grad=np.zeros(6))
+        RobinEval(phi=0.0, grad=np.zeros(6))
 
 
 def test_gegenbauer_recurrence_matches_scipy():

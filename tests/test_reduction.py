@@ -702,7 +702,7 @@ def test_every_law_consumer_reads_the_law_home(n):
     for k, eps in enumerate(offsets):
         lam = 10.0 * (k + 1)
         dec = Decomposition(alpha=1.0, a=np.zeros(n), lam=lam, v_norm=0.01,
-                            ortho_residuals=(0.0, 0.0, 0.0), domain=ball)
+                            ortho_residuals=(0.0, 0.0), domain=ball)
         sweep.append((-eps, dec, 3.0 * lam))
     verdict = blowup_verdict(sweep, ball.center, ball, consts=consts)
     phi = center_potential(n)

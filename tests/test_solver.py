@@ -50,13 +50,13 @@ from navier_bubbles.solver import (
     RadialSolution,
     SolverDivergence,
     _bubble_fields,
-    _cell_weights,
     _Discretization,
     _fv_geometry,
     _grid_arrays,
     _law_seed,
     _newton_step,
     _pohozaev_sides,
+    _stencil,
     concentration_checks,
     continuation_sweep,
     decompose,
@@ -935,17 +935,16 @@ def test_decompose_alpha_tends_to_one(sweep_decompositions):
 
 def test_decompose_orthogonality_residuals(sweep_decompositions):
     for dec in sweep_decompositions:
-        amp, scale, trans = dec.ortho_residuals
+        amp, scale = dec.ortho_residuals
         assert abs(amp) <= 1e-8
         assert abs(scale) <= 1e-8
-        assert trans == 0.0
 
 
 def test_decompose_local_minimality(unit_ball6, subcritical_sweep,
                                     sweep_decompositions):
     sol = subcritical_sweep[4]
     dec = sweep_decompositions[4]
-    wts = _cell_weights(sol.grid)
+    wts = _grid_arrays(sol.grid).wts
     r = sol.grid.nodes
 
     def misfit(alpha, lam):
@@ -965,7 +964,7 @@ def test_decompose_matches_brent_oracle(subcritical_sweep,
     # flat to rounding over a relative width of a few 1e-10 in lam, which
     # is as far as Brent alone resolves the minimizer
     for sol, dec in zip(subcritical_sweep, sweep_decompositions):
-        wts = _cell_weights(sol.grid)
+        wts = _grid_arrays(sol.grid).wts
         r = sol.grid.nodes
 
         def fit(x):
@@ -1017,7 +1016,7 @@ def test_decompose_brackets_at_the_law_seed(subcritical_sweep, monkeypatch):
     monkeypatch.setattr(solver_module,
                         "_projected_scale_derivative_laplacian", spy)
     for ball, sol in cases:
-        n, r, wts = ball.n, sol.grid.nodes, _cell_weights(sol.grid)
+        n, r, wts = ball.n, sol.grid.nodes, _grid_arrays(sol.grid).wts
         seed = math.log(law_scale(n, sol.M, sol.eps))
         ends = [math.exp(seed - 0.1), math.exp(seed + 0.1)]
         signs = []
@@ -1149,13 +1148,23 @@ def test_grid_arrays_are_read_only(small_system, small_grid):
     disc = small_system[0]
     # one discretization object per grid, holding the weights itself
     assert _grid_arrays(small_grid) is disc
-    wts = _cell_weights(small_grid)
-    assert wts is disc.wts
-    for a in (disc.lo, disc.di, disc.up, *disc.abs_diags, disc.mask, wts,
+    for a in (disc.lo, disc.di, disc.up, disc.neg_di, disc.mask, disc.wts,
               *disc.pair_products, disc.di_odd_sq):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
-        wts[0] = 0.0
+        disc.wts[0] = 0.0
+
+
+@pytest.mark.parametrize("nodes", [256, 2047, 2048, 8192])
+def test_row_scales_read_the_absolute_diagonals(unit_ball6, nodes):
+    # the row scales pass (lo, -di, up) to the stencil; on every row it
+    # reads, that is each diagonal's absolute value, bit for bit
+    disc, q, u, w = law_seed_system(unit_ball6, nodes, 0.02)
+    au, aw, uq = np.abs(u), np.abs(w), np.abs(u) ** q
+    su, sw = disc.scales(au, aw, uq)
+    absolute = [np.abs(d) for d in (disc.lo, disc.di, disc.up)]
+    assert np.array_equal(su[:-1], (_stencil(*absolute, au) + aw)[:-1])
+    assert np.array_equal(sw[:-1], (_stencil(*absolute, aw) + uq)[:-1])
 
 
 def test_grid_arrays_die_with_the_grid(unit_ball6):
