@@ -115,20 +115,62 @@ def radial_profile(n, lam, r):
     return _c0_as(n, r) * lam ** ((n - 4) / 2.0) / (1 + t) ** ((n - 4) / 2.0)
 
 
+def _laplacian_prefactor(n, lam, r):
+    """-(n-4) c0 lam^((n-4)/2 + 2), the factor both Laplacians share, in
+    the dtype of r."""
+    return -(n - 4) * _c0_as(n, r) * lam ** ((n - 4) / 2.0 + 2.0)
+
+
+def _profile_laplacian_parts(n, pref, t):
+    """(Delta delta, 1 + t, (1 + t)^(n/2)) from the prefactor
+    pref = _laplacian_prefactor(n, lam, r) and t = (lam r)^2:
+
+        Delta delta = pref (n + 2t) / (1 + t)^(n/2).
+
+    t may be an array or a Python float.
+    """
+    s = 1 + t
+    # from n = 48 the power overflows at the quadrature's outermost
+    # nodes, where the quotient's limit is 0; numpy rounds it to inf and
+    # a Python float raises instead
+    with np.errstate(over="ignore"):
+        try:
+            power = s ** (n / 2.0)
+        except OverflowError:
+            power = math.inf
+    return pref * (n + 2 * t) / power, s, power
+
+
+def _laplacians(n, pref, t):
+    """(Delta delta, lam * d(Delta delta)/d(lam)) from one t, one 1 + t
+    and one (1 + t)^(n/2) (_profile_laplacian_parts), the one home of
+    both closed forms:
+
+        lam d(Delta delta)/d(lam) = pref (n^2/2 - (n-4)(n+2) t/2 - (n-4) t^2)
+                                    / ((1 + t)^(n/2) (1 + t)),
+
+    divided as pref / (1 + t)^(n/2) times the polynomial over 1 + t, so
+    neither product overflows where the quotient is finite.
+    """
+    lap, s, power = _profile_laplacian_parts(n, pref, t)
+    poly = 0.5 * n * n - t * (0.5 * (n - 4) * (n + 2) + (n - 4) * t)
+    return lap, pref / power * (poly / s)
+
+
 def radial_profile_laplacian(n, lam, r):
-    """Delta delta(r), closed form.
+    """Delta delta(r), closed form (_profile_laplacian_parts).
 
     Delta delta = -(n-4) c0 lam^((n-4)/2 + 2) (n + 2 lam^2 r^2)
                   / (1 + lam^2 r^2)^(n/2).
     """
     r = np.asarray(r)
-    t = (lam * r) ** 2
-    pref = -(n - 4) * _c0_as(n, r) * lam ** ((n - 4) / 2.0 + 2.0)
-    # from n = 48 the denominator overflows at the quadrature's outermost
-    # nodes, where the quotient's limit is 0
-    with np.errstate(over="ignore"):
-        denominator = (1 + t) ** (n / 2.0)
-    return pref * (n + 2 * t) / denominator
+    return _profile_laplacian_parts(n, _laplacian_prefactor(n, lam, r),
+                                    (lam * r) ** 2)[0]
+
+
+def _scale_derivative_from(n, t, delta):
+    """lam * d(delta)/d(lam) from t = (lam r)^2 and delta(r)."""
+    return 0.5 * (n - 4) * (1 - t) / (1 + t) * delta
 
 
 def radial_scale_derivative(n, lam, r):
@@ -138,20 +180,16 @@ def radial_scale_derivative(n, lam, r):
     vanishes exactly on the sphere r = 1/lam.
     """
     r = np.asarray(r)
-    t = (lam * r) ** 2
-    return 0.5 * (n - 4) * (1 - t) / (1 + t) * radial_profile(n, lam, r)
+    return _scale_derivative_from(n, (lam * r) ** 2, radial_profile(n, lam, r))
 
 
 def radial_scale_derivative_laplacian(n, lam, r):
-    """lam * d(Delta delta)/d(lam), closed form (Delta commutes with the
-    scale derivative, so this is also Delta of radial_scale_derivative)."""
+    """lam * d(Delta delta)/d(lam), closed form (_laplacians; Delta
+    commutes with the scale derivative, so this is also Delta of
+    radial_scale_derivative)."""
     r = np.asarray(r)
-    t = (lam * r) ** 2
-    pref = -(n - 4) * _c0_as(n, r) * lam ** ((n - 4) / 2.0 + 2.0)
-    base = (1 + t) ** (-n / 2.0 - 1)
-    alpha2 = (n - 4) / 2.0 + 2.0
-    inner = alpha2 * (n + 2 * t) * (1 + t) + 4 * t * (1 + t) - n * t * (n + 2 * t)
-    return pref * base * inner
+    return _laplacians(n, _laplacian_prefactor(n, lam, r),
+                       (lam * r) ** 2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +214,65 @@ def _require_centered(params, domain):
             "concentration scale too small: lam * radius must be at least 5")
 
 
-def _navier_extension(f, lap_f, n, lam, r, R):
-    """The Navier extension of the traces of a closed-form (radial
-    function, Laplacian) pair."""
-    return f(n, lam, R) + lap_f(n, lam, R) * (r**2 - R**2) / (2.0 * n)
-
-
-def _navier_corrected(f, lap_f, n, lam, r, R):
-    """f minus the Navier extension of its traces."""
-    return f(n, lam, r) - _navier_extension(f, lap_f, n, lam, r, R)
+def _navier_extension(f_R, lap_f_R, n, r, R):
+    """The Navier extension of the traces f(R) and Delta f(R) of a radial
+    function."""
+    return f_R + lap_f_R * (r**2 - R**2) / (2.0 * n)
 
 
 def _deficit_profile(n, lam, r, R):
     """theta for a center bubble: the Navier extension of delta."""
-    return _navier_extension(radial_profile, radial_profile_laplacian,
-                             n, lam, r, R)
+    return _navier_extension(radial_profile(n, lam, R),
+                             radial_profile_laplacian(n, lam, R), n, r, R)
 
 
 def _projected_profile(n, lam, r, R):
     """Pdelta for a center bubble: delta minus its Navier extension."""
-    return _navier_corrected(radial_profile, radial_profile_laplacian,
-                             n, lam, r, R)
+    return radial_profile(n, lam, r) - _deficit_profile(n, lam, r, R)
+
+
+def _projected_profiles(n, lam, R):
+    """The map r -> (delta, Pdelta, lam d/dlam Pdelta) for a center bubble
+    on the ball of radius R.
+
+    The four traces at R are read once, here. Each call reads delta(r)
+    once, and the scale derivative ((n-4)/2) (1-t)/(1+t) delta shares it.
+    """
+    delta_R = radial_profile(n, lam, R)
+    scale_R = _scale_derivative_from(n, (lam * R) ** 2, delta_R)
+    lap_R = radial_profile_laplacian(n, lam, R)
+    scale_lap_R = radial_scale_derivative_laplacian(n, lam, R)
+
+    def at(r):
+        r = np.asarray(r)
+        delta = radial_profile(n, lam, r)
+        scale = _scale_derivative_from(n, (lam * r) ** 2, delta)
+        return (delta,
+                delta - _navier_extension(delta_R, lap_R, n, r, R),
+                scale - _navier_extension(scale_R, scale_lap_R, n, r, R))
+
+    return at
+
+
+def _projected_laplacians(n, lam, r, R):
+    """(Delta Pdelta, Delta lam d/dlam Pdelta) at the nodes r for a center
+    bubble: each Laplacian minus its value at R, the Laplacian of the
+    Navier extension. One _laplacians call reads the nodes and one in
+    Python floats reads R; decompose evaluates both at each trial scale.
+    """
+    r = np.asarray(r)
+    pref = _laplacian_prefactor(n, lam, r)
+    lap, scale = _laplacians(n, pref, (lam * r) ** 2)
+    lap_R, scale_R = _laplacians(n, float(pref),
+                                 (float(lam) * float(R)) ** 2)
+    return lap - lap_R, scale - scale_R
 
 
 def _projected_profile_laplacian(n, lam, r, R):
+    """Delta Pdelta alone, equal to the first of _projected_laplacians to
+    the bit."""
     return (radial_profile_laplacian(n, lam, r)
             - radial_profile_laplacian(n, lam, R))
-
-
-def _projected_scale_derivative(n, lam, r, R):
-    """lam * d/dlam Pdelta, the same correction of the scale derivative."""
-    return _navier_corrected(radial_scale_derivative,
-                             radial_scale_derivative_laplacian, n, lam, r, R)
-
-
-def _projected_scale_derivative_laplacian(n, lam, r, R):
-    """Laplacian of lam * d/dlam Pdelta."""
-    return (radial_scale_derivative_laplacian(n, lam, r)
-            - radial_scale_derivative_laplacian(n, lam, R))
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,8 @@ class ExpansionOrderFits:
 def _center_regular_part(n, r, R):
     """H(center, .) at distance r: the Navier extension of |.|^(4-n),
     whose Laplacian is 2(4-n)|.|^(2-n)."""
-    return _navier_extension(lambda n, lam, s: s ** (4 - n),
-                             lambda n, lam, s: 2.0 * (4 - n) * s ** (2 - n),
-                             n, None, r, R)
+    return _navier_extension(R ** (4 - n), 2.0 * (4 - n) * R ** (2 - n),
+                             n, r, R)
 
 
 def deficit(params, domain, x):

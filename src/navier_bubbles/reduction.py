@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .bubble import (
     _projected_profile,
-    _projected_scale_derivative,
+    _projected_profiles,
     _require_centered,
     balance_constants,
     balance_scale,
@@ -437,16 +437,18 @@ def _reduced_integrals(n, R, lam, eps):
     The critical power of the profile and the subcritical mass, each
     paired with the corrected profile and with its scale derivative. One
     radial_integral carries all four, so each panel density builds its
-    panels and evaluates the profile and its projections once, and the
-    four converge together to the shared relative tolerance.
+    panels and reads the profile and its projections once
+    (_projected_profiles), and the four converge together to the shared
+    relative tolerance.
     """
     p = critical_exponent(n)
     qt = p + 1.0 - eps
 
+    profiles = _projected_profiles(n, lam, R)
+
     def pairings(r):
-        dpow = radial_profile(n, lam, r) ** p
-        pd = _projected_profile(n, lam, r, R)
-        pds = _projected_scale_derivative(n, lam, r, R)
+        delta, pd, pds = profiles(r)
+        dpow = delta ** p
         return np.array([dpow * pd,
                          np.abs(pd) ** (qt - 1.0) * pd,
                          dpow * pds,

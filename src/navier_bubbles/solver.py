@@ -53,8 +53,8 @@ import numpy as np
 
 from .bubble import (
     _projected_profile,
+    _projected_laplacians,
     _projected_profile_laplacian,
-    _projected_scale_derivative_laplacian,
     balance_constants,
     center_potential,
     critical_exponent,
@@ -680,17 +680,20 @@ def _newton(disc, q, u, w):
             exit_ = "singular step"
             break
         du, dw = step
-        m0 = np.sum(xu ** 2) + np.sum(xw ** 2)
+        m0 = np.dot(xu, xu) + np.dot(xw, xw)
         t = 1.0
         for _ in range(60):
-            ut = u + t * du
-            wt = w + t * dw
+            if t == 1.0:
+                ut, wt = u + du, w + dw
+            else:
+                ut, wt = u + t * du, w + t * dw
             if ut[:-1].min() > 0:
                 trial = _point(disc, q, ut, wt)
                 if t == 1.0 and res < tol:
                     break
                 _, _, Fut, Fwt = trial
-                m2 = np.sum((Fut / su) ** 2) + np.sum((Fwt / sw) ** 2)
+                xut, xwt = Fut / su, Fwt / sw
+                m2 = np.dot(xut, xut) + np.dot(xwt, xwt)
                 if m2 < (1.0 - 1e-4 * t) * m0:
                     break
             t /= 2
@@ -892,10 +895,11 @@ def decompose(sol, domain):
     _SECANT_MAX_STEPS steps do not converge, and when the amplitude or
     the objective's curvature at the result is not positive.
 
-    Within one call the profile's Laplacian (with its eliminated
-    amplitude) and the scale derivative are evaluated at most once per
-    scale, and wts * w is formed once; the cell weights are the grid's
-    own (_grid_arrays).
+    Within one call the amplitude and scale directions are evaluated at
+    most once per scale, together, by bubble._projected_laplacians; the
+    eliminated amplitude's denominator is the amplitude direction's
+    squared norm, each inner product is one np.dot, and wts * w is formed
+    once. The cell weights are the grid's own (_grid_arrays).
     """
     if not isinstance(sol, RadialSolution):
         raise TypeError("decompose expects a RadialSolution")
@@ -918,26 +922,23 @@ def decompose(sol, domain):
     wts_w = wts * w
 
     @functools.cache
-    def profile(lam):
-        # the profile's Laplacian at lam and the amplitude eliminated
-        # against it
-        lp = _projected_profile_laplacian(n, lam, r, R)
-        return lp, float(np.sum(wts_w * lp) / np.sum(wts * lp * lp))
-
-    @functools.cache
-    def scale_derivative(lam):
-        return _projected_scale_derivative_laplacian(n, lam, r, R)
+    def directions(lam):
+        # the amplitude and scale directions at lam, the amplitude
+        # eliminated against the first and the first's squared norm
+        lp, ds = _projected_laplacians(n, lam, r, R)
+        lp_sq = float(np.dot(wts * lp, lp))
+        return lp, ds, float(np.dot(wts_w, lp)) / lp_sq, lp_sq
 
     def objective(loglam):
-        lp, al = profile(math.exp(loglam))
-        return float(np.sum(wts * (w - al * lp) ** 2))
+        lp, _, al, _ = directions(math.exp(loglam))
+        rem = w - al * lp
+        return float(np.dot(wts * rem, rem))
 
     def stationarity(loglam):
         # d/d(log lam) of the objective, up to the factor -2 alpha:
-        # the inner product of the remainder with the scale direction.
-        lam = math.exp(loglam)
-        lp, al = profile(lam)
-        return float(np.sum(wts * (w - al * lp) * scale_derivative(lam)))
+        # the inner product of the remainder with the scale direction
+        lp, ds, al, _ = directions(math.exp(loglam))
+        return float(np.dot(wts * (w - al * lp), ds))
 
     seed = math.log(law_scale(n, sol.M, sol.eps))
     lo, hi = seed - 0.1, seed + 0.1
@@ -959,23 +960,22 @@ def decompose(sol, domain):
                            % _SECANT_MAX_STEPS)
 
     lam = math.exp(x2)
-    lp, alpha = profile(lam)
+    lp, ds, alpha, lp_sq = directions(lam)
     if not alpha > 0:
         raise RuntimeError("minimization returned a nonpositive amplitude")
     v = w - alpha * lp
-    v_norm = float(np.sqrt(np.sum(wts * v * v)))
-    ds = scale_derivative(lam)
-    pn = float(np.sqrt(np.sum(wts * lp * lp)))
-    dn = float(np.sqrt(np.sum(wts * ds * ds)))
+    wts_v = wts * v
+    f0 = float(np.dot(wts_v, v))
+    v_norm = math.sqrt(f0)
     floor = max(v_norm, 1e-14 * float(np.sqrt(energy)))
-    amp_defect = float(np.sum(wts * v * lp)) / (floor * pn)
-    scale_defect = float(np.sum(wts * v * ds)) / (floor * dn)
+    amp_defect = float(np.dot(wts_v, lp)) / (floor * math.sqrt(lp_sq))
+    scale_defect = (float(np.dot(wts_v, ds))
+                    / (floor * math.sqrt(float(np.dot(wts * ds, ds)))))
 
     # curvature of the objective in log lam; a flat or concave profile
     # means the (alpha, lam) Hessian is degenerate and the minimizer
     # meaningless, so that is reported rather than returned
     h = 1e-3
-    f0 = objective(x2)
     curv = (objective(x2 + h) - 2 * f0 + objective(x2 - h)) / h**2
     if not curv > 0:
         raise RuntimeError(

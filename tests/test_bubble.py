@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from navier_bubbles.bubble import (
     BubbleParams,
     CriticalConstants,
+    _projected_laplacians,
+    _projected_profile_laplacian,
     balance_constants,
     c0,
     critical_exponent,
@@ -146,6 +148,45 @@ def test_scale_derivative_laplacian_matches_fd():
     # dominates the absolute error at the smallest radii
     rel = np.max(np.abs(upp + (n - 1) / r * up - closed)) / np.max(np.abs(closed))
     assert rel < 1e-4
+
+
+@pytest.mark.parametrize("n", list(range(5, 13)) + [20, 48, 80])
+def test_projected_laplacians_one_evaluation(n):
+    # the evaluator decompose reads at each trial scale. Its amplitude
+    # direction, with the value at R in Python floats, is the law seeds'
+    # Delta delta(r) - Delta delta(R) to the bit; its scale direction is
+    # the product form
+    # pref (alpha2 (n+2t)(1+t) + 4t(1+t) - nt(n+2t)) (1+t)^(-n/2-1),
+    # alpha2 = n/2, minus its value at R, to 1e-13 of its largest value.
+    # Nodes past R run to 1e8, where from n = 48 (1+t)^(n/2) overflows;
+    # the suite turns any warning there into an error
+    pref = -(n - 4) * c0(n)
+
+    def product_form(lam, r):
+        t = (lam * r) ** 2
+        inner = (n / 2.0 * (n + 2 * t) * (1 + t) + 4 * t * (1 + t)
+                 - n * t * (n + 2 * t))
+        return pref * lam ** (n / 2.0) * inner * (1 + t) ** (-n / 2.0 - 1)
+
+    for lam in (5.0, 40.0, 400.0):
+        for R in (1.0, 1.7):
+            r = np.concatenate([np.linspace(0.0, R, 257),
+                                np.geomspace(2.0 * R, 1e8, 64)])
+            with np.errstate(over="ignore"):
+                power = (1 + (lam * r) ** 2) ** (n / 2.0)
+            assert np.isinf(power).any() == (n >= 48)
+            lp, ds = _projected_laplacians(n, lam, r, R)
+            assert np.array_equal(lp, _projected_profile_laplacian(n, lam, r,
+                                                                   R))
+            ref = product_form(lam, r) - product_form(lam, R)
+            assert np.max(np.abs(ds - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if n >= 48:
+        # at R = 1e8 the value at R, read in Python floats, overflows too
+        r = np.geomspace(1.0, 1e8, 64)
+        lp, ds = _projected_laplacians(n, 400.0, r, 1e8)
+        assert np.array_equal(lp, radial_profile_laplacian(n, 400.0, r))
+        assert np.array_equal(ds, radial_scale_derivative_laplacian(n, 400.0,
+                                                                    r))
 
 
 # ---------------------------------------------------------------------------

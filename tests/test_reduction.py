@@ -38,7 +38,6 @@ from navier_bubbles import cli
 from navier_bubbles.bubble import (
     BubbleParams,
     _projected_profile,
-    _projected_scale_derivative,
     balance_constants,
     balance_scale,
     center_potential,
@@ -47,6 +46,7 @@ from navier_bubbles.bubble import (
     law_quantities,
     radial_profile,
     radial_scale_derivative,
+    radial_scale_derivative_laplacian,
     sobolev_energy,
 )
 from navier_bubbles.green_robin import BallDomain, robin
@@ -586,7 +586,12 @@ def test_reduced_integrals_match_separate_integrals(n, eps):
     ball = lambda f: radial_integral(n, f, 1.0, seams=core_seams(lam, 1.0))
     dpow = lambda r: radial_profile(n, lam, r) ** p
     pd = lambda r: _projected_profile(n, lam, r, 1.0)
-    pds = lambda r: _projected_scale_derivative(n, lam, r, 1.0)
+    # lam d/dlam Pdelta written out: the scale derivative minus the
+    # Navier extension of its traces at R = 1
+    pds = lambda r: (radial_scale_derivative(n, lam, r)
+                     - radial_scale_derivative(n, lam, 1.0)
+                     - radial_scale_derivative_laplacian(n, lam, 1.0)
+                     * (r ** 2 - 1.0) / (2.0 * n))
     separate = (
         ball(lambda r: dpow(r) * pd(r)),
         ball(lambda r: np.abs(pd(r)) ** (p - eps) * pd(r)),

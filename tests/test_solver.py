@@ -25,9 +25,9 @@ from scipy.optimize import fsolve, minimize_scalar
 
 from navier_bubbles import solver as solver_module
 from navier_bubbles.bubble import (
+    _projected_laplacians,
     _projected_profile,
     _projected_profile_laplacian,
-    _projected_scale_derivative_laplacian,
     balance_constants,
     balance_scale,
     c0,
@@ -37,6 +37,7 @@ from navier_bubbles.bubble import (
     law_scale,
     radial_profile,
     radial_profile_laplacian,
+    radial_scale_derivative_laplacian,
     sobolev_energy,
 )
 from navier_bubbles.green_robin import BallDomain
@@ -977,8 +978,8 @@ def test_decompose_matches_brent_oracle(subcritical_sweep,
 
         def derivative(x):
             lp, alpha = fit(x)
-            ds = _projected_scale_derivative_laplacian(N6, math.exp(x), r,
-                                                       1.0)
+            ds = (radial_scale_derivative_laplacian(N6, math.exp(x), r)
+                  - radial_scale_derivative_laplacian(N6, math.exp(x), 1.0))
             return float(np.sum(wts * (sol.w - alpha * lp) * ds))
 
         seed = math.log(c0(N6) ** -1.0 * sol.M ** ((P6 - 1 + sol.eps) / 4))
@@ -1005,25 +1006,21 @@ def test_decompose_brackets_at_the_law_seed(subcritical_sweep, monkeypatch):
     cases = [(BallDomain.unit(N6), sol) for sol in subcritical_sweep]
     cases += [(ball8, sol) for sol in
               continuation_sweep([0.1, 0.05, 0.02], ball8, grid=grid8)]
-    profile, scale = (solver_module._projected_profile_laplacian,
-                      solver_module._projected_scale_derivative_laplacian)
     calls = []
 
     def spy(n, lam, r, R):
         calls.append(lam)
-        return scale(n, lam, r, R)
+        return _projected_laplacians(n, lam, r, R)
 
-    monkeypatch.setattr(solver_module,
-                        "_projected_scale_derivative_laplacian", spy)
+    monkeypatch.setattr(solver_module, "_projected_laplacians", spy)
     for ball, sol in cases:
         n, r, wts = ball.n, sol.grid.nodes, _grid_arrays(sol.grid).wts
         seed = math.log(law_scale(n, sol.M, sol.eps))
         ends = [math.exp(seed - 0.1), math.exp(seed + 0.1)]
         signs = []
         for lam in ends:
-            lp = profile(n, lam, r, 1.0)
+            lp, ds = _projected_laplacians(n, lam, r, 1.0)
             alpha = np.sum(wts * sol.w * lp) / np.sum(wts * lp * lp)
-            ds = scale(n, lam, r, 1.0)
             signs.append(np.sign(np.sum(wts * (sol.w - alpha * lp) * ds)))
         assert signs[0] * signs[1] < 0
         calls.clear()
@@ -1044,28 +1041,22 @@ def test_decompose_refuses_unconverged_secant(subcritical_sweep,
 @pytest.mark.parametrize("skew", ["flat", "steep"])
 def test_decompose_refuses_a_secant_off_the_bracket(skew, subcritical_sweep,
                                                     monkeypatch):
-    # "flat": every scale inside the bracket reads the profile of its
+    # "flat": every scale inside the bracket reads both directions of its
     # upper end, so the second secant step has g1 == g0; "steep": the
     # scale direction weighted by (lam / lam_seed)^20 keeps the root but
     # bends the condition so far that a secant step leaves the bracket
     sol = subcritical_sweep[2]
     seed = math.log(law_scale(N6, sol.M, sol.eps))
     ends = (math.exp(seed - 0.1), math.exp(seed + 0.1))
-    profile, scale = (solver_module._projected_profile_laplacian,
-                      solver_module._projected_scale_derivative_laplacian)
     if skew == "flat":
-        def pinned(fn):
-            return lambda n, lam, r, R: fn(n, lam if lam in ends
-                                           else ends[1], r, R)
-
-        profile, scale = pinned(profile), pinned(scale)
+        def planted(n, lam, r, R):
+            return _projected_laplacians(n, lam if lam in ends else ends[1],
+                                         r, R)
     else:
-        scale = (lambda n, lam, r, R, fn=scale:
-                 (lam / math.exp(seed)) ** 20 * fn(n, lam, r, R))
-    monkeypatch.setattr(solver_module, "_projected_profile_laplacian",
-                        profile)
-    monkeypatch.setattr(solver_module,
-                        "_projected_scale_derivative_laplacian", scale)
+        def planted(n, lam, r, R):
+            lp, ds = _projected_laplacians(n, lam, r, R)
+            return lp, (lam / math.exp(seed)) ** 20 * ds
+    monkeypatch.setattr(solver_module, "_projected_laplacians", planted)
     match = "is flat" if skew == "flat" else "left the bracket"
     with pytest.raises(RuntimeError, match=match):
         decompose(sol, BallDomain.unit(N6))
@@ -1186,12 +1177,12 @@ def test_grid_arrays_die_with_the_grid(unit_ball6):
 def test_decompose_evaluates_each_scale_once(subcritical_sweep,
                                              monkeypatch):
     calls = Counter()
-    for name in ("_projected_profile_laplacian",
-                 "_projected_scale_derivative_laplacian"):
-        def spy(n, lam, r, R, name=name, fn=getattr(solver_module, name)):
-            calls[name, lam] += 1
-            return fn(n, lam, r, R)
-        monkeypatch.setattr(solver_module, name, spy)
+
+    def spy(n, lam, r, R):
+        calls[lam] += 1
+        return _projected_laplacians(n, lam, r, R)
+
+    monkeypatch.setattr(solver_module, "_projected_laplacians", spy)
     ball = BallDomain.unit(N6)
     for sol in subcritical_sweep:
         calls.clear()
