@@ -121,51 +121,42 @@ def _laplacian_prefactor(n, lam, r):
     return -(n - 4) * _c0_as(n, r) * lam ** ((n - 4) / 2.0 + 2.0)
 
 
-def _profile_laplacian_parts(n, pref, t):
-    """(Delta delta, 1 + t, (1 + t)^(n/2)) from the prefactor
-    pref = _laplacian_prefactor(n, lam, r) and t = (lam r)^2:
+def _laplacians(n, pref, t):
+    """(Delta delta, lam * d(Delta delta)/d(lam)) from the prefactor
+    pref = _laplacian_prefactor(n, lam, r) and t = (lam r)^2, the one home
+    of both closed forms:
 
-        Delta delta = pref (n + 2t) / (1 + t)^(n/2).
+        Delta delta               = pref (n + 2t) / (1 + t)^(n/2),
+        lam d(Delta delta)/d(lam) = pref (n^2/2 - (n-4)(n+2) t/2 - (n-4) t^2)
+                                    / ((1 + t)^(n/2) (1 + t)),
 
-    t may be an array or a Python float.
+    from one 1 + t and one (1 + t)^(n/2). The second is divided as
+    pref / (1 + t)^(n/2) times the polynomial over 1 + t, so neither
+    product overflows where the quotient is finite. t may be an array or
+    a Python float.
     """
     s = 1 + t
     # from n = 48 the power overflows at the quadrature's outermost
-    # nodes, where the quotient's limit is 0; numpy rounds it to inf and
+    # nodes, where both quotients' limit is 0; numpy rounds it to inf and
     # a Python float raises instead
     with np.errstate(over="ignore"):
         try:
             power = s ** (n / 2.0)
         except OverflowError:
             power = math.inf
-    return pref * (n + 2 * t) / power, s, power
-
-
-def _laplacians(n, pref, t):
-    """(Delta delta, lam * d(Delta delta)/d(lam)) from one t, one 1 + t
-    and one (1 + t)^(n/2) (_profile_laplacian_parts), the one home of
-    both closed forms:
-
-        lam d(Delta delta)/d(lam) = pref (n^2/2 - (n-4)(n+2) t/2 - (n-4) t^2)
-                                    / ((1 + t)^(n/2) (1 + t)),
-
-    divided as pref / (1 + t)^(n/2) times the polynomial over 1 + t, so
-    neither product overflows where the quotient is finite.
-    """
-    lap, s, power = _profile_laplacian_parts(n, pref, t)
     poly = 0.5 * n * n - t * (0.5 * (n - 4) * (n + 2) + (n - 4) * t)
-    return lap, pref / power * (poly / s)
+    return pref * (n + 2 * t) / power, pref / power * (poly / s)
 
 
 def radial_profile_laplacian(n, lam, r):
-    """Delta delta(r), closed form (_profile_laplacian_parts).
+    """Delta delta(r), closed form (_laplacians).
 
     Delta delta = -(n-4) c0 lam^((n-4)/2 + 2) (n + 2 lam^2 r^2)
                   / (1 + lam^2 r^2)^(n/2).
     """
     r = np.asarray(r)
-    return _profile_laplacian_parts(n, _laplacian_prefactor(n, lam, r),
-                                    (lam * r) ** 2)[0]
+    return _laplacians(n, _laplacian_prefactor(n, lam, r),
+                       (lam * r) ** 2)[0]
 
 
 def _scale_derivative_from(n, t, delta):
@@ -226,11 +217,6 @@ def _deficit_profile(n, lam, r, R):
                              radial_profile_laplacian(n, lam, R), n, r, R)
 
 
-def _projected_profile(n, lam, r, R):
-    """Pdelta for a center bubble: delta minus its Navier extension."""
-    return radial_profile(n, lam, r) - _deficit_profile(n, lam, r, R)
-
-
 def _projected_profiles(n, lam, R):
     """The map r -> (delta, Pdelta, lam d/dlam Pdelta) for a center bubble
     on the ball of radius R.
@@ -254,6 +240,11 @@ def _projected_profiles(n, lam, R):
     return at
 
 
+def _projected_profile(n, lam, r, R):
+    """Pdelta for a center bubble: delta minus its Navier extension."""
+    return _projected_profiles(n, lam, R)(r)[1]
+
+
 def _projected_laplacians(n, lam, r, R):
     """(Delta Pdelta, Delta lam d/dlam Pdelta) at the nodes r for a center
     bubble: each Laplacian minus its value at R, the Laplacian of the
@@ -266,13 +257,6 @@ def _projected_laplacians(n, lam, r, R):
     lap_R, scale_R = _laplacians(n, float(pref),
                                  (float(lam) * float(R)) ** 2)
     return lap - lap_R, scale - scale_R
-
-
-def _projected_profile_laplacian(n, lam, r, R):
-    """Delta Pdelta alone, equal to the first of _projected_laplacians to
-    the bit."""
-    return (radial_profile_laplacian(n, lam, r)
-            - radial_profile_laplacian(n, lam, R))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ import numpy as np
 from .bubble import (
     _projected_profile,
     _projected_laplacians,
-    _projected_profile_laplacian,
     balance_constants,
     center_potential,
     critical_exponent,
@@ -683,10 +682,8 @@ def _newton(disc, q, u, w):
         m0 = np.dot(xu, xu) + np.dot(xw, xw)
         t = 1.0
         for _ in range(60):
-            if t == 1.0:
-                ut, wt = u + du, w + dw
-            else:
-                ut, wt = u + t * du, w + t * dw
+            ut = u + t * du
+            wt = w + t * dw
             if ut[:-1].min() > 0:
                 trial = _point(disc, q, ut, wt)
                 if t == 1.0 and res < tol:
@@ -711,7 +708,7 @@ def _newton(disc, q, u, w):
 def _bubble_fields(grid, lam, amplitude=1.0):
     r = grid.nodes
     u = amplitude * _projected_profile(grid.n, lam, r, grid.R)
-    w = amplitude * _projected_profile_laplacian(grid.n, lam, r, grid.R)
+    w = amplitude * _projected_laplacians(grid.n, lam, r, grid.R)[0]
     u[-1] = 0.0
     w[-1] = 0.0
     return u, w

@@ -16,7 +16,6 @@ from navier_bubbles.bubble import (
     BubbleParams,
     CriticalConstants,
     _projected_laplacians,
-    _projected_profile_laplacian,
     balance_constants,
     c0,
     critical_exponent,
@@ -152,10 +151,10 @@ def test_scale_derivative_laplacian_matches_fd():
 
 @pytest.mark.parametrize("n", list(range(5, 13)) + [20, 48, 80])
 def test_projected_laplacians_one_evaluation(n):
-    # the evaluator decompose reads at each trial scale. Its amplitude
-    # direction, with the value at R in Python floats, is the law seeds'
-    # Delta delta(r) - Delta delta(R) to the bit; its scale direction is
-    # the product form
+    # the evaluator decompose and the law seeds read. Its amplitude
+    # direction, with the value at R in Python floats, is
+    # Delta delta(r) - Delta delta(R) read through numpy to the bit; its
+    # scale direction is the product form
     # pref (alpha2 (n+2t)(1+t) + 4t(1+t) - nt(n+2t)) (1+t)^(-n/2-1),
     # alpha2 = n/2, minus its value at R, to 1e-13 of its largest value.
     # Nodes past R run to 1e8, where from n = 48 (1+t)^(n/2) overflows;
@@ -176,8 +175,8 @@ def test_projected_laplacians_one_evaluation(n):
                 power = (1 + (lam * r) ** 2) ** (n / 2.0)
             assert np.isinf(power).any() == (n >= 48)
             lp, ds = _projected_laplacians(n, lam, r, R)
-            assert np.array_equal(lp, _projected_profile_laplacian(n, lam, r,
-                                                                   R))
+            assert np.array_equal(lp, radial_profile_laplacian(n, lam, r)
+                                  - radial_profile_laplacian(n, lam, R))
             ref = product_form(lam, r) - product_form(lam, R)
             assert np.max(np.abs(ds - ref)) <= 1e-13 * np.max(np.abs(ref))
     if n >= 48:

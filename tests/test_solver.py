@@ -27,7 +27,6 @@ from navier_bubbles import solver as solver_module
 from navier_bubbles.bubble import (
     _projected_laplacians,
     _projected_profile,
-    _projected_profile_laplacian,
     balance_constants,
     balance_scale,
     c0,
@@ -905,7 +904,7 @@ def pure_bubble_solution(ball, lam, grid=None):
     grid = grid or default_grid(ball)
     r = grid.nodes
     u = _projected_profile(ball.n, lam, r, ball.radius)
-    w = _projected_profile_laplacian(ball.n, lam, r, ball.radius)
+    w = _projected_laplacians(ball.n, lam, r, ball.radius)[0]
     u[-1] = 0.0
     w[-1] = 0.0
     return declared_solution(grid, u, w)
@@ -949,7 +948,7 @@ def test_decompose_local_minimality(unit_ball6, subcritical_sweep,
     r = sol.grid.nodes
 
     def misfit(alpha, lam):
-        lp = _projected_profile_laplacian(N6, lam, r, 1.0)
+        lp = _projected_laplacians(N6, lam, r, 1.0)[0]
         return math.sqrt(float(np.sum(wts * (sol.w - alpha * lp) ** 2)))
 
     base = misfit(dec.alpha, dec.lam)
@@ -969,7 +968,7 @@ def test_decompose_matches_brent_oracle(subcritical_sweep,
         r = sol.grid.nodes
 
         def fit(x):
-            lp = _projected_profile_laplacian(N6, math.exp(x), r, 1.0)
+            lp = _projected_laplacians(N6, math.exp(x), r, 1.0)[0]
             return lp, np.sum(wts * sol.w * lp) / np.sum(wts * lp * lp)
 
         def objective(x):
@@ -1068,7 +1067,7 @@ def test_decompose_refuses_unbracketed_scale(unit_ball6):
     # derivative across it
     grid = default_grid(unit_ball6)
     u = _projected_profile(N6, 15.0 * math.exp(3.0), grid.nodes, 1.0)
-    w = _projected_profile_laplacian(N6, 15.0, grid.nodes, 1.0)
+    w = _projected_laplacians(N6, 15.0, grid.nodes, 1.0)[0]
     u[-1] = w[-1] = 0.0
     sol = declared_solution(grid, u, w)
     with pytest.raises(RuntimeError, match="failed to bracket"):
