@@ -74,7 +74,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -585,8 +585,10 @@ def cmd_verify_blowup(config, out_dir):
     config.to_json(os.path.join(out_dir, "config.json"))
 
     def write_sweep(sols, decs):
-        _write_table(os.path.join(out_dir, "sweep.csv"),
-                     _sweep_records(config.n, sols, decs), _SWEEP_FIELDS)
+        records = _sweep_records(config.n, sols, decs)
+        _write_table(os.path.join(out_dir, "sweep.csv"), records,
+                     _SWEEP_FIELDS)
+        return records
 
     def decompose_each(sols):
         """Decompositions of sols up to the first that fails, with that
@@ -621,7 +623,7 @@ def cmd_verify_blowup(config, out_dir):
               file=sys.stderr)
         return 3
 
-    write_sweep(solutions, decomps)
+    records = write_sweep(solutions, decomps)
 
     verdict = blowup_verdict(
         [(s.eps, d, s.M) for s, d in zip(solutions, decomps)],
@@ -629,7 +631,6 @@ def cmd_verify_blowup(config, out_dir):
 
     final_sol = solutions[-1]
     final_dec = decomps[-1]
-    final = verdict.entries[-1]
     peaks = [float(s.M) for s in solutions]
     energy = final_sol.energy_norm_sq()
     mass = final_sol.nonlinear_mass()
@@ -641,7 +642,7 @@ def cmd_verify_blowup(config, out_dir):
                PROV_SOLVER, 1.0, 0.0),
         _check("final_amplitude_near_unity", final_dec.alpha, PROV_SOLVER,
                1.0, AMP_TOL),
-        _check("final_peak_scale_ratio", final.peak_scale_ratio,
+        _check("final_peak_scale_ratio", records[-1]["peak_scale_ratio"],
                PROV_SOLVER, 1.0, RATIO_TOL),
         _check("final_energy_at_critical_level", energy, PROV_QUADRATURE,
                level, ENERGY_RTOL),
@@ -962,8 +963,9 @@ def _add_run_flags(parser, eps_help):
 
 def _config_from_args(args, default_schedule):
     """Build the run configuration from --config or from flags; mixing
-    the two is rejected so the on-disk file stays authoritative. Fields
-    no flag sets keep the RunConfig defaults."""
+    the two is rejected so the on-disk file stays authoritative, except
+    --out, which replaces the file's out_dir. Fields no flag sets keep
+    the RunConfig defaults."""
     explicit = {f.name: getattr(args, f.name) for f in fields(RunConfig)
                 if getattr(args, f.name) is not None}
     if args.config is not None:
@@ -971,7 +973,10 @@ def _config_from_args(args, default_schedule):
         if flags:
             raise CliError("--config excludes the run flags (%s)"
                            % ", ".join(flags))
-        return RunConfig.from_json(args.config)
+        config = RunConfig.from_json(args.config)
+        if "out_dir" in explicit:
+            config = replace(config, out_dir=explicit["out_dir"])
+        return config
     return RunConfig(**{"eps_schedule": default_schedule, **explicit})
 
 

@@ -55,7 +55,6 @@ from .numerics import (converged_quadrature, core_seams, gauss_legendre_panels,
 __all__ = [
     "ReducedState",
     "NonContractionError",
-    "BlowupEntry",
     "BlowupVerdict",
     "LAW_RTOL",
     "ObstructionEntry",
@@ -119,35 +118,39 @@ LAW_RTOL = 0.15
 def _bessel_over_power(nu, x):
     """J_nu(x) / x^nu for integer nu >= 1 and x >= 0, elementwise.
 
-    Below x = nu + 2, which sits under the first zero of J_nu, the power
-    series of J_nu(x) / x^nu is summed until its terms drop below
-    round-off of the value at the origin; cancellation there stays within
-    a few units of round-off for the orders the trial basis uses. Above
-    it, J_0 and J_1 from Cephes are carried up to order nu by the
-    three-term recurrence, which is stable while the order stays below x,
-    in the form a_(k+1) = (2k a_k - a_(k-1)) / x^2 for a_k = J_k(x) / x^k.
-    The recurrence runs over every x and the series then overwrites the
-    few values below the switch. From order 41 (n = 84) the recurrence
-    overflows on the gap's panels near the origin, below the switch; a
-    sample that is not finite all the same raises RuntimeError. This is the
+    Each sample takes one route. Below x = nu + 2, which sits under the
+    first zero of J_nu, the power series of J_nu(x) / x^nu is summed
+    until its terms drop below round-off of the value at the origin;
+    cancellation there stays within a few units of round-off for the
+    orders the trial basis uses. From x = nu + 2 on, J_0 and J_1 from
+    Cephes are carried up to order nu by the three-term recurrence, which
+    is stable while the order stays below x, in the form
+    a_(k+1) = (2k a_k - a_(k-1)) / x^2 for a_k = J_k(x) / x^k. A sample
+    that is not finite all the same raises RuntimeError. This is the
     package's only Bessel routine: the trial modes, their zeros and their
     norms all come from it, so scipy.special is reached only for j0 and
     j1.
     """
     from scipy.special import j0, j1
     x = np.asarray(x, dtype=float)
-    # a value that overflows stays non-finite through the recurrence, so
-    # the check of the result catches any the series does not overwrite
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_sq = 1.0 / (x * x)
-        lower, out = j0(x), j1(x) / x
-        for k in range(1, nu):
-            lower, out = out, (2.0 * k * out - lower) * inv_sq
-    small = np.flatnonzero(x < nu + 2.0)
+    small = x < nu + 2.0
+    # inv_sq holds a copy of the samples from the switch on until J_0 and
+    # J_1 are read, then 1 / x^2 in place; the loop's arrays are freed
+    # before the result array is made, so at most four arrays of those
+    # samples coexist
+    inv_sq = x[~small]
+    lower, upper = j0(inv_sq), j1(inv_sq) / inv_sq
+    inv_sq *= inv_sq
+    np.divide(1.0, inv_sq, out=inv_sq)
+    for k in range(1, nu):
+        lower, upper = upper, (2.0 * k * upper - lower) * inv_sq
+    del inv_sq, lower
+    out = np.empty_like(x)
+    out[~small] = upper
     # the series arrays update in place: near the origin most of a
     # block's samples fall below the switch, so each copy is a large
     # share of the gap's peak memory
-    quarter = np.take(x, small)
+    quarter = x[small]
     quarter *= -0.25 * quarter
     origin = 1.0 / (2.0 ** nu * math.factorial(nu))
     term = np.full_like(quarter, origin)
@@ -158,7 +161,7 @@ def _bessel_over_power(nu, x):
         term *= quarter
         term /= k * (k + nu)
         total += term
-    np.put(out, small, total)
+    out[small] = total
     if not np.all(np.isfinite(out)):
         raise RuntimeError("Bessel samples are not finite above the "
                            "series switch x = nu + 2")
@@ -565,19 +568,6 @@ def solve_reduced_system(eps, x0, domain):
 # blow-up verdicts from subcritical sweeps
 
 @dataclass(frozen=True)
-class BlowupEntry:
-    """One sweep point prepared for the blow-up laws."""
-
-    eps: float
-    peak: float
-    alpha: float
-    scale: float
-    eps_peak_sq: float
-    eps_scale_pow: float
-    peak_scale_ratio: float
-
-
-@dataclass(frozen=True)
 class BlowupVerdict:
     """Extrapolated blow-up laws of a sweep against their predictions.
 
@@ -590,7 +580,6 @@ class BlowupVerdict:
     """
 
     n: int
-    entries: tuple
     peak_limit_eps: float
     peak_limit_epslog: float
     scale_limit_eps: float
@@ -600,10 +589,6 @@ class BlowupVerdict:
     peak_ok: bool
     scale_ok: bool
     verdict: bool
-
-    def __post_init__(self):
-        if len(self.entries) < 4:
-            raise ValueError("a verdict needs at least four sweep points")
 
 
 def _affine_limit(gvals, yvals):
@@ -634,7 +619,7 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     if np.linalg.norm(x0 - domain.center) > 1e-6 * R:
         raise ValueError("x0 must be the centered concentration point")
 
-    entries = []
+    laws = []
     last = None
     for eps_raw, dec, peak in sweep:
         eps = abs(float(eps_raw))
@@ -649,24 +634,13 @@ def blowup_verdict(sweep, x0, domain, consts=None):
             raise ValueError("every decomposition must share the domain")
         if not dec.lam > 0:
             raise ValueError("decomposition scales must be positive")
-        scale_pow, peak_sq, ratio = law_quantities(n, eps, float(peak),
-                                                   float(dec.lam))
-        entries.append(BlowupEntry(
-            eps=eps,
-            peak=float(peak),
-            alpha=float(dec.alpha),
-            scale=float(dec.lam),
-            eps_peak_sq=peak_sq,
-            eps_scale_pow=scale_pow,
-            peak_scale_ratio=ratio,
-        ))
+        scale_pow, peak_sq, _ = law_quantities(n, eps, float(peak),
+                                               float(dec.lam))
+        laws.append((eps, peak_sq, scale_pow))
 
-    tail = entries[-4:]
-    eps_tail = np.array([e.eps for e in tail])
+    eps_tail, peak_tail, scale_tail = map(np.array, zip(*laws[-4:]))
     glin = eps_tail
     glog = eps_tail * np.log(1.0 / eps_tail)
-    peak_tail = np.array([e.eps_peak_sq for e in tail])
-    scale_tail = np.array([e.eps_scale_pow for e in tail])
     peak_limits = (_affine_limit(glin, peak_tail),
                    _affine_limit(glog, peak_tail))
     scale_limits = (_affine_limit(glin, scale_tail),
@@ -677,7 +651,6 @@ def blowup_verdict(sweep, x0, domain, consts=None):
     scale_ok = all(abs(v / t_scale - 1.0) <= LAW_RTOL for v in scale_limits)
     return BlowupVerdict(
         n=n,
-        entries=tuple(entries),
         peak_limit_eps=peak_limits[0],
         peak_limit_epslog=peak_limits[1],
         scale_limit_eps=scale_limits[0],

@@ -887,6 +887,10 @@ def decompose(sol, domain):
     offsets. Secant steps shrink superlinearly, so the first one below
     1e-10 is taken unevaluated and lands at the rounding floor.
 
+    The objective's derivative in log lam is -2 alpha times the
+    condition, so its curvature at the result is -2 alpha times the last
+    secant slope of the condition, read from the steps already taken.
+
     Raises RuntimeError when the condition does not change sign across
     the bracket, when a secant step is flat or leaves the bracket, when
     _SECANT_MAX_STEPS steps do not converge, and when the amplitude or
@@ -926,11 +930,6 @@ def decompose(sol, domain):
         lp_sq = float(np.dot(wts * lp, lp))
         return lp, ds, float(np.dot(wts_w, lp)) / lp_sq, lp_sq
 
-    def objective(loglam):
-        lp, _, al, _ = directions(math.exp(loglam))
-        rem = w - al * lp
-        return float(np.dot(wts * rem, rem))
-
     def stationarity(loglam):
         # d/d(log lam) of the objective, up to the factor -2 alpha:
         # the inner product of the remainder with the scale direction
@@ -962,18 +961,17 @@ def decompose(sol, domain):
         raise RuntimeError("minimization returned a nonpositive amplitude")
     v = w - alpha * lp
     wts_v = wts * v
-    f0 = float(np.dot(wts_v, v))
-    v_norm = math.sqrt(f0)
+    v_norm = math.sqrt(float(np.dot(wts_v, v)))
     floor = max(v_norm, 1e-14 * float(np.sqrt(energy)))
     amp_defect = float(np.dot(wts_v, lp)) / (floor * math.sqrt(lp_sq))
     scale_defect = (float(np.dot(wts_v, ds))
                     / (floor * math.sqrt(float(np.dot(wts * ds, ds)))))
 
-    # curvature of the objective in log lam; a flat or concave profile
-    # means the (alpha, lam) Hessian is degenerate and the minimizer
-    # meaningless, so that is reported rather than returned
-    h = 1e-3
-    curv = (objective(x2 + h) - 2 * f0 + objective(x2 - h)) / h**2
+    # curvature of the objective in log lam, -2 alpha times the last
+    # secant slope of the stationarity condition; a flat or concave
+    # profile means the (alpha, lam) Hessian is degenerate and the
+    # minimizer meaningless, so that is reported rather than returned
+    curv = -2.0 * alpha * (g1 - g0) / (x1 - x0)
     if not curv > 0:
         raise RuntimeError(
             "objective curvature %.3e at the minimizer; the decomposition "

@@ -695,6 +695,26 @@ def test_config_flag_mix_names_the_fields(tmp_path, capsys):
             "grid_nodes)\n")
 
 
+@pytest.mark.parametrize("command, schedule, expected", [
+    ("verify-blowup", (0.3, 0.2, 0.1, 0.05), 1),
+    ("supercritical", (0.09, 0.05, 0.02), 0),
+])
+def test_out_beside_config_replaces_its_out_dir(command, schedule, expected,
+                                                tmp_path, capsys):
+    # --out is the one flag --config admits: the run writes under it and
+    # leaves the file's out_dir untouched
+    configured, rerun = tmp_path / "configured", tmp_path / "rerun"
+    path = tmp_path / "config.json"
+    RunConfig(eps_schedule=schedule, out_dir=str(configured)).to_json(path)
+    rc = cli.main([command, "--config", str(path), "--out", str(rerun)])
+    capsys.readouterr()
+    assert rc == expected
+    assert not configured.exists()
+    assert (rerun / command / "report.json").exists()
+    echoed = RunConfig.from_json(rerun / command / "config.json")
+    assert echoed == RunConfig(eps_schedule=schedule, out_dir=str(rerun))
+
+
 def test_unencodable_json_leaves_no_file(tmp_path):
     # the value after the first key cannot be encoded: json.dump would
     # have written '{\n "ok": 1,\n "bad": ' before raising

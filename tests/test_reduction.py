@@ -27,6 +27,7 @@ import functools
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -279,9 +280,9 @@ def test_gap_below_the_overflow_is_unchanged(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [90, 100])
 def test_gap_past_the_overflow_raises_without_warning(n):
-    # at these orders the recurrence overflows near the origin, below the
-    # series switch; the unresolved gap is refused by its quadrature,
-    # with no numpy warning on the way
+    # at these orders the unresolved gap is refused by its quadrature;
+    # the recurrence, which would overflow near the origin, runs only
+    # from the series switch on, so no numpy warning is raised on the way
     ball = BallDomain.unit(n)
     with pytest.raises(RuntimeError, match="did not converge"):
         coercivity_check(centered(10.0, n), ball, 40)
@@ -673,27 +674,27 @@ def test_verdict_targets_are_closed_form(reference_verdict):
     assert v.scale_target == pytest.approx(20.0, rel=1e-12)
 
 
-def test_verdict_entries_carry_the_laws(reference_verdict,
-                                        subcritical_sweep):
-    v = reference_verdict
-    assert len(v.entries) == len(subcritical_sweep)
-    for entry, sol in zip(v.entries, subcritical_sweep):
-        assert entry.eps == abs(sol.eps)
-        assert entry.eps_peak_sq == pytest.approx(
-            entry.eps * entry.peak ** 2, rel=1e-14)
-        assert entry.eps_scale_pow == pytest.approx(
-            entry.eps * entry.scale ** 2, rel=1e-14)
-    assert v.entries[-1].peak_scale_ratio == pytest.approx(
+def test_sweep_records_carry_the_laws(subcritical_sweep,
+                                      sweep_decompositions):
+    records = cli._sweep_records(N6, subcritical_sweep, sweep_decompositions)
+    assert len(records) == len(subcritical_sweep)
+    for rec, sol in zip(records, subcritical_sweep):
+        assert rec["eps"] == abs(sol.eps)
+        assert rec["eps_peak_sq"] == pytest.approx(
+            rec["eps"] * rec["peak"] ** 2, rel=1e-14)
+        assert rec["eps_lam_pow"] == pytest.approx(
+            rec["eps"] * rec["lam"] ** 2, rel=1e-14)
+    assert records[-1]["peak_scale_ratio"] == pytest.approx(
         1.0065158, rel=1e-6)
-    laws = [e.eps_scale_pow for e in v.entries]
+    laws = [rec["eps_lam_pow"] for rec in records]
     assert all(b > a for a, b in zip(laws, laws[1:]))
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_every_law_consumer_reads_the_law_home(n):
-    # the constant table, the verdict and the obstruction's closed-form
-    # root agree with bubble's law bit for bit, each at the closed-form
-    # center potential
+    # the constant table, the verdict's targets, the sweep records and
+    # the obstruction's closed-form root agree with bubble's law bit for
+    # bit, each at the closed-form center potential
     consts = balance_constants(n)
     ball = BallDomain.unit(n)
     rows = dict(cli.constants_rows(n))
@@ -713,9 +714,13 @@ def test_every_law_consumer_reads_the_law_home(n):
     phi = center_potential(n)
     assert (verdict.scale_target, verdict.peak_target) == law_limits(
         consts, phi)
-    for entry, (eps, dec, peak_value) in zip(verdict.entries, sweep):
-        assert (entry.eps_scale_pow, entry.eps_peak_sq,
-                entry.peak_scale_ratio) == law_quantities(
+    sols = [SimpleNamespace(eps=eps, M=peak_value, newton_iters=0,
+                            residual=0.0, pohozaev_defect=lambda: 0.0)
+            for eps, _, peak_value in sweep]
+    records = cli._sweep_records(n, sols, [dec for _, dec, _ in sweep])
+    for rec, (eps, dec, peak_value) in zip(records, sweep):
+        assert (rec["eps_lam_pow"], rec["eps_peak_sq"],
+                rec["peak_scale_ratio"]) == law_quantities(
                     n, abs(eps), peak_value, dec.lam)
 
     report = supercritical_obstruction(offsets, ball)

@@ -1061,6 +1061,21 @@ def test_decompose_refuses_a_secant_off_the_bracket(skew, subcritical_sweep,
         decompose(sol, BallDomain.unit(N6))
 
 
+def test_decompose_refuses_a_concave_objective(subcritical_sweep,
+                                               monkeypatch):
+    # flipping the scale direction's sign keeps the condition's root and
+    # the secant's steps, but flips the sign of the condition's slope
+    # there, and so of the objective's curvature read from it
+    def planted(n, lam, r, R):
+        lp, ds = _projected_laplacians(n, lam, r, R)
+        return lp, -ds
+
+    monkeypatch.setattr(solver_module, "_projected_laplacians", planted)
+    with pytest.raises(RuntimeError,
+                       match="objective curvature .* is degenerate"):
+        decompose(subcritical_sweep[2], BallDomain.unit(N6))
+
+
 def test_decompose_refuses_unbracketed_scale(unit_ball6):
     # u concentrated at a scale e^3 times that of w: the law's seed puts
     # the bracket far above the true scale, with no sign change of the
