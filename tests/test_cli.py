@@ -560,13 +560,15 @@ def test_verify_blowup_solver_trace(vb_run):
     header, rows = read_csv(out / "sweep.csv")
     trace = json.loads((out / "report.json").read_text())["solver_trace"]
     assert set(trace) == {"newton_iters", "offsets"}
-    assert trace["newton_iters"] == 35
+    assert trace["newton_iters"] == 25
     total = 0
-    for offset, row in zip(trace["offsets"], rows):
+    for i, (offset, row) in enumerate(zip(trace["offsets"], rows)):
         assert set(offset) == {"eps", "attempts"}
         assert offset["eps"]["value"] == float(row[header.index("eps")])
         (winner,) = offset["attempts"]
-        assert winner["start"] == "law" and winner["exit"] == "converged"
+        # the bare law seeds the first offset, the corrected law the rest
+        assert winner["start"] == ("law" if i == 0 else "law-corrected")
+        assert winner["exit"] == "converged"
         assert winner["newton_iters"] == int(row[header.index("newton_iters")])
         for attempt in offset["attempts"]:
             steps = attempt["iterations"]
@@ -594,10 +596,12 @@ def test_solver_trace_writes_each_attempt_as_it_is(vb_run,
     _, out = vb_run
     trace = json.loads((out / "report.json").read_text())["solver_trace"]
     assert len(trace["offsets"]) == len(subcritical_sweep)
-    for offset, sol in zip(trace["offsets"], subcritical_sweep):
+    for i, (offset, sol) in enumerate(zip(trace["offsets"],
+                                          subcritical_sweep)):
         (attempt,) = offset["attempts"]
         assert attempt["eps"] == offset["eps"] == _pv(-sol.eps, "formula")
-        assert attempt["start"] == "law"
+        assert attempt["start"] == sol.attempt.start == (
+            "law" if i == 0 else "law-corrected")
         assert attempt["exit"] == sol.attempt.exit
         assert trace_iterations(attempt) == sol.attempt.iterations
 
@@ -817,6 +821,7 @@ def test_verify_blowup_persists_failure_stage(tmp_path, capsys,
     offset = failure["failed_offset"]
     assert set(offset) == {"eps", "attempts"}
     assert offset["eps"] == {"value": 0.3, "provenance": "formula"}
+    # the sweep's first offset starts from the bare law seed
     assert [a["start"] for a in offset["attempts"]] == ["law"]
     for a in offset["attempts"]:
         assert a["exit"] in {"cap", "line search", "singular step",

@@ -70,15 +70,17 @@ def test_planted_center_potential_fails_the_law_checks(
 @pytest.mark.parametrize("factor", [0.90, 1.14])
 def test_planted_law_seed_reaches_the_same_solutions(
         monkeypatch, unit_ball6, subcritical_sweep, factor):
-    # the seeds' peak law limit is multiplied by factor. Measured on the
-    # default schedule: peaks within 4.6e-11 (0.90) and 4.1e-11 (1.14) of
-    # the unplanted sweep's, both at eps = 0.01. At 0.85, 0.88, 1.17 and
-    # 1.20 the solve at eps = 0.005 stops at the 30-step cap. The plant
-    # shows in the work: 77 and 72 Newton steps against 35.
+    # the seeds' peak law limit is multiplied by factor; the departure
+    # the sweep measured from the true law is passed through, so the plant
+    # stays in every seed. Measured on the default schedule: peaks within
+    # 1.1e-10 (0.90) and 1.7e-10 (1.14) of the unplanted sweep's, both at
+    # eps = 0.005. At 0.85 the solve at eps = 0.005 stops at the 30-step
+    # cap. The plant shows in the work: 44 and 54 Newton steps against 25.
     seed = solver._law_seed
     monkeypatch.setattr(
         solver, "_law_seed",
-        lambda grid, peak_limit, e: seed(grid, factor * peak_limit, e))
+        lambda grid, peak_limit, e, departure: seed(
+            grid, factor * peak_limit, e, departure))
     sweep = continuation_sweep([-sol.eps for sol in subcritical_sweep],
                                unit_ball6)
     assert [sol.eps for sol in sweep] == [sol.eps for sol in subcritical_sweep]

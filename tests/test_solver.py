@@ -147,7 +147,8 @@ def declared_solution(grid, u, w, eps=-0.05):
     """Fields declared a solution as they are: one Newton record with no
     step taken and a zero residual."""
     return RadialSolution(grid=grid, u=u, w=w, eps=eps,
-                          attempt=NewtonAttempt(((0.0, None),), "converged"))
+                          attempt=NewtonAttempt(((0.0, None),), "converged",
+                                                "given"))
 
 
 def ladder_to_easy(ball, grid=None):
@@ -203,7 +204,7 @@ def test_solution_invariants_enforced(unit_ball6):
     w[-1] = 0.0
     good = dict(grid=grid, u=u, w=w, eps=-0.1,
                 attempt=NewtonAttempt(((1e-3, 1.0), (0.0, None)),
-                                      "converged"))
+                                      "converged", "given"))
     sol = RadialSolution(**good)
     # peak, residual and step count are read from u and the one attempt
     assert (sol.M, sol.residual, sol.newton_iters) == (1.0, 0.0, 1)
@@ -218,7 +219,7 @@ def test_solution_invariants_enforced(unit_ball6):
     with pytest.raises(ValueError, match="vanish"):
         RadialSolution(**bad)
     bad = dict(good)
-    bad["attempt"] = NewtonAttempt(((1e-3, None),), "cap")
+    bad["attempt"] = NewtonAttempt(((1e-3, None),), "cap", "given")
     with pytest.raises(ValueError, match="tolerance"):
         RadialSolution(**bad)
 
@@ -226,7 +227,7 @@ def test_solution_invariants_enforced(unit_ball6):
 def test_records_hold_each_fact_once():
     # a solve's residuals, steps and peak live in its attempt and fields
     # only; the decomposition does not copy the offset
-    assert NewtonAttempt._fields == ("iterations", "exit")
+    assert NewtonAttempt._fields == ("iterations", "exit", "start")
     assert [f.name for f in dataclasses.fields(RadialSolution)] == [
         "grid", "u", "w", "eps", "attempt", "tolerance"]
     assert "eps" not in {f.name for f in dataclasses.fields(Decomposition)}
@@ -444,8 +445,9 @@ def total_newton_iters(sweep):
 
 @pytest.fixture(scope="module")
 def forced_jump(unit_ball6):
-    # 0.1 -> 0.005 in one step: every offset is solved from its own law
-    # seed, so the gaps of the schedule do not matter
+    # 0.1 -> 0.005 in one step: every offset is solved from the law seed,
+    # corrected by the previous offset's departure scaled to its own
+    # offset, so the gaps of the schedule do not matter
     return continuation_sweep([0.3, 0.1, 0.005], unit_ball6)
 
 
@@ -502,16 +504,18 @@ def pinned_peak(sol, steps):
 
 
 def test_default_sweep_predicts_without_bisection(subcritical_sweep):
-    # measured 35 Newton iterations, 5 per offset
+    # measured 25 Newton iterations: 5 from the bare law seed at the
+    # first offset, 3 or 4 from the corrected one at each later offset
     assert total_newton_iters(subcritical_sweep) <= 40
     assert_one_law_solve_each(subcritical_sweep)
 
 
-def test_exit_step_kept_whatever_the_seed_bits(unit_ball6, monkeypatch):
+def test_exit_step_kept_whatever_the_seed_bits(unit_ball6, subcritical_sweep,
+                                               monkeypatch):
     # c1 six ulp up moves the law seeds by round-off; the exit step is
     # kept on its residual below target, not on an order of two residuals
-    # near 2e-16, so the sweep still takes 35 steps and keeps every exit
-    # step (keeping it only when the residual did not rise gave 34)
+    # near 2e-16, so the sweep takes the unperturbed sweep's steps and
+    # keeps every exit step
     consts = balance_constants(6)
     c1 = consts.c1
     for _ in range(6):
@@ -520,7 +524,7 @@ def test_exit_step_kept_whatever_the_seed_bits(unit_ball6, monkeypatch):
                         lambda n: dataclasses.replace(consts, c1=c1))
     # the default schedule, as the shared reference sweep
     sweep = continuation_sweep(list(FINE_OFFSETS[:7]), unit_ball6)
-    assert total_newton_iters(sweep) == 35
+    assert total_newton_iters(sweep) == total_newton_iters(subcritical_sweep)
     assert_one_law_solve_each(sweep)
     for sol in sweep:
         (res, damping), (res_exit, _) = sol.attempt.iterations[-2:]
@@ -528,16 +532,72 @@ def test_exit_step_kept_whatever_the_seed_bits(unit_ball6, monkeypatch):
         assert res_exit < sol.tolerance / 10
 
 
-def test_fine_schedule_predicts_without_bisection(unit_ball6):
-    sweep = continuation_sweep(list(FINE_OFFSETS), unit_ball6,
-                               grid=default_grid(unit_ball6, nodes=8192))
-    assert total_newton_iters(sweep) == 43
+@pytest.fixture(scope="module")
+def fine_sweep(unit_ball6):
+    return continuation_sweep(list(FINE_OFFSETS), unit_ball6,
+                              grid=default_grid(unit_ball6, nodes=8192))
+
+
+def test_fine_schedule_predicts_without_bisection(fine_sweep):
+    assert total_newton_iters(fine_sweep) == 29
+    assert_one_law_solve_each(fine_sweep)
+
+
+def bare_law_solve(ball, grid, e):
+    """The solve at offset magnitude e from the uncorrected law seed."""
+    peak_limit = law_limits(balance_constants(ball.n),
+                            center_potential(ball.n, ball.radius))[1]
+    return solve_radial(-e, ball, _law_seed(grid, peak_limit, e, (0.0, 0.0)),
+                        grid=grid)
+
+
+def test_first_offset_is_the_bare_law_solve(unit_ball6, subcritical_sweep):
+    # the first offset has no departure to correct by: the reference
+    # sweep's first solve, and a one-offset sweep's, is the bare law
+    # seed's bit for bit
+    firsts = (subcritical_sweep[0], *continuation_sweep([0.02], unit_ball6))
+    for sol in firsts:
+        bare = bare_law_solve(unit_ball6, sol.grid, -sol.eps)
+        assert sol.attempt.start == "law"
+        assert sol.attempt[:2] == bare.attempt[:2]
+        assert sol.u.tobytes() == bare.u.tobytes()
+        assert sol.w.tobytes() == bare.w.tobytes()
+
+
+@pytest.mark.parametrize("which, bound_u, bound_w", [
+    # measured largest drifts, relative to max |u| and max |w|: 5.8e-11
+    # and 1.7e-10 (both at eps = 0.01) on 2,048 nodes, 1.04e-9 and
+    # 3.1e-9 (both at eps = 0.002) on 8,192
+    ("default", 1.1e-10, 3.4e-10),
+    ("fine", 2e-9, 6e-9),
+])
+def test_corrected_seeds_reach_the_bare_law_solutions(
+        unit_ball6, subcritical_sweep, fine_sweep, which, bound_u, bound_w):
+    sweep = subcritical_sweep if which == "default" else fine_sweep
+    for i, sol in enumerate(sweep):
+        assert sol.attempt.start == ("law" if i == 0 else "law-corrected")
+        bare = bare_law_solve(unit_ball6, sol.grid, -sol.eps)
+        assert np.max(np.abs(sol.u - bare.u)) / bare.M <= bound_u
+        assert (np.max(np.abs(sol.w - bare.w)) / np.max(np.abs(bare.w))
+                <= bound_w)
+
+
+@pytest.mark.parametrize("schedule", [
+    # measured 16 steps against 20 and 31 against 42
+    (0.3, 0.29, 0.28, 0.005),
+    (1.0, 0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.005),
+])
+def test_corrected_seeds_take_no_more_steps_than_the_law(unit_ball6,
+                                                          schedule):
+    sweep = continuation_sweep(list(schedule), unit_ball6)
     assert_one_law_solve_each(sweep)
+    bare = [bare_law_solve(unit_ball6, sweep[0].grid, e) for e in schedule]
+    assert total_newton_iters(sweep) <= total_newton_iters(bare)
 
 
 def test_forced_jump_is_route_independent(forced_jump, subcritical_sweep):
     assert_one_law_solve_each(forced_jump)
-    assert total_newton_iters(forced_jump) <= 20  # measured 15
+    assert total_newton_iters(forced_jump) <= 20  # measured 12
     assert forced_jump[-1].eps == -0.005
     # the pinned exit makes the solution independent of the schedule
     assert math.isclose(forced_jump[-1].M, subcritical_sweep[-1].M,
@@ -656,7 +716,7 @@ def test_fine_grid_law_seed_below_target_is_not_returned(unit_ball6, eps,
     # seed's instead of returning the seed unchanged
     grid = default_grid(unit_ball6, nodes=100000)
     peak_limit = law_limits(balance_constants(6), center_potential(6))[1]
-    seed_peak = _law_seed(grid, peak_limit, eps)[0][0]
+    seed_peak = _law_seed(grid, peak_limit, eps, (0.0, 0.0))[0][0]
     (sol,) = continuation_sweep([eps], unit_ball6, grid=grid)
     assert sol.newton_iters >= 1
     assert sol.attempt.exit == "converged"
@@ -690,7 +750,7 @@ def law_seed_system(ball, nodes, e):
     grid = default_grid(ball, nodes=nodes)
     peak_limit = law_limits(balance_constants(ball.n),
                             center_potential(ball.n, ball.radius))[1]
-    u, w = _law_seed(grid, peak_limit, e)
+    u, w = _law_seed(grid, peak_limit, e, (0.0, 0.0))
     return _grid_arrays(grid), P6 - e, u, w
 
 
@@ -1124,8 +1184,8 @@ def test_sweep_evaluates_each_residual_once(unit_ball6, subcritical_sweep,
     monkeypatch.setattr(_Discretization, "residual", spy)
     sweep = continuation_sweep([-sol.eps for sol in subcritical_sweep],
                                unit_ball6)
-    assert total_newton_iters(sweep) == 35
-    assert len(seen) >= 35 + len(sweep)
+    assert total_newton_iters(sweep) == 25
+    assert len(seen) >= 25 + len(sweep)
     assert len(set(seen)) == len(seen)
 
 
