@@ -169,27 +169,18 @@ def radial_profile_laplacian(n, lam, r):
 
 
 def _scale_derivative_from(n, t, delta):
-    """lam * d(delta)/d(lam) from t = (lam r)^2 and delta(r)."""
+    """lam * d(delta)/d(lam) = ((n-4)/2) (1 - t)/(1 + t) delta from
+    t = (lam r)^2 and delta(r); it vanishes on the sphere r = 1/lam."""
     return 0.5 * (n - 4) * (1 - t) / (1 + t) * delta
 
 
-def radial_scale_derivative(n, lam, r):
-    """lam * d(delta)/d(lam), closed form.
-
-    Equals ((n-4)/2) * (1 - lam^2 r^2)/(1 + lam^2 r^2) * delta, so it
-    vanishes exactly on the sphere r = 1/lam.
-    """
-    r = np.asarray(r)
-    return _scale_derivative_from(n, (lam * r) ** 2, radial_profile(n, lam, r))
-
-
-def radial_scale_derivative_laplacian(n, lam, r):
-    """lam * d(Delta delta)/d(lam), closed form (_laplacians; Delta
-    commutes with the scale derivative, so this is also Delta of
-    radial_scale_derivative)."""
-    r = np.asarray(r)
-    return _laplacians(n, _laplacian_prefactor(n, lam, r),
-                       (lam * r) ** 2)[1]
+def _laplacian_traces(n, lam, R):
+    """(Delta delta(R), lam d(Delta delta)/d(lam) at R) in Python floats
+    from one _laplacians call, which reads both as 0 where their power
+    overflows (n = 48 at lam R = 4e10). It forms no delta(R): numpy warns
+    on that overflow."""
+    return _laplacians(n, float(_laplacian_prefactor(n, lam, R)),
+                       (float(lam) * float(R)) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +214,7 @@ def _navier_extension(f_R, lap_f_R, n, r, R):
 def _deficit_profile(n, lam, r, R):
     """theta for a center bubble: the Navier extension of delta."""
     return _navier_extension(radial_profile(n, lam, R),
-                             radial_profile_laplacian(n, lam, R), n, r, R)
+                             _laplacian_traces(n, lam, R)[0], n, r, R)
 
 
 def _projected_profiles(n, lam, R):
@@ -235,8 +226,7 @@ def _projected_profiles(n, lam, R):
     """
     delta_R = radial_profile(n, lam, R)
     scale_R = _scale_derivative_from(n, (lam * R) ** 2, delta_R)
-    lap_R = radial_profile_laplacian(n, lam, R)
-    scale_lap_R = radial_scale_derivative_laplacian(n, lam, R)
+    lap_R, scale_lap_R = _laplacian_traces(n, lam, R)
 
     def at(r):
         r = np.asarray(r)
@@ -257,14 +247,13 @@ def _projected_profile(n, lam, r, R):
 def _projected_laplacians(n, lam, r, R):
     """(Delta Pdelta, Delta lam d/dlam Pdelta) at the nodes r for a center
     bubble: each Laplacian minus its value at R, the Laplacian of the
-    Navier extension. One _laplacians call reads the nodes and one in
-    Python floats reads R; decompose evaluates both at each trial scale.
+    Navier extension. One _laplacians call reads the nodes and one
+    reads R (_laplacian_traces); decompose evaluates both per trial scale.
     """
     r = np.asarray(r)
-    pref = _laplacian_prefactor(n, lam, r)
-    lap, scale = _laplacians(n, pref, (lam * r) ** 2)
-    lap_R, scale_R = _laplacians(n, float(pref),
-                                 (float(lam) * float(R)) ** 2)
+    lap, scale = _laplacians(n, _laplacian_prefactor(n, lam, r),
+                             (lam * r) ** 2)
+    lap_R, scale_R = _laplacian_traces(n, lam, R)
     return lap - lap_R, scale - scale_R
 
 
@@ -355,6 +344,13 @@ def law_scale(n, M, eps):
     lam = c0^{2/(4-n)} M^{(p-1+eps)/4}."""
     p = critical_exponent(n)
     return c0(n) ** (2.0 / (4 - n)) * M ** ((p - 1 + eps) / 4.0)
+
+
+def _law_point(n, peak_limit, e):
+    """The law's peak M = sqrt(peak_limit / e) at offset magnitude e and
+    its scale for that peak (law_scale)."""
+    M = math.sqrt(peak_limit / e)
+    return M, law_scale(n, M, -e)
 
 
 def law_quantities(n, eps, M, lam):

@@ -438,7 +438,7 @@ def cmd_robin(n, radius, stations, out_dir):
         raise CliError("stations must be odd and at least 5 so the "
                        "center row exists")
     # integer multiples: the center is exactly 0, and mirrored stations
-    # are exact negatives, evaluated at the same magnitude (phi is even)
+    # are exact negatives, which share one evaluation (phi is even)
     half = stations // 2
     fractions = 0.9 * np.arange(-half, half + 1) / half
     _require_radius(radius, _robin_radius_window(n, fractions[half + 1]),
@@ -447,9 +447,11 @@ def cmd_robin(n, radius, stations, out_dir):
     domain = BallDomain(n, np.zeros(n), radius)
     axis = _first_axis(n)
 
+    evaluations = [robin(domain, domain.center + float(frac) * radius * axis)
+                   for frac in fractions[half:]]
     records = []
     for idx, frac in enumerate(fractions):
-        ev = robin(domain, domain.center + abs(float(frac)) * radius * axis)
+        ev = evaluations[abs(idx - half)]
         records.append({"station": idx,
                         "axis_coordinate": float(frac) * radius,
                         "phi": float(ev.phi),

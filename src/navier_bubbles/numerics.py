@@ -262,44 +262,15 @@ def _stencil_weights(z, x, m):
 
 def _laplacian_stencil(r, n):
     """The node-only parts of Delta = d^2/dr^2 + ((n-1)/r) d/dr on the
-    nodes r, shared by every application on them: the interior rows'
-    coefficients of u[j-1], u[j], u[j+1], their common denominator, and
-    the outer row's weights."""
+    interior nodes r[1:-1], shared by both applications: the coefficients
+    of u[j-1], u[j], u[j+1] and their common denominator."""
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     g = (n - 1) / r[1:-1]
-    coefficients = (2 * hp - g * hp * hp,
-                    -2 * (hm + hp) + g * (hp * hp - hm * hm),
-                    2 * hm + g * hm * hm)
-    outer = _stencil_weights(r[-1], r[-4:], 2)
-    return coefficients, hm * hp * (hm + hp), outer
-
-
-def _laplacian_apply(u, r, n, stencil):
-    """One application of Delta = d^2/dr^2 + ((n-1)/r) d/dr on samples,
-    with the stencil _laplacian_stencil(r, n).
-
-    Interior rows use the standard 3-point nonuniform stencil. The center
-    row fits u = u0 + b r^2 + c r^4 through the first three nodes and
-    returns 2n b + 2(2n-1) r_1^2 c, which reproduces the truncation
-    constant of the interior stencil in the r -> 0 limit; plain even
-    extensions leave an O(1) mismatch that the second application would
-    amplify into the core. The outer row differentiates the cubic
-    through the last four nodes.
-    """
-    (lower, middle, upper), den, outer = stencil
-    out = np.empty_like(u)
-    out[1:-1] = (lower * u[:-2] + middle * u[1:-1] + upper * u[2:]) / den
-
-    r1, r2 = r[1], r[2]
-    det = r1 * r1 * r2 ** 4 - r2 * r2 * r1 ** 4
-    b = ((u[1] - u[0]) * r2 ** 4 - (u[2] - u[0]) * r1 ** 4) / det
-    c = ((u[2] - u[0]) * r1 * r1 - (u[1] - u[0]) * r2 * r2) / det
-    out[0] = 2 * n * b + 2 * (2 * n - 1) * r1 * r1 * c
-
-    _, slope, curv = outer @ (u[-4:] - u[-1])
-    out[-1] = curv + (n - 1) / r[-1] * slope
-    return out
+    return (2 * hp - g * hp * hp,
+            -2 * (hm + hp) + g * (hp * hp - hm * hm),
+            2 * hm + g * hm * hm,
+            hm * hp * (hm + hp))
 
 
 def _window_bilaplacian(u, r, n, rows, idx):
@@ -319,8 +290,7 @@ def _window_bilaplacian(u, r, n, rows, idx):
 def radial_bilaplacian(u, grid):
     """Samples of Delta^2 u on the grid, interior truncation O(h^2).
 
-    Composition of two discrete Laplacians, with three corrections where
-    plain composition is either inconsistent or drowned by rounding:
+    Each row is written by one rule:
 
       * head (r < 0.008 R): u = F(t), t = r^2, with F the polynomial
         through the center and nodes spread over [0.008 R, 0.032 R],
@@ -329,19 +299,18 @@ def radial_bilaplacian(u, grid):
       * an inner band (0.008 R <= r < 0.04 R): strided seven-point
         windows of degree six, which trade a longer stencil for a fourth
         power of the stride in the rounding amplification;
-      * the last two rows: the same window on the trailing nodes, since
-        the composed stencil has no room on the right.
+      * the last two rows: the same window on the trailing nodes;
+      * every other row: two 3-point Laplacians, on rows 1 to N - 2 and
+        then on rows 2 to N - 3, sharing one _laplacian_stencil.
 
-    Both applications of the Laplacian share one _laplacian_stencil.
-    Each local polynomial, like the outer row of the Laplacian, is
-    differentiated by one rule, the weights of _stencil_weights. All
-    arithmetic runs in extended precision. Hand in longdouble samples
-    to reach the scheme's own floor; float64 samples are fine for O(h^2)
-    verification at coarser tolerances.
+    A grid whose head cannot write rows 0 and 1 (fewer than two nodes
+    below 0.008 R, or fewer than five fit nodes) raises ValueError. Each
+    local polynomial is differentiated by one rule, the weights of
+    _stencil_weights. All arithmetic runs in extended precision. Hand in
+    longdouble samples to reach the scheme's own floor; float64 samples
+    are fine for O(h^2) verification at coarser tolerances.
     """
     nodes = np.asarray(grid.nodes)
-    if nodes.size < 5:
-        raise ValueError("radial_bilaplacian needs at least 5 nodes")
     n = grid.n
     r = nodes.astype(_LD)
     u = np.asarray(u).astype(_LD)
@@ -349,9 +318,6 @@ def radial_bilaplacian(u, grid):
         raise ValueError("sample array does not match the grid")
     N = r.size
     R = float(nodes[-1])
-
-    stencil = _laplacian_stencil(r, n)
-    out = _laplacian_apply(_laplacian_apply(u, r, n, stencil), r, n, stencil)
 
     # head zone: one polynomial F in t = r^2 through the center and the
     # spread nodes; its derivatives D[k] = F^(k)(0), k = 0..len(js) - 1,
@@ -362,20 +328,29 @@ def radial_bilaplacian(u, grid):
     js = np.unique(np.searchsorted(nodes, fit_radii))
     js = np.concatenate([[0], js[js < N]])
     head = int(np.searchsorted(nodes, r_head))
-    if len(js) >= 5 and head > 0:
-        t = r[:head] ** 2
-        D = _stencil_weights(0, r[js] ** 2, len(js) - 1) @ (u[js] - u[0])
+    if head < 2 or len(js) < 5:
+        raise ValueError("radial_bilaplacian needs two nodes below 0.008 R "
+                         "and five fit nodes; got %d and %d" % (head, len(js)))
 
-        def derivative(k):
-            # F^(k)(t) = sum_i D[k + i] t^i / i!
-            acc = D[-1]
-            for j in range(len(D) - 2, k - 1, -1):
-                acc = D[j] + acc * t / (j - k + 1)
-            return acc
+    lower, middle, upper, den = _laplacian_stencil(r, n)
+    lap = (lower * u[:-2] + middle * u[1:-1] + upper * u[2:]) / den
+    out = np.empty_like(u)
+    out[2:-2] = (lower[1:-1] * lap[:-2] + middle[1:-1] * lap[1:-1]
+                 + upper[1:-1] * lap[2:]) / den[1:-1]
 
-        out[:head] = (16 * t * t * derivative(4)
-                      + 16 * (n + 2) * t * derivative(3)
-                      + 4 * n * (n + 2) * derivative(2))
+    t = r[:head] ** 2
+    D = _stencil_weights(0, r[js] ** 2, len(js) - 1) @ (u[js] - u[0])
+
+    def derivative(k):
+        # F^(k)(t) = sum_i D[k + i] t^i / i!
+        acc = D[-1]
+        for j in range(len(D) - 2, k - 1, -1):
+            acc = D[j] + acc * t / (j - k + 1)
+        return acc
+
+    out[:head] = (16 * t * t * derivative(4)
+                  + 16 * (n + 2) * t * derivative(3)
+                  + 4 * n * (n + 2) * derivative(2))
 
     # band zone: strided seven-node windows centered on each row
     stride = 3
@@ -385,10 +360,9 @@ def radial_bilaplacian(u, grid):
     out[band] = _window_bilaplacian(
         u, r, n, band, band[:, None] + stride * np.arange(-3, 4))
 
-    # trailing rows: the composed stencil is contaminated by the one-sided
-    # outer Laplacian row, so rebuild them from a direct local window;
-    # stride it where the grid allows, as in the band, to keep the
-    # rounding amplification of the one-sided fourth derivative down
+    # trailing rows: a direct local window, strided where the grid
+    # allows, as in the band, to keep the rounding amplification of the
+    # one-sided fourth derivative down
     stride_t = 3 if N > 6 * 3 + 1 else 1
     tail = np.array([N - 2, N - 1])
     out[tail] = _window_bilaplacian(

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bubble import _deficit_profile, _navier_extension, \
-    _require_centered, c0, eval_delta, radial_profile_laplacian
+from .bubble import _deficit_profile, _laplacian_traces, \
+    _navier_extension, _require_centered, c0, eval_delta
 from .green_robin import _first_axis
 from .numerics import SlopeFit, fit_loglog, radial_integral, sphere_measure
 
@@ -104,7 +104,7 @@ def deficit_energy_norm(params, domain):
     square root of the ball volume."""
     _require_centered(params, domain)
     n, R = domain.n, domain.radius
-    lap = float(radial_profile_laplacian(n, params.lam, R))
+    lap = _laplacian_traces(n, params.lam, R)[0]
     return abs(lap) * math.sqrt(sphere_measure(n) * R ** n / n)
 
 

@@ -36,9 +36,9 @@ import numpy as np
 from dataclasses import dataclass
 
 from .bubble import (
-    _projected_profile,
     _projected_profiles,
     _require_centered,
+    _scale_derivative_from,
     balance_constants,
     balance_scale,
     center_potential,
@@ -46,7 +46,6 @@ from .bubble import (
     law_limits,
     law_quantities,
     radial_profile,
-    radial_scale_derivative,
 )
 from .green_robin import robin
 from .numerics import (converged_quadrature, core_seams, gauss_legendre_panels,
@@ -273,7 +272,8 @@ def _trial_gap(n, R, lam, z, density):
         dpm1 = profile ** (p - 1.0)
         constraints += np.array([
             profile ** p * wvol,
-            p * dpm1 * radial_scale_derivative(n, lam, rb) * wvol]) @ U.T
+            p * dpm1 * _scale_derivative_from(n, (lam * rb) ** 2, profile)
+            * wvol]) @ U.T
         U *= np.sqrt(p * sm * dpm1 * wvol)
         form += U @ U.T
     constraints *= sm
@@ -377,10 +377,10 @@ def bubble_quadratic_form(params, domain):
     _require_centered(params, domain)
     n, R, lam = domain.n, domain.radius, params.lam
     p = critical_exponent(n)
+    profiles = _projected_profiles(n, lam, R)
 
     def pairings(r):
-        profile = radial_profile(n, lam, r)
-        projected = _projected_profile(n, lam, r, R)
+        profile, projected, _ = profiles(r)
         return np.array([profile ** p * projected,
                          profile ** (p - 1.0) * projected ** 2])
 

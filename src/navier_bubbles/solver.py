@@ -54,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bubble import (
+    _law_point,
     _projected_profile,
     _projected_laplacians,
     balance_constants,
@@ -827,13 +828,6 @@ def solve_radial(eps, domain, init, grid=None, start="given"):
     raise SolverDivergence(reason, last=RadialSolution(
         grid=grid, u=u, w=w, eps=eps, attempt=attempt,
         tolerance=max(res, NEWTON_TOL)))
-
-
-def _law_point(n, peak_limit, e):
-    """The law's peak M = sqrt(peak_limit / e) at offset magnitude e and
-    its scale for that peak (bubble.law_scale)."""
-    M = math.sqrt(peak_limit / e)
-    return M, law_scale(n, M, -e)
 
 
 def _law_seed(grid, peak_limit, e, departure):

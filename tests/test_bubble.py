@@ -13,10 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
+from navier_bubbles import bubble
 from navier_bubbles.bubble import (
     BubbleParams,
     CriticalConstants,
+    _laplacian_prefactor,
+    _laplacians,
     _projected_laplacians,
+    _scale_derivative_from,
     balance_constants,
     c0,
     critical_exponent,
@@ -24,8 +28,6 @@ from navier_bubbles.bubble import (
     half_peak_scale,
     radial_profile,
     radial_profile_laplacian,
-    radial_scale_derivative,
-    radial_scale_derivative_laplacian,
     sobolev_constant,
     sobolev_energy,
 )
@@ -97,11 +99,23 @@ def test_scale_covariance(lam, s, r):
 # derivatives against central-difference oracles
 
 
+def scale_derivative(n, lam, r):
+    # lam d(delta)/d(lam) from delta(r), as the package forms it
+    r = np.asarray(r)
+    return _scale_derivative_from(n, (lam * r) ** 2, radial_profile(n, lam, r))
+
+
+def scale_derivative_laplacian(n, lam, r):
+    # lam d(Delta delta)/d(lam), the second closed form of _laplacians
+    r = np.asarray(r)
+    return _laplacians(n, _laplacian_prefactor(n, lam, r), (lam * r) ** 2)[1]
+
+
 def test_scale_derivative_center_and_zero_sphere():
-    center = float(radial_scale_derivative(6, 3.0, 0.0))
+    center = float(scale_derivative(6, 3.0, 0.0))
     assert math.isclose(center, (6 - 4) / 2.0 * c0(6) * 3.0, rel_tol=1e-13)
     # on the sphere r = 1/lam
-    assert abs(float(radial_scale_derivative(6, 3.0, 1.0 / 3.0))) < 1e-14
+    assert abs(float(scale_derivative(6, 3.0, 1.0 / 3.0))) < 1e-14
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -124,7 +138,7 @@ def test_scale_derivative_matches_fd():
     for h in (1e-3, 5e-4):
         fd = (radial_profile(n, lam * (1 + h), r)
               - radial_profile(n, lam * (1 - h), r)) / (2 * h)
-        errs.append(np.max(np.abs(fd - radial_scale_derivative(n, lam, r))))
+        errs.append(np.max(np.abs(fd - scale_derivative(n, lam, r))))
     assert errs[0] / errs[1] > 3.6  # O(h^2) oracle convergence
     assert errs[1] < 1e-6
 
@@ -148,16 +162,16 @@ def test_scale_derivative_laplacian_matches_fd():
     # quotient equal lam * d/d(lam) already
     fd = (radial_profile_laplacian(n, lam * (1 + h), r)
           - radial_profile_laplacian(n, lam * (1 - h), r)) / (2 * h)
-    closed = radial_scale_derivative_laplacian(n, lam, r)
+    closed = scale_derivative_laplacian(n, lam, r)
     assert np.max(np.abs(fd - closed)) < 1e-4
     # and Delta commutes with the scale derivative: cross-check via FD of
     # the scale derivative's own radial Laplacian
     hh = 1e-3
-    upp = (radial_scale_derivative(n, lam, r + hh)
-           - 2 * radial_scale_derivative(n, lam, r)
-           + radial_scale_derivative(n, lam, r - hh)) / hh ** 2
-    up = (radial_scale_derivative(n, lam, r + hh)
-          - radial_scale_derivative(n, lam, r - hh)) / (2 * hh)
+    upp = (scale_derivative(n, lam, r + hh)
+           - 2 * scale_derivative(n, lam, r)
+           + scale_derivative(n, lam, r - hh)) / hh ** 2
+    up = (scale_derivative(n, lam, r + hh)
+          - scale_derivative(n, lam, r - hh)) / (2 * hh)
     # relative to the field size: the oracle's own (n-1)/r amplification
     # dominates the absolute error at the smallest radii
     rel = np.max(np.abs(upp + (n - 1) / r * up - closed)) / np.max(np.abs(closed))
@@ -199,8 +213,20 @@ def test_projected_laplacians_one_evaluation(n):
         r = np.geomspace(1.0, 1e8, 64)
         lp, ds = _projected_laplacians(n, 400.0, r, 1e8)
         assert np.array_equal(lp, radial_profile_laplacian(n, 400.0, r))
-        assert np.array_equal(ds, radial_scale_derivative_laplacian(n, 400.0,
-                                                                    r))
+        assert np.array_equal(ds, scale_derivative_laplacian(n, 400.0, r))
+
+
+def test_projected_profiles_read_the_traces_once(monkeypatch):
+    # building the map makes one _laplacians call, for both traces at R;
+    # evaluating it makes none
+    calls = []
+    real = bubble._laplacians
+    monkeypatch.setattr(bubble, "_laplacians",
+                        lambda *a: calls.append(a) or real(*a))
+    at = bubble._projected_profiles(6, 20.0, 1.0)
+    assert len(calls) == 1
+    at(np.linspace(0.0, 1.0, 9))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

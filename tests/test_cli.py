@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from navier_bubbles import cli, projection, reduction, solver
+from navier_bubbles import cli, green_robin, projection, reduction, solver
 from navier_bubbles.bubble import (balance_constants, balance_scale,
                                    center_potential)
 from navier_bubbles.green_robin import BallDomain, robin
@@ -356,6 +356,27 @@ def test_robin_default_stations_are_exactly_symmetric(tmp_path):
     assert len(coords) == 21
     assert coords[10] == 0.0
     assert coords == [-c for c in coords[::-1]]
+
+
+def test_robin_sums_each_station_magnitude_once(tmp_path, monkeypatch):
+    # the 21 stations share 11 magnitudes: with the radius window's 2
+    # series and the boundary fit's 12 that is 25 Robin series, and each
+    # mirrored pair of rows reads the same one
+    calls = []
+
+    def counted(domain, x):
+        calls.append(x)
+        return robin(domain, x)
+
+    monkeypatch.setattr(cli, "robin", counted)
+    monkeypatch.setattr(green_robin, "robin", counted)
+    assert cli.main(["robin", "--stations", "21", "--out",
+                     str(tmp_path)]) == 0
+    assert len(calls) == 25
+    header, rows = read_csv(tmp_path / "robin_profile.csv")
+    for field in ("phi", "grad_norm"):
+        column = [row[header.index(field)] for row in rows]
+        assert column == column[::-1]
 
 
 def test_robin_profile_is_even_in_the_coordinate(robin_run):

@@ -21,7 +21,6 @@ from navier_bubbles.numerics import (
     _unit_panels,
     converged_quadrature,
     gauss_legendre_panels,
-    _laplacian_apply,
     _laplacian_stencil,
     _stencil_weights,
     SlopeFit,
@@ -248,16 +247,16 @@ def _bilap_cos_r2(r, n):
 
 
 def test_laplacian_matches_oracle():
-    # the inner stage of radial_bilaplacian, one application of Delta
+    # the inner stage of radial_bilaplacian, one application of Delta on
+    # the interior rows
     g = grid6(1024)
-    u = np.exp(-g.nodes ** 2)
+    u = np.exp(-g.nodes ** 2).astype(np.longdouble)
     t = g.nodes ** 2
     exact = (4 * t - 2 * 6) * np.exp(-t)
-    r = ld_nodes(g)
-    out = np.asarray(_laplacian_apply(u.astype(np.longdouble), r, 6,
-                                      _laplacian_stencil(r, 6)),
-                     dtype=float)
-    assert np.max(np.abs(out - exact)) < 2e-4
+    lower, middle, upper, den = _laplacian_stencil(ld_nodes(g), 6)
+    out = np.asarray((lower * u[:-2] + middle * u[1:-1] + upper * u[2:])
+                     / den, dtype=float)
+    assert np.max(np.abs(out - exact[1:-1])) < 2e-4
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,25 +327,15 @@ def _leading_rows_weights(z, x, m):
 
 
 def _self_contained_laplacian(u, r, n):
-    # one application of Delta that builds its own interior coefficients,
-    # denominator and outer-row weights
-    out = np.empty_like(u)
+    # one application of Delta on the interior rows r[1:-1] that builds
+    # its own coefficients and denominator
     hm = r[1:-1] - r[:-2]
     hp = r[2:] - r[1:-1]
     den = hm * hp * (hm + hp)
     g = (n - 1) / r[1:-1]
-    out[1:-1] = ((2 * hp - g * hp * hp) * u[:-2]
-                 + (-2 * (hm + hp) + g * (hp * hp - hm * hm)) * u[1:-1]
-                 + (2 * hm + g * hm * hm) * u[2:]) / den
-    r1, r2 = r[1], r[2]
-    det = r1 * r1 * r2 ** 4 - r2 * r2 * r1 ** 4
-    b = ((u[1] - u[0]) * r2 ** 4 - (u[2] - u[0]) * r1 ** 4) / det
-    c = ((u[2] - u[0]) * r1 * r1 - (u[1] - u[0]) * r2 * r2) / det
-    out[0] = 2 * n * b + 2 * (2 * n - 1) * r1 * r1 * c
-    _, slope, curv = _leading_rows_weights(r[-1], r[-4:], 2) @ (u[-4:]
-                                                                 - u[-1])
-    out[-1] = curv + (n - 1) / r[-1] * slope
-    return out
+    return ((2 * hp - g * hp * hp) * u[:-2]
+            + (-2 * (hm + hp) + g * (hp * hp - hm * hm)) * u[1:-1]
+            + (2 * hm + g * hm * hm) * u[2:]) / den
 
 
 def _head_zone(grid):
@@ -375,9 +364,10 @@ def _per_row_head(u, grid):
 
 
 def _stencil_shapes():
-    # the five call shapes of _stencil_weights: the Laplacian's outer row,
-    # the head polynomial, the band and tail windows, and the three-point
-    # slope of solver._pohozaev_sides (float64)
+    # the four call shapes of _stencil_weights: the head polynomial, the
+    # band and tail windows, and the three-point slope of
+    # solver._pohozaev_sides (float64); and a one-sided second derivative
+    # on the last four nodes
     grid = RadialGrid.arctan_graded(6, 4096, R=10.0, stretch=0.8)
     r = grid.nodes.astype(np.longdouble)
     head, js = _head_zone(grid)
@@ -406,21 +396,29 @@ def test_stencil_weights_match_leading_rows_recurrence(shape):
 
 @pytest.mark.parametrize("n", [5, 6, 8])
 def test_shared_laplacian_stencil_matches_self_contained(n, monkeypatch):
+    # the rows of radial_bilaplacian that no local model writes, rows 2 to
+    # N - 3 past the head and outside the band, are two applications of a
+    # self-contained 3-point stencil to the bit, and the shared stencil is
+    # built once per call
     grid = RadialGrid.arctan_graded(n, 2048, R=10.0, stretch=0.8)
     r = grid.nodes.astype(np.longdouble)
     u = radial_profile(n, 1.0, r)
-    stencil = _laplacian_stencil(r, n)
-    once = _laplacian_apply(u, r, n, stencil)
-    twice = _laplacian_apply(once, r, n, stencil)
-    want = _self_contained_laplacian(u, r, n)
-    assert np.array_equal(once, want)
-    assert np.array_equal(twice, _self_contained_laplacian(want, r, n))
-    # radial_bilaplacian builds that stencil once for both applications
+    twice = _self_contained_laplacian(_self_contained_laplacian(u, r, n),
+                                      r[1:-1], n)
+    composed = np.zeros(r.size, dtype=bool)
+    composed[2:-2] = True
+    composed[:_head_zone(grid)[0]] = False
+    # the band runs from row 10 at the earliest (a stride-3 window's
+    # reach) to 0.04 R
+    composed[10:int(np.searchsorted(grid.nodes, 0.04 * grid.R))] = False
     built = []
     monkeypatch.setattr(numerics, "_laplacian_stencil",
                         lambda *a: built.append(a) or _laplacian_stencil(*a))
-    radial_bilaplacian(u, grid)
+    out = radial_bilaplacian(u, grid)
     assert len(built) == 1
+    assert composed.sum() > r.size // 2
+    assert np.array_equal(out[composed],
+                          np.asarray(twice, dtype=float)[composed[2:-2]])
 
 
 HEAD_GRIDS = [
@@ -472,6 +470,20 @@ def test_criterion_1_errors_keep_their_digits():
         for a, b in ((0, 1), (1, 2)):
             assert new[a] / new[b] == pytest.approx(old[a] / old[b],
                                                     rel=1e-7)
+
+
+def test_bilaplacian_refuses_grids_too_coarse_at_the_origin():
+    # the composition writes rows 2 to N - 3 only, so the head polynomial
+    # must write rows 0 and 1: 64 uniform nodes on [0, 1] put one node
+    # below 0.008 R, and three nodes below it with none out to 0.05 R
+    # leave two fit nodes
+    g = uniform_grid(6, 64, 1.0)
+    with pytest.raises(ValueError, match="two nodes below 0.008 R"):
+        radial_bilaplacian(np.cos(g.nodes ** 2), g)
+    nodes = np.concatenate([[0.0, 0.004, 0.007], np.linspace(0.05, 1, 61)])
+    g = RadialGrid(6, nodes, 1.0)
+    with pytest.raises(ValueError, match="got 3 and 2"):
+        radial_bilaplacian(np.cos(g.nodes ** 2), g)
 
 
 def test_bilaplacian_rejects_mismatched_samples():

@@ -38,7 +38,10 @@ from scipy.special import jn_zeros, jv
 from navier_bubbles import cli
 from navier_bubbles.bubble import (
     BubbleParams,
+    _laplacian_prefactor,
+    _laplacians,
     _projected_profile,
+    _scale_derivative_from,
     balance_constants,
     balance_scale,
     center_potential,
@@ -46,12 +49,10 @@ from navier_bubbles.bubble import (
     law_limits,
     law_quantities,
     radial_profile,
-    radial_scale_derivative,
-    radial_scale_derivative_laplacian,
     sobolev_energy,
 )
 from navier_bubbles.green_robin import BallDomain, robin
-from navier_bubbles import green_robin, reduction
+from navier_bubbles import bubble, green_robin, reduction
 from navier_bubbles.numerics import (QUAD_RTOL, core_seams, radial_integral,
                                      sphere_measure)
 from navier_bubbles.solver import Decomposition
@@ -76,6 +77,11 @@ def centered(lam, n=N6):
 
 # ---------------------------------------------------------------------------
 # oracles
+
+def scale_derivative(n, lam, r):
+    # lam d(delta)/d(lam) from delta(r), as the package forms it
+    return _scale_derivative_from(n, (lam * r) ** 2, radial_profile(n, lam, r))
+
 
 def _householder(x):
     """v of the reflector I - 2 v v^T / (v.v) that maps x onto a
@@ -130,7 +136,7 @@ def grid_gap_oracle(lam, domain, m=1536, strength=5.0):
     form_r = energy_r.copy()
     form_r.flat[::m + 1] -= p * volumes * weight * rescale ** 2
     against_bubble = volumes * radial_profile(n, lam, r) ** p * rescale
-    against_scale = (volumes * p * weight * radial_scale_derivative(n, lam, r)
+    against_scale = (volumes * p * weight * scale_derivative(n, lam, r)
                      * rescale)
     first = _householder(against_bubble)
     reflected_scale = against_scale - (
@@ -348,7 +354,7 @@ def null_space_gap(n, R, lam, z, density):
     form = np.eye(len(z)) - p * (sm * (U * (dpm1 * wvol)) @ U.T)
     against_bubble = sm * U @ (radial_profile(n, lam, r) ** p * wvol)
     against_scale = sm * U @ (
-        p * dpm1 * radial_scale_derivative(n, lam, r) * wvol)
+        p * dpm1 * scale_derivative(n, lam, r) * wvol)
     _, sv, vh = np.linalg.svd(np.vstack([against_bubble, against_scale]))
     assert np.all(sv > sv.max() * np.finfo(float).eps * len(z))
     basis = vh[2:].T
@@ -367,9 +373,8 @@ def test_trial_gap_matches_null_space_route(n, lam, trials):
 
 def test_trial_gap_refuses_parallel_constraints(monkeypatch):
     # p f^(p-1) (f / p) = f^p: the scale pairing becomes the bubble's
-    monkeypatch.setattr(
-        reduction, "radial_scale_derivative",
-        lambda n, lam, r: radial_profile(n, lam, r) / critical_exponent(n))
+    monkeypatch.setattr(reduction, "_scale_derivative_from",
+                        lambda n, t, delta: delta / critical_exponent(n))
     z = reduction._bessel_zeros(2, 40)
     with pytest.raises(RuntimeError, match="trial basis degenerate"):
         reduction._trial_gap(N6, 1.0, 10.0, z, 1)
@@ -486,6 +491,18 @@ def test_bubble_direction_is_negative(unit_ball6):
     assert 0.95 <= q40 / level <= 1.02
 
 
+def test_bubble_quadratic_form_builds_the_profiles_once(unit_ball6,
+                                                       monkeypatch):
+    # one projected-profile map per call, read at every panel density
+    built = []
+    real = bubble._projected_profiles
+    spy = lambda *a: built.append(a) or real(*a)
+    monkeypatch.setattr(bubble, "_projected_profiles", spy)
+    monkeypatch.setattr(reduction, "_projected_profiles", spy)
+    bubble_quadratic_form(centered(10.0), unit_ball6)
+    assert built == [(N6, 10.0, 1.0)]
+
+
 def test_gap_validation(unit_ball6):
     with pytest.raises(ValueError, match="at least 5"):
         coercivity_check(centered(10.0), unit_ball6, 4)
@@ -589,10 +606,10 @@ def test_reduced_integrals_match_separate_integrals(n, eps):
     pd = lambda r: _projected_profile(n, lam, r, 1.0)
     # lam d/dlam Pdelta written out: the scale derivative minus the
     # Navier extension of its traces at R = 1
-    pds = lambda r: (radial_scale_derivative(n, lam, r)
-                     - radial_scale_derivative(n, lam, 1.0)
-                     - radial_scale_derivative_laplacian(n, lam, 1.0)
-                     * (r ** 2 - 1.0) / (2.0 * n))
+    scale_lap = _laplacians(n, _laplacian_prefactor(n, lam, 1.0), lam ** 2)[1]
+    pds = lambda r: (scale_derivative(n, lam, r)
+                     - scale_derivative(n, lam, 1.0)
+                     - scale_lap * (r ** 2 - 1.0) / (2.0 * n))
     separate = (
         ball(lambda r: dpow(r) * pd(r)),
         ball(lambda r: np.abs(pd(r)) ** (p - eps) * pd(r)),

@@ -25,6 +25,8 @@ from scipy.optimize import fsolve, minimize_scalar
 
 from navier_bubbles import solver as solver_module
 from navier_bubbles.bubble import (
+    _laplacian_prefactor,
+    _laplacians,
     _projected_laplacians,
     _projected_profile,
     balance_constants,
@@ -36,7 +38,6 @@ from navier_bubbles.bubble import (
     law_scale,
     radial_profile,
     radial_profile_laplacian,
-    radial_scale_derivative_laplacian,
     sobolev_energy,
 )
 from navier_bubbles.green_robin import BallDomain
@@ -1037,8 +1038,11 @@ def test_decompose_matches_brent_oracle(subcritical_sweep,
 
         def derivative(x):
             lp, alpha = fit(x)
-            ds = (radial_scale_derivative_laplacian(N6, math.exp(x), r)
-                  - radial_scale_derivative_laplacian(N6, math.exp(x), 1.0))
+            lam = math.exp(x)
+            ds = (_laplacians(N6, _laplacian_prefactor(N6, lam, r),
+                              (lam * r) ** 2)[1]
+                  - _laplacians(N6, _laplacian_prefactor(N6, lam, 1.0),
+                                lam ** 2)[1])
             return float(np.sum(wts * (sol.w - alpha * lp) * ds))
 
         seed = math.log(c0(N6) ** -1.0 * sol.M ** ((P6 - 1 + sol.eps) / 4))
