@@ -73,7 +73,7 @@ class RadialGrid:
         return self.nodes.size
 
     @classmethod
-    def sinh_graded(cls, n, N, R=1.0, strength=5.0):
+    def sinh_graded(cls, n, N, R=1.0, *, strength):
         """Cluster nodes near r = 0; spacing grows like sinh.
 
         Resolves an O(1/lambda) core without starving the far field. The
@@ -87,7 +87,7 @@ class RadialGrid:
         return cls(n, nodes, float(R))
 
     @classmethod
-    def arctan_graded(cls, n, N, R=1.0, stretch=1.0):
+    def arctan_graded(cls, n, N, R=1.0, *, stretch):
         """Nodes r_j = A tan(psi j/(N-1)) with A tan(psi) = R.
 
         The local spacing is proportional to A + r^2/A, which matches the
@@ -300,8 +300,10 @@ def radial_bilaplacian(u, grid):
         windows of degree six, which trade a longer stencil for a fourth
         power of the stride in the rounding amplification;
       * the last two rows: the same window on the trailing nodes;
-      * every other row: two 3-point Laplacians, on rows 1 to N - 2 and
-        then on rows 2 to N - 3, sharing one _laplacian_stencil.
+      * every other row, between the head and the band and from the
+        band to N - 3: two 3-point Laplacians sharing one
+        _laplacian_stencil, the first on those rows and their two
+        neighbours.
 
     A grid whose head cannot write rows 0 and 1 (fewer than two nodes
     below 0.008 R, or fewer than five fit nodes) raises ValueError. Each
@@ -332,12 +334,7 @@ def radial_bilaplacian(u, grid):
         raise ValueError("radial_bilaplacian needs two nodes below 0.008 R "
                          "and five fit nodes; got %d and %d" % (head, len(js)))
 
-    lower, middle, upper, den = _laplacian_stencil(r, n)
-    lap = (lower * u[:-2] + middle * u[1:-1] + upper * u[2:]) / den
     out = np.empty_like(u)
-    out[2:-2] = (lower[1:-1] * lap[:-2] + middle[1:-1] * lap[1:-1]
-                 + upper[1:-1] * lap[2:]) / den[1:-1]
-
     t = r[:head] ** 2
     D = _stencil_weights(0, r[js] ** 2, len(js) - 1) @ (u[js] - u[0])
 
@@ -354,11 +351,23 @@ def radial_bilaplacian(u, grid):
 
     # band zone: strided seven-node windows centered on each row
     stride = 3
-    band = np.arange(max(head, 1 + 3 * stride),
-                     min(int(np.searchsorted(nodes, 0.04 * R)),
-                         N - 3 * stride))
+    band_lo = max(head, 1 + 3 * stride)
+    band_hi = min(int(np.searchsorted(nodes, 0.04 * R)), N - 3 * stride)
+    band = np.arange(band_lo, band_hi)
     out[band] = _window_bilaplacian(
         u, r, n, band, band[:, None] + stride * np.arange(-3, 4))
+
+    # rows lo to hi - 1 between the head and the band and from the band
+    # to N - 3: the 3-point Laplacian on rows lo - 1 to hi, then on rows
+    # lo to hi - 1; row j's stencil is entry j - 1
+    lower, middle, upper, den = _laplacian_stencil(r, n)
+    for lo, hi in ((head, band_lo), (max(band_lo, band_hi), N - 2)):
+        k = slice(lo - 2, hi)
+        lap = (lower[k] * u[lo - 2:hi] + middle[k] * u[lo - 1:hi + 1]
+               + upper[k] * u[lo:hi + 2]) / den[k]
+        k = slice(lo - 1, hi - 1)
+        out[lo:hi] = (lower[k] * lap[:-2] + middle[k] * lap[1:-1]
+                      + upper[k] * lap[2:]) / den[k]
 
     # trailing rows: a direct local window, strided where the grid
     # allows, as in the band, to keep the rounding amplification of the

@@ -372,7 +372,7 @@ def _stencil_shapes():
     r = grid.nodes.astype(np.longdouble)
     head, js = _head_zone(grid)
     band = np.arange(300, 600)
-    f = RadialGrid.sinh_graded(6, 2048).nodes
+    f = RadialGrid.sinh_graded(6, 2048, strength=5.0).nodes
     return {
         "outer": (r[-1], r[-4:], 2),
         "head": (np.longdouble(0), r[js] ** 2, len(js) - 1),
@@ -424,7 +424,8 @@ def test_shared_laplacian_stencil_matches_self_contained(n, monkeypatch):
 HEAD_GRIDS = [
     RadialGrid.arctan_graded(n, N, R=10.0, stretch=0.8)
     for n in (5, 6, 8) for N in (1024, 2048, 4096)
-] + [RadialGrid.sinh_graded(n, N) for n in (5, 9, 12) for N in (256, 2048)]
+] + [RadialGrid.sinh_graded(n, N, strength=5.0)
+     for n in (5, 9, 12) for N in (256, 2048)]
 
 
 @pytest.mark.parametrize("grid", HEAD_GRIDS,

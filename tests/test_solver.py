@@ -193,7 +193,7 @@ def test_solve_radial_preconditions(unit_ball6):
     with pytest.raises(ValueError, match="positive"):
         solve_radial(-0.3, unit_ball6, (u0, w0), grid=grid)
     # grid/domain mismatch
-    wrong = RadialGrid.sinh_graded(5, 256)
+    wrong = RadialGrid.sinh_graded(5, 256, strength=5.0)
     with pytest.raises(ValueError, match="does not match"):
         solve_radial(-0.3, unit_ball6, BubbleGuess(lam=8.0), grid=wrong)
 
