@@ -25,8 +25,8 @@ def parse(path):
             found.append((node.lineno, ast.unparse(node), node))
         names = [getattr(node, f, None) for f in ("name", "asname", "arg")]
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            # the statement indented as written, and each module.name
-            names.append(" " * node.col_offset + ast.unparse(node))
+            # the statement and each module.name
+            names.append(ast.unparse(node))
             names += ["%s.%s" % (getattr(node, "module", None), a.name)
                       for a in node.names]
         found += [(node.lineno, s, None) for s in names if isinstance(s, str)]
@@ -90,6 +90,28 @@ def power(node, base, exponent=".*"):
                 and re.fullmatch(exponent, ast.unparse(b)))
 
 
+def scipy_on_import(sources):
+    # each scipy import outside every function body (at module level, in
+    # a try, if or with there, or in a class body), which runs on import
+    found = []
+    for path, tree, _ in sources:
+        nodes = list(tree.body)
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module] if not node.level else []
+            else:
+                names = []
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    nodes += ast.iter_child_nodes(node)
+            if any(re.match(r"scipy(\.|$)", name) for name in names):
+                found.append((path, node.lineno))
+    return sorted(found)
+
+
 def law_seeded(sources):
     # at least one solve, each started from a _law_seed call
     if not sites(call("solve_radial"), sources):
@@ -120,7 +142,7 @@ RULES = [
     # the Newton step loads LAPACK gbsv when it runs, and the coercivity
     # check loads scipy.special itself, for Cephes j0 and j1 only
     ("no scipy.optimize", "*", r"scipy.optimize"),
-    ("scipy imported where needed", "*", r"^(from|import) scipy"),
+    ("scipy imported where needed", "*", scipy_on_import),
     # the law's limits, peak and scale at an offset, scale for a peak,
     # per-offset quantities and center potential live in bubble.py only
     ("one blow-up law", "*-bubble",

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import numbers
@@ -907,7 +908,10 @@ def cmd_expansion_orders(n, radius, rungs, lam_min, out_dir):
 # argument parsing
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The parser, built on the first main call and shared by the rest;
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="navier-bubbles",
         description="Desk-scale numerics for near-critical fourth-order "

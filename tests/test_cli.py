@@ -1578,3 +1578,45 @@ def test_module_invocation_prints_constants():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "interaction constant c1" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# repeated main calls in one process
+
+def tree_bytes(directory):
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    # main builds its parser once per process; each call parses from the
+    # parser's defaults whatever the calls before it set or were refused
+    out = tmp_path / "run"
+    cli._build_parser.cache_clear()
+    assert cli.main(["constants"]) == 0
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["robin", "--stations", "x"])
+    assert refused.value.code == 2
+    assert cli.main(["robin", "--out", str(tmp_path / "robin")]) == 0
+    assert cli.main(["supercritical", "--eps", "0.02", "0.09",
+                     "--out", str(out)]) == 0
+    assert cli.main(["supercritical", "--out", str(out)]) == 0
+    assert cli._build_parser.cache_info().misses == 1
+    config = (out / "supercritical" / "config.json").read_bytes()
+    # the default run of a newly built parser writes the same bytes
+    cli._build_parser.cache_clear()
+    assert cli.main(["supercritical", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "supercritical" / "config.json").read_bytes() == config
+
+
+@pytest.mark.parametrize("argv", [["constants"],
+                                  ["robin", "--stations", "9"],
+                                  ["expansion-orders"]])
+def test_repeated_calls_write_identical_files(argv, tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main([*argv, "--out", str(first)]) == 0
+    assert cli.main([*argv, "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert tree_bytes(first)
+    assert tree_bytes(second) == tree_bytes(first)
